@@ -1,5 +1,7 @@
 """Path-integral kernels and their exact composition law.
 
+Every kernel is one symbolic expression of its classical action form,
+lambda_v(-2 gamma) |gamma|_v^{1/2} chi_v(-S(x1, x0)), at every place.
 The finite-partition path integral of the constant-field system is
 evaluated by folding exact Gauss compositions over the subintervals.
 The result is independent of the partition -- an exact rational
@@ -14,9 +16,9 @@ from functools import cmp_to_key
 from padicqm import (
     PartitionSpec,
     Place,
+    SymbolicKernel,
+    action_form_constant_field,
     finite_n_propagator,
-    k_constant_field,
-    k_free,
     semigroup_residual,
 )
 from padicqm.places import place_less
@@ -24,8 +26,9 @@ from padicqm.places import place_less
 
 def main():
     print("=== free-particle kernel across places, T = 1, 0 -> 1 ===")
+    free = action_form_constant_field(0, 1)  # the constant field at a = 0
     for place in (Place.real(), Place.prime(2), Place.prime(3), Place.prime(5)):
-        amp = k_free(place, 1, 0, 1)
+        amp = SymbolicKernel.from_form(place, free).evaluate(0, 1)
         print(f"  v = {place}: |.|^2 = {amp.modulus_sq}, phase = {amp.phase}")
 
     print("\n=== partition independence at p = 3 (a = 2, 0 -> 1) ===")
@@ -41,7 +44,8 @@ def main():
     part = PartitionSpec(place, tuple(ordered))
     total_time = ordered[-1] - ordered[0]
     folded = finite_n_propagator(place, 2, part, 0, 1)
-    direct = k_constant_field(place, 2, total_time, 0, 1)
+    kernel = SymbolicKernel.from_form(place, action_form_constant_field(2, total_time))
+    direct = kernel.evaluate(0, 1)
     print(f"  N = {part.n_steps} fold : |.|^2 = {folded.modulus_sq}, phase = {folded.phase}")
     print(f"  one-shot T = {total_time}: |.|^2 = {direct.modulus_sq}, phase = {direct.phase}")
     print(f"  exactly equal: {folded == direct}")

@@ -16,15 +16,7 @@ from typing import Iterable
 
 from .characters import Phase, legendre
 from .errors import DomainError, NonSquareError, PrecisionError
-from .places import Place, _residue, is_prime, valuation
-
-
-def _strip(n: int, p: int) -> tuple[int, int]:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
+from .places import Place, _int_valuation, _residue, is_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -45,7 +37,8 @@ class PadicTruncation:
     def _make(cls, p: int, v: int, m: int, P: int) -> PadicTruncation:
         if v >= P or m % p ** (P - v) == 0:
             return cls(p, None, 0, P)
-        shift, m = _strip(m, p)
+        shift = _int_valuation(m, p)
+        m //= p**shift
         v += shift
         if v >= P:
             return cls(p, None, 0, P)

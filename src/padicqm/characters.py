@@ -40,10 +40,8 @@ class Phase:
     __rmul__ = __mul__
 
     def to_complex(self) -> complex:
-        return complex(
-            math.cos(2 * math.pi * float(self.value)),
-            math.sin(2 * math.pi * float(self.value)),
-        )
+        theta = 2 * math.pi * float(self.value)
+        return complex(math.cos(theta), math.sin(theta))
 
     def __str__(self) -> str:
         return str(self.value)
@@ -89,12 +87,17 @@ class Amplitude:
         return Amplitude(self.modulus_sq, -self.phase)
 
     def render(self) -> tuple[float, float]:
-        """Float (re, im); relative error <= 1e-12."""
-        r = math.sqrt(float(self.modulus_sq))
-        return (
-            r * math.cos(2 * math.pi * float(self.phase.value)),
-            r * math.sin(2 * math.pi * float(self.phase.value)),
-        )
+        """Float (re, im); relative error <= 1e-12.
+
+        Raises OverflowError when the modulus is beyond float range.
+        """
+        try:
+            r = math.sqrt(float(self.modulus_sq))
+        except OverflowError:
+            ms = self.modulus_sq
+            r = math.exp((math.log(ms.numerator) - math.log(ms.denominator)) / 2)
+        z = self.phase.to_complex()
+        return r * z.real, r * z.imag
 
     def to_complex(self) -> complex:
         re, im = self.render()
@@ -102,14 +105,6 @@ class Amplitude:
 
     def __str__(self) -> str:
         return f"|.|^2={self.modulus_sq}, phase={self.phase}"
-
-
-def amp_mul(a: Amplitude, b: Amplitude) -> Amplitude:
-    return a * b
-
-
-def amp_render(a: Amplitude) -> tuple[float, float]:
-    return a.render()
 
 
 def chi(place: Place, x: Fraction | int) -> Phase:
@@ -176,10 +171,6 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
         return Phase(base)
     flip = Fraction(1, 2) if (a1 + a2) % 2 == 1 else Fraction(0)
     return Phase(base + flip)
-
-
-def lambda_to_complex(place: Place, a: Fraction | int) -> complex:
-    return lambda_v(place, a).to_complex()
 
 
 def assert_eighth_root(ph: Phase) -> None:

@@ -16,14 +16,14 @@ import sys
 from fractions import Fraction
 
 from .characters import Amplitude
+from .dynamics import action_form_constant_field
 from .errors import OracleCapError, PadicqmError
 from .gauss import coset_cap, gauss_full, minimal_resolution, quad_char_integral_ball
 from .places import Place
 from .propagators import (
     OscillatorBoundaryData,
-    k_constant_field,
-    k_desitter,
-    k_free,
+    SymbolicKernel,
+    desitter_action_form,
     k_oscillator_td,
     k_oscillator_td_real,
 )
@@ -34,10 +34,19 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+#: kernel system -> (row field of its coefficient, action form of (coefficient, T));
+#: the free particle is the constant field at a = 0
+KERNEL_FORMS = {
+    "free": (None, action_form_constant_field),
+    "const-field": ("a", action_form_constant_field),
+    "desitter": ("lam", desitter_action_form),
+}
+
 CSV_COLUMNS = [
     "place",
     "system",
     "a",
+    "b",
     "lam",
     "T",
     "q0",
@@ -66,7 +75,7 @@ def _rational_list(text: str) -> list[Fraction]:
 def _place(text: str) -> Place:
     try:
         return Place.parse(text)
-    except ValueError as exc:
+    except (ValueError, PadicqmError) as exc:
         raise argparse.ArgumentTypeError(f"bad place {text!r}: {exc}") from exc
 
 
@@ -75,7 +84,10 @@ def _place_list(text: str) -> list[Place]:
 
 
 def _amp_fields(amp: Amplitude) -> dict:
-    re, im = amp.render()
+    try:
+        re, im = amp.render()
+    except OverflowError:
+        re = im = None
     return {
         "modulus_sq": str(amp.modulus_sq),
         "phase": str(amp.phase.value),
@@ -129,30 +141,25 @@ def _cmd_ball_integral(args) -> int:
 
 
 def _kernel_rows(args) -> list[dict]:
+    field, make_form = KERNEL_FORMS[args.system]
+    coeff = Fraction(0) if field is None else getattr(args, field)
+    params = {} if field is None else {field: str(coeff)}
     rows = []
     for place in args.place:
         for T in args.T:
+            kernel = SymbolicKernel.from_form(place, make_form(coeff, T))
             for q0 in args.q0:
                 for q1 in args.q1:
-                    base = {
+                    row = {
                         "place": str(place),
                         "system": args.system,
                         "T": str(T),
                         "q0": str(q0),
                         "q1": str(q1),
+                        **params,
                     }
-                    if args.system == "free":
-                        amp = k_free(place, T, q0, q1)
-                    elif args.system == "const-field":
-                        base["a"] = str(args.a)
-                        amp = k_constant_field(place, args.a, T, q0, q1)
-                    elif args.system == "desitter":
-                        base["lam"] = str(args.lam)
-                        amp = k_desitter(place, args.lam, T, q0, q1)
-                    else:
-                        raise AssertionError(args.system)
-                    base.update(_amp_fields(amp))
-                    rows.append(base)
+                    row.update(_amp_fields(kernel.evaluate(q0, q1)))
+                    rows.append(row)
     return rows
 
 
@@ -193,10 +200,17 @@ def _cmd_kernel_oscillator(args) -> int:
 def _cmd_verify(args) -> int:
     kwargs: dict = {"seed": args.seed}
     if args.trials is not None:
+        if args.trials < 1:
+            print("--trials must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
         kwargs["trials"] = args.trials
     if args.place:
         if args.check in ("overlap", "gauss"):
             kwargs["primes"] = tuple(pl.p for pl in args.place if not pl.is_real)
+            if not kwargs["primes"]:
+                print(f"--place leaves no p-adic place for the {args.check} check",
+                      file=sys.stderr)
+                return EXIT_USAGE
         else:
             kwargs["places"] = tuple(args.place)
     failures = CHECKS[args.check](**kwargs)
@@ -222,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kernel = sub.add_parser("kernel", help="evaluate a propagator on a parameter grid")
     kernel.add_argument("--system", required=True,
-                        choices=["free", "const-field", "desitter", "osc"])
+                        choices=[*KERNEL_FORMS, "osc"])
     kernel.add_argument("--place", type=_place_list, required=True,
                         help="comma-separated places: inf or primes")
     kernel.add_argument("--T", type=_rational_list, default=[Fraction(1)])

@@ -13,26 +13,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ZeroExpansionError
+from .errors import PadicqmError, ZeroExpansionError
 
 #: Sentinel returned by :func:`valuation` at zero.
 INFINITE_VALUATION = math.inf
 
-# Deterministic Miller-Rabin witness set, proven complete for
-# n < 3_317_044_064_679_887_385_961_981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the 13 primes up to 41 admit
+# no strong pseudoprime below psi_13 = 3_317_044_064_679_887_385_961_981
+# (Sorenson & Webster 2017), which is itself one.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic primality check (Miller-Rabin, fixed witnesses)."""
+    """Deterministic primality check (Miller-Rabin, fixed witnesses).
+
+    Raises :class:`PadicqmError` for an n that trial division by the
+    witnesses does not settle and that lies at or above the bound where
+    the witness set is proven complete.
+    """
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n == small:
             return True
         if n % small == 0:
             return False
+    if n >= _MR_BOUND:
+        raise PadicqmError(f"primality of {n} is not decided at or above {_MR_BOUND}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -231,22 +240,9 @@ def linear_less(x: Fraction | int, y: Fraction | int, p: int) -> bool:
     return digit(x, p, idx) < digit(y, p, idx)
 
 
-def real_abs_less(x: Fraction, y: Fraction) -> bool:
-    """Ordinary strict order on Q, used at the real place."""
-    return x < y
-
-
 def place_less(x: Fraction, y: Fraction, place: Place) -> bool:
     """Strict order of the place: usual order at infinity, digit order at p."""
     if place.is_real:
-        return real_abs_less(x, y)
+        return x < y
     return linear_less(x, y, place.p)
 
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (den omitted when 1)."""
-    return Fraction(text.strip())
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)

@@ -77,20 +77,22 @@ class SymbolicKernel:
     prefactor: Amplitude
     form: QuadraticActionForm
 
+    @classmethod
+    def from_form(cls, place: Place, form: QuadraticActionForm) -> SymbolicKernel:
+        """The kernel lambda_v(-2 gamma) |gamma|_v^{1/2} chi_v(-S(x1, x0)).
+
+        gamma is the mixed partial of the form; the expression is the
+        same at every place.
+        """
+        g = form.mixed_partial
+        if g == 0:
+            raise DegenerateFormError("mixed partial of the action form vanishes")
+        return cls(place, Amplitude(norm(g, place), lambda_v(place, -2 * g)), form)
+
     def evaluate(self, q0: Fraction, q1: Fraction) -> Amplitude:
         """Amplitude for propagation from q0 to q1."""
-        ph = chi(self.place, -self.form.evaluate(Fraction(q1), Fraction(q0)))
-        return self.prefactor * Amplitude(Fraction(1), ph)
-
-
-def symbolic_constant_field_kernel(
-    place: Place, a: Fraction | int, T: Fraction | int
-) -> SymbolicKernel:
-    a, T = Fraction(a), Fraction(T)
-    if T == 0:
-        raise DegenerateIntervalError("zero time interval")
-    pref = Amplitude(1 / norm(T, place), lambda_v(place, 2 * T))
-    return SymbolicKernel(place, pref, action_form_constant_field(a, T))
+        ph = chi(self.place, -self.form.evaluate(q1, q0))
+        return Amplitude(self.prefactor.modulus_sq, self.prefactor.phase + ph)
 
 
 def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
@@ -141,64 +143,13 @@ def compose(
     if T1 == 0 or T2 == 0 or T1 + T2 == 0:
         raise DegenerateIntervalError("degenerate step or total time")
     return compose_kernels(
-        symbolic_constant_field_kernel(place, a, T2),
-        symbolic_constant_field_kernel(place, a, T1),
+        SymbolicKernel.from_form(place, action_form_constant_field(a, T2)),
+        SymbolicKernel.from_form(place, action_form_constant_field(a, T1)),
     )
-
-
-def k_constant_field(
-    place: Place,
-    a: Fraction | int,
-    T: Fraction | int,
-    q0: Fraction | int,
-    q1: Fraction | int,
-) -> Amplitude:
-    """Propagator of a particle in a constant field over time T.
-
-    Modulus squared 1/|T|_v; phase lambda_v(2T) plus the character of
-    minus the classical action.
-    """
-    a, T, q0, q1 = Fraction(a), Fraction(T), Fraction(q0), Fraction(q1)
-    if T == 0:
-        raise DegenerateIntervalError("zero time interval")
-    s_cl = (q1 - q0) ** 2 / (2 * T) + a * (q1 + q0) * T / 2 - a * a * T**3 / 24
-    return Amplitude(1 / norm(T, place), lambda_v(place, 2 * T) + chi(place, -s_cl))
-
-
-def k_free(
-    place: Place, T: Fraction | int, q0: Fraction | int, q1: Fraction | int
-) -> Amplitude:
-    """Free-particle propagator: the constant-field kernel at a = 0."""
-    T, q0, q1 = Fraction(T), Fraction(q0), Fraction(q1)
-    if T == 0:
-        raise DegenerateIntervalError("zero time interval")
-    return Amplitude(
-        1 / norm(T, place),
-        lambda_v(place, 2 * T) + chi(place, -((q1 - q0) ** 2) / (2 * T)),
-    )
-
-
-def k_desitter(
-    place: Place,
-    lam: Fraction | int,
-    T: Fraction | int,
-    q0: Fraction | int,
-    q1: Fraction | int,
-) -> Amplitude:
-    """Minisuperspace cosmological propagator with cosmological constant lam."""
-    lam, T, q0, q1 = Fraction(lam), Fraction(T), Fraction(q0), Fraction(q1)
-    if T == 0:
-        raise DegenerateIntervalError("zero time interval")
-    arg = (
-        (q1 - q0) ** 2 / (8 * T)
-        + (lam * (q1 + q0) - 2) * T / 4
-        - lam * lam * T**3 / 24
-    )
-    return Amplitude(1 / norm(4 * T, place), lambda_v(place, -2 * T) + chi(place, arg))
 
 
 def desitter_action_form(lam: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
-    """Action form read back from the cosmological kernel's phase."""
+    """Action form of the minisuperspace cosmological model with constant lam."""
     lam, T = Fraction(lam), Fraction(T)
     if T == 0:
         raise DegenerateIntervalError("zero time interval")
@@ -215,18 +166,8 @@ def desitter_action_form(lam: Fraction | int, T: Fraction | int) -> QuadraticAct
 def k_general_quadratic(
     place: Place, form: QuadraticActionForm, x1: Fraction | int, x0: Fraction | int
 ) -> Amplitude:
-    """Propagator from a quadratic classical action form.
-
-    lambda_v(-2 gamma) |gamma|_v^{1/2} chi_v(-S(x1, x0)) with gamma the
-    mixed partial of the form.
-    """
-    g = form.mixed_partial
-    if g == 0:
-        raise DegenerateFormError("mixed partial of the action form vanishes")
-    return Amplitude(
-        norm(g, place),
-        lambda_v(place, -2 * g) + chi(place, -form.evaluate(Fraction(x1), Fraction(x0))),
-    )
+    """Propagator from a quadratic classical action form, at x1 from x0."""
+    return SymbolicKernel.from_form(place, form).evaluate(x0, x1)
 
 
 def finite_n_propagator(
@@ -245,13 +186,14 @@ def finite_n_propagator(
     """
     if partition.place != place:
         raise PartitionError("partition place disagrees with the requested place")
-    steps = partition.step_lengths()
-    kernel = symbolic_constant_field_kernel(place, a, steps[0])
-    for eps in steps[1:]:
-        kernel = compose_kernels(
-            symbolic_constant_field_kernel(place, a, eps), kernel
-        )
-    return kernel.evaluate(Fraction(q0), Fraction(q1))
+    kernels = [
+        SymbolicKernel.from_form(place, action_form_constant_field(a, eps))
+        for eps in partition.step_lengths()
+    ]
+    kernel = kernels[0]
+    for step in kernels[1:]:
+        kernel = compose_kernels(step, kernel)
+    return kernel.evaluate(q0, q1)
 
 
 def semigroup_residual(
@@ -272,7 +214,7 @@ def semigroup_residual(
     if t_mid == t0 or t1 == t_mid or t1 == t0:
         raise DegenerateIntervalError("intermediate time collides with an endpoint")
     composed = compose(place, a, t_mid - t0, t1 - t_mid).evaluate(q0, q1)
-    direct = k_constant_field(place, a, t1 - t0, q0, q1)
+    direct = k_general_quadratic(place, action_form_constant_field(a, t1 - t0), q1, q0)
     if composed == direct:
         return Amplitude.zero()
     raise VerificationError(

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .characters import assert_eighth_root, lambda_v
+from .dynamics import action_form_constant_field
 from .errors import VerificationError
 from .gauss import (
     BallSpec,
@@ -26,7 +27,7 @@ from .places import Place, norm, place_less
 from .propagators import (
     PartitionSpec,
     finite_n_propagator,
-    k_constant_field,
+    k_general_quadratic,
     overlap_ball_integral,
     overlap_vanishing_threshold,
     semigroup_residual,
@@ -97,7 +98,8 @@ def check_composition(
                 q0 = random_nonzero_rational(rng, place)
                 q1 = random_nonzero_rational(rng, place)
                 got = finite_n_propagator(place, a, partition, q0, q1)
-                want = k_constant_field(place, a, pts[-1] - pts[0], q0, q1)
+                form = action_form_constant_field(a, pts[-1] - pts[0])
+                want = k_general_quadratic(place, form, q1, q0)
                 if got != want:
                     failures.append(
                         {

@@ -1,0 +1,62 @@
+"""Hand-written closed-form kernels: the independent route of criterion 6.
+
+The library evaluates every kernel through one symbolic expression of
+its action form (``SymbolicKernel.from_form``).  These formulas write
+each kernel out by hand instead, with its own prefactor, so the tests
+can compare the two routes exactly.
+"""
+
+from fractions import Fraction
+
+from padicqm import Amplitude, DegenerateIntervalError, Place, chi, lambda_v, norm
+
+
+def k_constant_field(
+    place: Place,
+    a: Fraction | int,
+    T: Fraction | int,
+    q0: Fraction | int,
+    q1: Fraction | int,
+) -> Amplitude:
+    """Propagator of a particle in a constant field over time T.
+
+    Modulus squared 1/|T|_v; phase lambda_v(2T) plus the character of
+    minus the classical action.
+    """
+    a, T, q0, q1 = Fraction(a), Fraction(T), Fraction(q0), Fraction(q1)
+    if T == 0:
+        raise DegenerateIntervalError("zero time interval")
+    s_cl = (q1 - q0) ** 2 / (2 * T) + a * (q1 + q0) * T / 2 - a * a * T**3 / 24
+    return Amplitude(1 / norm(T, place), lambda_v(place, 2 * T) + chi(place, -s_cl))
+
+
+def k_free(
+    place: Place, T: Fraction | int, q0: Fraction | int, q1: Fraction | int
+) -> Amplitude:
+    """Free-particle propagator: the constant-field kernel at a = 0."""
+    T, q0, q1 = Fraction(T), Fraction(q0), Fraction(q1)
+    if T == 0:
+        raise DegenerateIntervalError("zero time interval")
+    return Amplitude(
+        1 / norm(T, place),
+        lambda_v(place, 2 * T) + chi(place, -((q1 - q0) ** 2) / (2 * T)),
+    )
+
+
+def k_desitter(
+    place: Place,
+    lam: Fraction | int,
+    T: Fraction | int,
+    q0: Fraction | int,
+    q1: Fraction | int,
+) -> Amplitude:
+    """Minisuperspace cosmological propagator with cosmological constant lam."""
+    lam, T, q0, q1 = Fraction(lam), Fraction(T), Fraction(q0), Fraction(q1)
+    if T == 0:
+        raise DegenerateIntervalError("zero time interval")
+    arg = (
+        (q1 - q0) ** 2 / (8 * T)
+        + (lam * (q1 + q0) - 2) * T / 4
+        - lam * lam * T**3 / 24
+    )
+    return Amplitude(1 / norm(4 * T, place), lambda_v(place, -2 * T) + chi(place, arg))

@@ -1,7 +1,11 @@
+import csv
+import io
 import json
+import math
 
 import pytest
 
+from padicqm import Place, gauss_full
 from padicqm.cli import main
 
 
@@ -115,6 +119,47 @@ class TestGaussCommand:
         code, _, err = run_cli(capsys, ["gauss", "--place", "3", "--a", "0"])
         assert code == 2
 
+    def test_modulus_beyond_float_range(self, capsys):
+        # |.|^2 = 3^800 overflows a float; its square root 3^400 does not
+        a = 3**800
+        want = gauss_full(Place.prime(3), a, 0)
+        code, out, _ = run_cli(capsys, ["gauss", "--place", "3", "--a", str(a)])
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert (row["modulus_sq"], row["phase"]) == (str(want.modulus_sq), str(want.phase))
+        assert math.isclose(math.hypot(row["re"], row["im"]), 3.0**400, rel_tol=1e-12)
+
+    def test_rendering_beyond_float_range_is_null(self, capsys):
+        # the modulus 3^700 itself exceeds the float range
+        a = 3**1400
+        want = gauss_full(Place.prime(3), a, 0)
+        code, out, _ = run_cli(capsys, ["gauss", "--place", "3", "--a", str(a)])
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert (row["modulus_sq"], row["phase"]) == (str(want.modulus_sq), str(want.phase))
+        assert row["re"] is None and row["im"] is None
+        code, out, _ = run_cli(
+            capsys, ["gauss", "--place", "3", "--a", str(a), "--format", "csv"]
+        )
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["modulus_sq"] == str(want.modulus_sq)
+        assert row["re"] == "" and row["im"] == ""
+
+    def test_csv_carries_b(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["gauss", "--place", "5", "--a", "2", "--b", "3/7", "--format", "csv"],
+        )
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["a"], row["b"]) == ("2", "3/7")
+
+    def test_undecided_primality_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["gauss", "--place", "3317044064679887385961981", "--a", "1"])
+        assert exc.value.code == 2
+
 
 class TestBallIntegralCommand:
     def test_examples(self, capsys):
@@ -186,6 +231,22 @@ class TestVerifyCommand:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
+
+    def test_place_filter_leaving_no_place_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["verify", "--check", "gauss", "--place", "inf"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "place" in err
+
+    def test_zero_trials_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["verify", "--check", "lambda", "--trials", "0"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
 
     def test_unknown_check_rejected(self):
         with pytest.raises(SystemExit) as exc:

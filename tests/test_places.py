@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from padicqm import (
     DigitExpansion,
+    PadicqmError,
     Place,
     ZeroExpansionError,
     digits,
@@ -15,7 +16,8 @@ from padicqm import (
     norm,
     valuation,
 )
-from padicqm.places import digit, is_prime, parse_rational
+from padicqm.cli import _rational
+from padicqm.places import digit, is_prime
 
 PRIMES = [2, 3, 5, 7, 13]
 
@@ -196,10 +198,21 @@ class TestPlace:
             Place.parse("15")
 
     def test_primality(self):
-        assert is_prime(2) and is_prime(97) and is_prime(7919)
+        assert is_prime(2) and is_prime(97) and is_prime(7919) and is_prime(41)
         assert not is_prime(1) and not is_prime(561) and not is_prime(7917)
 
+    def test_strong_pseudoprime_to_bases_up_to_37_is_composite(self):
+        # psi_12 = 399165290221 * 798330580441 passes every base 2..37
+        assert not is_prime(318665857834031151167461)
+        with pytest.raises(ValueError):
+            Place.prime(318665857834031151167461)
+
+    def test_primality_at_the_proven_bound_raises(self):
+        # psi_13, a strong pseudoprime to every base 2..41
+        with pytest.raises(PadicqmError):
+            is_prime(3317044064679887385961981)
+
     def test_rational_round_trip(self):
-        assert parse_rational("3/4") == F(3, 4)
-        assert parse_rational("5") == 5
+        assert _rational("3/4") == F(3, 4)
+        assert _rational(" 5 ") == 5
         assert str(F(-7, 2)) == "-7/2"

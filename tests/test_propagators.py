@@ -16,15 +16,13 @@ from padicqm import (
     Phase,
     Place,
     QuadraticActionForm,
+    SymbolicKernel,
     action_form_constant_field,
     chi,
     compose,
     compose_kernels,
     desitter_action_form,
     finite_n_propagator,
-    k_constant_field,
-    k_desitter,
-    k_free,
     k_general_quadratic,
     k_oscillator_td,
     k_oscillator_td_real,
@@ -34,10 +32,11 @@ from padicqm import (
     overlap_ball_integral,
     overlap_vanishing_threshold,
     semigroup_residual,
-    symbolic_constant_field_kernel,
 )
 from padicqm.errors import PrecisionError
 from padicqm.places import place_less
+
+from closed_forms import k_constant_field, k_desitter, k_free
 
 R = Place.real()
 P2, P3, P5, P7 = (Place.prime(p) for p in (2, 3, 5, 7))
@@ -51,6 +50,11 @@ def rand_rational(rng, place=None, span=2):
     return x
 
 
+def const_field(place, a, T, q0, q1):
+    """The library's constant-field kernel: its action form, evaluated."""
+    return k_general_quadratic(place, action_form_constant_field(a, T), q1, q0)
+
+
 def sorted_at_place(values, place):
     return sorted(
         values, key=cmp_to_key(lambda a, b: -1 if place_less(a, b, place) else 1)
@@ -59,11 +63,11 @@ def sorted_at_place(values, place):
 
 class TestConstantFieldKernel:
     def test_padic_example(self):
-        assert k_constant_field(P3, 0, 1, 0, 1) == Amplitude(F(1), Phase(F(0)))
+        assert const_field(P3, 0, 1, 0, 1) == Amplitude(F(1), Phase(F(0)))
 
     def test_real_example(self):
         # lambda(2) has phase 7/8 and chi_inf(-1/2) adds 1/2
-        assert k_constant_field(R, 0, 1, 0, 1) == Amplitude(F(1), Phase(F(3, 8)))
+        assert const_field(R, 0, 1, 0, 1) == Amplitude(F(1), Phase(F(3, 8)))
 
     def test_free_specialization(self):
         rng = random.Random(11)
@@ -71,7 +75,7 @@ class TestConstantFieldKernel:
             for _ in range(10):
                 T = rand_rational(rng, place)
                 q0, q1 = rand_rational(rng, place), rand_rational(rng, place)
-                assert k_constant_field(place, 0, T, q0, q1) == k_free(place, T, q0, q1)
+                assert const_field(place, 0, T, q0, q1) == k_free(place, T, q0, q1)
 
     def test_modulus_is_inverse_norm_of_time(self):
         rng = random.Random(12)
@@ -79,12 +83,12 @@ class TestConstantFieldKernel:
             for _ in range(10):
                 a = rand_rational(rng, place)
                 T = rand_rational(rng, place)
-                amp = k_constant_field(place, a, T, 0, 1)
+                amp = const_field(place, a, T, 0, 1)
                 assert amp.modulus_sq == 1 / norm(T, place)
 
     def test_degenerate_interval(self):
         with pytest.raises(DegenerateIntervalError):
-            k_constant_field(P3, 1, 0, 0, 1)
+            const_field(P3, 1, 0, 0, 1)
 
     def test_hermitian_time_reversal(self):
         rng = random.Random(13)
@@ -92,7 +96,7 @@ class TestConstantFieldKernel:
             a = rand_rational(rng, place)
             T = rand_rational(rng, place)
             q0, q1 = rand_rational(rng, place), rand_rational(rng, place)
-            amp = k_constant_field(place, a, T, q0, q1)
+            amp = const_field(place, a, T, q0, q1)
             conj = amp.conjugate()
             expected_phase = -(
                 lambda_v(place, 2 * T)
@@ -111,10 +115,10 @@ class TestConstantFieldKernel:
 
 class TestFreeKernel:
     def test_two_adic_value(self):
-        assert k_free(P2, 1, 0, 0) == Amplitude(F(1), Phase(F(1, 8)))
+        assert const_field(P2, 0, 1, 0, 0) == Amplitude(F(1), Phase(F(1, 8)))
 
     def test_five_adic_value_and_composition_cross_check(self):
-        amp = k_free(P5, 5, 0, 1)
+        amp = const_field(P5, 0, 5, 0, 1)
         # modulus_sq = 1/|5|_5 = 5; phase = lambda_5(10) + {-1/10}_5
         assert amp.modulus_sq == 5
         assert amp == Amplitude(F(5), lambda_v(P5, 10) + chi(P5, F(-1, 10)))
@@ -124,7 +128,7 @@ class TestFreeKernel:
 
     def test_real_prefactor_matches_inverse_sqrt_of_iT(self):
         for T in (F(1), F(2), F(1, 3), F(-1), F(-5, 2), F(7)):
-            amp = k_free(R, T, 0, 0)
+            amp = const_field(R, 0, T, 0, 0)
             got = complex(*amp.render())
             want = 1 / cmath.sqrt(1j * float(T))
             assert abs(got - want) < 1e-12
@@ -132,7 +136,8 @@ class TestFreeKernel:
 
 class TestDeSitterKernel:
     def test_trivial_point(self):
-        assert k_desitter(P3, 0, 1, 0, 0) == Amplitude(F(1), Phase(F(0)))
+        form = desitter_action_form(0, 1)
+        assert k_general_quadratic(P3, form, 0, 0) == Amplitude(F(1), Phase(F(0)))
 
     def test_consistency_with_general_quadratic(self):
         rng = random.Random(21)
@@ -148,7 +153,7 @@ class TestDeSitterKernel:
 
     def test_real_float_cross_check(self):
         lam, T, q0, q1 = F(1, 2), F(3), F(1), F(2)
-        amp = k_desitter(R, lam, T, q0, q1)
+        amp = k_general_quadratic(R, desitter_action_form(lam, T), q1, q0)
         got = complex(*amp.render())
         # float evaluation of the closed form
         lam_f, T_f, q0_f, q1_f = map(float, (lam, T, q0, q1))
@@ -180,18 +185,22 @@ class TestGeneralQuadratic:
         form = QuadraticActionForm(alpha=F(1), beta=F(1), gamma=F(0))
         with pytest.raises(DegenerateFormError):
             k_general_quadratic(P3, form, 0, 0)
+        with pytest.raises(DegenerateFormError):
+            SymbolicKernel.from_form(R, form)
 
 
 class TestComposition:
     def test_free_halves(self):
         for place in ALL_PLACES:
-            assert compose(place, 0, F(1, 2), F(1, 2)) == symbolic_constant_field_kernel(
-                place, 0, 1
+            assert compose(place, 0, F(1, 2), F(1, 2)) == SymbolicKernel.from_form(
+                place, action_form_constant_field(0, 1)
             )
 
     def test_constant_field_steps(self):
         for place in ALL_PLACES:
-            assert compose(place, 1, 1, 2) == symbolic_constant_field_kernel(place, 1, 3)
+            assert compose(place, 1, 1, 2) == SymbolicKernel.from_form(
+                place, action_form_constant_field(1, 3)
+            )
 
     def test_lambda_bookkeeping_collapses(self):
         # the product of step prefactors and the Gauss factor must give
@@ -384,14 +393,14 @@ class TestOscillator:
 class TestFormInvarianceAcrossPlaces:
     def test_same_symbolic_form_every_place(self):
         # the symbolic kernel built at each place carries the identical
-        # action form; only norm/chi/lambda dispatch on the place
+        # action form; only norm/chi/lambda dispatch on the place, and the
+        # prefactor is the constant-field normalization |T|^{-1/2} lambda(2T)
         a, T = F(2, 3), F(5, 4)
-        forms = {
-            place: symbolic_constant_field_kernel(place, a, T).form
-            for place in ALL_PLACES
-        }
         reference = action_form_constant_field(a, T)
-        assert all(form == reference for form in forms.values())
+        for place in ALL_PLACES:
+            kernel = SymbolicKernel.from_form(place, action_form_constant_field(a, T))
+            assert kernel.form == reference
+            assert kernel.prefactor == Amplitude(1 / norm(T, place), lambda_v(place, 2 * T))
 
     def test_composition_form_is_place_independent(self):
         a, T1, T2 = F(1, 2), F(2), F(3)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .characters import Phase, legendre
+from .characters import Phase, lambda_v, legendre
 from .errors import DomainError, NonSquareError, PrecisionError
-from .places import Place, _int_valuation, _residue, is_prime, valuation
+from .places import Place, _int_valuation, is_prime, unit_residue, valuation
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,12 @@ class PadicTruncation:
 
     @classmethod
     def from_rational(cls, x: Fraction | int, p: int, P: int) -> PadicTruncation:
-        x = Fraction(x)
         if x == 0:
             return cls.zero_mod(p, P)
         v = valuation(x, p)
         if v >= P:
             return cls.zero_mod(p, P)
-        unit = x * Fraction(p) ** (-v)
-        m = _residue(unit, p ** (P - v), p)
-        return cls(p, v, m, P)
+        return cls(p, v, unit_residue(x, p, P - v)[1], P)
 
     @property
     def is_zero_mod(self) -> bool:
@@ -147,19 +144,16 @@ class PadicTruncation:
 
     def scale(self, c: Fraction | int) -> PadicTruncation:
         """Multiply by an exact rational (no precision loss beyond the shift)."""
-        c = Fraction(c)
         p = self.prime
         if c == 0:
             # exact zero: effectively infinite precision
             return PadicTruncation.zero_mod(p, 10**9)
-        vc = valuation(c, p)
         if self.is_zero_mod:
-            return PadicTruncation.zero_mod(p, self.precision + vc)
-        v = self.valuation + vc
-        P = self.precision + vc
-        unit = c * Fraction(p) ** (-vc)
-        m = self.mantissa * _residue(unit, p ** (P - v), p)
-        return PadicTruncation._make(p, v, m, P)
+            return PadicTruncation.zero_mod(p, self.precision + valuation(c, p))
+        vc, r = unit_residue(c, p, self.precision - self.valuation)
+        return PadicTruncation._make(
+            p, self.valuation + vc, self.mantissa * r, self.precision + vc
+        )
 
     def __str__(self) -> str:
         if self.is_zero_mod:
@@ -191,8 +185,6 @@ def chi_of_truncation(t: PadicTruncation) -> Phase:
 
 def lambda_of_truncation(place: Place, t: PadicTruncation) -> Phase:
     """Lambda factor of a truncated value; needs enough pinned digits."""
-    from .characters import lambda_v
-
     p = place.p
     if t.is_zero_mod:
         raise PrecisionError("lambda factor needs a value pinned away from zero")
@@ -345,16 +337,14 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     digit order (smaller leading digit for odd p; second digit 0 for
     p = 2, where both roots lead with 1).
     """
-    x = Fraction(x)
     if x == 0:
         raise ValueError("square root of zero is trivial; argument must be nonzero")
     v = valuation(x, p)
     if v % 2 != 0:
         raise NonSquareError(f"odd valuation {v}: no square root in Q_{p}")
-    unit = x * Fraction(p) ** (-v)
     half_v = v // 2
     k = max(1, P - half_v)
-    target = _residue(unit, p ** (k + 2), p)
+    _, target = unit_residue(x, p, k + 2)
     if p != 2:
         u0 = target % p
         if legendre(u0, p) != 1:

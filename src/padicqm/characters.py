@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PadicqmError
-from .places import Place, digits, fractional_part, is_prime, valuation
+from .places import Place, fractional_part, is_prime, unit_residue
 
 
 @dataclass(frozen=True)
@@ -141,30 +141,28 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
     """The arithmetic eighth-root-of-unity factor of the Gauss integral.
 
     Real place: (1 - i*sign a)/sqrt(2), i.e. phase 7/8 for a > 0 and 1/8
-    for a < 0.  Odd p: dispatch on the parity of v_p(a) and p mod 4 via
-    the Legendre symbol of the leading digit.  p = 2: dispatch on the
-    parity of v_2(a) via digits a_1, a_2 of the unit part.
+    for a < 0.  p-Adic places read a = p**v * u off
+    :func:`~padicqm.places.unit_residue`.  Odd p: dispatch on the parity
+    of v and p mod 4 via the Legendre symbol of u mod p.  p = 2: dispatch
+    on the parity of v via bits 1 and 2 of u mod 8 (the digits a_1, a_2).
 
     Rejects a = 0: the factor is defined only for nonzero arguments.
     """
-    a = Fraction(a)
     if a == 0:
         raise ValueError("lambda factor undefined at zero")
     if place.is_real:
         return Phase(Fraction(7, 8)) if a > 0 else Phase(Fraction(1, 8))
     p = place.p
-    v = valuation(a, p)
+    v, u = unit_residue(a, p, 3 if p == 2 else 1)
     if p != 2:
         if v % 2 == 0:
             return ZERO_PHASE
-        a0 = digits(a, p, 1).digits[0]
-        eps = legendre(a0, p)
+        eps = legendre(u, p)
         if p % 4 == 1:
             return Phase(Fraction(0 if eps == 1 else 1, 2))
-        # p = 3 mod 4: value i*(a0/p)
+        # p = 3 mod 4: value i*(u/p)
         return Phase(Fraction(1, 4)) if eps == 1 else Phase(Fraction(3, 4))
-    d = digits(a, 2, 3).digits
-    a1, a2 = d[1], d[2]
+    a1, a2 = (u >> 1) & 1, (u >> 2) & 1
     # (1 + (-1)**a1 * i)/sqrt(2) is the eighth root of unity +-1/8.
     base = Fraction(1, 8) if a1 == 0 else Fraction(7, 8)
     if v % 2 == 0:

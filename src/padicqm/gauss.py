@@ -21,14 +21,7 @@ from typing import Callable
 
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
 from .errors import DegenerateQuadraticError, OracleCapError, QuadratureError
-from .places import (
-    INFINITE_VALUATION,
-    Place,
-    _residue,
-    fractional_part,
-    is_prime,
-    valuation,
-)
+from .places import Place, fractional_part, is_prime, norm, valuation
 
 DEFAULT_COSET_CAP = 10**6
 _CAP_ENV_VAR = "PADICQM_COSET_CAP"
@@ -79,11 +72,18 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
         raise DegenerateQuadraticError(
             "quadratic coefficient is zero; use quad_char_integral_ball"
         )
-    from .places import norm
-
     modulus_sq = 1 / norm(2 * a, place)
     phase = lambda_v(place, a) + chi(place, -b * b / (4 * a))
     return Amplitude(modulus_sq, phase)
+
+
+def _residue(q: Fraction, modulus: int, p: int) -> int:
+    """Representative of a p-integral rational q modulo p**k (modulus = p**k)."""
+    if modulus == 1:
+        return 0
+    if q.denominator % p == 0:
+        raise ValueError("rational is not p-integral")
+    return q.numerator * pow(q.denominator, -1, modulus) % modulus
 
 
 def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
@@ -220,18 +220,6 @@ def quadratic_char_fn(
     return f
 
 
-def _pairwise_sum(values: list[complex], lo: int, hi: int) -> complex:
-    """Fixed pairwise summation tree; independent of any partitioning."""
-    n = hi - lo
-    if n <= 4:
-        total = 0j
-        for i in range(lo, hi):
-            total += values[i]
-        return total
-    mid = lo + n // 2
-    return _pairwise_sum(values, lo, mid) + _pairwise_sum(values, mid, hi)
-
-
 def haar_oracle(
     p: int,
     f: Callable[[Fraction], complex],
@@ -241,8 +229,9 @@ def haar_oracle(
     """Numerical Haar integral of f over the ball by coset enumeration.
 
     Evaluates f at every coset representative and weights by the coset
-    measure p^{-M}.  Deterministic: fixed enumeration order and a fixed
-    pairwise-summation tree.
+    measure p^{-M}.  Deterministic: the real and imaginary parts are each
+    summed by ``math.fsum``, correctly rounded and so independent of the
+    enumeration order.
     """
     if ball.prime != p:
         raise ValueError("ball prime disagrees with p")
@@ -252,7 +241,9 @@ def haar_oracle(
             f"{ball.n_cosets} cosets exceed the cap of {limit}"
         )
     values = [f(r) for r in ball.representatives()]
-    total = _pairwise_sum(values, 0, len(values))
+    total = complex(
+        math.fsum(z.real for z in values), math.fsum(z.imag for z in values)
+    )
     return total * float(p) ** (-ball.resolution_exponent)
 
 

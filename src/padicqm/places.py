@@ -158,47 +158,43 @@ def norm(x: Fraction | int, place: Place) -> Fraction:
     return Fraction(place.p) ** (-v)
 
 
-def _unit_part(x: Fraction, p: int) -> tuple[int, Fraction]:
-    """Split nonzero x as p**v * u with u a p-adic unit; returns (v, u)."""
-    v = valuation(x, p)
-    return v, x * Fraction(p) ** (-v)
+def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
+    """Split nonzero x as p**v * u with u a p-adic unit; returns (v, u mod p**k).
 
-
-def _residue(q: Fraction, modulus: int, p: int) -> int:
-    """Representative of a p-integral rational q modulo p**k (modulus = p**k)."""
-    if modulus == 1:
-        return 0
-    if q.denominator % p == 0:
-        raise ValueError("rational is not p-integral")
-    return q.numerator * pow(q.denominator, -1, modulus) % modulus
-
-
-def digit(x: Fraction, p: int, index: int) -> int:
-    """Digit d_index of the canonical expansion of nonzero x."""
-    if x == 0:
+    Integer arithmetic on ``x.numerator`` and ``x.denominator`` only, so
+    ``int`` and ``Fraction`` inputs alike need no coercion.  Raises
+    ValueError for a non-prime p and :class:`ZeroExpansionError` at x = 0.
+    """
+    if not is_prime(p):
+        raise ValueError(f"not a prime: {p}")
+    n, d = x.numerator, x.denominator
+    if n == 0:
         raise ZeroExpansionError("zero has no canonical expansion")
-    _, u = _unit_part(x, p)
-    r = _residue(u, p ** (index + 1), p)
-    return (r // p**index) % p
+    vn, vd = _int_valuation(n, p), _int_valuation(d, p)
+    m = p**k
+    return vn - vd, n // p**vn * pow(d // p**vd, -1, m) % m
+
+
+def digit(x: Fraction | int, p: int, index: int) -> int:
+    """Digit d_index of the canonical expansion of nonzero x."""
+    _, r = unit_residue(x, p, index + 1)
+    return r // p**index
 
 
 def digits(x: Fraction | int, p: int, count: int) -> DigitExpansion:
-    """First ``count`` canonical digits of x, by exact residue extraction.
+    """First ``count`` canonical digits of x.
 
-    Raises :class:`ZeroExpansionError` at x = 0: the zero element has no
-    canonical expansion.
+    They are the base-p digits of u mod p**count, the unit residue from
+    :func:`unit_residue`.  Raises :class:`ZeroExpansionError` at x = 0:
+    the zero element has no canonical expansion.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroExpansionError("zero has no canonical expansion")
-    v, u = _unit_part(x, p)
+    v, r = unit_residue(x, p, count)
     out = []
     for _ in range(count):
-        d = _residue(u, p, p)
+        r, d = divmod(r, p)
         out.append(d)
-        u = (u - d) / p
     return DigitExpansion(valuation=v, digits=tuple(out), prime=p)
 
 
@@ -229,14 +225,12 @@ def linear_less(x: Fraction | int, y: Fraction | int, p: int) -> bool:
     canonical digit of x is smaller.  The first differing digit index is
     v_p(x - y) - v_p(x), so no digit scan is needed.
     """
-    x, y = Fraction(x), Fraction(y)
     if x == y:
         return False
-    nx, ny = norm(x, Place.prime(p)), norm(y, Place.prime(p))
-    if nx != ny:
-        return nx < ny
-    v_common = valuation(x, p)
-    idx = valuation(x - y, p) - v_common
+    vx, vy = valuation(x, p), valuation(y, p)
+    if vx != vy:
+        return vx > vy
+    idx = valuation(x - y, p) - vx
     return digit(x, p, idx) < digit(y, p, idx)
 
 

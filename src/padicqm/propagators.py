@@ -22,7 +22,7 @@ from .analytic import (
     lambda_of_truncation,
     sqrt_p,
 )
-from .characters import Amplitude, Phase, chi, lambda_v
+from .characters import Amplitude, chi, lambda_v
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
     DegenerateFormError,
@@ -32,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .gauss import quad_char_integral_ball
-from .places import Place, norm, place_less
+from .places import Place, norm, place_less, valuation
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,6 @@ def overlap_vanishing_threshold(p: int, x_diff: Fraction, tau: Fraction) -> int:
     The pairing vanishes once the linear character is nontrivial on the
     ball: N >= v_p(x_diff / tau) + 1.
     """
-    from .places import valuation
-
     if x_diff == 0:
         raise ValueError("threshold defined for distinct endpoints")
     return valuation(x_diff / tau, p) + 1
@@ -314,6 +312,24 @@ def oscillator_chi_rational_part(data: OscillatorBoundaryData) -> Fraction:
     return (data.ds0 * data.x0**2 / data.s0 - data.ds1 * data.x1**2 / data.s1) / 2
 
 
+def _oscillator_truncations(
+    data: OscillatorBoundaryData, p: int, precision: int
+) -> tuple[PadicTruncation, PadicTruncation, PadicTruncation]:
+    """sin delta, 1/tan delta and sqrt(dgamma1*dgamma0)/sin delta as truncations.
+
+    delta = gamma1 - gamma0; the square root is the canonical branch.
+    """
+    delta = data.gamma1 - data.gamma0
+    if delta == 0:
+        raise DegenerateIntervalError("coincident auxiliary phases")
+    sin_sum, cos_sum = _sin_cos_sums(delta, p, precision)
+    sin_t = PadicTruncation.from_rational(sin_sum, p, precision)
+    tan_t = PadicTruncation.from_rational(sin_sum / cos_sum, p, precision)
+    root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, precision)
+    inv_tan = PadicTruncation.from_rational(1, p, precision) / tan_t
+    return sin_t, inv_tan, root_t / sin_t
+
+
 def k_oscillator_td(
     place: Place, data: OscillatorBoundaryData, precision: int
 ) -> Amplitude:
@@ -327,22 +343,15 @@ def k_oscillator_td(
     """
     if place.is_real:
         raise ValueError("use k_oscillator_td_real for the real place")
-    p = place.p
-    delta = data.gamma1 - data.gamma0
-    if delta == 0:
-        raise DegenerateIntervalError("coincident auxiliary phases")
-    sin_sum, cos_sum = _sin_cos_sums(delta, p, precision)
-    sin_t = PadicTruncation.from_rational(sin_sum, p, precision)
-    tan_t = PadicTruncation.from_rational(sin_sum / cos_sum, p, precision)
-    root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, precision)
+    sin_t, inv_tan, root_over_sin = _oscillator_truncations(data, place.p, precision)
 
     lam_phase = lambda_of_truncation(place, sin_t.scale(2))
-    modulus_sq = (root_t / sin_t).norm()
+    modulus_sq = root_over_sin.norm()
 
     chi_rational = chi(place, oscillator_chi_rational_part(data))
     quad_coeff = -(data.dgamma1 * data.x1**2 + data.dgamma0 * data.x0**2) / 2
-    term_tan = (PadicTruncation.from_rational(1, p, precision) / tan_t).scale(quad_coeff)
-    term_sin = (root_t / sin_t).scale(data.x1 * data.x0)
+    term_tan = inv_tan.scale(quad_coeff)
+    term_sin = root_over_sin.scale(data.x1 * data.x0)
     chi_trig = chi_of_truncation(term_tan + term_sin)
 
     return Amplitude(modulus_sq, lam_phase + chi_rational + chi_trig)
@@ -362,7 +371,7 @@ def k_oscillator_td_real(data: OscillatorBoundaryData) -> complex:
     if g_prod < 0:
         raise PrecisionError("dgamma product negative: no real square root")
     root = math.sqrt(g_prod)
-    lam = lambda_v(Place.real(), Fraction(2) * _sign_fraction(s)).to_complex()
+    lam = lambda_v(Place.real(), Fraction(2) if s > 0 else Fraction(-2)).to_complex()
     modulus = abs(root / s) ** 0.5
     arg_rational = float(oscillator_chi_rational_part(data))
     arg_trig = (
@@ -371,15 +380,8 @@ def k_oscillator_td_real(data: OscillatorBoundaryData) -> complex:
         + float(data.x1 * data.x0) * root / s
     )
     # chi at the real place is exp(-2 pi i x)
-    return lam * modulus * _cis(-2 * math.pi * (arg_rational + arg_trig))
-
-
-def _sign_fraction(x: float) -> Fraction:
-    return Fraction(1) if x > 0 else Fraction(-1)
-
-
-def _cis(theta: float) -> complex:
-    return complex(math.cos(theta), math.sin(theta))
+    theta = -2 * math.pi * (arg_rational + arg_trig)
+    return lam * modulus * complex(math.cos(theta), math.sin(theta))
 
 
 def oscillator_action_form(
@@ -391,12 +393,7 @@ def oscillator_action_form(
     character phases and norms agree exactly with the true coefficients
     whenever the precision pins the relevant digits.
     """
-    delta = data.gamma1 - data.gamma0
-    sin_sum, cos_sum = _sin_cos_sums(delta, p, precision)
-    sin_t = PadicTruncation.from_rational(sin_sum, p, precision)
-    tan_t = PadicTruncation.from_rational(sin_sum / cos_sum, p, precision)
-    root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, precision)
-    inv_tan = PadicTruncation.from_rational(1, p, precision) / tan_t
+    _, inv_tan, root_over_sin = _oscillator_truncations(data, p, precision)
     alpha = (
         inv_tan.scale(data.dgamma1 / 2).representative()
         + data.ds1 / (2 * data.s1)
@@ -405,5 +402,5 @@ def oscillator_action_form(
         inv_tan.scale(data.dgamma0 / 2).representative()
         - data.ds0 / (2 * data.s0)
     )
-    gamma = -(root_t / sin_t).representative()
+    gamma = -root_over_sin.representative()
     return QuadraticActionForm(alpha=alpha, beta=beta, gamma=gamma)

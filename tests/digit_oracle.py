@@ -1,0 +1,63 @@
+"""Canonical expansions in Fraction arithmetic: the oracle of ``unit_residue``.
+
+The library splits a rational x = p**v * u with integer operations on
+its numerator and denominator (``places.unit_residue``).  This route
+works on the rational itself instead: the unit part x * p**-v, its
+residue through a modular inverse of the denominator, and the digits one
+at a time as d = u mod p, u <- (u - d)/p.  The digit order compares the
+digit streams until they differ, without the v_p(x - y) shortcut.
+"""
+
+from fractions import Fraction
+
+from padicqm import valuation
+
+
+def unit_part(x: Fraction | int, p: int) -> tuple[int, Fraction]:
+    """Split nonzero x as p**v * u with u a p-adic unit; returns (v, u)."""
+    v = valuation(x, p)
+    return v, Fraction(x) * Fraction(p) ** (-v)
+
+
+def residue(q: Fraction, modulus: int, p: int) -> int:
+    """Representative of a p-integral rational q modulo p**k (modulus = p**k)."""
+    if modulus == 1:
+        return 0
+    if q.denominator % p == 0:
+        raise ValueError("rational is not p-integral")
+    return q.numerator * pow(q.denominator, -1, modulus) % modulus
+
+
+def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
+    v, u = unit_part(x, p)
+    return v, residue(u, p**k, p)
+
+
+def digit_stream(u: Fraction, p: int):
+    """Canonical digits of a p-adic unit u, lowest first, without end."""
+    while True:
+        d = residue(u, p, p)
+        yield d
+        u = (u - d) / p
+
+
+def digits(x: Fraction | int, p: int, count: int) -> tuple[int, tuple[int, ...]]:
+    """(valuation, first ``count`` digits) of nonzero x."""
+    v, u = unit_part(x, p)
+    stream = digit_stream(u, p)
+    return v, tuple(next(stream) for _ in range(count))
+
+
+def linear_less(x: Fraction | int, y: Fraction | int, p: int) -> bool:
+    """Digit order on Q_p: smaller norm first, then the first differing digit."""
+    x, y = Fraction(x), Fraction(y)
+    if x == y:
+        return False
+    if x == 0 or y == 0:
+        return x == 0
+    (vx, ux), (vy, uy) = unit_part(x, p), unit_part(y, p)
+    if vx != vy:
+        return vx > vy
+    for dx, dy in zip(digit_stream(ux, p), digit_stream(uy, p)):
+        if dx != dy:
+            return dx < dy

@@ -17,7 +17,9 @@ from padicqm import (
     valuation,
 )
 from padicqm.cli import _rational
-from padicqm.places import digit, is_prime
+from padicqm.places import digit, is_prime, unit_residue
+
+import digit_oracle
 
 PRIMES = [2, 3, 5, 7, 13]
 
@@ -110,6 +112,54 @@ class TestDigits:
     def test_leading_digit_nonzero_enforced(self):
         with pytest.raises(ValueError):
             DigitExpansion(valuation=0, digits=(0, 1), prime=3)
+
+
+def rational_or_int(p):
+    """Nonzero Fraction or int inputs for the integer split at p."""
+    ints = st.integers(-(10**6), 10**6).filter(lambda n: n != 0)
+    return padic_rationals(p) | ints | ints.map(lambda n: n * p**3)
+
+
+class TestUnitResidue:
+    """The integer split against the Fraction route of ``digit_oracle``."""
+
+    @settings(max_examples=150)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5]), k=st.integers(0, 12))
+    def test_matches_fraction_route(self, data, p, k):
+        x = data.draw(rational_or_int(p))
+        assert unit_residue(x, p, k) == digit_oracle.unit_residue(x, p, k)
+
+    @settings(max_examples=150)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5]), count=st.integers(1, 12))
+    def test_digits_match_fraction_route(self, data, p, count):
+        x = data.draw(rational_or_int(p))
+        e = digits(x, p, count)
+        assert (e.valuation, e.digits) == digit_oracle.digits(x, p, count)
+        assert [digit(x, p, i) for i in range(count)] == list(e.digits)
+
+    @settings(max_examples=150)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5]))
+    def test_linear_order_matches_digit_scan(self, data, p):
+        pool = rational_or_int(p) | st.just(0)
+        x, y = data.draw(pool), data.draw(pool)
+        assert linear_less(x, y, p) == digit_oracle.linear_less(x, y, p)
+
+    def test_int_and_fraction_agree(self):
+        assert unit_residue(-12, 2, 4) == unit_residue(F(-12), 2, 4) == (2, 13)
+        assert unit_residue(F(5, 18), 3, 2) == (-2, 5 * pow(2, -1, 9) % 9)
+
+    def test_rejects_composite(self):
+        with pytest.raises(ValueError):
+            digits(5, 4, 2)
+        with pytest.raises(ValueError):
+            unit_residue(F(5, 3), 4, 2)
+        with pytest.raises(ValueError):
+            unit_residue(8, 4, 2)
+
+    def test_rejects_zero(self):
+        for zero in (0, F(0)):
+            with pytest.raises(ZeroExpansionError):
+                unit_residue(zero, 3, 2)
 
 
 class TestFractionalPart:

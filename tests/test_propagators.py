@@ -372,6 +372,17 @@ class TestOscillator:
         with pytest.raises(PrecisionError):
             k_oscillator_td(P3, OSC_SAMPLE, 1)
 
+    def test_coincident_phases_rejected_by_both_routes(self):
+        data = OscillatorBoundaryData(
+            x0=F(1), x1=F(2), gamma0=F(3), gamma1=F(3),
+            dgamma0=F(1), dgamma1=F(1), s0=F(1), s1=F(1),
+            ds0=F(0), ds1=F(0),
+        )
+        with pytest.raises(DegenerateIntervalError):
+            k_oscillator_td(P3, data, 20)
+        with pytest.raises(DegenerateIntervalError):
+            oscillator_action_form(data, 3, 20)
+
     def test_invalid_boundary_data(self):
         with pytest.raises(ValueError):
             OscillatorBoundaryData(

@@ -263,20 +263,30 @@ def _trig_term_count(d: int, p: int, P: int) -> int:
     return max(1, math.ceil(num / den) + 1)
 
 
-def _sin_cos_sums(x: Fraction, p: int, P: int) -> tuple[Fraction, Fraction]:
-    """Exact partial sums of sin and cos whose tails have norm <= p^-P."""
-    d = _trig_domain_valuation(x, p)
-    K = _trig_term_count(d, p, P)
-    sin_total, cos_total = Fraction(0), Fraction(0)
-    term = Fraction(1)  # x^k / k!
-    for k in range(K + 2):
-        if k:
-            term = term * x / k
-        if k % 2 == 0:
-            cos_total += -term if k % 4 else term
-        else:
-            sin_total += -term if (k - 1) % 4 else term
-    return sin_total, cos_total
+def _sin_cos_sums(x: Fraction | int, p: int, P: int) -> tuple[Fraction, Fraction]:
+    """Exact partial sums of sin and cos whose tails have norm <= p^-P.
+
+    Both sums run over the terms x^k/k! for k = 0..K+1.  With x = n/m
+    and y = -x^2, each parity is a Horner sum from the innermost term
+    out, h <- 1 + y*h/((2j+r-1)(2j+r)) (r = 1 for sin, 0 for cos),
+    carried as an unreduced integer pair a/b: no gcd runs until the two
+    results are built.
+    """
+    K = _trig_term_count(_trig_domain_valuation(x, p), p, P)
+    n, m = x.numerator, x.denominator
+    neg_n2, m2 = -n * n, m * m
+
+    def horner(top: int, r: int) -> tuple[int, int]:
+        a = b = 1
+        for j in range(top, 0, -1):
+            step = m2 * (2 * j + r - 1) * (2 * j + r)
+            b *= step
+            a = b + neg_n2 * a
+        return a, b
+
+    sin_a, sin_b = horner(K // 2, 1)  # odd k = 2j + 1 <= K + 1
+    cos_a, cos_b = horner((K + 1) // 2, 0)  # even k = 2j <= K + 1
+    return Fraction(sin_a * n, sin_b * m), Fraction(cos_a, cos_b)
 
 
 def sin_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:

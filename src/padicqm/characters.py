@@ -48,6 +48,8 @@ class Phase:
 
 
 ZERO_PHASE = Phase(Fraction(0))
+#: the eight possible values of lambda_v, indexed by eighths of a turn
+EIGHTH_PHASES = (ZERO_PHASE, *(Phase(Fraction(k, 8)) for k in range(1, 8)))
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
     if a == 0:
         raise ValueError("lambda factor undefined at zero")
     if place.is_real:
-        return Phase(Fraction(7, 8)) if a > 0 else Phase(Fraction(1, 8))
+        return EIGHTH_PHASES[7 if a > 0 else 1]
     p = place.p
     v, u = unit_residue(a, p, 3 if p == 2 else 1)
     if p != 2:
@@ -159,16 +161,16 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
             return ZERO_PHASE
         eps = legendre(u, p)
         if p % 4 == 1:
-            return Phase(Fraction(0 if eps == 1 else 1, 2))
+            return EIGHTH_PHASES[0 if eps == 1 else 4]
         # p = 3 mod 4: value i*(u/p)
-        return Phase(Fraction(1, 4)) if eps == 1 else Phase(Fraction(3, 4))
+        return EIGHTH_PHASES[2 if eps == 1 else 6]
     a1, a2 = (u >> 1) & 1, (u >> 2) & 1
     # (1 + (-1)**a1 * i)/sqrt(2) is the eighth root of unity +-1/8.
-    base = Fraction(1, 8) if a1 == 0 else Fraction(7, 8)
+    base = 1 if a1 == 0 else 7
     if v % 2 == 0:
-        return Phase(base)
-    flip = Fraction(1, 2) if (a1 + a2) % 2 == 1 else Fraction(0)
-    return Phase(base + flip)
+        return EIGHTH_PHASES[base]
+    flip = 4 if (a1 + a2) % 2 == 1 else 0
+    return EIGHTH_PHASES[(base + flip) % 8]
 
 
 def assert_eighth_root(ph: Phase) -> None:

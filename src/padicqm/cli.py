@@ -34,6 +34,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+#: largest oscillator --precision; series cost grows about quadratically in it
+MAX_PRECISION = 10_000
+
 #: kernel system -> (row field of its coefficient, action form of (coefficient, T));
 #: the free particle is the constant field at a = 0
 KERNEL_FORMS = {
@@ -178,6 +181,10 @@ def _cmd_kernel_oscillator(args) -> int:
         print("oscillator system needs --x0 --x1 --gamma0 --gamma1 "
               "--dgamma0 --dgamma1 --s0 --s1 --ds0 --ds1", file=sys.stderr)
         return EXIT_USAGE
+    if args.precision > MAX_PRECISION:
+        print(f"resource limit: --precision {args.precision} exceeds {MAX_PRECISION}",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     data = OscillatorBoundaryData(
         x0=args.x0, x1=args.x1, gamma0=args.gamma0, gamma1=args.gamma1,
         dgamma0=args.dgamma0, dgamma1=args.dgamma1,

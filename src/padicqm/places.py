@@ -141,7 +141,6 @@ def valuation(x: Fraction | int, p: int) -> int | float:
     """
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    x = Fraction(x)
     if x == 0:
         return INFINITE_VALUATION
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)

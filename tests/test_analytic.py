@@ -14,9 +14,13 @@ from padicqm import (
     sin_p,
     sqrt_p,
     tan_p,
+    valuation,
 )
+from padicqm.analytic import _sin_cos_sums
 from padicqm.characters import Phase
 from padicqm.errors import PrecisionError
+
+import series_oracle
 
 
 def geometric_coefficients():
@@ -114,6 +118,62 @@ class TestTrig:
         coarse = sin_p(3, 3, 6)
         fine = sin_p(3, 3, 12)
         assert fine.agrees_with(coarse, 6)
+
+
+SERIES_PRIMES = [2, 3, 5, 7, 11]
+
+
+def domain_edge(p):
+    """Smallest valuation inside the series domain: 2 at p = 2, else 1."""
+    return 2 if p == 2 else 1
+
+
+def series_arguments(p, low, high):
+    """x = p**v * u, v in low..high, u an int or a Fraction with a p-unit denominator."""
+    numerators = st.integers(-(10**4), 10**4).filter(lambda n: n != 0)
+    denominators = st.integers(1, 10**4).filter(lambda d: d % p)
+    units = numerators | st.builds(F, numerators, denominators)
+    return st.builds(lambda v, u: u * F(p) ** v if v < 0 else u * p**v,
+                     st.integers(low, high), units)
+
+
+class TestSeriesAgainstOracle:
+    """The integer Horner sums against the Fraction loop of ``series_oracle``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(SERIES_PRIMES), P=st.integers(1, 200))
+    def test_sums_match_fraction_loop(self, data, p, P):
+        e = domain_edge(p)
+        x = data.draw(series_arguments(p, e, e + 3) | st.just(0))
+        got = _sin_cos_sums(x, p, P)
+        assert got == series_oracle.sin_cos_sums(x, p, P)
+        assert all(type(v) is F for v in got)
+
+    @pytest.mark.parametrize("p", SERIES_PRIMES)
+    def test_domain_edge_matches(self, p):
+        e = domain_edge(p)
+        for x in (p**e, -(p**e), F(p**e, p + 1), F(-7 * p**e, 2 * p + 1)):
+            for P in (1, 2, 57, 200):
+                assert _sin_cos_sums(x, p, P) == series_oracle.sin_cos_sums(x, p, P)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(SERIES_PRIMES), P=st.integers(1, 200))
+    def test_truncations_match_fraction_loop(self, data, p, P):
+        e = domain_edge(p)
+        x = data.draw(series_arguments(p, e, e + 3))
+        s, c = series_oracle.sin_cos_sums(x, p, P)
+        assert sin_p(x, p, P) == PadicTruncation.from_rational(s, p, P)
+        assert cos_p(x, p, P) == PadicTruncation.from_rational(c, p, P)
+        assert tan_p(x, p, P) == PadicTruncation.from_rational(s / c, p, P)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(SERIES_PRIMES), P=st.integers(1, 200))
+    def test_outside_domain_rejected(self, data, p, P):
+        e = domain_edge(p)
+        x = data.draw(series_arguments(p, -3, e - 1).filter(lambda x: valuation(x, p) < e))
+        for f in (_sin_cos_sums, sin_p, cos_p, tan_p):
+            with pytest.raises(DomainError):
+                f(x, p, P)
 
 
 class TestSqrt:

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from padicqm import Place, gauss_full
+from padicqm import Amplitude, Place, gauss_full
+from padicqm import cli
 from padicqm.cli import main
 
 
@@ -105,6 +106,29 @@ class TestKernelCommand:
             capsys, ["kernel", "--system", "osc", "--place", "3", "--x0", "1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("precision, code", [(10_000, 0), (10_001, 3)])
+    def test_oscillator_precision_limit(self, capsys, monkeypatch, precision, code):
+        # the limit is checked before any series runs: the kernel is stubbed
+        calls = []
+
+        def stub_kernel(place, data, P):
+            calls.append(P)
+            return Amplitude.one()
+
+        monkeypatch.setattr(cli, "k_oscillator_td", stub_kernel)
+        got, _, err = run_cli(
+            capsys,
+            ["kernel", "--system", "osc", "--place", "3",
+             "--x0", "1", "--x1", "2", "--gamma0", "0", "--gamma1", "3",
+             "--dgamma0", "1", "--dgamma1", "1", "--s0", "1", "--s1", "1",
+             "--ds0", "0", "--ds1", "0", "--precision", str(precision)],
+        )
+        assert got == code
+        if code == 3:
+            assert calls == [] and err.startswith("resource limit")
+        else:
+            assert calls == [precision]
 
 
 class TestGaussCommand:

@@ -401,6 +401,63 @@ class TestOscillator:
         assert not skewed.wronskian_consistent()
 
 
+def random_oscillator_data(rng, p):
+    """Boundary data with delta in the series domain at p and a square dgamma product."""
+
+    def rational():
+        return F(rng.randint(-30, 30), rng.randint(1, 30)) * F(p) ** rng.randint(-2, 2)
+
+    def nonzero():
+        return F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+
+    def unit():
+        return F(rng.choice([-1, 1]) * rng.choice([n for n in range(1, 30) if n % p]),
+                 rng.choice([d for d in range(1, 30) if d % p]))
+
+    gamma0 = rational()
+    dgamma0 = nonzero()
+    return OscillatorBoundaryData(
+        x0=rational(), x1=rational(),
+        gamma0=gamma0, gamma1=gamma0 + p ** rng.randint(1, 3) * unit(),
+        dgamma0=dgamma0, dgamma1=dgamma0 * nonzero() ** 2,
+        s0=nonzero(), s1=nonzero(), ds0=rational(), ds1=rational(),
+    )
+
+
+class TestOscillatorPrecisionSoundness:
+    """A result at precision P is exact: P + 60 gives the same amplitude."""
+
+    CASES = 200
+    EXTRA = 60
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_result_stable_under_more_precision(self, p):
+        rng = random.Random(p)
+        place = Place.prime(p)
+        checked = skipped = 0
+        for _ in range(self.CASES):
+            data = random_oscillator_data(rng, p)
+            # half the cases near the shallowest precision that can succeed
+            P = rng.randint(1, 12) if rng.random() < 0.5 else rng.randint(1, 120)
+            try:
+                amp = k_oscillator_td(place, data, P)
+                form = oscillator_action_form(data, p, P)
+                alt = k_general_quadratic(place, form, data.x1, data.x0)
+            except PrecisionError:
+                skipped += 1
+                continue
+            fine = k_oscillator_td(place, data, P + self.EXTRA)
+            fine_form = oscillator_action_form(data, p, P + self.EXTRA)
+            fine_alt = k_general_quadratic(place, fine_form, data.x1, data.x0)
+            assert (amp.modulus_sq, amp.phase) == (fine.modulus_sq, fine.phase), (data, P)
+            assert (alt.modulus_sq, alt.phase) == (fine_alt.modulus_sq, fine_alt.phase), (
+                data, P,
+            )
+            checked += 1
+        print(f"p={p}: {checked} checked, {skipped} skipped on PrecisionError")
+        assert checked >= self.CASES // 4
+
+
 class TestFormInvarianceAcrossPlaces:
     def test_same_symbolic_form_every_place(self):
         # the symbolic kernel built at each place carries the identical

@@ -1,9 +1,9 @@
 """Command-line front end: kernels, Gauss integrals, verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource limit exceeded.  Output is JSON (default) or CSV; every row
-carries the exact fractions next to their float rendering, and a fixed
-seed reproduces byte-identical output.
+3 resource limit exceeded, 4 internal error.  Output is JSON (default)
+or CSV; every row carries the exact fractions next to their float
+rendering, and a fixed seed reproduces byte-identical output.
 """
 
 from __future__ import annotations
@@ -33,9 +33,14 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 #: largest oscillator --precision; series cost grows about quadratically in it
 MAX_PRECISION = 10_000
+#: largest ball-integral |--N|; the Gauss sum modulus p^L grows with it
+MAX_BALL_RADIUS = 10_000
+#: largest verify --trials
+MAX_TRIALS = 100_000
 
 #: kernel system -> (row field of its coefficient, action form of (coefficient, T));
 #: the free particle is the constant field at a = 0
@@ -123,6 +128,10 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_ball_integral(args) -> int:
+    if abs(args.N) > MAX_BALL_RADIUS:
+        print(f"resource limit: --N {args.N} exceeds {MAX_BALL_RADIUS} in absolute value",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     implied = args.p ** max(
         0, args.N + minimal_resolution(args.p, args.alpha, args.beta, args.N)
     )
@@ -210,6 +219,10 @@ def _cmd_verify(args) -> int:
         if args.trials < 1:
             print("--trials must be at least 1", file=sys.stderr)
             return EXIT_USAGE
+        if args.trials > MAX_TRIALS:
+            print(f"resource limit: --trials {args.trials} exceeds {MAX_TRIALS}",
+                  file=sys.stderr)
+            return EXIT_RESOURCE
         kwargs["trials"] = args.trials
     if args.place:
         if args.check in ("overlap", "gauss"):
@@ -302,6 +315,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # exit 1 stays reserved for verification failures
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

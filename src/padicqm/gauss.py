@@ -207,17 +207,56 @@ def stabilization_threshold(p: int, alpha: Fraction, beta: Fraction) -> int:
     return max(candidates)
 
 
-def quadratic_char_fn(
-    p: int, alpha: Fraction, beta: Fraction
-) -> Callable[[Fraction], complex]:
-    """Float-valued chi_p(alpha x^2 + beta x), for feeding the Haar oracle."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+@dataclass(frozen=True)
+class QuadraticCharacter:
+    """The integrand chi_p(alpha x^2 + beta x) as a float-valued function.
 
-    def f(x: Fraction) -> complex:
-        q = fractional_part(alpha * x * x + beta * x, p)
+    Calling it evaluates one point through ``fractional_part``.  On a ball
+    the Haar oracle uses ``coset_values`` instead, which works on integer
+    coset indices.
+    """
+
+    p: int
+    alpha: Fraction
+    beta: Fraction
+
+    def __call__(self, x: Fraction) -> complex:
+        q = fractional_part(self.alpha * x * x + self.beta * x, self.p)
         return cmath.exp(2j * math.pi * float(q))
 
-    return f
+    def coset_values(self, ball: BallSpec) -> list[complex]:
+        """Values at the representatives r p^(-N), r = 0 .. n_cosets - 1, in order.
+
+        For integer r, {r^2 A + r B}_p = r^2 {A}_p + r {B}_p mod 1, with
+        A = alpha p^(-2N) and B = beta p^(-N).  Two ``fractional_part``
+        calls give {A}_p = c2/m and {B}_p = c1/m over one denominator
+        m = p^L, and each coset's phase is ((c2 r + c1) r mod m)/m.  The
+        integer quotient k/m and ``float(Fraction(k, m))`` are both the
+        correctly rounded value of the same rational, so every value is
+        bit-identical to calling the character at the representative.
+        """
+        if ball.prime != self.p:
+            raise ValueError(
+                f"ball prime {ball.prime} disagrees with the character's prime {self.p}"
+            )
+        scale = Fraction(self.p) ** ball.radius_exponent
+        quad = fractional_part(self.alpha / (scale * scale), self.p)
+        lin = fractional_part(self.beta / scale, self.p)
+        m = max(quad.denominator, lin.denominator)
+        c2 = quad.numerator * (m // quad.denominator)
+        c1 = lin.numerator * (m // lin.denominator)
+        turn = 2j * math.pi
+        return [cmath.exp(turn * ((c2 * r + c1) * r % m / m)) for r in range(ball.n_cosets)]
+
+
+def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticCharacter:
+    """Float-valued chi_p(alpha x^2 + beta x), for feeding the Haar oracle.
+
+    On a ball the oracle enumerates it over integer coset residues from
+    two ``fractional_part`` calls (``QuadraticCharacter.coset_values``),
+    bit-identical to evaluating it at each coset representative.
+    """
+    return QuadraticCharacter(p, Fraction(alpha), Fraction(beta))
 
 
 def haar_oracle(
@@ -229,7 +268,10 @@ def haar_oracle(
     """Numerical Haar integral of f over the ball by coset enumeration.
 
     Evaluates f at every coset representative and weights by the coset
-    measure p^{-M}.  Deterministic: the real and imaginary parts are each
+    measure p^{-M}.  A ``QuadraticCharacter`` is evaluated over integer
+    coset residues from two ``fractional_part`` calls, with the same
+    values as per point; any other callable is called at each
+    representative.  Deterministic: the real and imaginary parts are each
     summed by ``math.fsum``, correctly rounded and so independent of the
     enumeration order.
     """
@@ -240,7 +282,10 @@ def haar_oracle(
         raise OracleCapError(
             f"{ball.n_cosets} cosets exceed the cap of {limit}"
         )
-    values = [f(r) for r in ball.representatives()]
+    if isinstance(f, QuadraticCharacter):
+        values = f.coset_values(ball)
+    else:
+        values = [f(r) for r in ball.representatives()]
     total = complex(
         math.fsum(z.real for z in values), math.fsum(z.imag for z in values)
     )

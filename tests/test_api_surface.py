@@ -7,6 +7,10 @@ the benchmark without failing any other test.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +54,19 @@ def test_benchmark_names_resolve(module):
         if inspect.isfunction(value):
             # the tracer names spans after the defining module
             assert value.__module__ == module, f"{module}.{name} moved"
+
+
+def test_import_loads_no_numpy_or_scipy():
+    # scipy is imported lazily inside fresnel_oracle; at import time either
+    # one would dominate the start-up time and memory of every command
+    code = (
+        "import padicqm, sys; "
+        "print(sorted({'numpy', 'scipy'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    src = str(Path(padicqm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -221,6 +221,27 @@ class TestBallIntegralCommand:
         assert code == 3
         assert "resource" in err
 
+    @pytest.mark.parametrize("N, code", [(10_000, 0), (-10_000, 0), (10_001, 3), (-10_001, 3)])
+    def test_radius_limit(self, capsys, monkeypatch, N, code):
+        # the limit is checked before any work: resolution and integral are stubbed
+        calls = []
+
+        def stub_resolution(p, alpha, beta, n):
+            calls.append(n)
+            return -n
+
+        monkeypatch.setattr(cli, "minimal_resolution", stub_resolution)
+        monkeypatch.setattr(cli, "quad_char_integral_ball", lambda *args: Amplitude.one())
+        got, out, err = run_cli(
+            capsys,
+            ["ball-integral", "--p", "3", "--alpha", "1", "--beta", "1", f"--N={N}"],
+        )
+        assert got == code
+        if code == 3:
+            assert calls == [] and out == "" and err.startswith("resource limit")
+        else:
+            assert calls == [N]
+
 
 class TestVerifyCommand:
     def test_lambda_pass(self, capsys):
@@ -272,6 +293,25 @@ class TestVerifyCommand:
         assert out == ""
         assert "trials" in err
 
+    @pytest.mark.parametrize("trials, code", [(100_000, 0), (100_001, 3)])
+    def test_trials_limit(self, capsys, monkeypatch, trials, code):
+        # the limit is checked before any work: the check is stubbed
+        calls = []
+
+        def stub_check(seed=0, trials=None, **kwargs):
+            calls.append(trials)
+            return []
+
+        monkeypatch.setitem(cli.CHECKS, "lambda", stub_check)
+        got, out, err = run_cli(
+            capsys, ["verify", "--check", "lambda", "--trials", str(trials)]
+        )
+        assert got == code
+        if code == 3:
+            assert calls == [] and out == "" and err.startswith("resource limit")
+        else:
+            assert calls == [trials]
+
     def test_unknown_check_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--check", "bogus"])
@@ -289,3 +329,15 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["status"] == "fail"
         assert payload["failures"][0]["witness"] == "3/4"
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4_without_traceback(self, capsys, monkeypatch):
+        def broken_command(args):
+            raise RuntimeError("stub failure")
+
+        monkeypatch.setattr(cli, "_cmd_gauss", broken_command)
+        code, out, err = run_cli(capsys, ["gauss", "--place", "3", "--a", "1"])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: stub failure\n"

@@ -11,6 +11,7 @@ from padicqm import (
     DegenerateQuadraticError,
     OracleCapError,
     Place,
+    QuadraticCharacter,
     fresnel_limit,
     fresnel_oracle,
     gauss_full,
@@ -181,6 +182,68 @@ class TestHaarOracle:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             BallSpec(3, -2, 1)
+
+
+def criterion_1_cells():
+    """The (p, a, b) grid of acceptance criterion 1, with its Haar ball."""
+    nonresidue = {2: 3, 3: 2, 5: 2, 7: 3}
+    for p in (2, 3, 5, 7):
+        c = nonresidue[p]
+        for k in range(-2, 3):
+            for sign, u in ((1, 1), (1, c), (-1, 1)):
+                a = sign * u * F(p) ** k
+                for b in (F(0), F(1), F(p) ** -2, F(p) ** 2):
+                    n0 = stabilization_threshold(p, a, b)
+                    yield p, a, b, BallSpec(p, n0, minimal_resolution(p, a, b, n0))
+
+
+def assert_routes_agree(f, ball):
+    """Integer-residue route == per-point route, value by value and in total."""
+    per_point = [f(x) for x in ball.representatives()]
+    assert f.coset_values(ball) == per_point
+    lookup = dict(zip(ball.representatives(), per_point))
+    assert haar_oracle(ball.prime, f, ball) == haar_oracle(
+        ball.prime, lookup.__getitem__, ball
+    )
+
+
+def coefficients(p):
+    """0, or rationals whose denominators mix p with other primes."""
+    mixed = st.builds(
+        lambda n, d, k: F(n, d) * F(p) ** k,
+        st.integers(-60, 60).filter(lambda n: n != 0),
+        st.integers(1, 36),
+        st.integers(-3, 3),
+    )
+    return st.one_of(st.just(F(0)), mixed)
+
+
+class TestQuadraticCharacter:
+    def test_criterion_1_cells(self):
+        checked = 0
+        for p, a, b, ball in criterion_1_cells():
+            if ball.n_cosets <= 20_000:
+                assert_routes_agree(quadratic_char_fn(p, a, b), ball)
+                checked += 1
+        assert checked == 237
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), n=st.integers(-3, 3))
+    def test_sweep(self, data, p, n):
+        alpha = data.draw(coefficients(p), label="alpha")
+        beta = data.draw(coefficients(p), label="beta")
+        depth = data.draw(st.integers(0, {2: 11, 3: 7, 5: 4, 7: 3}[p]), label="N+M")
+        assert_routes_agree(quadratic_char_fn(p, alpha, beta), BallSpec(p, n, depth - n))
+
+    def test_returns_frozen_character(self):
+        f = quadratic_char_fn(3, 1, F(1, 3))
+        assert f == QuadraticCharacter(3, F(1), F(1, 3))
+        assert isinstance(f.alpha, F) and isinstance(f.beta, F)
+
+    @pytest.mark.parametrize("p, q", [(3, 5), (2, 3), (7, 2)])
+    def test_character_prime_must_match_ball(self, p, q):
+        with pytest.raises(ValueError):
+            haar_oracle(p, quadratic_char_fn(q, F(1, q), F(1)), BallSpec(p, 1, 1))
 
 
 class TestFresnelOracle:

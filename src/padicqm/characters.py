@@ -52,6 +52,17 @@ ZERO_PHASE = Phase(Fraction(0))
 EIGHTH_PHASES = (ZERO_PHASE, *(Phase(Fraction(k, 8)) for k in range(1, 8)))
 
 
+def phase_sum(*phases: Phase) -> Phase:
+    """The sum of the phases; eighths of a turn are added as integers."""
+    k = 0
+    for ph in phases:
+        q, r = divmod(ph.value.numerator * 8, ph.value.denominator)
+        if r:
+            return Phase(sum(ph.value for ph in phases))
+        k += q
+    return EIGHTH_PHASES[k % 8]
+
+
 @dataclass(frozen=True)
 class Amplitude:
     """Exact polar complex value: squared modulus and phase.
@@ -127,16 +138,6 @@ def legendre(a: int, p: int) -> int:
         raise ValueError("p must be an odd prime")
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
-
-
-def legendre_bruteforce(a: int, p: int) -> int:
-    """O(p) residue-set oracle for the Legendre symbol (test cross-check)."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if a % p == 0:
-        return 0
-    residues = {x * x % p for x in range(1, p)}
-    return 1 if a % p in residues else -1
 
 
 def lambda_v(place: Place, a: Fraction | int) -> Phase:

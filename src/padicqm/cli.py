@@ -1,9 +1,10 @@
 """Command-line front end: kernels, Gauss integrals, verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource limit exceeded, 4 internal error.  Output is JSON (default)
-or CSV; every row carries the exact fractions next to their float
-rendering, and a fixed seed reproduces byte-identical output.
+3 resource limit exceeded, 4 internal error, 141 stdout closed by its
+reader.  Output is JSON (default) or CSV; every row carries the exact
+fractions next to their float rendering, and a fixed seed reproduces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from .characters import Amplitude
 from .dynamics import action_form_constant_field
 from .errors import OracleCapError, PadicqmError
 from .gauss import coset_cap, gauss_full, minimal_resolution, quad_char_integral_ball
-from .places import Place
+from .places import Place, valuation
 from .propagators import (
     OscillatorBoundaryData,
     SymbolicKernel,
@@ -34,6 +36,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+#: 128 + SIGPIPE, the status of a process that a closed pipe stops
+EXIT_BROKEN_PIPE = 141
 
 #: largest oscillator --precision; series cost grows about quadratically in it
 MAX_PRECISION = 10_000
@@ -91,13 +95,26 @@ def _place_list(text: str) -> list[Place]:
     return [_place(part) for part in text.split(",") if part.strip()]
 
 
-def _amp_fields(amp: Amplitude) -> dict:
+def _modulus_text(ms: Fraction, p: int | None) -> str:
+    """str(ms), or ``p^k`` when ms = p^k has more digits than str() of an int allows."""
+    try:
+        return str(ms)
+    except ValueError:
+        if p is None:
+            raise
+        k = valuation(ms, p)
+        if Fraction(p) ** k != ms:
+            raise
+        return f"{p}^{k}"
+
+
+def _amp_fields(amp: Amplitude, p: int | None = None) -> dict:
     try:
         re, im = amp.render()
     except OverflowError:
         re = im = None
     return {
-        "modulus_sq": str(amp.modulus_sq),
+        "modulus_sq": _modulus_text(amp.modulus_sq, p),
         "phase": str(amp.phase.value),
         "re": re,
         "im": im,
@@ -122,7 +139,7 @@ def _emit(rows: list[dict], fmt: str, header: dict | None = None) -> None:
 def _cmd_gauss(args) -> int:
     amp = gauss_full(args.place, args.a, args.b)
     row = {"place": str(args.place), "system": "gauss", "a": str(args.a), "b": str(args.b)}
-    row.update(_amp_fields(amp))
+    row.update(_amp_fields(amp, args.place.p))
     _emit([row], args.format, {"command": "gauss"})
     return EXIT_OK
 
@@ -147,7 +164,7 @@ def _cmd_ball_integral(args) -> int:
         "beta": str(args.beta),
         "N": args.N,
     }
-    row.update(_amp_fields(amp))
+    row.update(_amp_fields(amp, args.p))
     _emit([row], args.format, {"command": "ball-integral"})
     return EXIT_OK
 
@@ -170,7 +187,7 @@ def _kernel_rows(args) -> list[dict]:
                         "q1": str(q1),
                         **params,
                     }
-                    row.update(_amp_fields(kernel.evaluate(q0, q1)))
+                    row.update(_amp_fields(kernel.evaluate(q0, q1), place.p))
                     rows.append(row)
     return rows
 
@@ -207,7 +224,7 @@ def _cmd_kernel_oscillator(args) -> int:
             row.update({"modulus_sq": "", "phase": "", "re": value.real, "im": value.imag})
         else:
             amp = k_oscillator_td(place, data, args.precision)
-            row.update(_amp_fields(amp))
+            row.update(_amp_fields(amp, place.p))
         rows.append(row)
     _emit(rows, args.format, {"command": "kernel", "system": "osc"})
     return EXIT_OK
@@ -305,7 +322,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and point stdout at
+        # os.devnull so that the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OracleCapError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

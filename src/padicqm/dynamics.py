@@ -9,6 +9,7 @@ qdot^2/2 + a q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,7 +88,7 @@ class PolynomialPath:
         return poly_derivative(self.coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticActionForm:
     """Classical action as a quadratic form in the endpoints.
 
@@ -95,33 +96,54 @@ class QuadraticActionForm:
                 + epsilon x0 + zeta,
     with x1 the later endpoint.  The mixed partial d^2 S/dx1 dx0 is
     gamma; consumers that divide by it require gamma != 0.
+
+    The form is held as six integer numerators ``nums`` (alpha..zeta)
+    over one denominator ``den`` > 0 with gcd(den, *nums) = 1, so equal
+    forms have equal fields, coefficient by coefficient.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction = Fraction(0)
-    epsilon: Fraction = Fraction(0)
-    zeta: Fraction = Fraction(0)
+    den: int
+    nums: tuple[int, int, int, int, int, int]
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "epsilon", "zeta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    @property
-    def mixed_partial(self) -> Fraction:
-        return self.gamma
-
-    def evaluate(self, x1: Fraction, x0: Fraction) -> Fraction:
-        x1, x0 = Fraction(x1), Fraction(x0)
-        return (
-            self.alpha * x1 * x1
-            + self.beta * x0 * x0
-            + self.gamma * x1 * x0
-            + self.delta * x1
-            + self.epsilon * x0
-            + self.zeta
+    def __init__(self, alpha, beta, gamma, delta=0, epsilon=0, zeta=0):
+        coeffs = [Fraction(c) for c in (alpha, beta, gamma, delta, epsilon, zeta)]
+        # the lcm of reduced denominators leaves no factor common to all
+        den = math.lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(
+            self, "nums", tuple(c.numerator * (den // c.denominator) for c in coeffs)
         )
+
+    @classmethod
+    def from_integers(cls, den: int, nums: tuple[int, ...]) -> QuadraticActionForm:
+        """The form with coefficients nums[i] / den, for any nonzero den."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        form = object.__new__(cls)
+        object.__setattr__(form, "den", den // g)
+        object.__setattr__(form, "nums", tuple(n // g for n in nums))
+        return form
+
+    alpha = property(lambda self: Fraction(self.nums[0], self.den))
+    beta = property(lambda self: Fraction(self.nums[1], self.den))
+    gamma = property(lambda self: Fraction(self.nums[2], self.den))
+    delta = property(lambda self: Fraction(self.nums[3], self.den))
+    epsilon = property(lambda self: Fraction(self.nums[4], self.den))
+    zeta = property(lambda self: Fraction(self.nums[5], self.den))
+    mixed_partial = gamma
+
+    def evaluate(self, x1: Fraction | int, x0: Fraction | int) -> Fraction:
+        """S(x1, x0), summed over the common denominator den * d1^2 * d0^2."""
+        n1, d1 = x1.numerator, x1.denominator
+        n0, d0 = x0.numerator, x0.denominator
+        a, b, g, dl, e, z = self.nums
+        num = (
+            (a * n1 * n1 + dl * n1 * d1 + z * d1 * d1) * d0 * d0
+            + (b * n0 * n0 + e * n0 * d0) * d1 * d1
+            + g * n1 * n0 * d1 * d0
+        )
+        return Fraction(num, self.den * d1 * d1 * d0 * d0)
 
 
 def classical_path_constant_field(
@@ -176,11 +198,11 @@ def action_form_constant_field(a: Fraction | int, T: Fraction | int) -> Quadrati
     a, T = Fraction(a), Fraction(T)
     if T == 0:
         raise DegenerateIntervalError("zero time interval")
-    return QuadraticActionForm(
-        alpha=1 / (2 * T),
-        beta=1 / (2 * T),
-        gamma=-1 / T,
-        delta=a * T / 2,
-        epsilon=a * T / 2,
-        zeta=-a * a * T**3 / 24,
+    an, ad, tn, td = a.numerator, a.denominator, T.numerator, T.denominator
+    # coefficients over 24 ad^2 td^3 tn: 1/(2T), 1/(2T), -1/T, aT/2, aT/2, -a^2 T^3/24
+    half = 12 * ad * ad * td**4
+    lin = 12 * an * ad * td * td * tn * tn
+    return QuadraticActionForm.from_integers(
+        24 * ad * ad * td**3 * tn,
+        (half, half, -2 * half, lin, lin, -an * an * tn**4),
     )

@@ -114,11 +114,6 @@ class DigitExpansion:
         if any(d < 0 or d >= self.prime for d in self.digits):
             raise ValueError("digit out of range")
 
-    def partial_sum(self) -> Fraction:
-        """Rational value of the stored digits: p**v * sum d_i p**i."""
-        total = sum(d * self.prime**i for i, d in enumerate(self.digits))
-        return Fraction(total) * Fraction(self.prime) ** self.valuation
-
     def __str__(self) -> str:
         body = " + ".join(
             f"{d}*{self.prime}^{self.valuation + i}" for i, d in enumerate(self.digits)
@@ -239,3 +234,29 @@ def place_less(x: Fraction, y: Fraction, place: Place) -> bool:
         return x < y
     return linear_less(x, y, place.p)
 
+
+def place_sorted(values, place: Place) -> list[Fraction]:
+    """The values in increasing order of the place (see :func:`place_less`).
+
+    At p the sort key is (-v_p(x), the first k canonical digits of x),
+    with p**k > 2 H**2 for H the largest |numerator| or denominator in
+    the set.  Two distinct values x, y of equal valuation first differ
+    at digit v_p(x - y) - v_p(x) <= v_p(nx dy - ny dx) <= log_p(2 H**2),
+    so k digits separate every pair.
+    """
+    values = list(values)
+    if place.is_real:
+        return sorted(values)
+    p = place.p
+    bound = 2 * max((max(abs(x.numerator), x.denominator) for x in values), default=1) ** 2
+    k, pk = 0, 1
+    while pk <= bound:
+        k, pk = k + 1, pk * p
+
+    def key(x):
+        if x == 0:
+            return (-INFINITE_VALUATION, ())
+        e = digits(x, p, k)
+        return (-e.valuation, e.digits)
+
+    return sorted(values, key=key)

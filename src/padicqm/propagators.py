@@ -22,7 +22,7 @@ from .analytic import (
     lambda_of_truncation,
     sqrt_p,
 )
-from .characters import Amplitude, chi, lambda_v
+from .characters import Amplitude, chi, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
     DegenerateFormError,
@@ -100,52 +100,42 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
 
     The x-dependence of the combined phase is quadratic, so the Gauss
     closed form applies; the result is again a symbolic kernel, with the
-    lambda factors collapsing by the lambda product identities.
+    lambda factors collapsing by the lambda product identities.  The
+    forms are combined on their integer numerators and reduced once.
     """
     if k2.place != k1.place:
         raise ValueError("kernels live at different places")
     place = k2.place
-    f2, f1 = k2.form, k1.form
-    # chi argument of the product is -(f2(q1, x) + f1(x, q0)); collect in x.
-    A = -(f2.beta + f1.alpha)
-    if A == 0:
+    D2, (a2, b2, g2, d2, e2, z2) = k2.form.den, k2.form.nums
+    D1, (a1, b1, g1, d1, e1, z1) = k1.form.den, k1.form.nums
+    # chi argument of the product is -(f2(q1, x) + f1(x, q0)); collected in x
+    # it is A x^2 + (u q1 + w q0 + s) x + ..., with A = -n/(D1 D2),
+    # u = -g2/D2, w = -g1/D1 and s = -m/(D1 D2).
+    n = b2 * D1 + a1 * D2
+    if n == 0:
         raise DegenerateIntervalError("degenerate composition: quadratic term vanishes")
-    # linear coefficient of x: u*q1 + w*q0 + s
-    u, w, s = -f2.gamma, -f1.gamma, -(f2.epsilon + f1.delta)
+    m = e2 * D1 + d1 * D2
+    # New form: S'(q1, q0) = B^2/(4A) - C with C the x-free chi part, over 4n D1 D2.
+    n4 = 4 * n
+    form = QuadraticActionForm.from_integers(
+        n4 * D1 * D2,
+        (
+            (n4 * a2 - g2 * g2 * D1) * D1,
+            (n4 * b1 - g1 * g1 * D2) * D2,
+            -2 * g2 * g1 * D1 * D2,
+            2 * (2 * n * d2 - g2 * m) * D1,
+            2 * (2 * n * e1 - g1 * m) * D2,
+            -m * m + n4 * (z2 * D1 + z1 * D2),
+        ),
+    )
     # Gauss integral over x contributes lambda(A) |2A|^{-1/2} chi(-B^2/4A).
-    gauss_pref = Amplitude(1 / norm(2 * A, place), lambda_v(place, A))
-    # New form: S'(q1, q0) = B^2/(4A) - C with C the x-free chi part,
-    # -C = f2-part(q1) + f1-part(q0).
-    inv4a = 1 / (4 * A)
-    new_form = QuadraticActionForm(
-        alpha=u * u * inv4a + f2.alpha,
-        beta=w * w * inv4a + f1.beta,
-        gamma=2 * u * w * inv4a,
-        delta=2 * u * s * inv4a + f2.delta,
-        epsilon=2 * w * s * inv4a + f1.epsilon,
-        zeta=s * s * inv4a + f2.zeta + f1.zeta,
+    A = Fraction(-n, D1 * D2)
+    p2, p1 = k2.prefactor, k1.prefactor
+    prefactor = Amplitude(
+        p2.modulus_sq * p1.modulus_sq / norm(2 * A, place),
+        phase_sum(p2.phase, p1.phase, lambda_v(place, A)),
     )
-    return SymbolicKernel(place, k2.prefactor * k1.prefactor * gauss_pref, new_form)
-
-
-def compose(
-    place: Place,
-    a: Fraction | int,
-    T1: Fraction | int,
-    T2: Fraction | int,
-) -> SymbolicKernel:
-    """Exact two-step composition of constant-field kernels.
-
-    Returns the symbolic kernel over the total time; by the composition
-    law it equals the one-shot kernel with T = T1 + T2 coefficient-wise.
-    """
-    T1, T2 = Fraction(T1), Fraction(T2)
-    if T1 == 0 or T2 == 0 or T1 + T2 == 0:
-        raise DegenerateIntervalError("degenerate step or total time")
-    return compose_kernels(
-        SymbolicKernel.from_form(place, action_form_constant_field(a, T2)),
-        SymbolicKernel.from_form(place, action_form_constant_field(a, T1)),
-    )
+    return SymbolicKernel(place, prefactor, form)
 
 
 def desitter_action_form(lam: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
@@ -213,7 +203,10 @@ def semigroup_residual(
     t0, t_mid, t1 = Fraction(t0), Fraction(t_mid), Fraction(t1)
     if t_mid == t0 or t1 == t_mid or t1 == t0:
         raise DegenerateIntervalError("intermediate time collides with an endpoint")
-    composed = compose(place, a, t_mid - t0, t1 - t_mid).evaluate(q0, q1)
+    composed = compose_kernels(
+        SymbolicKernel.from_form(place, action_form_constant_field(a, t1 - t_mid)),
+        SymbolicKernel.from_form(place, action_form_constant_field(a, t_mid - t0)),
+    ).evaluate(q0, q1)
     direct = k_general_quadratic(place, action_form_constant_field(a, t1 - t0), q1, q0)
     if composed == direct:
         return Amplitude.zero()

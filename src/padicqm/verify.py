@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .characters import assert_eighth_root, lambda_v
 from .dynamics import action_form_constant_field
@@ -23,7 +22,7 @@ from .gauss import (
     quadratic_char_fn,
     stabilization_threshold,
 )
-from .places import Place, norm, place_less
+from .places import Place, norm, place_sorted
 from .propagators import (
     PartitionSpec,
     finite_n_propagator,
@@ -50,10 +49,7 @@ def _distinct_points(rng: random.Random, place: Place, count: int) -> list[Fract
     points: set[Fraction] = set()
     while len(points) < count:
         points.add(random_nonzero_rational(rng, place))
-    ordered = sorted(points, key=cmp_to_key(
-        lambda x, y: -1 if place_less(x, y, place) else 1
-    ))
-    return ordered
+    return place_sorted(points, place)
 
 
 def check_lambda(

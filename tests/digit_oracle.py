@@ -10,7 +10,13 @@ digit streams until they differ, without the v_p(x - y) shortcut.
 
 from fractions import Fraction
 
-from padicqm import valuation
+from padicqm import DigitExpansion, valuation
+
+
+def partial_sum(e: DigitExpansion) -> Fraction:
+    """Rational value of the stored digits: p**v * sum d_i p**i."""
+    total = sum(d * e.prime**i for i, d in enumerate(e.digits))
+    return Fraction(total) * Fraction(e.prime) ** e.valuation
 
 
 def unit_part(x: Fraction | int, p: int) -> tuple[int, Fraction]:

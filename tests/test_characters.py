@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicqm import Amplitude, Phase, Place, chi, lambda_v, legendre
-from padicqm.characters import assert_eighth_root, legendre_bruteforce
+from padicqm.characters import assert_eighth_root
+from padicqm.places import is_prime
+
+
+def legendre_bruteforce(a: int, p: int) -> int:
+    """O(p) residue-set oracle for the Legendre symbol."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+    if a % p == 0:
+        return 0
+    residues = {x * x % p for x in range(1, p)}
+    return 1 if a % p in residues else -1
 
 R = Place.real()
 P2, P3, P5, P7 = (Place.prime(p) for p in (2, 3, 5, 7))

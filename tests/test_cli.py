@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +246,60 @@ class TestBallIntegralCommand:
             assert calls == [] and out == "" and err.startswith("resource limit")
         else:
             assert calls == [N]
+
+
+    def test_large_norm_written_as_power(self, capsys):
+        # 3^-20000 has 9,543 digits, beyond str() of an int
+        code, out, _ = run_cli(
+            capsys, ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0", "--N=-10000"]
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["modulus_sq"] == "3^-20000"
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_power_form_edges(self, capsys, sign):
+        # the value at alpha = beta = 0 is 3^(2N): the largest |N| whose
+        # power str() can write keeps the fraction, the next one is 3^k
+        def writable(k):
+            try:
+                str(3**k)
+            except ValueError:
+                return False
+            return True
+
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter writes integers of any length")
+        n = int(limit / (2 * math.log10(3))) - 3
+        assert writable(2 * n)
+        while writable(2 * n + 2):
+            n += 1
+        for N, want in ((n, str(F(3) ** (2 * sign * n))),
+                        (n + 1, f"3^{2 * sign * (n + 1)}")):
+            code, out, _ = run_cli(
+                capsys,
+                ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0", f"--N={sign * N}"],
+            )
+            assert code == 0
+            assert json.loads(out)["rows"][0]["modulus_sq"] == want
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_quietly(self):
+        # the read end is closed before the interpreter has started, so the
+        # first write of the command meets a closed pipe
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "padicqm.cli", "kernel", "--system", "free",
+             "--place", "inf,2", "--T=1,2", "--q0=1", "--q1=1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 from functools import cmp_to_key
 
@@ -17,7 +18,7 @@ from padicqm import (
     valuation,
 )
 from padicqm.cli import _rational
-from padicqm.places import digit, is_prime, unit_residue
+from padicqm.places import digit, is_prime, place_less, place_sorted, unit_residue
 
 import digit_oracle
 
@@ -105,7 +106,7 @@ class TestDigits:
     @given(x=padic_rationals(3), count=st.integers(1, 12))
     def test_round_trip(self, x, count):
         e = digits(x, 3, count)
-        diff = x - e.partial_sum()
+        diff = x - digit_oracle.partial_sum(e)
         if diff != 0:
             assert valuation(diff, 3) >= e.valuation + count
 
@@ -266,3 +267,42 @@ class TestPlace:
         assert _rational("3/4") == F(3, 4)
         assert _rational(" 5 ") == 5
         assert str(F(-7, 2)) == "-7/2"
+
+
+class TestPlaceSorted:
+    """The key sort against the comparison sort on ``place_less``."""
+
+    @staticmethod
+    def cmp_sorted(values, place):
+        return sorted(values, key=cmp_to_key(lambda x, y: -1 if place_less(x, y, place) else 1))
+
+    @settings(max_examples=300)
+    @given(
+        p=st.sampled_from([None, 2, 3, 5, 7]),
+        values=st.lists(
+            st.builds(F, st.integers(-4, 4), st.integers(1, 4)), unique=True, max_size=8
+        ),
+    )
+    def test_equals_comparison_sort(self, p, values):
+        # with numerators and denominators this small, the first differing
+        # digit of a pair often is the last digit the key keeps
+        place = Place.real() if p is None else Place.prime(p)
+        assert place_sorted(values, place) == self.cmp_sorted(values, place)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_wide_sets(self, p):
+        rng = random.Random(p)
+        place = Place.prime(p)
+        for _ in range(200):
+            values = list({F(rng.randint(-24, 24), rng.randint(1, 24)) * F(p) ** rng.randint(-2, 2)
+                           for _ in range(rng.randint(1, 17))})
+            assert place_sorted(values, place) == self.cmp_sorted(values, place)
+
+    def test_last_key_digit_decides(self):
+        # H = 1, 2 H^2 = 2: one key digit at p = 2 would tie 1 and -1,
+        # which first differ at digit 1
+        assert place_sorted([F(-1), F(1)], Place.prime(2)) == [1, -1]
+        assert place_sorted([F(-2), F(1)], Place.prime(3)) == [1, -2]
+
+    def test_zero_sorts_first(self):
+        assert place_sorted([F(1, 3), F(0), F(3)], Place.prime(3)) == [0, 3, F(1, 3)]

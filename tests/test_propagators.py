@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicqm import (
     Amplitude,
@@ -19,7 +20,6 @@ from padicqm import (
     SymbolicKernel,
     action_form_constant_field,
     chi,
-    compose,
     compose_kernels,
     desitter_action_form,
     finite_n_propagator,
@@ -37,6 +37,11 @@ from padicqm.errors import PrecisionError
 from padicqm.places import place_less
 
 from closed_forms import k_constant_field, k_desitter, k_free
+from compose_oracle import (
+    action_form_constant_field_fraction,
+    compose,
+    compose_kernels_fraction,
+)
 
 R = Place.real()
 P2, P3, P5, P7 = (Place.prime(p) for p in (2, 3, 5, 7))
@@ -220,6 +225,57 @@ class TestComposition:
     def test_degenerate_total(self):
         with pytest.raises(DegenerateIntervalError):
             compose(P3, 0, 1, -1)
+
+
+def small_rationals(top=24):
+    return st.builds(
+        lambda n, d, k: F(n, d) * F(2 * 3 * 5 * 7) ** k,
+        st.integers(-top, top).filter(bool), st.integers(1, top), st.integers(-2, 2),
+    )
+
+
+STEP = st.tuples(st.sampled_from(["free", "const-field", "desitter"]),
+                 small_rationals(), small_rationals())
+
+
+def step_form(kind, coeff, T):
+    if kind == "desitter":
+        return desitter_action_form(coeff, T)
+    return action_form_constant_field(0 if kind == "free" else coeff, T)
+
+
+class TestComposeAgainstOracle:
+    """The integer fold against the Fraction route of ``compose_oracle``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(place=st.sampled_from(ALL_PLACES), steps=st.lists(STEP, min_size=2, max_size=6),
+           q0=small_rationals(), q1=small_rationals())
+    def test_folds_equal(self, place, steps, q0, q1):
+        kernels = [SymbolicKernel.from_form(place, step_form(*step)) for step in steps]
+        got = want = kernels[0]
+        for step in kernels[1:]:
+            try:
+                got = compose_kernels(step, got)
+            except DegenerateIntervalError:
+                with pytest.raises(DegenerateIntervalError):
+                    compose_kernels_fraction(step, want)
+                return
+            want = compose_kernels_fraction(step, want)
+            assert got == want
+        assert got.evaluate(q0, q1) == want.evaluate(q0, q1)
+
+    @settings(max_examples=300)
+    @given(a=small_rationals(), T=small_rationals())
+    def test_step_form_from_integers(self, a, T):
+        form = action_form_constant_field(a, T)
+        assert form == action_form_constant_field_fraction(a, T)
+        assert form.den > 0 and math.gcd(form.den, *form.nums) == 1
+
+    def test_keyword_constructor_is_canonical(self):
+        form = QuadraticActionForm(alpha=F(2, 4), beta=F(-1, 6), gamma=3)
+        assert (form.den, form.nums) == (6, (3, -1, 18, 0, 0, 0))
+        assert form == QuadraticActionForm.from_integers(-12, (-6, 2, -36, 0, 0, 0))
+        assert (form.alpha, form.beta, form.gamma, form.zeta) == (F(1, 2), F(-1, 6), 3, 0)
 
 
 class TestFiniteN:

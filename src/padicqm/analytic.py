@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .characters import Phase, lambda_v, legendre
 from .errors import DomainError, NonSquareError, PrecisionError
-from .places import Place, _int_valuation, is_prime, unit_residue, valuation
+from .places import Place, _int_valuation, unit_residue, valuation
 
 
 @dataclass(frozen=True)
@@ -84,11 +83,6 @@ class PadicTruncation:
                 f"norm not pinned: value is O({self.prime}^{self.precision})"
             )
         return Fraction(1, self.prime) ** self.valuation
-
-    def agrees_with(self, other: PadicTruncation, modulo: int) -> bool:
-        """True when both values coincide modulo p^modulo."""
-        diff = self - other
-        return diff.is_zero_mod or diff.valuation >= modulo
 
     def __neg__(self) -> PadicTruncation:
         if self.is_zero_mod:
@@ -192,58 +186,6 @@ def lambda_of_truncation(place: Place, t: PadicTruncation) -> Phase:
     if t.precision - t.valuation < need:
         raise PrecisionError(f"need {need} digits above the valuation")
     return lambda_v(place, t.representative())
-
-
-def series_eval(
-    coefficients: Iterable[Fraction],
-    x: Fraction | int,
-    p: int,
-    target_precision: int,
-    terms: int | None = None,
-) -> PadicTruncation:
-    """Evaluate sum of c_k x^k as a truncation correct modulo p^P.
-
-    When ``terms`` is given the caller guarantees the discarded tail has
-    norm <= p^(-P) and exactly that many terms are summed.  Otherwise
-    summation stops after four consecutive terms of norm <= p^(-P-2);
-    eight consecutive nonzero terms without valuation growth raise a
-    divergence error.
-    """
-    if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
-    x = Fraction(x)
-    P = target_precision
-    total = Fraction(0)
-    if x == 0:
-        for c in coefficients:
-            total = Fraction(c)
-            break
-        return PadicTruncation.from_rational(total, p, P)
-
-    small_run = 0
-    window: list[int | float] = []
-    xk = Fraction(1)
-    for k, c in enumerate(coefficients):
-        if terms is not None and k >= terms:
-            break
-        term = Fraction(c) * xk
-        xk *= x
-        total += term
-        if term == 0:
-            continue
-        v = valuation(term, p)
-        if terms is None:
-            window.append(v)
-            if len(window) > 8:
-                window.pop(0)
-                if window[-1] <= window[0]:
-                    raise DomainError("term norms are not decreasing: series diverges")
-            small_run = small_run + 1 if v >= P + 2 else 0
-            if small_run >= 4:
-                break
-        if terms is None and k > 10_000:
-            raise DomainError("series failed to converge within 10000 terms")
-    return PadicTruncation.from_rational(total, p, P)
 
 
 def _trig_domain_valuation(x: Fraction, p: int) -> int:

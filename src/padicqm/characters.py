@@ -9,6 +9,7 @@ layer stays inside exact rational arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +24,13 @@ class Phase:
     value: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value) % 1)
+        q = self.value
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        n, d = q.numerator, q.denominator
+        if n < 0 or n >= d:
+            q = Fraction(n % d, d)
+        object.__setattr__(self, "value", q)
 
     def __add__(self, other: Phase) -> Phase:
         return Phase(self.value + other.value)
@@ -74,11 +81,13 @@ class Amplitude:
     phase: Phase = field(default_factory=Phase)
 
     def __post_init__(self):
-        ms = Fraction(self.modulus_sq)
-        if ms < 0:
+        ms = self.modulus_sq
+        if not isinstance(ms, Fraction):
+            ms = Fraction(ms)
+            object.__setattr__(self, "modulus_sq", ms)
+        if ms.numerator < 0:
             raise ValueError("modulus_sq must be nonnegative")
-        object.__setattr__(self, "modulus_sq", ms)
-        if ms == 0:
+        if not ms.numerator:
             object.__setattr__(self, "phase", ZERO_PHASE)
 
     @classmethod
@@ -102,13 +111,24 @@ class Amplitude:
     def render(self) -> tuple[float, float]:
         """Float (re, im); relative error <= 1e-12.
 
-        Raises OverflowError when the modulus is beyond float range.
+        A squared modulus beyond the float range at either end takes the
+        modulus r from logarithms.  Raises OverflowError when a nonzero r
+        is itself not a normal float.
         """
+        ms = self.modulus_sq
         try:
-            r = math.sqrt(float(self.modulus_sq))
+            f = float(ms)
         except OverflowError:
-            ms = self.modulus_sq
+            f = math.inf
+        if sys.float_info.min <= f < math.inf:
+            r = math.sqrt(f)
+        elif not ms:
+            return 0.0, 0.0
+        else:
+            # math.exp raises OverflowError itself when r is too large
             r = math.exp((math.log(ms.numerator) - math.log(ms.denominator)) / 2)
+            if r < sys.float_info.min:
+                raise OverflowError("modulus below the normal float range")
         z = self.phase.to_complex()
         return r * z.real, r * z.imag
 

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .characters import Amplitude
 from .dynamics import action_form_constant_field
-from .errors import OracleCapError, PadicqmError
+from .errors import OracleCapError, OutputLimitError, PadicqmError
 from .gauss import coset_cap, gauss_full, minimal_resolution, quad_char_integral_ball
 from .places import Place, valuation
 from .propagators import (
@@ -95,17 +98,24 @@ def _place_list(text: str) -> list[Place]:
     return [_place(part) for part in text.split(",") if part.strip()]
 
 
+def _text(x) -> str:
+    """str(x) of an exact field; OutputLimitError when str() of an int in it fails."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise OutputLimitError(f"an exact field is too long to write: {exc}") from exc
+
+
 def _modulus_text(ms: Fraction, p: int | None) -> str:
     """str(ms), or ``p^k`` when ms = p^k has more digits than str() of an int allows."""
     try:
         return str(ms)
     except ValueError:
-        if p is None:
-            raise
-        k = valuation(ms, p)
-        if Fraction(p) ** k != ms:
-            raise
-        return f"{p}^{k}"
+        if p is not None:
+            k = valuation(ms, p)
+            if Fraction(p) ** k == ms:
+                return f"{p}^{k}"
+        return _text(ms)
 
 
 def _amp_fields(amp: Amplitude, p: int | None = None) -> dict:
@@ -115,30 +125,59 @@ def _amp_fields(amp: Amplitude, p: int | None = None) -> dict:
         re = im = None
     return {
         "modulus_sq": _modulus_text(amp.modulus_sq, p),
-        "phase": str(amp.phase.value),
+        "phase": _text(amp.phase.value),
         "re": re,
         "im": im,
     }
 
 
+def _json_scalar(value) -> str:
+    """A flat value as ``json.dumps(value, default=str)`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    return json.dumps(value, default=str)
+
+
+def _json_document(header: dict, rows: list[dict]) -> str:
+    """``json.dumps({**header, "rows": rows}, indent=2, default=str) + "\\n"``.
+
+    Header and row values are scalars, not lists or dicts, and every
+    row has at least one key.
+    """
+    enc = encode_basestring_ascii
+    head = "".join([f"\n  {enc(k)}: {_json_scalar(v)}," for k, v in header.items()])
+    if not rows:
+        return f'{{{head}\n  "rows": []\n}}\n'
+    body = ",".join([
+        "\n    {"
+        + ",".join([
+            f"\n      {enc(k)}: {enc(v) if type(v) is str else _json_scalar(v)}"
+            for k, v in row.items()
+        ])
+        + "\n    }"
+        for row in rows
+    ])
+    return f'{{{head}\n  "rows": [{body}\n  ]\n}}\n'
+
+
 def _emit(rows: list[dict], fmt: str, header: dict | None = None) -> None:
     if fmt == "json":
-        payload = dict(header or {})
-        payload["rows"] = rows
-        json.dump(payload, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_document(header or {}, rows))
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(buf)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([[row.get(col, "") for col in CSV_COLUMNS] for row in rows])
         sys.stdout.write(buf.getvalue())
 
 
 def _cmd_gauss(args) -> int:
     amp = gauss_full(args.place, args.a, args.b)
-    row = {"place": str(args.place), "system": "gauss", "a": str(args.a), "b": str(args.b)}
+    row = {"place": str(args.place), "system": "gauss", "a": _text(args.a), "b": _text(args.b)}
     row.update(_amp_fields(amp, args.place.p))
     _emit([row], args.format, {"command": "gauss"})
     return EXIT_OK
@@ -160,8 +199,8 @@ def _cmd_ball_integral(args) -> int:
     row = {
         "place": str(args.p),
         "system": "ball-integral",
-        "alpha": str(args.alpha),
-        "beta": str(args.beta),
+        "alpha": _text(args.alpha),
+        "beta": _text(args.beta),
         "N": args.N,
     }
     row.update(_amp_fields(amp, args.p))
@@ -172,21 +211,17 @@ def _cmd_ball_integral(args) -> int:
 def _kernel_rows(args) -> list[dict]:
     field, make_form = KERNEL_FORMS[args.system]
     coeff = Fraction(0) if field is None else getattr(args, field)
-    params = {} if field is None else {field: str(coeff)}
+    params = {} if field is None else {field: _text(coeff)}
+    q0s = [(q0, _text(q0)) for q0 in args.q0]
+    q1s = [(q1, _text(q1)) for q1 in args.q1]
     rows = []
     for place in args.place:
         for T in args.T:
             kernel = SymbolicKernel.from_form(place, make_form(coeff, T))
-            for q0 in args.q0:
-                for q1 in args.q1:
-                    row = {
-                        "place": str(place),
-                        "system": args.system,
-                        "T": str(T),
-                        "q0": str(q0),
-                        "q1": str(q1),
-                        **params,
-                    }
+            head = {"place": str(place), "system": args.system, "T": _text(T)}
+            for q0, q0_text in q0s:
+                for q1, q1_text in q1s:
+                    row = {**head, "q0": q0_text, "q1": q1_text, **params}
                     row.update(_amp_fields(kernel.evaluate(q0, q1), place.p))
                     rows.append(row)
     return rows
@@ -290,14 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--precision", type=int, default=20,
                         help="p-adic working precision for the oscillator")
     kernel.add_argument("--format", choices=["json", "csv"], default="json")
-    kernel.set_defaults(func=_cmd_kernel)
 
     gauss_cmd = sub.add_parser("gauss", help="full-line Gauss integral")
     gauss_cmd.add_argument("--place", type=_place, required=True)
     gauss_cmd.add_argument("--a", type=_rational, required=True)
     gauss_cmd.add_argument("--b", type=_rational, default=Fraction(0))
     gauss_cmd.add_argument("--format", choices=["json", "csv"], default="json")
-    gauss_cmd.set_defaults(func=_cmd_gauss)
 
     ball = sub.add_parser("ball-integral", help="character integral over a p-adic ball")
     ball.add_argument("--p", type=int, required=True)
@@ -305,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     ball.add_argument("--beta", type=_rational, required=True)
     ball.add_argument("--N", type=int, required=True)
     ball.add_argument("--format", choices=["json", "csv"], default="json")
-    ball.set_defaults(func=_cmd_ball_integral)
 
     verify = sub.add_parser("verify", help="run a seeded exact-identity suite")
     verify.add_argument("--check", required=True, choices=sorted(CHECKS))
@@ -313,16 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=None)
     verify.add_argument("--place", type=_place_list, default=None,
                         help="restrict to these places")
-    verify.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to :func:`main`; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler of subcommand "x-y" is _cmd_x_y, looked up at call time
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -330,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         # os.devnull so that the interpreter's final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except OracleCapError as exc:
+    except (OracleCapError, OutputLimitError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except PadicqmError as exc:

@@ -33,6 +33,10 @@ class OracleCapError(PadicqmError):
     """A coset enumeration would exceed the configured point cap."""
 
 
+class OutputLimitError(PadicqmError):
+    """An exact output field has an integer too long for the interpreter to write."""
+
+
 class QuadratureError(PadicqmError):
     """Numerical quadrature failed to converge."""
 

@@ -192,24 +192,32 @@ def digits(x: Fraction | int, p: int, count: int) -> DigitExpansion:
     return DigitExpansion(valuation=v, digits=tuple(out), prime=p)
 
 
+def fractional_residue(n: int, d: int, p: int) -> tuple[int, int]:
+    """p-Adic fractional part of n/d, for integers n and d > 0, as (r, p**k).
+
+    With d = p**k * e and p not dividing e, r = n * e^{-1} mod p**k, so
+    0 <= r < p**k and n/d - r/p**k = (n - r e)/d has no p in its reduced
+    denominator.  n/d need not be reduced, nor need r/p**k.  p must be prime.
+    """
+    m = 1
+    while d % p == 0:
+        d //= p
+        m *= p
+    if m == 1:
+        return 0, 1
+    return n * pow(d, -1, m) % m, m
+
+
 def fractional_part(x: Fraction | int, p: int) -> Fraction:
     """p-Adic fractional part: the negative-power tail of the expansion.
 
     A rational in [0, 1) with a p-power denominator; x minus the result
-    is p-integral.  Zero whenever |x|_p <= 1.
+    is p-integral.  Zero whenever |x|_p <= 1.  See
+    :func:`fractional_residue`.
     """
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    v = valuation(x, p)
-    if v >= 0:
-        return Fraction(0)
-    m = p ** (-v)
-    # x = n / (d * p^{-v}) with p not dividing d; the tail is
-    # (n * d^{-1} mod p^{-v}) / p^{-v}.
-    d_coprime = x.denominator // m
-    r = x.numerator * pow(d_coprime, -1, m) % m
-    return Fraction(r, m)
+    if not is_prime(p):
+        raise ValueError(f"not a prime: {p}")
+    return Fraction(*fractional_residue(x.numerator, x.denominator, p))
 
 
 def linear_less(x: Fraction | int, y: Fraction | int, p: int) -> bool:

@@ -22,7 +22,7 @@ from .analytic import (
     lambda_of_truncation,
     sqrt_p,
 )
-from .characters import Amplitude, chi, lambda_v, phase_sum
+from .characters import Amplitude, Phase, chi, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
     DegenerateFormError,
@@ -32,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .gauss import quad_char_integral_ball
-from .places import Place, norm, place_less, valuation
+from .places import Place, fractional_residue, norm, place_less, valuation
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,25 @@ class SymbolicKernel:
             raise DegenerateFormError("mixed partial of the action form vanishes")
         return cls(place, Amplitude(norm(g, place), lambda_v(place, -2 * g)), form)
 
-    def evaluate(self, q0: Fraction, q1: Fraction) -> Amplitude:
-        """Amplitude for propagation from q0 to q1."""
-        ph = chi(self.place, -self.form.evaluate(q1, q0))
-        return Amplitude(self.prefactor.modulus_sq, self.prefactor.phase + ph)
+    def evaluate(self, q0: Fraction | int, q1: Fraction | int) -> Amplitude:
+        """Amplitude for propagation from q0 to q1.
+
+        The prefactor phase a/b and chi_v(-S) are added in integers, with
+        S(q1, q0) = num / D from the form: (a D + num b)/(b D) at infinity,
+        and a/b + r/p^k at p, with r/p^k the p-adic fractional part of
+        -num/D.  The sum builds one reduced Fraction.
+        """
+        num, D = self.form.evaluate_integers(q1, q0)
+        pre = self.prefactor
+        a, b = pre.phase.value.numerator, pre.phase.value.denominator
+        if self.place.is_real:
+            n, d = a * D + num * b, b * D
+        else:
+            r, m = fractional_residue(-num, D, self.place.p)
+            if not r:
+                return pre
+            n, d = a * m + r * b, b * m
+        return Amplitude(pre.modulus_sq, Phase(Fraction(n % d, d)))
 
 
 def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:

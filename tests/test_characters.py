@@ -131,6 +131,28 @@ class TestAmplitude:
         with pytest.raises(ValueError):
             Amplitude(F(-1))
 
+    def test_non_fraction_modulus_coerced(self):
+        for ms in (2, 0.25, "3/4"):
+            amp = Amplitude(ms, Phase(F(1, 3)))
+            assert type(amp.modulus_sq) is F and amp.modulus_sq == F(ms)
+        assert Amplitude(0, Phase(F(1, 3))) == Amplitude.zero()
+        with pytest.raises(ValueError):
+            Amplitude(-1)
+
+    @pytest.mark.parametrize("k", [-400, -330, -324, 330, 400])
+    def test_render_beyond_float_range_of_the_square(self, k):
+        # |.|^2 = 3^(2k) is beyond the normal float range (3^-648 and
+        # 3^-660 are subnormal), |.| = 3^k is not
+        amp = Amplitude(F(3) ** (2 * k), Phase(F(1, 8)))
+        re, im = amp.render()
+        assert math.isclose(math.hypot(re, im), 3.0**k, rel_tol=1e-12)
+        assert math.isclose(re, im, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, -700, 700, 1000])
+    def test_render_raises_when_the_modulus_is_beyond_float_range(self, k):
+        with pytest.raises(OverflowError):
+            Amplitude(F(3) ** (2 * k)).render()
+
 
 class TestPhase:
     def test_group_laws(self):
@@ -142,6 +164,14 @@ class TestPhase:
     def test_normalization(self):
         assert Phase(F(9, 4)) == Phase(F(1, 4))
         assert Phase(F(-1, 4)) == Phase(F(3, 4))
+
+    @settings(max_examples=200)
+    @given(q=st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)))
+    def test_value_is_a_fraction_in_the_unit_interval(self, q):
+        value = Phase(q).value
+        assert type(value) is F and 0 <= value < 1
+        assert (value - q).denominator == 1
+        assert Phase(0.75).value == F(3, 4) and Phase(-1).value == 0
 
     def test_to_complex(self):
         z = Phase(F(1, 2)).to_complex()

@@ -283,6 +283,136 @@ class TestBallIntegralCommand:
             assert code == 0
             assert json.loads(out)["rows"][0]["modulus_sq"] == want
 
+    def test_modulus_below_float_range_renders_from_logarithms(self, capsys):
+        # |.|^2 = 3^-800 underflows a float; its square root 3^-400 does not
+        code, out, _ = run_cli(
+            capsys, ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0", "--N=-400"]
+        )
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["modulus_sq"] == str(F(3) ** -800)
+        assert math.isclose(math.hypot(row["re"], row["im"]), 3.0**-400, rel_tol=1e-12)
+
+    def test_modulus_below_float_range_is_null(self, capsys):
+        # the modulus 3^-1000 itself is below the float range
+        for fmt, null in (("json", None), ("csv", "")):
+            code, out, _ = run_cli(
+                capsys,
+                ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0", "--N=-1000",
+                 "--format", fmt],
+            )
+            assert code == 0
+            if fmt == "json":
+                row = json.loads(out)["rows"][0]
+            else:
+                row = next(csv.DictReader(io.StringIO(out)))
+            assert row["modulus_sq"] == str(F(3) ** -2000)
+            assert row["re"] == row["im"] == null
+
+
+class TestOutputLimit:
+    @pytest.mark.parametrize("argv", [
+        # the phase denominator has about three times the digits of T
+        ["kernel", "--system", "desitter", "--lam", "1", "--place", "inf",
+         f"--T=1/{7**1800}", "--q0", "1", "--q1", "1"],
+        # a short input whose exact value is too long to write back
+        ["kernel", "--system", "free", "--place", "3", "--q1=1e5000"],
+        ["gauss", "--place", "3", "--a=1e5000"],
+    ])
+    def test_field_beyond_int_string_limit_exits_3(self, capsys, argv):
+        if not sys.get_int_max_str_digits():
+            pytest.skip("this interpreter writes integers of any length")
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_RESOURCE == 3
+        assert out == ""
+        assert err.startswith("resource limit: ")
+
+
+def _emit_payloads(monkeypatch):
+    """Record every (header, rows) that ``cli._emit`` writes as JSON."""
+    seen = []
+    emit = cli._emit
+
+    def spy(rows, fmt, header=None):
+        if fmt == "json":
+            seen.append({**(header or {}), "rows": rows})
+        emit(rows, fmt, header)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    return seen
+
+
+OSC_ARGS = ["--x0", "1/2", "--x1", "1/3", "--gamma0", "0", "--gamma1", "105",
+            "--dgamma0", "1", "--dgamma1", "1", "--s0", "1", "--s1", "2",
+            "--ds0", "1/5", "--ds1", "1/7"]
+
+
+class TestJsonWriter:
+    """The row writer against ``json.dumps(payload, indent=2, default=str)``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--system", "free", "--place", "inf,2,3,5,7",
+         "--T=1,-3/4,1/9", "--q0=-3/2,0,5/7", "--q1=1,2/9,-1/4"],
+        ["kernel", "--system", "const-field", "--a=-2/3", "--place", "inf,2,3,5,7",
+         "--T=2,5/2", "--q0=0,1/3", "--q1=-1,7"],
+        ["kernel", "--system", "desitter", "--lam=3/5", "--place", "inf,2,3,5,7",
+         "--T=1,-1/5", "--q0=1/2", "--q1=0,-9/4"],
+        ["kernel", "--system", "osc", "--place", "inf,3,5,7", *OSC_ARGS],
+        ["gauss", "--place", "5", "--a=-3/4", "--b=5/7"],
+        ["gauss", "--place", "3", f"--a={3**1400}"],
+        ["ball-integral", "--p", "3", "--alpha", "1/9", "--beta", "2", "--N=1"],
+        ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0", "--N=-10000"],
+        ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0", "--N=-1000"],
+        ["kernel", "--system", "free", "--place", "inf", "--q0="],
+    ], ids=["free", "const-field", "desitter", "osc", "gauss", "gauss-null",
+            "ball", "ball-power", "ball-null", "empty-grid"])
+    def test_bytes_equal_json_dumps(self, capsys, monkeypatch, argv):
+        seen = _emit_payloads(monkeypatch)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and len(seen) == 1
+        assert out == json.dumps(seen[0], indent=2, default=str) + "\n"
+
+    def test_row_types_covered(self, capsys, monkeypatch):
+        seen = _emit_payloads(monkeypatch)
+        run_cli(capsys, ["kernel", "--system", "osc", "--place", "inf,3", *OSC_ARGS])
+        run_cli(capsys, ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0",
+                         "--N=-1000"])
+        run_cli(capsys, ["kernel", "--system", "free", "--place", "inf", "--q0="])
+        osc, ball, empty = seen
+        assert osc["rows"][0]["modulus_sq"] == "" and isinstance(osc["rows"][0]["re"], float)
+        assert ball["rows"][0]["N"] == -1000 and ball["rows"][0]["re"] is None
+        assert empty["rows"] == []
+
+    def test_scalars(self):
+        header = {"command": "x", "n": -12, "t": True, "f": False, "none": None,
+                  "frac": F(-3, 7), "uni": "caf\u00e9 \"q\"\n\\"}
+        rows = [{"a": 0.1, "b": -0.0, "c": 1e300, "d": 5e-324, "e": math.inf,
+                 "g": -math.inf, "h": math.nan, "i": 2**70}, {"a": ""}]
+        got = cli._json_document(header, rows)
+        assert got == json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n"
+        assert cli._json_document({}, []) == json.dumps({"rows": []}, indent=2) + "\n"
+
+
+class TestRepeatedMain:
+    def test_in_process_calls_match_fresh_processes(self, capsys):
+        argvs = [
+            ["kernel", "--system", "const-field", "--a=1/2", "--place", "inf,3",
+             "--T=1,2", "--q0=0,1/3", "--q1=1", "--format", "csv"],
+            ["gauss", "--place", "7", "--a=5", "--b=1/7"],
+            ["kernel", "--system", "desitter", "--lam=2", "--place", "2,5", "--q1=1,3/4"],
+            ["ball-integral", "--p", "2", "--alpha", "1/4", "--beta", "1", "--N=2"],
+        ]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        fresh = [
+            subprocess.run([sys.executable, "-m", "padicqm.cli", *argv], capture_output=True,
+                           check=True, env=dict(os.environ, PYTHONPATH=src)).stdout.decode()
+            for argv in argvs
+        ]
+        for _ in range(2):
+            for argv, want in zip(argvs, fresh):
+                code, out, _ = run_cli(capsys, argv)
+                assert (code, out) == (0, want)
+
 
 class TestClosedStdout:
     def test_closed_pipe_exits_quietly(self):

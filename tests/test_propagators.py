@@ -278,6 +278,38 @@ class TestComposeAgainstOracle:
         assert (form.alpha, form.beta, form.gamma, form.zeta) == (F(1, 2), F(-1, 6), 3, 0)
 
 
+ENDPOINT = st.one_of(st.integers(-60, 60), small_rationals())
+
+
+class TestEvaluateAgainstChi:
+    """The integer row phase of ``SymbolicKernel.evaluate`` against chi of the form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(place=st.sampled_from(ALL_PLACES), steps=st.lists(STEP, min_size=1, max_size=3),
+           q0=ENDPOINT, q1=ENDPOINT)
+    def test_row_phase_is_prefactor_plus_chi(self, place, steps, q0, q1):
+        kernel = SymbolicKernel.from_form(place, step_form(*steps[0]))
+        for step in steps[1:]:
+            try:
+                kernel = compose_kernels(SymbolicKernel.from_form(place, step_form(*step)), kernel)
+            except DegenerateIntervalError:
+                break
+        want = kernel.prefactor.phase + chi(place, -kernel.form.evaluate(q1, q0))
+        assert kernel.evaluate(q0, q1) == Amplitude(kernel.prefactor.modulus_sq, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(place=st.sampled_from(ALL_PLACES), step=STEP, phase=small_rationals(),
+           q0=ENDPOINT, q1=ENDPOINT)
+    def test_any_prefactor_phase(self, place, step, phase, q0, q1):
+        # prefactors of from_form are eighths of a turn; any rational phase adds alike
+        form = step_form(*step)
+        kernel = SymbolicKernel(place, Amplitude(F(4, 9), Phase(phase)), form)
+        got = kernel.evaluate(q0, q1)
+        assert got.phase == Phase(phase) + chi(place, -form.evaluate(q1, q0))
+        assert 0 <= got.phase.value < 1
+        assert got == kernel.evaluate(F(q0), F(q1))
+
+
 class TestFiniteN:
     def test_single_step_is_direct(self):
         part = PartitionSpec(R, (F(0), F(1)))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -23,14 +22,8 @@ from .characters import Amplitude, Phase, chi, lambda_v, legendre
 from .errors import DegenerateQuadraticError, OracleCapError, QuadratureError
 from .places import Place, fractional_part, is_prime, norm, valuation
 
-DEFAULT_COSET_CAP = 10**6
-_CAP_ENV_VAR = "PADICQM_COSET_CAP"
-
-
-def coset_cap() -> int:
-    """Active coset cap: environment override or the 10^6 default."""
-    raw = os.environ.get(_CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_COSET_CAP
+#: most cosets the Haar oracle enumerates; above it raises OracleCapError
+COSET_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -259,12 +252,7 @@ def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticChara
     return QuadraticCharacter(p, Fraction(alpha), Fraction(beta))
 
 
-def haar_oracle(
-    p: int,
-    f: Callable[[Fraction], complex],
-    ball: BallSpec,
-    cap: int | None = None,
-) -> complex:
+def haar_oracle(p: int, f: Callable[[Fraction], complex], ball: BallSpec) -> complex:
     """Numerical Haar integral of f over the ball by coset enumeration.
 
     Evaluates f at every coset representative and weights by the coset
@@ -277,11 +265,8 @@ def haar_oracle(
     """
     if ball.prime != p:
         raise ValueError("ball prime disagrees with p")
-    limit = cap if cap is not None else coset_cap()
-    if ball.n_cosets > limit:
-        raise OracleCapError(
-            f"{ball.n_cosets} cosets exceed the cap of {limit}"
-        )
+    if ball.n_cosets > COSET_CAP:
+        raise OracleCapError(f"{ball.n_cosets} cosets exceed the cap of {COSET_CAP}")
     if isinstance(f, QuadraticCharacter):
         values = f.coset_values(ball)
     else:
@@ -333,17 +318,17 @@ def fresnel_oracle(
     return complex(core_r + tail_cos, core_i - sign * tail_sin)
 
 
-def fresnel_limit(
-    a: Fraction | float,
-    b: Fraction | float,
-    dampings: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
-) -> complex:
+#: decreasing dampings that the Fresnel limit extrapolates from
+FRESNEL_DAMPINGS = (1e-1, 1e-2, 1e-3)
+
+
+def fresnel_limit(a: Fraction | float, b: Fraction | float) -> complex:
     """Zero-damping extrapolation of the Fresnel quadrature.
 
-    Polynomial (Neville) extrapolation in the damping parameter over the
-    given decreasing sequence; advisory accuracy about 1e-6.
+    Polynomial (Neville) extrapolation in the damping parameter over
+    ``FRESNEL_DAMPINGS``; advisory accuracy about 1e-6.
     """
-    xs = [float(d) for d in dampings]
+    xs = FRESNEL_DAMPINGS
     ys = [fresnel_oracle(a, b, d) for d in xs]
     n = len(xs)
     table = list(ys)

@@ -397,18 +397,22 @@ def oscillator_action_form(
 ) -> QuadraticActionForm:
     """Quadratic action form of the oscillator, to the stated precision.
 
-    Coefficients are rational representatives of truncated values; their
-    character phases and norms agree exactly with the true coefficients
-    whenever the precision pins the relevant digits.
+    Coefficients are rational representatives of truncated values.  The
+    kernel of the form is exact at the data's own endpoints x1, x0: a
+    PrecisionError is raised unless the truncations pin the lambda digits
+    of gamma and the fractional part of each chi term alpha x1^2,
+    beta x0^2 and gamma x1 x0.  At other endpoints the form is only as
+    good as those digits.
     """
     _, inv_tan, root_over_sin = _oscillator_truncations(data, p, precision)
-    alpha = (
-        inv_tan.scale(data.dgamma1 / 2).representative()
-        + data.ds1 / (2 * data.s1)
-    )
-    beta = (
-        inv_tan.scale(data.dgamma0 / 2).representative()
-        - data.ds0 / (2 * data.s0)
-    )
+    alpha_t = inv_tan.scale(data.dgamma1 / 2)
+    beta_t = inv_tan.scale(data.dgamma0 / 2)
+    # each call raises PrecisionError unless its digits are pinned
+    lambda_of_truncation(Place.prime(p), root_over_sin)
+    for term, factor in ((alpha_t, data.x1**2), (beta_t, data.x0**2),
+                         (root_over_sin, data.x1 * data.x0)):
+        chi_of_truncation(term.scale(factor))
+    alpha = alpha_t.representative() + data.ds1 / (2 * data.s1)
+    beta = beta_t.representative() - data.ds0 / (2 * data.s0)
     gamma = -root_over_sin.representative()
     return QuadraticActionForm(alpha=alpha, beta=beta, gamma=gamma)

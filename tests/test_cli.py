@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from padicqm import Amplitude, Place, gauss_full
-from padicqm import cli
+from padicqm import Amplitude, Place, gauss_full, quad_char_integral_ball
+from padicqm import cli, gauss
 from padicqm.cli import main
 
 
@@ -217,26 +217,37 @@ class TestBallIntegralCommand:
         full = json.loads(out)["rows"][0]
         assert (row["modulus_sq"], row["phase"]) == (full["modulus_sq"], full["phase"])
 
-    def test_cap_exit_3(self, capsys, monkeypatch):
-        monkeypatch.setenv("PADICQM_COSET_CAP", "10")
-        code, _, err = run_cli(
-            capsys,
-            ["ball-integral", "--p", "3", "--alpha", "1/81", "--beta", "0", "--N", "3"],
+    def test_exact_value_beyond_the_coset_cap(self, capsys):
+        # the closed form enumerates no coset: 7^20 cosets would exceed the
+        # Haar oracle's cap, the exact value is immediate
+        code, out, _ = run_cli(
+            capsys, ["ball-integral", "--p", "7", "--alpha", "1", "--beta", "0", "--N", "10"]
         )
-        assert code == 3
-        assert "resource" in err
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        want = quad_char_integral_ball(7, 1, 0, 10)
+        assert (row["modulus_sq"], row["phase"]) == (str(want.modulus_sq), str(want.phase.value))
+        assert (row["modulus_sq"], row["phase"]) == ("1", "0")
+
+    def test_output_independent_of_coset_cap(self, capsys, monkeypatch):
+        # 3^10 cosets at the minimal constant resolution; the cap is the Haar oracle's only
+        argv = ["ball-integral", "--p", "3", "--alpha", "1/81", "--beta", "0", "--N", "3"]
+        want = run_cli(capsys, argv)
+        assert want[0] == 0
+        for cap in (1, 10, 10**30):
+            monkeypatch.setattr(gauss, "COSET_CAP", cap)
+            assert run_cli(capsys, argv) == want
 
     @pytest.mark.parametrize("N, code", [(10_000, 0), (-10_000, 0), (10_001, 3), (-10_001, 3)])
     def test_radius_limit(self, capsys, monkeypatch, N, code):
-        # the limit is checked before any work: resolution and integral are stubbed
+        # the limit is checked before any work; within it the integral runs
         calls = []
 
-        def stub_resolution(p, alpha, beta, n):
-            calls.append(n)
-            return -n
+        def spy(*args):
+            calls.append(args)
+            return quad_char_integral_ball(*args)
 
-        monkeypatch.setattr(cli, "minimal_resolution", stub_resolution)
-        monkeypatch.setattr(cli, "quad_char_integral_ball", lambda *args: Amplitude.one())
+        monkeypatch.setattr(cli, "quad_char_integral_ball", spy)
         got, out, err = run_cli(
             capsys,
             ["ball-integral", "--p", "3", "--alpha", "1", "--beta", "1", f"--N={N}"],
@@ -245,7 +256,8 @@ class TestBallIntegralCommand:
         if code == 3:
             assert calls == [] and out == "" and err.startswith("resource limit")
         else:
-            assert calls == [N]
+            assert calls == [(3, F(1), F(1), N)]
+            assert json.loads(out)["rows"][0]["N"] == N
 
 
     def test_large_norm_written_as_power(self, capsys):

@@ -22,6 +22,7 @@ from padicqm import (
     quadratic_char_fn,
     stabilization_threshold,
 )
+from padicqm import gauss
 from padicqm.characters import Amplitude, Phase
 from padicqm.gauss import _complete_gauss_sum
 from padicqm.places import fractional_part, valuation
@@ -175,9 +176,10 @@ class TestHaarOracle:
         val3 = haar_oracle(2, quadratic_char_fn(2, F(0), F(1)), BallSpec(2, 0, 1))
         assert abs(val3 - 1) < 1e-15
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(gauss, "COSET_CAP", 1000)
         with pytest.raises(OracleCapError):
-            haar_oracle(3, lambda x: 1 + 0j, BallSpec(3, 10, 10), cap=1000)
+            haar_oracle(3, lambda x: 1 + 0j, BallSpec(3, 10, 10))
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):

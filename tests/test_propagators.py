@@ -546,6 +546,57 @@ class TestOscillatorPrecisionSoundness:
         assert checked >= self.CASES // 4
 
 
+class TestOscillatorFormSoundness:
+    """Whenever the form route returns at precision P, P + 80 gives the same kernel."""
+
+    CASES = 300
+    EXTRA = 80
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_form_route_exact_when_it_returns(self, p):
+        rng = random.Random(p)
+        place = Place.prime(p)
+        returned = 0
+        for _ in range(self.CASES):
+            data = random_oscillator_data(rng, p)
+            P = rng.randint(1, 12)
+            try:
+                got = k_general_quadratic(place, oscillator_action_form(data, p, P),
+                                          data.x1, data.x0)
+            except PrecisionError:
+                continue
+            fine_form = oscillator_action_form(data, p, P + self.EXTRA)
+            assert got == k_general_quadratic(place, fine_form, data.x1, data.x0), (data, P)
+            returned += 1
+        assert returned >= self.CASES // 4
+
+    def test_low_precision_raises(self):
+        # at P = 2 the gamma x1 x0 and alpha x1^2 terms are not pinned: the
+        # unguarded form gave phase 13/108 where the kernel is 25/108
+        data = OscillatorBoundaryData(
+            x0=F(1), x1=F(1, 3), gamma0=F(0), gamma1=F(3),
+            dgamma0=F(1), dgamma1=F(1), s0=F(1), s1=F(1),
+            ds0=F(0), ds1=F(0),
+        )
+        with pytest.raises(PrecisionError):
+            oscillator_action_form(data, 3, 2)
+        form = oscillator_action_form(data, 3, 82)
+        assert k_general_quadratic(P3, form, data.x1, data.x0).phase.value == F(25, 108)
+
+    def test_unpinned_lambda_digits_raise(self):
+        # at p = 2, P = 3 pins one digit of gamma where lambda needs three:
+        # the unguarded form gave phase 1/8 where the kernel is 5/8
+        data = OscillatorBoundaryData(
+            x0=F(0), x1=F(0), gamma0=F(0), gamma1=F(4),
+            dgamma0=F(9), dgamma1=F(1), s0=F(1), s1=F(1),
+            ds0=F(0), ds1=F(0),
+        )
+        with pytest.raises(PrecisionError):
+            oscillator_action_form(data, 2, 3)
+        form = oscillator_action_form(data, 2, 83)
+        assert k_general_quadratic(P2, form, data.x1, data.x0).phase.value == F(5, 8)
+
+
 class TestFormInvarianceAcrossPlaces:
     def test_same_symbolic_form_every_place(self):
         # the symbolic kernel built at each place carries the identical

@@ -176,8 +176,8 @@ def _emit(rows: list[dict], fmt: str, header: dict | None = None) -> None:
 
 
 def _cmd_gauss(args) -> int:
-    amp = gauss_full(args.place, args.a, args.b)
     row = {"place": str(args.place), "system": "gauss", "a": _text(args.a), "b": _text(args.b)}
+    amp = gauss_full(args.place, args.a, args.b)
     row.update(_amp_fields(amp, args.place.p))
     _emit([row], args.format, {"command": "gauss"})
     return EXIT_OK
@@ -188,7 +188,9 @@ def _cmd_ball_integral(args) -> int:
         print(f"resource limit: --N {args.N} exceeds {MAX_BALL_RADIUS} in absolute value",
               file=sys.stderr)
         return EXIT_RESOURCE
-    amp = quad_char_integral_ball(args.p, args.alpha, args.beta, args.N)
+    # the echoed inputs are written first: a rational too long to write
+    # exits 3 here, and a writable alpha, beta keeps the Gauss sum modulus
+    # p^L within p^(2N) times their denominators
     row = {
         "place": str(args.p),
         "system": "ball-integral",
@@ -196,6 +198,7 @@ def _cmd_ball_integral(args) -> int:
         "beta": _text(args.beta),
         "N": args.N,
     }
+    amp = quad_char_integral_ball(args.p, args.alpha, args.beta, args.N)
     row.update(_amp_fields(amp, args.p))
     _emit([row], args.format, {"command": "ball-integral"})
     return EXIT_OK
@@ -207,11 +210,12 @@ def _kernel_rows(args) -> list[dict]:
     params = {} if field is None else {field: _text(coeff)}
     q0s = [(q0, _text(q0)) for q0 in args.q0]
     q1s = [(q1, _text(q1)) for q1 in args.q1]
+    Ts = [(T, _text(T)) for T in args.T]
     rows = []
     for place in args.place:
-        for T in args.T:
+        for T, T_text in Ts:
             kernel = SymbolicKernel.from_form(place, make_form(coeff, T))
-            head = {"place": str(place), "system": args.system, "T": _text(T)}
+            head = {"place": str(place), "system": args.system, "T": T_text}
             for q0, q0_text in q0s:
                 for q1, q1_text in q1s:
                     row = {**head, "q0": q0_text, "q1": q1_text, **params}

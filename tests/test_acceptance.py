@@ -36,6 +36,7 @@ from padicqm import (
     sqrt_p,
     stabilization_threshold,
 )
+from padicqm import gauss
 from padicqm.analytic import PadicTruncation
 from padicqm.characters import assert_eighth_root
 from padicqm.verify import (
@@ -50,7 +51,6 @@ from truncation_oracle import agrees_with
 
 R = Place.real()
 PLACES = (R, Place.prime(2), Place.prime(3), Place.prime(5), Place.prime(7))
-COSET_CAP = 10**6
 
 
 def _report(number: int, name: str) -> None:
@@ -79,7 +79,7 @@ def test_criterion_1_gauss_integral_grid():
                     assert quad_char_integral_ball(p, a, b, n) == full, (p, a, b, n)
                 checked += 1
                 m = minimal_resolution(p, a, b, n0)
-                if p ** (n0 + m) <= COSET_CAP:
+                if p ** (n0 + m) <= gauss.COSET_CAP:
                     ball = BallSpec(p, n0, m)
                     approx = haar_oracle(p, quadratic_char_fn(p, a, b), ball)
                     exact = complex(*full.render())

@@ -339,6 +339,30 @@ class TestOutputLimit:
         assert out == ""
         assert err.startswith("resource limit: ")
 
+    @pytest.mark.parametrize("argv, work", [
+        # at alpha = 10^-1000000 the Gauss sum modulus would be 5^1000000
+        (["ball-integral", "--p", "5", "--alpha=1e-1000000", "--beta", "0", "--N", "0"],
+         "quad_char_integral_ball"),
+        (["ball-integral", "--p", "5", "--alpha", "1", "--beta=1e-1000000", "--N", "0"],
+         "quad_char_integral_ball"),
+        (["gauss", "--place", "5", "--a=1e-1000000"], "gauss_full"),
+        (["kernel", "--system", "free", "--place", "5", "--T=1e-1000000"], "SymbolicKernel"),
+    ])
+    def test_input_too_long_to_write_exits_3_before_any_work(self, capsys, monkeypatch,
+                                                              argv, work):
+        if not sys.get_int_max_str_digits():
+            pytest.skip("this interpreter writes integers of any length")
+        calls = []
+
+        def spy(*args):
+            calls.append(work)
+
+        spy.from_form = spy
+        monkeypatch.setattr(cli, work, spy)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, calls) == (3, "", [])
+        assert err.startswith("resource limit: ")
+
 
 def _emit_payloads(monkeypatch):
     """Record every (header, rows) that ``cli._emit`` writes as JSON."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .characters import Phase, lambda_v, legendre
 from .errors import DomainError, NonSquareError, PrecisionError
-from .places import Place, _int_valuation, unit_residue, valuation
+from .places import Place, p_split, unit_residue, valuation
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class PadicTruncation:
     def _make(cls, p: int, v: int, m: int, P: int) -> PadicTruncation:
         if v >= P or m % p ** (P - v) == 0:
             return cls(p, None, 0, P)
-        shift = _int_valuation(m, p)
-        m //= p**shift
+        shift, m = p_split(m, p)
         v += shift
         if v >= P:
             return cls(p, None, 0, P)

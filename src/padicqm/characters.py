@@ -108,12 +108,12 @@ class Amplitude:
     def conjugate(self) -> Amplitude:
         return Amplitude(self.modulus_sq, -self.phase)
 
-    def render(self) -> tuple[float, float]:
-        """Float (re, im); relative error <= 1e-12.
+    def float_modulus(self) -> float:
+        """The modulus r = sqrt(modulus_sq) as a float.
 
-        A squared modulus beyond the float range at either end takes the
-        modulus r from logarithms.  Raises OverflowError when a nonzero r
-        is itself not a normal float.
+        A squared modulus beyond the float range at either end takes r
+        from logarithms.  Raises OverflowError when a nonzero r is itself
+        not a normal float.
         """
         ms = self.modulus_sq
         try:
@@ -121,14 +121,21 @@ class Amplitude:
         except OverflowError:
             f = math.inf
         if sys.float_info.min <= f < math.inf:
-            r = math.sqrt(f)
-        elif not ms:
-            return 0.0, 0.0
-        else:
-            # math.exp raises OverflowError itself when r is too large
-            r = math.exp((math.log(ms.numerator) - math.log(ms.denominator)) / 2)
-            if r < sys.float_info.min:
-                raise OverflowError("modulus below the normal float range")
+            return math.sqrt(f)
+        if not ms:
+            return 0.0
+        # math.exp raises OverflowError itself when r is too large
+        r = math.exp((math.log(ms.numerator) - math.log(ms.denominator)) / 2)
+        if r < sys.float_info.min:
+            raise OverflowError("modulus below the normal float range")
+        return r
+
+    def render(self) -> tuple[float, float]:
+        """Float (re, im) = r (cos, sin) of the phase; relative error <= 1e-12.
+
+        Raises OverflowError where :meth:`float_modulus` does.
+        """
+        r = self.float_modulus()
         z = self.phase.to_complex()
         return r * z.real, r * z.imag
 

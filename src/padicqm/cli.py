@@ -19,6 +19,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .characters import Amplitude
 from .dynamics import action_form_constant_field
@@ -74,6 +75,10 @@ CSV_COLUMNS = [
     "re",
     "im",
 ]
+#: a kernel row's CSV cells before its amplitude: the (place, T) block's, to
+#: T, and the grid point's, from q0
+_BLOCK_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("q0")]
+_POINT_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("q0"):CSV_COLUMNS.index("modulus_sq")]
 
 
 def _rational(text: str) -> Fraction:
@@ -142,37 +147,73 @@ def _json_scalar(value) -> str:
     return json.dumps(value, default=str)
 
 
-def _json_document(header: dict, rows: list[dict]) -> str:
-    """``json.dumps({**header, "rows": rows}, indent=2, default=str) + "\\n"``.
+def _fields(fields: dict, columns: list[str], fmt: str) -> str:
+    """A run of row fields in output form; every run starts with a separator.
 
-    Header and row values are scalars, not lists or dicts, and every
-    row has at least one key.
+    JSON writes the fields in their order, ``,\\n      "key": value`` each;
+    CSV writes one cell for each of ``columns``, consecutive in
+    CSV_COLUMNS, empty where ``fields`` lacks it.
     """
+    if fmt == "json":
+        enc = encode_basestring_ascii
+        return "".join([
+            f",\n      {enc(k)}: {enc(v) if type(v) is str else _json_scalar(v)}"
+            for k, v in fields.items()
+        ])
+    buf = io.StringIO()
+    csv.writer(buf).writerow([fields.get(col, "") for col in columns])
+    return "," + buf.getvalue()[:-2]
+
+
+class RowText(NamedTuple):
+    """A format's fixed text around a row's fields."""
+
+    opening: str
+    before_phase: str
+    before_re: str
+    before_im: str
+    closing: str
+    #: the text of a float that ``Amplitude.render`` cannot give
+    missing: str
+
+
+ROW_TEXT = {
+    "json": RowText("\n    {", ',\n      "phase": "', '",\n      "re": ', ',\n      "im": ',
+                    "\n    }", "null"),
+    "csv": RowText("", ",", ",", ",", "\r\n", ""),
+}
+
+
+def _kernel_field_writers(coefficient: dict, fmt: str):
+    """(block, point): the writers of a kernel row's (place, system, T) fields
+    and of its (q0, q1) fields, as :func:`_fields` writes them.
+
+    The request's coefficient field goes with the block's in CSV, where its
+    column comes before T's, and with the grid point's in JSON, after q1.
+    """
+    to_block, to_point = (coefficient, {}) if fmt == "csv" else ({}, coefficient)
+    return (lambda block: _fields({**block, **to_block}, _BLOCK_COLUMNS, fmt),
+            lambda point: _fields({**point, **to_point}, _POINT_COLUMNS, fmt))
+
+
+def _document(header: dict, rows: list[str], fmt: str) -> str:
+    """The row texts under the header: for JSON, what ``json.dumps({**header,
+    "rows": rows}, indent=2, default=str) + "\\n"`` writes for rows of scalar
+    fields, at least one a row; for CSV, a header line and the rows.
+    """
+    if fmt == "csv":
+        return ",".join(CSV_COLUMNS) + "\r\n" + "".join(rows)
     enc = encode_basestring_ascii
     head = "".join([f"\n  {enc(k)}: {_json_scalar(v)}," for k, v in header.items()])
     if not rows:
         return f'{{{head}\n  "rows": []\n}}\n'
-    body = ",".join([
-        "\n    {"
-        + ",".join([
-            f"\n      {enc(k)}: {enc(v) if type(v) is str else _json_scalar(v)}"
-            for k, v in row.items()
-        ])
-        + "\n    }"
-        for row in rows
-    ])
-    return f'{{{head}\n  "rows": [{body}\n  ]\n}}\n'
+    return f'{{{head}\n  "rows": [{",".join(rows)}\n  ]\n}}\n'
 
 
 def _emit(rows: list[dict], fmt: str, header: dict | None = None) -> None:
-    if fmt == "json":
-        sys.stdout.write(_json_document(header or {}, rows))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([[row.get(col, "") for col in CSV_COLUMNS] for row in rows])
-        sys.stdout.write(buf.getvalue())
+    text = ROW_TEXT[fmt]
+    texts = [text.opening + _fields(row, CSV_COLUMNS, fmt)[1:] + text.closing for row in rows]
+    sys.stdout.write(_document(header or {}, texts, fmt))
 
 
 def _cmd_gauss(args) -> int:
@@ -204,23 +245,55 @@ def _cmd_ball_integral(args) -> int:
     return EXIT_OK
 
 
-def _kernel_rows(args) -> list[dict]:
+def _kernel_rows(args) -> list[str]:
+    """The kernel grid's row texts, one (place, T) block at a time.
+
+    Text that many rows share is encoded once: the q0, q1 and coefficient
+    fields a request; the place, system and T fields, the squared modulus
+    and its float root r a block.  A row adds its phase n/d from
+    :meth:`SymbolicKernel.phase_grid` and re, im = r cos, r sin of
+    2 pi n/d: ``float(Fraction(n, d))`` is n/d, so they are bit for bit
+    the values of ``Amplitude.render``.
+    """
+    fmt = args.format
     field, make_form = KERNEL_FORMS[args.system]
     coeff = Fraction(0) if field is None else getattr(args, field)
-    params = {} if field is None else {field: _text(coeff)}
-    q0s = [(q0, _text(q0)) for q0 in args.q0]
-    q1s = [(q1, _text(q1)) for q1 in args.q1]
+    block_fields, point_fields = _kernel_field_writers(
+        {} if field is None else {field: _text(coeff)}, fmt)
+    q0s = [_text(q0) for q0 in args.q0]
+    q1s = [_text(q1) for q1 in args.q1]
     Ts = [(T, _text(T)) for T in args.T]
+    pairs = [point_fields({"q0": q0, "q1": q1}) for q0 in q0s for q1 in q1s]
+    text = ROW_TEXT[fmt]
+    before_re, before_im, closing = text.before_re, text.before_im, text.closing
+    null = f"{before_re}{text.missing}{before_im}{text.missing}{closing}"
+    tau, cos, sin = 2 * math.pi, math.cos, math.sin
     rows = []
     for place in args.place:
         for T, T_text in Ts:
             kernel = SymbolicKernel.from_form(place, make_form(coeff, T))
-            head = {"place": str(place), "system": args.system, "T": T_text}
-            for q0, q0_text in q0s:
-                for q1, q1_text in q1s:
-                    row = {**head, "q0": q0_text, "q1": q1_text, **params}
-                    row.update(_amp_fields(kernel.evaluate(q0, q1), place.p))
-                    rows.append(row)
+            if not pairs:
+                continue
+            start = text.opening + block_fields(
+                {"place": str(place), "system": args.system, "T": T_text})[1:]
+            modulus = _fields({"modulus_sq": _modulus_text(kernel.prefactor.modulus_sq, place.p)},
+                              ["modulus_sq"], fmt) + text.before_phase
+            try:
+                r = kernel.prefactor.float_modulus()
+            except OverflowError:
+                r = None
+            try:
+                for pair, (n, d) in zip(pairs, kernel.phase_grid(args.q0, args.q1)):
+                    if r is None:
+                        floats = null
+                    else:
+                        theta = tau * (n / d)
+                        floats = (f"{before_re}{r * cos(theta)!r}"
+                                  f"{before_im}{r * sin(theta)!r}{closing}")
+                    phase = f"{n}/{d}" if d != 1 else str(n)
+                    rows.append(f"{start}{pair}{modulus}{phase}{floats}")
+            except ValueError as exc:
+                raise OutputLimitError(f"an exact field is too long to write: {exc}") from exc
     return rows
 
 
@@ -228,7 +301,7 @@ def _cmd_kernel(args) -> int:
     if args.system == "osc":
         return _cmd_kernel_oscillator(args)
     rows = _kernel_rows(args)
-    _emit(rows, args.format, {"command": "kernel", "system": args.system})
+    sys.stdout.write(_document({"command": "kernel", "system": args.system}, rows, args.format))
     return EXIT_OK
 
 
@@ -243,6 +316,10 @@ def _cmd_kernel_oscillator(args) -> int:
         print(f"resource limit: --precision {args.precision} exceeds {MAX_PRECISION}",
               file=sys.stderr)
         return EXIT_RESOURCE
+    # the inputs take the write check of the other commands' echoed inputs
+    # before any work: a rational too long to write exits 3 here
+    for value in required:
+        _text(value)
     data = OscillatorBoundaryData(
         x0=args.x0, x1=args.x1, gamma0=args.gamma0, gamma1=args.gamma1,
         dgamma0=args.dgamma0, dgamma1=args.dgamma1,

@@ -134,11 +134,7 @@ class QuadraticActionForm:
     mixed_partial = gamma
 
     def evaluate(self, x1: Fraction | int, x0: Fraction | int) -> Fraction:
-        """S(x1, x0) as a reduced Fraction."""
-        return Fraction(*self.evaluate_integers(x1, x0))
-
-    def evaluate_integers(self, x1: Fraction | int, x0: Fraction | int) -> tuple[int, int]:
-        """S(x1, x0) = num / D, summed over D = den * d1^2 * d0^2 > 0, unreduced."""
+        """S(x1, x0) as a reduced Fraction, summed in integers over den d1^2 d0^2."""
         n1, d1 = x1.numerator, x1.denominator
         n0, d0 = x0.numerator, x0.denominator
         a, b, g, dl, e, z = self.nums
@@ -147,7 +143,7 @@ class QuadraticActionForm:
             + (b * n0 * n0 + e * n0 * d0) * d1 * d1
             + g * n1 * n0 * d1 * d0
         )
-        return num, self.den * d1 * d1 * d0 * d0
+        return Fraction(num, self.den * d1 * d1 * d0 * d0)
 
 
 def classical_path_constant_field(

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
 from .errors import DegenerateQuadraticError, OracleCapError, QuadratureError
-from .places import Place, fractional_part, is_prime, norm, valuation
+from .places import Place, fractional_part, is_prime, norm, p_split, valuation
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
 COSET_CAP = 10**6
@@ -79,6 +79,21 @@ def _residue(q: Fraction, modulus: int, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, modulus) % modulus
 
 
+def _square_shift(u: int, h: int, p: int, L: int) -> Phase:
+    """The phase c/p^L with c = -h^2/u mod p^L, for a p-adic unit u.
+
+    With h = p^j h', c = p^(2j) c' for c' = -h'^2/u mod p^(L - 2j), so the
+    phase is c'/p^(L - 2j), and 0 once 2j >= L, that is once p^ceil(L/2)
+    divides h: no product wider than p^(L - 2j) is reduced.
+    """
+    if h % p ** ((L + 1) // 2) == 0:
+        return Phase()
+    j, h = p_split(h, p)
+    mod = p ** (L - 2 * j)
+    h %= mod
+    return Phase(Fraction(-h * h * pow(u, -1, mod) % mod, mod))
+
+
 def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
     """Exact value of sum over x mod p^L of exp(2 pi i (a x^2 + b x)/p^L).
 
@@ -109,8 +124,7 @@ def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
         return Amplitude(Fraction(p) ** (2 * j), Phase()) * inner
     # now p does not divide a
     if p != 2:
-        c = (-b * b * pow(4 * a, -1, mod)) % mod
-        shift = Phase(Fraction(c, mod))
+        shift = _square_shift(4 * a, b, p, L)
         if L % 2 == 0:
             return Amplitude(Fraction(mod), shift)
         eps = legendre(a, p)
@@ -124,9 +138,7 @@ def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
         return Amplitude(Fraction(4), Phase()) if b % 2 == 1 else Amplitude.zero()
     if b % 2 == 1:
         return Amplitude.zero()
-    b2 = b // 2
-    c = (-b2 * b2 * pow(a, -1, mod)) % mod
-    shift = Phase(Fraction(c, mod))
+    shift = _square_shift(a, b // 2, p, L)
     if L % 2 == 0:
         eighth = Fraction(1, 8) if a % 4 == 1 else Fraction(7, 8)
     else:

@@ -12,6 +12,7 @@ partition -- exactly, coefficient by coefficient.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .gauss import quad_char_integral_ball
-from .places import Place, fractional_residue, norm, place_less, valuation
+from .places import Place, norm, p_split, place_less, valuation
 
 
 @dataclass(frozen=True)
@@ -90,24 +91,67 @@ class SymbolicKernel:
         return cls(place, Amplitude(norm(g, place), lambda_v(place, -2 * g)), form)
 
     def evaluate(self, q0: Fraction | int, q1: Fraction | int) -> Amplitude:
-        """Amplitude for propagation from q0 to q1.
+        """Amplitude for propagation from q0 to q1: the 1 x 1 :meth:`phase_grid`."""
+        [(n, d)] = self.phase_grid((q0,), (q1,))
+        return Amplitude(self.prefactor.modulus_sq, Phase(Fraction(n, d)))
 
-        The prefactor phase a/b and chi_v(-S) are added in integers, with
-        S(q1, q0) = num / D from the form: (a D + num b)/(b D) at infinity,
-        and a/b + r/p^k at p, with r/p^k the p-adic fractional part of
-        -num/D.  The sum builds one reduced Fraction.
+    def phase_grid(
+        self, q0s: Sequence[Fraction | int], q1s: Sequence[Fraction | int]
+    ) -> list[tuple[int, int]]:
+        """Reduced phases (n, d), 0 <= n < d, at every (q0, q1), q0-major.
+
+        The prefactor phase a/b and chi_v(-S) are added in integers.  With
+        q1 = n1/d1 and q0 = n0/d0, S(q1, q0) = num / D for
+        num = A1 d0^2 + B0 d1^2 + gamma n1 d1 n0 d0 and D = den d1^2 d0^2,
+        where A1 = alpha n1^2 + delta n1 d1 + zeta d1^2 and
+        B0 = beta n0^2 + epsilon n0 d0 are formed once a value.  The phase
+        is (a D + num b)/(b D) at infinity, and a/b + r/p^k at p, with
+        r/p^k the p-adic fractional part of -num/D: the p-parts of den,
+        d1^2 and d0^2 are split off once a value, and a row takes one
+        modular inverse.  Each phase is reduced by one gcd.
         """
-        num, D = self.form.evaluate_integers(q1, q0)
-        pre = self.prefactor
-        a, b = pre.phase.value.numerator, pre.phase.value.denominator
-        if self.place.is_real:
-            n, d = a * D + num * b, b * D
-        else:
-            r, m = fractional_residue(-num, D, self.place.p)
-            if not r:
-                return pre
-            n, d = a * m + r * b, b * m
-        return Amplitude(pre.modulus_sq, Phase(Fraction(n % d, d)))
+        den, (al, be, ga, dl, ep, ze) = self.form.den, self.form.nums
+        pre = self.prefactor.phase.value
+        a, b = pre.numerator, pre.denominator
+        p = self.place.p
+        # per value: its parts of S, and d^2 = p^(2v) e^2 with p not dividing
+        # e (v = 0 at infinity)
+        later = []
+        for q1 in q1s:
+            n1, d1 = q1.numerator, q1.denominator
+            v1, e1 = p_split(d1, p) if p else (0, d1)
+            later.append(((al * n1 + dl * d1) * n1 + ze * d1 * d1, ga * n1 * d1,
+                          d1 * d1, 2 * v1, e1 * e1))
+        earlier = []
+        for q0 in q0s:
+            n0, d0 = q0.numerator, q0.denominator
+            v0, e0 = p_split(d0, p) if p else (0, d0)
+            earlier.append(((be * n0 + ep * d0) * n0, n0 * d0, d0 * d0, 2 * v0, e0 * e0))
+        gcd = math.gcd
+        out = []
+        if p is None:
+            for B0, x0, s0, _, _ in earlier:
+                for A1, g1, s1, _, _ in later:
+                    D = den * s1 * s0
+                    d = b * D
+                    n = (a * D + (A1 * s0 + B0 * s1 + g1 * x0) * b) % d
+                    g = gcd(n, d)
+                    out.append((n // g, d // g))
+            return out
+        vden, eden = p_split(den, p)
+        for B0, x0, s0, v0, e0 in earlier:
+            v0, e0 = v0 + vden, e0 * eden
+            for A1, g1, s1, v1, e1 in later:
+                if not v1 + v0:
+                    out.append((a, b))
+                    continue
+                k = p ** (v1 + v0)
+                r = -(A1 * s0 + B0 * s1 + g1 * x0) * pow(e1 * e0, -1, k) % k
+                d = b * k
+                n = (a * k + r * b) % d
+                g = gcd(n, d)
+                out.append((n // g, d // g))
+        return out
 
 
 def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:

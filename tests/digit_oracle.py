@@ -4,13 +4,23 @@ The library splits a rational x = p**v * u with integer operations on
 its numerator and denominator (``places.unit_residue``).  This route
 works on the rational itself instead: the unit part x * p**-v, its
 residue through a modular inverse of the denominator, and the digits one
-at a time as d = u mod p, u <- (u - d)/p.  The digit order compares the
+at a time as d = u mod p, u <- (u - d)/p.  Valuations divide by p one
+step at a time, where ``places.p_split`` divides by p^(2^i).  The digit order compares the
 digit streams until they differ, without the v_p(x - y) shortcut.
 """
 
 from fractions import Fraction
 
-from padicqm import DigitExpansion, valuation
+from padicqm import DigitExpansion
+
+
+def int_valuation(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n, one division by p at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def partial_sum(e: DigitExpansion) -> Fraction:
@@ -21,8 +31,9 @@ def partial_sum(e: DigitExpansion) -> Fraction:
 
 def unit_part(x: Fraction | int, p: int) -> tuple[int, Fraction]:
     """Split nonzero x as p**v * u with u a p-adic unit; returns (v, u)."""
-    v = valuation(x, p)
-    return v, Fraction(x) * Fraction(p) ** (-v)
+    x = Fraction(x)
+    v = int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
+    return v, x * Fraction(p) ** (-v)
 
 
 def residue(q: Fraction, modulus: int, p: int) -> int:

@@ -1,0 +1,95 @@
+"""Kernel grids row by row: the oracle of ``padicqm kernel``'s block writer.
+
+The CLI evaluates a kernel grid one (place, T) block at a time, through
+``SymbolicKernel.phase_grid``, and writes each row from text encoded once
+a request or a block.  This route builds every row on its own instead:
+the amplitude from the ``Fraction`` phase prefactor + chi_v(-S(q1, q0)),
+its fields from ``Amplitude.render``, one dict a row, and the document
+from ``json.dumps`` or ``csv.writer``.
+"""
+
+import csv
+import io
+import json
+from fractions import Fraction
+
+from padicqm import Amplitude, OutputLimitError, SymbolicKernel, chi, valuation
+from padicqm.cli import CSV_COLUMNS, KERNEL_FORMS, build_parser
+
+
+def amplitude(kernel: SymbolicKernel, q0: Fraction, q1: Fraction) -> Amplitude:
+    """The kernel at (q0, q1): prefactor times chi_v(-S(q1, q0)), in Fractions."""
+    phase = kernel.prefactor.phase + chi(kernel.place, -kernel.form.evaluate(q1, q0))
+    return Amplitude(kernel.prefactor.modulus_sq, phase)
+
+
+def text(x) -> str:
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise OutputLimitError(str(exc)) from exc
+
+
+def modulus_text(ms: Fraction, p: int | None) -> str:
+    """str(ms), or ``p^k`` when ms = p^k is too long for str()."""
+    try:
+        return str(ms)
+    except ValueError:
+        if p is not None and Fraction(p) ** valuation(ms, p) == ms:
+            return f"{p}^{valuation(ms, p)}"
+        raise OutputLimitError("modulus too long to write") from None
+
+
+def amp_fields(amp: Amplitude, p: int | None) -> dict:
+    try:
+        re, im = amp.render()
+    except OverflowError:
+        re = im = None
+    return {
+        "modulus_sq": modulus_text(amp.modulus_sq, p),
+        "phase": text(amp.phase.value),
+        "re": re,
+        "im": im,
+    }
+
+
+def kernel_rows(argv: list[str]) -> tuple[dict, list[dict], str]:
+    """(header, rows, format) of a ``kernel`` command line, one row at a time.
+
+    Raises ``OutputLimitError`` where the CLI exits 3.
+    """
+    args = build_parser().parse_args(argv)
+    field, make_form = KERNEL_FORMS[args.system]
+    coeff = Fraction(0) if field is None else getattr(args, field)
+    params = {} if field is None else {field: text(coeff)}
+    q0s = [(q0, text(q0)) for q0 in args.q0]
+    q1s = [(q1, text(q1)) for q1 in args.q1]
+    Ts = [(T, text(T)) for T in args.T]
+    rows = []
+    for place in args.place:
+        for T, T_text in Ts:
+            kernel = SymbolicKernel.from_form(place, make_form(coeff, T))
+            for q0, q0_text in q0s:
+                for q1, q1_text in q1s:
+                    row = {"place": str(place), "system": args.system, "T": T_text,
+                           "q0": q0_text, "q1": q1_text, **params}
+                    row.update(amp_fields(amplitude(kernel, q0, q1), place.p))
+                    rows.append(row)
+    return {"command": "kernel", "system": args.system}, rows, args.format
+
+
+def payload(argv: list[str]) -> dict:
+    header, rows, _ = kernel_rows(argv)
+    return {**header, "rows": rows}
+
+
+def output(argv: list[str]) -> str:
+    """The bytes ``padicqm kernel`` writes for the command line."""
+    header, rows, fmt = kernel_rows(argv)
+    if fmt == "json":
+        return json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([[row.get(col, "") for col in CSV_COLUMNS] for row in rows])
+    return buf.getvalue()

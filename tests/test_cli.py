@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from padicqm import Amplitude, Place, gauss_full, quad_char_integral_ball
+from padicqm import Amplitude, OutputLimitError, Place, gauss_full, quad_char_integral_ball
 from padicqm import cli, gauss
 from padicqm.cli import main
+
+import kernel_oracle
+from closed_forms import k_constant_field, k_desitter, k_free
 
 
 def run_cli(capsys, argv):
@@ -134,6 +138,133 @@ class TestKernelCommand:
             assert calls == [] and err.startswith("resource limit")
         else:
             assert calls == [precision]
+
+
+def _random_grid(rng, system, fmt):
+    """A kernel command line over a seed-drawn grid at inf, 2, 3, 5, 7."""
+    def rational():
+        unit = F(rng.randint(1, 24) * rng.choice((-1, 1)), rng.randint(1, 24))
+        return unit * F(rng.choice((2, 3, 5, 7))) ** rng.randint(-3, 3)
+
+    def axis(n):
+        return ",".join(str(rational()) for _ in range(n))
+
+    argv = ["kernel", "--system", system, "--place", "inf,2,3,5,7",
+            f"--T={axis(2)}", f"--q0={axis(3)}", f"--q1={axis(3)}", "--format", fmt]
+    field = cli.KERNEL_FORMS[system][0]
+    return argv + [f"--{field}={rational()}"] if field else argv
+
+
+#: system -> hand-written kernel of (place, coefficient, T, q0, q1)
+CLOSED_FORMS = {
+    "free": lambda place, coeff, T, q0, q1: k_free(place, T, q0, q1),
+    "const-field": k_constant_field,
+    "desitter": k_desitter,
+}
+
+
+def _writable(n):
+    try:
+        str(n)
+    except ValueError:
+        return False
+    return True
+
+
+def _largest_writable_power(p):
+    """The largest k for which str(p**k) stays within the int-to-string limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter writes integers of any length")
+    k = int(limit / math.log10(p))
+    while not _writable(p**k):
+        k -= 1
+    while _writable(p ** (k + 1)):
+        k += 1
+    return k
+
+
+class TestKernelGrid:
+    """The block writer against the per-row oracle, byte for byte."""
+
+    def assert_as_oracle(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        try:
+            want = kernel_oracle.output(argv)
+        except OutputLimitError:
+            assert (code, out) == (3, "") and err.startswith("resource limit: ")
+            return None
+        assert (code, out) == (0, want)
+        return out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("system", sorted(CLOSED_FORMS))
+    def test_random_grids(self, capsys, system, fmt):
+        rng = random.Random(f"kernel-grid:{system}:{fmt}")
+        for _ in range(4):
+            assert self.assert_as_oracle(capsys, _random_grid(rng, system, fmt)) is not None
+
+    @pytest.mark.parametrize("system", sorted(CLOSED_FORMS))
+    def test_values_match_closed_forms(self, capsys, system):
+        argv = _random_grid(random.Random(f"closed:{system}"), system, "json")
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        field = cli.KERNEL_FORMS[system][0]
+        coeff = F(argv[-1].split("=")[1]) if field else F(0)
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 5 * 2 * 3 * 3
+        for row in rows:
+            want = CLOSED_FORMS[system](Place.parse(row["place"]), coeff, F(row["T"]),
+                                        F(row["q0"]), F(row["q1"]))
+            assert (row["modulus_sq"], row["phase"]) == (str(want.modulus_sq),
+                                                         str(want.phase.value))
+            re, im = want.render()
+            assert (row["re"], row["im"]) == (re, im)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_power_modulus_and_null_rendering(self, capsys, fmt):
+        # at p = 2 the de Sitter kernel's |.|^2 is |1/(4T)|_2 = 2^(k+2), one
+        # power of 2 past what str() can write when T = 2^k is the largest
+        # writable power; its root 2^((k+2)/2) is beyond the float range
+        k = _largest_writable_power(2)
+        assert not _writable(2 ** (k + 2))
+        argv = ["kernel", "--system", "desitter", "--lam=1/3", "--place", "2,3",
+                f"--T={2**k}", "--q0=0", f"--q1=0,{2 ** ((k + 5) // 2)}", "--format", fmt]
+        out = self.assert_as_oracle(capsys, argv)
+        if fmt == "json":
+            rows = json.loads(out)["rows"]
+            assert [row["modulus_sq"] for row in rows] == [f"2^{k + 2}"] * 2 + ["1"] * 2
+            assert [row["re"] is None for row in rows] == [True, True, False, False]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_null_rendering(self, capsys, fmt):
+        # |.|^2 = 3^1300 at 3 and 3^-1300 at inf: r is beyond the float range
+        argv = ["kernel", "--system", "free", "--place", "inf,3,5", f"--T={3**1300}",
+                "--q0=0,1/2", "--q1=1", "--format", fmt]
+        out = self.assert_as_oracle(capsys, argv)
+        if fmt == "json":
+            rows = json.loads(out)["rows"]
+            assert [row["re"] is None for row in rows] == [True, True, True, True, False, False]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("grid", [["--q0="], ["--q1="], ["--T=1,2", "--q0=", "--q1="]])
+    def test_empty_grid(self, capsys, fmt, grid):
+        argv = ["kernel", "--system", "const-field", "--a=1/2", "--place", "inf,3", *grid,
+                "--format", fmt]
+        out = self.assert_as_oracle(capsys, argv)
+        if fmt == "json":
+            assert json.loads(out)["rows"] == []
+        else:
+            assert out == ",".join(cli.CSV_COLUMNS) + "\r\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_phase_too_long_exits_3(self, capsys, fmt):
+        if not sys.get_int_max_str_digits():
+            pytest.skip("this interpreter writes integers of any length")
+        # the phase denominator has about three times the digits of T
+        argv = ["kernel", "--system", "desitter", "--lam", "1", "--place", "3,inf",
+                f"--T=1/{7**1800}", "--q0", "1", "--q1", "1", "--format", fmt]
+        assert self.assert_as_oracle(capsys, argv) is None
 
 
 class TestGaussCommand:
@@ -347,6 +478,10 @@ class TestOutputLimit:
          "quad_char_integral_ball"),
         (["gauss", "--place", "5", "--a=1e-1000000"], "gauss_full"),
         (["kernel", "--system", "free", "--place", "5", "--T=1e-1000000"], "SymbolicKernel"),
+        (["kernel", "--system", "osc", "--place", "5", "--x0=1e-1000000", "--x1", "1",
+          "--gamma0", "0", "--gamma1", "5", "--dgamma0", "1", "--dgamma1", "1",
+          "--s0", "1", "--s1", "1", "--ds0", "0", "--ds1", "0", "--precision", "20"],
+         "k_oscillator_td"),
     ])
     def test_input_too_long_to_write_exits_3_before_any_work(self, capsys, monkeypatch,
                                                               argv, work):
@@ -405,6 +540,10 @@ class TestJsonWriter:
     def test_bytes_equal_json_dumps(self, capsys, monkeypatch, argv):
         seen = _emit_payloads(monkeypatch)
         code, out, _ = run_cli(capsys, argv)
+        if argv[0] == "kernel" and argv[2] != "osc":
+            # kernel grids bypass _emit: their payload is the per-row oracle's
+            assert seen == []
+            seen.append(kernel_oracle.payload(argv))
         assert code == 0 and len(seen) == 1
         assert out == json.dumps(seen[0], indent=2, default=str) + "\n"
 
@@ -413,20 +552,22 @@ class TestJsonWriter:
         run_cli(capsys, ["kernel", "--system", "osc", "--place", "inf,3", *OSC_ARGS])
         run_cli(capsys, ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0",
                          "--N=-1000"])
-        run_cli(capsys, ["kernel", "--system", "free", "--place", "inf", "--q0="])
-        osc, ball, empty = seen
+        osc, ball = seen
+        empty = kernel_oracle.payload(["kernel", "--system", "free", "--place", "inf", "--q0="])
         assert osc["rows"][0]["modulus_sq"] == "" and isinstance(osc["rows"][0]["re"], float)
         assert ball["rows"][0]["N"] == -1000 and ball["rows"][0]["re"] is None
         assert empty["rows"] == []
 
-    def test_scalars(self):
+    def test_scalars(self, capsys):
         header = {"command": "x", "n": -12, "t": True, "f": False, "none": None,
                   "frac": F(-3, 7), "uni": "caf\u00e9 \"q\"\n\\"}
         rows = [{"a": 0.1, "b": -0.0, "c": 1e300, "d": 5e-324, "e": math.inf,
                  "g": -math.inf, "h": math.nan, "i": 2**70}, {"a": ""}]
-        got = cli._json_document(header, rows)
-        assert got == json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n"
-        assert cli._json_document({}, []) == json.dumps({"rows": []}, indent=2) + "\n"
+        cli._emit(rows, "json", header)
+        cli._emit([], "json")
+        want = (json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n"
+                + json.dumps({"rows": []}, indent=2) + "\n")
+        assert capsys.readouterr().out == want
 
 
 class TestRepeatedMain:

@@ -88,6 +88,25 @@ class TestCompleteGaussSum:
                     assert abs(complex(re, im) - complex(want)) < 1e-9, (p, L, a, b)
 
 
+class TestSquareShift:
+    """The stripped reduction of the completed square against the full one."""
+
+    @pytest.mark.parametrize("p,L_max", [(2, 9), (3, 6), (5, 4), (7, 4)])
+    def test_equals_reduction_modulo_p_to_the_L(self, p, L_max):
+        for L in range(1, L_max + 1):
+            mod = p**L
+            units = [u for u in range(1, min(mod, 40)) if u % p]
+            for h in [*range(min(mod, 60)), *(p**j * w for j in range(L + 1) for w in (1, 2, 3))]:
+                for u in units:
+                    want = Phase(F(-h * h * pow(u, -1, mod) % mod, mod))
+                    assert gauss._square_shift(u, h, p, L) == want, (p, L, u, h)
+
+    def test_large_exponent_with_high_valuation(self):
+        # b = p^10000 at L = 20000: the shift vanishes without the 3L-digit reduction
+        p = 3317044064679887385961813
+        assert quad_char_integral_ball(p, 1, 1, 10000) == Amplitude(F(1), Phase(F(0)))
+
+
 class TestBallIntegral:
     def test_examples(self):
         assert quad_char_integral_ball(3, 0, F(1, 9), 0).is_zero

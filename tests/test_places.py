@@ -18,7 +18,14 @@ from padicqm import (
     valuation,
 )
 from padicqm.cli import _rational
-from padicqm.places import digit, is_prime, place_less, place_sorted, unit_residue
+from padicqm.places import (
+    digit,
+    is_prime,
+    p_split,
+    place_less,
+    place_sorted,
+    unit_residue,
+)
 
 import digit_oracle
 
@@ -46,6 +53,36 @@ class TestValuation:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             valuation(F(1), 6)
+
+
+class TestPSplit:
+    """Divisions by p^(2^i) against the step loop of ``digit_oracle``."""
+
+    @staticmethod
+    def want(n, p):
+        v = digit_oracle.int_valuation(n, p)
+        return v, n // p**v
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7]), v=st.integers(0, 5000),
+           u=st.integers(-10**6, 10**6).filter(lambda u: u != 0))
+    def test_against_step_loop(self, p, v, u):
+        assert p_split(p**v * u, p) == self.want(p**v * u, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_valuation_to_300(self, p):
+        for v in range(300):
+            for u in (1, -1, p - 1, p + 1, 2 * p - 1):
+                assert p_split(p**v * u, p) == self.want(p**v * u, p)
+
+    def test_large_valuation(self):
+        # one division by p a step took 13 s here
+        assert valuation(F(1, 10**100000), 5) == -100000
+        assert p_split(3**40000 * 7, 3) == (40000, 7)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            p_split(0, 3)
 
 
 class TestNorm:

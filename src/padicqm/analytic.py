@@ -4,7 +4,10 @@ Values are :class:`PadicTruncation` objects: an element of Q_p known
 modulo p^P.  Arithmetic propagates precision pessimistically, so a
 result's stated precision is never better than what the inputs justify.
 Trigonometric series converge for |x|_p <= 1/p (odd p) and <= 1/4
-(p = 2); square roots are lifted digit by digit.
+(p = 2); they are summed modulo p^(P+S), S guard digits for the powers
+of p in the factorials, and the exact Fraction loop of the tests'
+``series_oracle`` is their oracle.  Square roots are lifted digit by
+digit.
 """
 
 from __future__ import annotations
@@ -18,19 +21,35 @@ from .errors import DomainError, NonSquareError, PrecisionError
 from .places import Place, p_split, unit_residue, valuation
 
 
+#: moduli up to this many bits take ``pow(u, -1, p**k)``; above it Newton's
+#: doubling y <- y(2 - uy) wins, 7-11x at p^1000 (measured at p = 2..13)
+_POW_INVERSE_BITS = 64
+
+
+def _unit_inverse(u: int, p: int, k: int) -> int:
+    """Inverse of a p-adic unit u modulo p^k, for k >= 1."""
+    mod = p**k
+    if mod.bit_length() <= _POW_INVERSE_BITS:
+        return pow(u, -1, mod)
+    y = _unit_inverse(u, p, (k + 1) // 2)
+    return y * (2 - u * y) % mod
+
+
 @dataclass(frozen=True)
 class PadicTruncation:
     """A p-adic number known modulo p^precision.
 
     Nonzero values are stored as p^valuation * mantissa with the mantissa
     a unit modulo p^(precision - valuation).  A value indistinguishable
-    from zero at this precision has mantissa 0 and valuation None.
+    from zero at this precision has mantissa 0 and valuation None; an
+    exact zero is O(p^inf), precision ``math.inf``, which sums and
+    products carry through like any larger precision.
     """
 
     prime: int
     valuation: int | None
     mantissa: int
-    precision: int
+    precision: int | float
 
     @classmethod
     def _make(cls, p: int, v: int, m: int, P: int) -> PadicTruncation:
@@ -132,15 +151,14 @@ class PadicTruncation:
             other.precision + self.valuation - 2 * other.valuation,
         )
         k = P - v
-        inv = pow(other.mantissa, -1, p**k)
+        inv = _unit_inverse(other.mantissa, p, k)
         return PadicTruncation._make(p, v, self.mantissa * inv % p**k, P)
 
     def scale(self, c: Fraction | int) -> PadicTruncation:
         """Multiply by an exact rational (no precision loss beyond the shift)."""
         p = self.prime
         if c == 0:
-            # exact zero: effectively infinite precision
-            return PadicTruncation.zero_mod(p, 10**9)
+            return PadicTruncation.zero_mod(p, math.inf)
         if self.is_zero_mod:
             return PadicTruncation.zero_mod(p, self.precision + valuation(c, p))
         vc, r = unit_residue(c, p, self.precision - self.valuation)
@@ -150,7 +168,7 @@ class PadicTruncation:
 
     def __str__(self) -> str:
         if self.is_zero_mod:
-            return f"O({self.prime}^{self.precision})"
+            return "0" if self.precision == math.inf else f"O({self.prime}^{self.precision})"
         terms = " + ".join(
             f"{d}*{self.prime}^{i}" if i else str(d)
             for i, d in enumerate(self.digits)
@@ -204,57 +222,67 @@ def _trig_term_count(d: int, p: int, P: int) -> int:
     return max(1, math.ceil(num / den) + 1)
 
 
-def _sin_cos_sums(x: Fraction | int, p: int, P: int) -> tuple[Fraction, Fraction]:
-    """Exact partial sums of sin and cos whose tails have norm <= p^-P.
+def _sin_cos_sums(
+    x: Fraction | int, p: int, P: int
+) -> tuple[PadicTruncation, PadicTruncation]:
+    """Partial sums of sin and cos over the terms x^k/k!, k = 0..K+1, mod p^P.
 
-    Both sums run over the terms x^k/k! for k = 0..K+1.  With x = n/m
-    and y = -x^2, each parity is a Horner sum from the innermost term
-    out, h <- 1 + y*h/((2j+r-1)(2j+r)) (r = 1 for sin, 0 for cos),
-    carried as an unreduced integer pair a/b: no gcd runs until the two
-    results are built.
+    The tails past K have norm <= p^-P.  With x = n/m and y = -x^2, each
+    parity is a Horner sum from the innermost term out,
+    h <- 1 + y*h/((2j+r-1)(2j+r)) (r = 1 for sin, 0 for cos), carried as
+    an integer pair h = a/b and reduced modulo p^M whenever a outgrows
+    it; reduction commutes with the integer recurrence, so a and b stay
+    the residues of the exact pair.  The steps multiply to a divisor of
+    (K+1)!, so b is p^s times a unit with s <= S = v_p((K+1)!), and h is
+    p-integral in the domain, so p^s divides a: with M = P + S the
+    quotient pins each sum modulo p^P.
     """
     K = _trig_term_count(_trig_domain_valuation(x, p), p, P)
     n, m = x.numerator, x.denominator
+    if n == 0 or P < 1:
+        return PadicTruncation.zero_mod(p, P), PadicTruncation.from_rational(1, p, P)
+    S, q = 0, p
+    while q <= K + 1:
+        S += (K + 1) // q
+        q *= p
+    mod = p ** (P + S)
+    # a quarter past p^M: faster than a half or double at P = 1000
+    limit = mod.bit_length() * 5 // 4
     neg_n2, m2 = -n * n, m * m
 
     def horner(top: int, r: int) -> tuple[int, int]:
         a = b = 1
         for j in range(top, 0, -1):
-            step = m2 * (2 * j + r - 1) * (2 * j + r)
-            b *= step
+            b *= m2 * (2 * j + r - 1) * (2 * j + r)
             a = b + neg_n2 * a
-        return a, b
+            if a.bit_length() > limit:  # |a| ~ max(|b|, |n^2 a|)
+                a, b = a % mod, b % mod
+        s, unit = p_split(b % mod, p)
+        return a % mod // p**s, unit
 
     sin_a, sin_b = horner(K // 2, 1)  # odd k = 2j + 1 <= K + 1
     cos_a, cos_b = horner((K + 1) // 2, 0)  # even k = 2j <= K + 1
-    return Fraction(sin_a * n, sin_b * m), Fraction(cos_a, cos_b)
+    inv = _unit_inverse(m * sin_b * cos_b, p, P)
+    sin_t = PadicTruncation._make(p, 0, n * sin_a * cos_b * inv, P)
+    cos_t = PadicTruncation._make(p, 0, m * cos_a * sin_b * inv, P)
+    return sin_t, cos_t
 
 
 def sin_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic sine by its Taylor series, correct modulo p^P."""
-    x = Fraction(x)
-    if x == 0:
-        return PadicTruncation.zero_mod(p, P)
-    s, _ = _sin_cos_sums(x, p, P)
-    return PadicTruncation.from_rational(s, p, P)
+    return _sin_cos_sums(Fraction(x), p, P)[0]
 
 
 def cos_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic cosine by its Taylor series, correct modulo p^P."""
-    x = Fraction(x)
-    if x == 0:
-        return PadicTruncation.from_rational(1, p, P)
-    _, c = _sin_cos_sums(x, p, P)
-    return PadicTruncation.from_rational(c, p, P)
+    return _sin_cos_sums(Fraction(x), p, P)[1]
 
 
 def tan_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic tangent: sin/cos with cos a unit throughout the domain."""
-    x = Fraction(x)
-    if x == 0:
-        return PadicTruncation.zero_mod(p, P)
-    s, c = _sin_cos_sums(x, p, P)
-    return PadicTruncation.from_rational(s / c, p, P)
+    s, c = _sin_cos_sums(Fraction(x), p, P)
+    # a sine of O(p^P) is its own quotient; at P < 1 the cosine is O(p^P) too
+    return s if s.is_zero_mod else s / c
 
 
 def _sqrt_unit_odd(u0: int, p: int) -> int:

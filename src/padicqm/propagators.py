@@ -374,12 +374,9 @@ def _oscillator_truncations(
     delta = data.gamma1 - data.gamma0
     if delta == 0:
         raise DegenerateIntervalError("coincident auxiliary phases")
-    sin_sum, cos_sum = _sin_cos_sums(delta, p, precision)
-    sin_t = PadicTruncation.from_rational(sin_sum, p, precision)
-    tan_t = PadicTruncation.from_rational(sin_sum / cos_sum, p, precision)
+    sin_t, cos_t = _sin_cos_sums(delta, p, precision)
     root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, precision)
-    inv_tan = PadicTruncation.from_rational(1, p, precision) / tan_t
-    return sin_t, inv_tan, root_t / sin_t
+    return sin_t, cos_t / sin_t, root_t / sin_t
 
 
 def k_oscillator_td(

@@ -1,13 +1,19 @@
 """Sine and cosine partial sums in Fraction arithmetic: the oracle of ``_sin_cos_sums``.
 
-The library sums each parity of the series by Horner over unreduced
-integer pairs (``analytic._sin_cos_sums``).  This route adds the terms
-x^k/k! one at a time as exact fractions, k = 0..K+1, with the same term
-count K and the same domain check, so the two must agree exactly.
+The library sums each parity of the series by Horner in Z/p^M and
+returns truncations modulo p^P (``analytic._sin_cos_sums``).  This route
+adds the terms x^k/k! one at a time as exact fractions, k = 0..K+1,
+with the same term count K and the same domain check, so the library's
+truncations must be the residues of these sums modulo p^P.
+
+``oscillator_truncations`` rebuilds the oscillator's three truncations
+from these sums with ``from_rational`` and ``pow``-based division, the
+route the library took before it summed modulo p^M.
 """
 
 from fractions import Fraction
 
+from padicqm import DegenerateIntervalError, PadicTruncation, PrecisionError, sqrt_p
 from padicqm.analytic import _trig_domain_valuation, _trig_term_count
 
 
@@ -25,3 +31,30 @@ def sin_cos_sums(x: Fraction, p: int, P: int) -> tuple[Fraction, Fraction]:
         else:
             sin_total += -term if (k - 1) % 4 else term
     return sin_total, cos_total
+
+
+def divide(a: PadicTruncation, b: PadicTruncation) -> PadicTruncation:
+    """a / b with the precision rule of ``PadicTruncation.__truediv__``, inverting by ``pow``."""
+    p = a.prime
+    if b.is_zero_mod:
+        raise PrecisionError("division by a value not pinned away from zero")
+    if a.is_zero_mod:
+        return PadicTruncation.zero_mod(p, a.precision - b.valuation)
+    v = a.valuation - b.valuation
+    P = min(a.precision - b.valuation, b.precision + a.valuation - 2 * b.valuation)
+    k = P - v
+    inv = pow(b.mantissa, -1, p**k)
+    return PadicTruncation.from_rational(Fraction(a.mantissa * inv % p**k) * Fraction(p) ** v, p, P)
+
+
+def oscillator_truncations(data, p: int, P: int):
+    """sin delta, 1/tan delta and sqrt(dgamma1*dgamma0)/sin delta from the exact sums."""
+    delta = data.gamma1 - data.gamma0
+    if delta == 0:
+        raise DegenerateIntervalError("coincident auxiliary phases")
+    s, c = sin_cos_sums(delta, p, P)
+    sin_t = PadicTruncation.from_rational(s, p, P)
+    tan_t = PadicTruncation.from_rational(s / c, p, P)
+    root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, P)
+    inv_tan = divide(PadicTruncation.from_rational(1, p, P), tan_t)
+    return sin_t, inv_tan, divide(root_t, sin_t)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from padicqm import (
     tan_p,
     valuation,
 )
-from padicqm.analytic import _sin_cos_sums
+from padicqm.analytic import _sin_cos_sums, _unit_inverse
 from padicqm.characters import Phase
 from padicqm.errors import PrecisionError
 
@@ -137,8 +138,18 @@ def series_arguments(p, low, high):
                      st.integers(low, high), units)
 
 
+def oracle_truncations(x, p, P):
+    """The Fraction loop's sums, truncated modulo p^P."""
+    s, c = series_oracle.sin_cos_sums(x, p, P)
+    return PadicTruncation.from_rational(s, p, P), PadicTruncation.from_rational(c, p, P)
+
+
 class TestSeriesAgainstOracle:
-    """The integer Horner sums against the Fraction loop of ``series_oracle``."""
+    """The Horner sums modulo p^M against the Fraction loop of ``series_oracle``.
+
+    ``_sin_cos_sums`` returns truncations, not exact sums: each must be
+    the residue modulo p^P of the oracle's exact partial sum.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), p=st.sampled_from(SERIES_PRIMES), P=st.integers(1, 200))
@@ -146,15 +157,24 @@ class TestSeriesAgainstOracle:
         e = domain_edge(p)
         x = data.draw(series_arguments(p, e, e + 3) | st.just(0))
         got = _sin_cos_sums(x, p, P)
-        assert got == series_oracle.sin_cos_sums(x, p, P)
-        assert all(type(v) is F for v in got)
+        assert got == oracle_truncations(x, p, P)
+        assert all(t.precision == P for t in got)
 
     @pytest.mark.parametrize("p", SERIES_PRIMES)
     def test_domain_edge_matches(self, p):
         e = domain_edge(p)
         for x in (p**e, -(p**e), F(p**e, p + 1), F(-7 * p**e, 2 * p + 1)):
             for P in (1, 2, 57, 200):
-                assert _sin_cos_sums(x, p, P) == series_oracle.sin_cos_sums(x, p, P)
+                assert _sin_cos_sums(x, p, P) == oracle_truncations(x, p, P)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("P", [500, 1000])
+    def test_deep_precision_matches(self, p, P):
+        # the modulus carries p^S past p^P, S = v_p((K+1)!); at the edge S
+        # is largest, above it K is shorter and n^2 brings its own powers of p
+        e = domain_edge(p)
+        for x in (F(p**e * 5, 7), F(-(p ** (e + 1)) * 11, 13), F(p ** (e + 3) * 31, 4 * p + 1)):
+            assert _sin_cos_sums(x, p, P) == oracle_truncations(x, p, P), x
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), p=st.sampled_from(SERIES_PRIMES), P=st.integers(1, 200))
@@ -260,3 +280,20 @@ class TestTruncationArithmetic:
         z = PadicTruncation.zero_mod(3, 8)
         with pytest.raises(PrecisionError):
             z.norm()
+
+    def test_exact_zero(self):
+        zero = PadicTruncation.from_rational(F(5, 3), 3, 7).scale(0)
+        assert zero == PadicTruncation.zero_mod(3, math.inf)
+        assert str(zero) == "0"
+        t = PadicTruncation.from_rational(F(10, 9), 3, 4)
+        for total in (t + zero, zero + t, t - zero):
+            assert total == t
+        assert (zero * t).precision == zero.precision
+        assert chi_of_truncation(zero) == Phase()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_unit_inverse_matches_pow(self, p):
+        rng = random.Random(p)
+        for k in (1, 2, 5, 27, 28, 29, 64, 65, 200, 1000):
+            u = rng.randrange(p**k) // p * p + rng.randrange(1, p)
+            assert _unit_inverse(u, p, k) == pow(u, -1, p**k), (u, k)

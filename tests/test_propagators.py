@@ -1,6 +1,8 @@
 import cmath
+import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
 
@@ -33,9 +35,11 @@ from padicqm import (
     overlap_vanishing_threshold,
     semigroup_residual,
 )
-from padicqm.errors import PrecisionError
+from padicqm import propagators
+from padicqm.errors import PadicqmError, PrecisionError
 from padicqm.places import place_less
 
+import series_oracle
 from closed_forms import k_constant_field, k_desitter, k_free
 from compose_oracle import (
     action_form_constant_field_fraction,
@@ -406,11 +410,10 @@ class TestOscillator:
         amp = k_oscillator_td(P3, data, 20)
         # with x = 0 everything chi-dependent drops; |sin|_3 = |3|_3
         assert amp.modulus_sq == 3
-        from padicqm.analytic import PadicTruncation, _sin_cos_sums, lambda_of_truncation
+        from padicqm.analytic import _sin_cos_sums, lambda_of_truncation
 
-        s, _ = _sin_cos_sums(F(3), 3, 20)
-        st = PadicTruncation.from_rational(s, 3, 20)
-        assert amp.phase == lambda_of_truncation(P3, st.scale(2))
+        sin_t, _ = _sin_cos_sums(F(3), 3, 20)
+        assert amp.phase == lambda_of_truncation(P3, sin_t.scale(2))
 
     def test_matches_general_quadratic_route(self):
         for p in (3, 5, 7):
@@ -510,6 +513,71 @@ def random_oscillator_data(rng, p):
         dgamma0=dgamma0, dgamma1=dgamma0 * nonzero() ** 2,
         s0=nonzero(), s1=nonzero(), ds0=rational(), ds1=rational(),
     )
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (PadicqmError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOscillatorAgainstExactSums:
+    """The truncations summed modulo p^M against the exact Fraction sums.
+
+    ``series_oracle.oscillator_truncations`` rebuilds sin delta, 1/tan delta
+    and sqrt(dgamma1*dgamma0)/sin delta from the Fraction loop with
+    ``from_rational`` and ``pow``-based division.  Both kernel routes run
+    once on the library's truncations and once on the oracle's, and must
+    return the same value or raise the same error.
+    """
+
+    CASES = 180  # per prime: 1,080 in all
+
+    @staticmethod
+    def random_case(rng, p):
+        def rational(low, high):
+            n = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 4))
+            return F(n, rng.randint(1, 10 ** rng.randint(0, 3))) * F(p) ** rng.randint(low, high)
+
+        e = 2 if p == 2 else 1
+        gamma0 = rational(-2, 2)
+        roll = rng.random()
+        delta = F(0) if roll < 0.02 else rational(e - 1, e - 1) if roll < 0.1 else rational(e, e + 3)
+        dgamma0 = rational(-2, 2)
+        dgamma1 = dgamma0 * rational(-1, 1) ** 2 if rng.random() < 0.75 else rational(-2, 2)
+        data = OscillatorBoundaryData(
+            x0=rational(-2, 2) if rng.random() < 0.9 else F(0),
+            x1=rational(-2, 2) if rng.random() < 0.9 else F(0),
+            gamma0=gamma0, gamma1=gamma0 + delta, dgamma0=dgamma0, dgamma1=dgamma1,
+            s0=rational(-1, 1), s1=rational(-1, 1), ds0=rational(-1, 1), ds1=rational(-1, 1),
+        )
+        return data, rng.randint(1, 12) if rng.random() < 0.3 else rng.randint(1, 120)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_kernel_routes_match(self, p, monkeypatch):
+        rng = random.Random(1000 + p)
+        place = Place.prime(p)
+        library = propagators._oscillator_truncations
+        oracle = functools.cache(series_oracle.oscillator_truncations)
+        kinds = Counter()
+        for _ in range(self.CASES):
+            data, P = self.random_case(rng, p)
+            got = [outcome(library, data, p, P)]
+            monkeypatch.setattr(propagators, "_oscillator_truncations", library)
+            got += [outcome(k_oscillator_td, place, data, P),
+                    outcome(oscillator_action_form, data, p, P)]
+            want = [outcome(oracle, data, p, P)]
+            monkeypatch.setattr(propagators, "_oscillator_truncations", oracle)
+            want += [outcome(k_oscillator_td, place, data, P),
+                     outcome(oscillator_action_form, data, p, P)]
+            assert got == want, (data, P)
+            kinds.update(w[0].__name__ if isinstance(w, tuple) and isinstance(w[0], type)
+                         else "value" for w in want)
+        # the draw reaches values and every error the routes raise
+        assert kinds["value"] >= self.CASES
+        assert {"DomainError", "NonSquareError", "PrecisionError"} <= set(kinds), kinds
 
 
 class TestOscillatorPrecisionSoundness:

@@ -22,14 +22,16 @@ from .places import Place, p_split, unit_residue, valuation
 
 
 #: moduli up to this many bits take ``pow(u, -1, p**k)``; above it Newton's
-#: doubling y <- y(2 - uy) wins, 7-11x at p^1000 (measured at p = 2..13)
-_POW_INVERSE_BITS = 64
+#: doubling y <- y(2 - uy) from a 32-bit base wins.  Measured at p = 2..13,
+#: the two routes tie up to 30 bits; Newton is 1.5-2x faster at 40-60 bits,
+#: 2-5x at 60-200 and 7-11x at p^1000, where a 64-bit base lost up to 2x
+_POW_INVERSE_BITS = 32
 
 
 def _unit_inverse(u: int, p: int, k: int) -> int:
     """Inverse of a p-adic unit u modulo p^k, for k >= 1."""
     mod = p**k
-    if mod.bit_length() <= _POW_INVERSE_BITS:
+    if k == 1 or mod.bit_length() <= _POW_INVERSE_BITS:
         return pow(u, -1, mod)
     y = _unit_inverse(u, p, (k + 1) // 2)
     return y * (2 - u * y) % mod

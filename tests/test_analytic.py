@@ -122,6 +122,8 @@ class TestTrig:
 
 
 SERIES_PRIMES = [2, 3, 5, 7, 11]
+#: primes whose single power p^1 already outgrows a machine word
+LARGE_PRIMES = [2**64 + 13, 10**24 + 7]
 
 
 def domain_edge(p):
@@ -175,6 +177,14 @@ class TestSeriesAgainstOracle:
         e = domain_edge(p)
         for x in (F(p**e * 5, 7), F(-(p ** (e + 1)) * 11, 13), F(p ** (e + 3) * 31, 4 * p + 1)):
             assert _sin_cos_sums(x, p, P) == oracle_truncations(x, p, P), x
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_large_prime_matches(self, p):
+        for x in (F(p * 5, 7), F(-(p**2) * 11, 13), F(3 * p, p + 2)):
+            for P in (1, 2, 3, 7, 40):
+                assert _sin_cos_sums(x, p, P) == oracle_truncations(x, p, P), (x, P)
+                s, c = series_oracle.sin_cos_sums(x, p, P)
+                assert tan_p(x, p, P) == PadicTruncation.from_rational(s / c, p, P)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), p=st.sampled_from(SERIES_PRIMES), P=st.integers(1, 200))
@@ -294,6 +304,14 @@ class TestTruncationArithmetic:
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     def test_unit_inverse_matches_pow(self, p):
         rng = random.Random(p)
-        for k in (1, 2, 5, 27, 28, 29, 64, 65, 200, 1000):
+        for k in (1, 2, 5, 20, 21, 27, 28, 29, 64, 65, 200, 1000):
+            u = rng.randrange(p**k) // p * p + rng.randrange(1, p)
+            assert _unit_inverse(u, p, k) == pow(u, -1, p**k), (u, k)
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_unit_inverse_above_word_size(self, p):
+        # p alone passes the pow threshold: k = 1 must still end the descent
+        rng = random.Random(p)
+        for k in (1, 2, 3, 5, 40):
             u = rng.randrange(p**k) // p * p + rng.randrange(1, p)
             assert _unit_inverse(u, p, k) == pow(u, -1, p**k), (u, k)

@@ -555,14 +555,14 @@ class TestOscillatorAgainstExactSums:
         )
         return data, rng.randint(1, 12) if rng.random() < 0.3 else rng.randint(1, 120)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-    def test_kernel_routes_match(self, p, monkeypatch):
+    def compare_routes(self, p, cases, monkeypatch):
+        """Run both routes on ``cases`` seeded draws; count the outcome kinds."""
         rng = random.Random(1000 + p)
         place = Place.prime(p)
         library = propagators._oscillator_truncations
         oracle = functools.cache(series_oracle.oscillator_truncations)
         kinds = Counter()
-        for _ in range(self.CASES):
+        for _ in range(cases):
             data, P = self.random_case(rng, p)
             got = [outcome(library, data, p, P)]
             monkeypatch.setattr(propagators, "_oscillator_truncations", library)
@@ -575,9 +575,20 @@ class TestOscillatorAgainstExactSums:
             assert got == want, (data, P)
             kinds.update(w[0].__name__ if isinstance(w, tuple) and isinstance(w[0], type)
                          else "value" for w in want)
+        return kinds
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_kernel_routes_match(self, p, monkeypatch):
+        kinds = self.compare_routes(p, self.CASES, monkeypatch)
         # the draw reaches values and every error the routes raise
         assert kinds["value"] >= self.CASES
         assert {"DomainError", "NonSquareError", "PrecisionError"} <= set(kinds), kinds
+
+    @pytest.mark.parametrize("p", [2**64 + 13, 10**24 + 7])
+    def test_kernel_routes_match_above_word_size(self, p, monkeypatch):
+        # p^1 alone outgrows a machine word, so every unit inverse takes Newton steps
+        kinds = self.compare_routes(p, 30, monkeypatch)
+        assert kinds["value"] >= 10, kinds
 
 
 class TestOscillatorPrecisionSoundness:

@@ -1,7 +1,7 @@
 """Power series and agreement of p-adic truncations: test-only helpers.
 
 ``series_eval`` sums a power series term by term in exact fractions,
-with no knowledge of the integer Horner sums of
+with no knowledge of the Horner sums modulo p^M of
 ``analytic._sin_cos_sums``; ``agrees_with`` compares two truncations
 modulo a power of p through truncation subtraction.
 """

@@ -162,7 +162,7 @@ class TestSeriesAgainstOracle:
         assert got == oracle_truncations(x, p, P)
         assert all(t.precision == P for t in got)
 
-    @pytest.mark.parametrize("p", SERIES_PRIMES)
+    @pytest.mark.parametrize("p", SERIES_PRIMES + LARGE_PRIMES)
     def test_domain_edge_matches(self, p):
         e = domain_edge(p)
         for x in (p**e, -(p**e), F(p**e, p + 1), F(-7 * p**e, 2 * p + 1)):
@@ -177,14 +177,6 @@ class TestSeriesAgainstOracle:
         e = domain_edge(p)
         for x in (F(p**e * 5, 7), F(-(p ** (e + 1)) * 11, 13), F(p ** (e + 3) * 31, 4 * p + 1)):
             assert _sin_cos_sums(x, p, P) == oracle_truncations(x, p, P), x
-
-    @pytest.mark.parametrize("p", LARGE_PRIMES)
-    def test_large_prime_matches(self, p):
-        for x in (F(p * 5, 7), F(-(p**2) * 11, 13), F(3 * p, p + 2)):
-            for P in (1, 2, 3, 7, 40):
-                assert _sin_cos_sums(x, p, P) == oracle_truncations(x, p, P), (x, P)
-                s, c = series_oracle.sin_cos_sums(x, p, P)
-                assert tan_p(x, p, P) == PadicTruncation.from_rational(s / c, p, P)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), p=st.sampled_from(SERIES_PRIMES), P=st.integers(1, 200))

@@ -95,7 +95,8 @@ class PadicTruncation:
         """A rational congruent to the value modulo p^precision."""
         if self.is_zero_mod:
             return Fraction(0)
-        return Fraction(self.mantissa) * Fraction(self.prime) ** self.valuation
+        m, p, v = self.mantissa, self.prime, self.valuation
+        return Fraction(m * p**v) if v >= 0 else Fraction(m, p**-v)
 
     def norm(self) -> Fraction:
         if self.is_zero_mod:
@@ -330,13 +331,11 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
         u0 = target % p
         if legendre(u0, p) != 1:
             raise NonSquareError(f"leading digit {u0} is not a residue mod {p}")
-        y = _sqrt_unit_odd(u0, p)
-        mod = p
-        while mod < p**k:
-            mod = min(mod * mod, p**k)
-            # Newton step: y <- (y + u/y) / 2 modulo the lifted modulus
-            inv = pow(2 * y, -1, mod)
-            y = (y + (target - y * y) * inv) % mod
+        y, j = _sqrt_unit_odd(u0, p), 1
+        while j < k:
+            j = min(2 * j, k)
+            # Newton step: y <- (y + u/y) / 2 modulo the lifted modulus p^j
+            y = (y + (target - y * y) * _unit_inverse(2 * y, p, j)) % p**j
         if (p - y) % p < y % p:
             y = (-y) % p**k
     else:

@@ -16,18 +16,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import (
-    PadicTruncation,
-    _sin_cos_sums,
-    chi_of_truncation,
-    lambda_of_truncation,
-    sqrt_p,
-)
+from .analytic import PadicTruncation, _sin_cos_sums, lambda_of_truncation, sqrt_p
 from .characters import Amplitude, Phase, chi, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
     DegenerateFormError,
     DegenerateIntervalError,
+    NonSquareError,
     PartitionError,
     PrecisionError,
     VerificationError,
@@ -353,6 +348,9 @@ class OscillatorBoundaryData:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.s0 == 0 or self.s1 == 0:
             raise ValueError("s boundary values must be nonzero")
+        if self.dgamma0 * self.dgamma1 == 0:
+            # the mixed partial of the action is -sqrt(dgamma1*dgamma0)/sin delta
+            raise DegenerateFormError("dgamma1*dgamma0 = 0: mixed partial of the action vanishes")
 
     def wronskian_consistent(self) -> bool:
         """Optional check: dgamma * s^2 equal at both ends."""
@@ -366,8 +364,8 @@ def oscillator_chi_rational_part(data: OscillatorBoundaryData) -> Fraction:
 
 def _oscillator_truncations(
     data: OscillatorBoundaryData, p: int, precision: int
-) -> tuple[PadicTruncation, PadicTruncation, PadicTruncation]:
-    """sin delta, 1/tan delta and sqrt(dgamma1*dgamma0)/sin delta as truncations.
+) -> tuple[PadicTruncation, PadicTruncation]:
+    """1/tan delta and sqrt(dgamma1*dgamma0)/sin delta as truncations.
 
     delta = gamma1 - gamma0; the square root is the canonical branch.
     """
@@ -376,7 +374,7 @@ def _oscillator_truncations(
         raise DegenerateIntervalError("coincident auxiliary phases")
     sin_t, cos_t = _sin_cos_sums(delta, p, precision)
     root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, precision)
-    return sin_t, cos_t / sin_t, root_t / sin_t
+    return cos_t / sin_t, root_t / sin_t
 
 
 def k_oscillator_td(
@@ -384,26 +382,15 @@ def k_oscillator_td(
 ) -> Amplitude:
     """Time-dependent oscillator propagator at a p-adic place, exactly.
 
-    Trigonometric values of delta = gamma1 - gamma0 and the square root
-    of dgamma1*dgamma0 are computed to the requested precision; the
-    character phases depend on finitely many digits, so they are pinned
-    exactly or a precision error is raised.  The square root uses the
-    canonical digit-order branch.
+    The kernel of :func:`oscillator_action_form` at the data's endpoints:
+    lambda_p(2 sqrt(dgamma1*dgamma0)/sin delta) |sqrt/sin|_p^{1/2} chi_p(-S),
+    the expression of every other system.  The truncations pin every
+    digit the kernel reads, or a PrecisionError is raised.
     """
     if place.is_real:
         raise ValueError("use k_oscillator_td_real for the real place")
-    sin_t, inv_tan, root_over_sin = _oscillator_truncations(data, place.p, precision)
-
-    lam_phase = lambda_of_truncation(place, sin_t.scale(2))
-    modulus_sq = root_over_sin.norm()
-
-    chi_rational = chi(place, oscillator_chi_rational_part(data))
-    quad_coeff = -(data.dgamma1 * data.x1**2 + data.dgamma0 * data.x0**2) / 2
-    term_tan = inv_tan.scale(quad_coeff)
-    term_sin = root_over_sin.scale(data.x1 * data.x0)
-    chi_trig = chi_of_truncation(term_tan + term_sin)
-
-    return Amplitude(modulus_sq, lam_phase + chi_rational + chi_trig)
+    form = oscillator_action_form(data, place.p, precision)
+    return SymbolicKernel.from_form(place, form).evaluate(data.x0, data.x1)
 
 
 def k_oscillator_td_real(data: OscillatorBoundaryData) -> complex:
@@ -416,9 +403,9 @@ def k_oscillator_td_real(data: OscillatorBoundaryData) -> complex:
     s = math.sin(delta)
     if s == 0:
         raise DegenerateIntervalError("vanishing sine of the phase difference")
-    g_prod = float(data.dgamma1 * data.dgamma0)
+    g_prod = data.dgamma1 * data.dgamma0
     if g_prod < 0:
-        raise PrecisionError("dgamma product negative: no real square root")
+        raise NonSquareError("dgamma product negative: no real square root")
     root = math.sqrt(g_prod)
     lam = lambda_v(Place.real(), Fraction(2) if s > 0 else Fraction(-2)).to_complex()
     modulus = abs(root / s) ** 0.5
@@ -445,15 +432,18 @@ def oscillator_action_form(
     beta x0^2 and gamma x1 x0.  At other endpoints the form is only as
     good as those digits.
     """
-    _, inv_tan, root_over_sin = _oscillator_truncations(data, p, precision)
-    alpha_t = inv_tan.scale(data.dgamma1 / 2)
-    beta_t = inv_tan.scale(data.dgamma0 / 2)
-    # each call raises PrecisionError unless its digits are pinned
+    inv_tan, root_over_sin = _oscillator_truncations(data, p, precision)
+    # raises PrecisionError unless the lambda digits of gamma are pinned
     lambda_of_truncation(Place.prime(p), root_over_sin)
-    for term, factor in ((alpha_t, data.x1**2), (beta_t, data.x0**2),
-                         (root_over_sin, data.x1 * data.x0)):
-        chi_of_truncation(term.scale(factor))
-    alpha = alpha_t.representative() + data.ds1 / (2 * data.s1)
-    beta = beta_t.representative() - data.ds0 / (2 * data.s0)
+    # t * c is pinned above p^0, where its fractional part lives, exactly
+    # when chi_of_truncation(t.scale(c)) would not raise
+    for t, c in ((inv_tan, data.dgamma1 * data.x1**2 / 2),
+                 (inv_tan, data.dgamma0 * data.x0**2 / 2),
+                 (root_over_sin, data.x1 * data.x0)):
+        if c != 0 and t.precision + valuation(c, p) < 0:
+            raise PrecisionError("precision below p^0: fractional part not pinned")
+    cot = inv_tan.representative()
+    alpha = cot * data.dgamma1 / 2 + data.ds1 / (2 * data.s1)
+    beta = cot * data.dgamma0 / 2 - data.ds0 / (2 * data.s0)
     gamma = -root_over_sin.representative()
     return QuadraticActionForm(alpha=alpha, beta=beta, gamma=gamma)

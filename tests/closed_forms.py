@@ -1,4 +1,4 @@
-"""Hand-written closed-form kernels: the independent route of criterion 6.
+"""Hand-written closed-form kernels: the independent route of criteria 6 and 8.
 
 The library evaluates every kernel through one symbolic expression of
 its action form (``SymbolicKernel.from_form``).  These formulas write
@@ -8,7 +8,19 @@ can compare the two routes exactly.
 
 from fractions import Fraction
 
-from padicqm import Amplitude, DegenerateIntervalError, Place, chi, lambda_v, norm
+from padicqm import (
+    Amplitude,
+    DegenerateIntervalError,
+    Place,
+    chi,
+    chi_of_truncation,
+    lambda_v,
+    norm,
+)
+from padicqm.analytic import lambda_of_truncation
+from padicqm.propagators import oscillator_chi_rational_part
+
+import series_oracle
 
 
 def k_constant_field(
@@ -60,3 +72,24 @@ def k_desitter(
         - lam * lam * T**3 / 24
     )
     return Amplitude(1 / norm(4 * T, place), lambda_v(place, -2 * T) + chi(place, arg))
+
+
+def k_oscillator(place: Place, data, P: int) -> Amplitude:
+    """Time-dependent oscillator propagator at a p-adic place, modulo p^P.
+
+    Modulus squared |r|_p with r = sqrt(dgamma1*dgamma0)/sin delta,
+    delta = gamma1 - gamma0; phase lambda_p(2r), plus chi_p of the
+    rational part, plus chi_p of the truncated term
+    -(dgamma1 x1^2 + dgamma0 x0^2)/(2 tan delta) + r x1 x0 taken as one
+    value.  The truncations come from the exact Fraction sums of
+    ``series_oracle``.
+    """
+    inv_tan, root_over_sin = series_oracle.oscillator_truncations(data, place.p, P)
+    quad_coeff = -(data.dgamma1 * data.x1**2 + data.dgamma0 * data.x0**2) / 2
+    trig = inv_tan.scale(quad_coeff) + root_over_sin.scale(data.x1 * data.x0)
+    return Amplitude(
+        root_over_sin.norm(),
+        lambda_of_truncation(place, root_over_sin.scale(2))
+        + chi(place, oscillator_chi_rational_part(data))
+        + chi_of_truncation(trig),
+    )

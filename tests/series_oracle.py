@@ -6,7 +6,7 @@ adds the terms x^k/k! one at a time as exact fractions, k = 0..K+1,
 with the same term count K and the same domain check, so the library's
 truncations must be the residues of these sums modulo p^P.
 
-``oscillator_truncations`` rebuilds the oscillator's three truncations
+``oscillator_truncations`` rebuilds the oscillator's two truncations
 from these sums with ``from_rational`` and ``pow``-based division, the
 route the library took before it summed modulo p^M.
 """
@@ -48,7 +48,7 @@ def divide(a: PadicTruncation, b: PadicTruncation) -> PadicTruncation:
 
 
 def oscillator_truncations(data, p: int, P: int):
-    """sin delta, 1/tan delta and sqrt(dgamma1*dgamma0)/sin delta from the exact sums."""
+    """1/tan delta and sqrt(dgamma1*dgamma0)/sin delta from the exact sums."""
     delta = data.gamma1 - data.gamma0
     if delta == 0:
         raise DegenerateIntervalError("coincident auxiliary phases")
@@ -57,4 +57,4 @@ def oscillator_truncations(data, p: int, P: int):
     tan_t = PadicTruncation.from_rational(s / c, p, P)
     root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, P)
     inv_tan = divide(PadicTruncation.from_rational(1, p, P), tan_t)
-    return sin_t, inv_tan, divide(root_t, sin_t)
+    return inv_tan, divide(root_t, sin_t)

@@ -116,6 +116,19 @@ class TestKernelCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("place", ["inf", "3"])
+    def test_oscillator_vanishing_dgamma_exits_2(self, capsys, place):
+        # the mixed partial vanishes: a degenerate form at every place, never a value
+        code, out, err = run_cli(
+            capsys,
+            ["kernel", "--system", "osc", "--place", place,
+             "--x0", "1", "--x1", "2", "--gamma0", "0", "--gamma1", "3/10",
+             "--dgamma0", "0", "--dgamma1", "1", "--s0", "1", "--s1", "1",
+             "--ds0", "0", "--ds1", "0"],
+        )
+        assert (code, out) == (2, "")
+        assert "mixed partial" in err
+
     @pytest.mark.parametrize("precision, code", [(10_000, 0), (10_001, 3)])
     def test_oscillator_precision_limit(self, capsys, monkeypatch, precision, code):
         # the limit is checked before any series runs: the kernel is stubbed

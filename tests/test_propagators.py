@@ -13,7 +13,9 @@ from padicqm import (
     Amplitude,
     DegenerateFormError,
     DegenerateIntervalError,
+    NonSquareError,
     OscillatorBoundaryData,
+    PadicTruncation,
     PartitionError,
     PartitionSpec,
     Phase,
@@ -34,13 +36,14 @@ from padicqm import (
     overlap_ball_integral,
     overlap_vanishing_threshold,
     semigroup_residual,
+    sqrt_p,
 )
 from padicqm import propagators
 from padicqm.errors import PadicqmError, PrecisionError
 from padicqm.places import place_less
 
 import series_oracle
-from closed_forms import k_constant_field, k_desitter, k_free
+from closed_forms import k_constant_field, k_desitter, k_free, k_oscillator
 from compose_oracle import (
     action_form_constant_field_fraction,
     compose,
@@ -408,14 +411,16 @@ class TestOscillator:
             ds0=F(1, 2), ds1=F(1, 3),
         )
         amp = k_oscillator_td(P3, data, 20)
-        # with x = 0 everything chi-dependent drops; |sin|_3 = |3|_3
+        # with x = 0 everything chi-dependent drops; |sin|_3 = |3|_3, and
+        # the phase is lambda_3(2 sqrt(1)/sin 3)
         assert amp.modulus_sq == 3
         from padicqm.analytic import _sin_cos_sums, lambda_of_truncation
 
         sin_t, _ = _sin_cos_sums(F(3), 3, 20)
-        assert amp.phase == lambda_of_truncation(P3, sin_t.scale(2))
+        one = PadicTruncation.from_rational(1, 3, 20)
+        assert amp.phase == lambda_of_truncation(P3, (one / sin_t).scale(2))
 
-    def test_matches_general_quadratic_route(self):
+    def test_matches_hand_formula(self):
         for p in (3, 5, 7):
             place = Place.prime(p)
             data = OscillatorBoundaryData(
@@ -423,19 +428,13 @@ class TestOscillator:
                 dgamma0=F(1), dgamma1=F(1), s0=F(2), s1=F(3),
                 ds0=F(1, 5) if p != 5 else F(1, 3), ds1=F(1, 7) if p != 7 else F(1, 3),
             )
-            amp = k_oscillator_td(place, data, 24)
-            form = oscillator_action_form(data, p, 24)
-            alt = k_general_quadratic(place, form, data.x1, data.x0)
-            assert amp.phase == alt.phase
-            assert amp.modulus_sq == alt.modulus_sq
+            assert k_oscillator_td(place, data, 24) == k_oscillator(place, data, 24)
 
     def test_two_term_reduction_with_static_s(self):
         # vanishing ds makes the rational chi term drop entirely
-        amp = k_oscillator_td(P3, OSC_SAMPLE, 20)
         form = oscillator_action_form(OSC_SAMPLE, 3, 20)
         assert form.alpha == form.beta  # unit dgamma, static s
-        alt = k_general_quadratic(P3, form, OSC_SAMPLE.x1, OSC_SAMPLE.x0)
-        assert amp == alt
+        assert k_oscillator_td(P3, OSC_SAMPLE, 20) == k_oscillator(P3, OSC_SAMPLE, 20)
 
     def test_real_place_float_route(self):
         data = OscillatorBoundaryData(
@@ -482,6 +481,25 @@ class TestOscillator:
                 ds0=F(0), ds1=F(0),
             )
 
+    @pytest.mark.parametrize("dgamma0, dgamma1", [(0, 1), (1, 0), (0, 0)])
+    def test_vanishing_dgamma_product_is_degenerate(self, dgamma0, dgamma1):
+        # the mixed partial sqrt(dgamma1*dgamma0)/sin delta vanishes at every place
+        with pytest.raises(DegenerateFormError):
+            OscillatorBoundaryData(
+                x0=F(1), x1=F(2), gamma0=F(0), gamma1=F(3),
+                dgamma0=F(dgamma0), dgamma1=F(dgamma1), s0=F(1), s1=F(1),
+                ds0=F(0), ds1=F(0),
+            )
+
+    def test_negative_dgamma_product_has_no_real_root(self):
+        data = OscillatorBoundaryData(
+            x0=F(1), x1=F(2), gamma0=F(0), gamma1=F(3, 10),
+            dgamma0=F(-1), dgamma1=F(1), s0=F(1), s1=F(1),
+            ds0=F(0), ds1=F(0),
+        )
+        with pytest.raises(NonSquareError):
+            k_oscillator_td_real(data)
+
     def test_wronskian_flag(self):
         assert OSC_SAMPLE.wronskian_consistent()
         skewed = OscillatorBoundaryData(
@@ -526,11 +544,11 @@ def outcome(f, *args):
 class TestOscillatorAgainstExactSums:
     """The truncations summed modulo p^M against the exact Fraction sums.
 
-    ``series_oracle.oscillator_truncations`` rebuilds sin delta, 1/tan delta
-    and sqrt(dgamma1*dgamma0)/sin delta from the Fraction loop with
-    ``from_rational`` and ``pow``-based division.  Both kernel routes run
-    once on the library's truncations and once on the oracle's, and must
-    return the same value or raise the same error.
+    ``series_oracle.oscillator_truncations`` rebuilds 1/tan delta and
+    sqrt(dgamma1*dgamma0)/sin delta from the Fraction loop with
+    ``from_rational`` and ``pow``-based division.  The kernel and its form
+    run once on the library's truncations and once on the oracle's, and
+    must return the same value or raise the same error.
     """
 
     CASES = 180  # per prime: 1,080 in all
@@ -556,7 +574,7 @@ class TestOscillatorAgainstExactSums:
         return data, rng.randint(1, 12) if rng.random() < 0.3 else rng.randint(1, 120)
 
     def compare_routes(self, p, cases, monkeypatch):
-        """Run both routes on ``cases`` seeded draws; count the outcome kinds."""
+        """Run the kernel and its form on ``cases`` seeded draws; count the outcome kinds."""
         rng = random.Random(1000 + p)
         place = Place.prime(p)
         library = propagators._oscillator_truncations
@@ -592,7 +610,11 @@ class TestOscillatorAgainstExactSums:
 
 
 class TestOscillatorPrecisionSoundness:
-    """A result at precision P is exact: P + 60 gives the same amplitude."""
+    """A result at precision P is exact: P + 60 gives the same amplitude.
+
+    The kernel and the hand formula of ``closed_forms`` are checked side
+    by side, and must agree wherever both return.
+    """
 
     CASES = 200
     EXTRA = 60
@@ -608,21 +630,61 @@ class TestOscillatorPrecisionSoundness:
             P = rng.randint(1, 12) if rng.random() < 0.5 else rng.randint(1, 120)
             try:
                 amp = k_oscillator_td(place, data, P)
-                form = oscillator_action_form(data, p, P)
-                alt = k_general_quadratic(place, form, data.x1, data.x0)
+                alt = k_oscillator(place, data, P)
             except PrecisionError:
                 skipped += 1
                 continue
             fine = k_oscillator_td(place, data, P + self.EXTRA)
-            fine_form = oscillator_action_form(data, p, P + self.EXTRA)
-            fine_alt = k_general_quadratic(place, fine_form, data.x1, data.x0)
-            assert (amp.modulus_sq, amp.phase) == (fine.modulus_sq, fine.phase), (data, P)
-            assert (alt.modulus_sq, alt.phase) == (fine_alt.modulus_sq, fine_alt.phase), (
-                data, P,
-            )
+            fine_alt = k_oscillator(place, data, P + self.EXTRA)
+            assert amp == fine == alt == fine_alt, (data, P)
             checked += 1
         print(f"p={p}: {checked} checked, {skipped} skipped on PrecisionError")
         assert checked >= self.CASES // 4
+
+
+class TestOscillatorComposition:
+    """Two oscillator steps gamma0 -> gamma_m -> gamma1 compose to the one-shot kernel.
+
+    The kernel's lambda_p(2 sqrt(dgamma1*dgamma0)/sin delta) is what the
+    Gauss composition of the two step forms carries; lambda_p(2 sin delta)
+    differs from it where the root is not a square in Q_p (here dgamma = 3
+    at p = 3 and 7).  The ds/s terms of the steps cancel in the x_m^2
+    coefficient, so the midpoint's s_m, ds_m are arbitrary.  Cases whose
+    canonical root of dgamma^2 is -dgamma (p = 5, dgamma = 3; p = 13,
+    dgamma = 7) are skipped: that branch does not compose.
+    """
+
+    P = 80
+    DGAMMAS = (1, 2, 3, 5, 6, 7, 10, 12, 15)
+    ENDPOINTS = ((F(1), F(2)), (F(1, 2), F(1, 3)), (F(-3), F(5)))
+
+    @staticmethod
+    def data(g, x0, x1, gamma0, gamma1, s0, s1, ds0, ds1):
+        return OscillatorBoundaryData(
+            x0=x0, x1=x1, gamma0=gamma0, gamma1=gamma1, dgamma0=g, dgamma1=g,
+            s0=s0, s1=s1, ds0=ds0, ds1=ds1,
+        )
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_two_steps_equal_one(self, p):
+        place, P, data = Place.prime(p), self.P, self.data
+        checked = 0
+        for g in self.DGAMMAS:
+            if sqrt_p(g * g, p, P) != PadicTruncation.from_rational(g, p, P):
+                continue
+            for d1, d2 in ((p, p), (2 * p, -p), (p * p, 3 * p)):
+                for x0, x1 in self.ENDPOINTS:
+                    one = k_oscillator_td(
+                        place, data(g, x0, x1, 0, d1 + d2, 2, 3, F(1, 2), F(1, 4)), P)
+                    first = oscillator_action_form(
+                        data(g, x0, 1, 0, d1, 2, 5, F(1, 2), F(2, 7)), p, P)
+                    second = oscillator_action_form(
+                        data(g, 1, x1, d1, d1 + d2, 5, 3, F(2, 7), F(1, 4)), p, P)
+                    composed = compose_kernels(SymbolicKernel.from_form(place, second),
+                                               SymbolicKernel.from_form(place, first))
+                    assert composed.evaluate(x0, x1) == one, (g, d1, d2, x0, x1)
+                    checked += 1
+        assert checked >= 45
 
 
 class TestOscillatorFormSoundness:

@@ -197,14 +197,19 @@ def chi_of_truncation(t: PadicTruncation) -> Phase:
     return Phase(Fraction(t.mantissa % p_pow, p_pow))
 
 
-def lambda_of_truncation(place: Place, t: PadicTruncation) -> Phase:
-    """Lambda factor of a truncated value; needs enough pinned digits."""
-    p = place.p
+def _check_lambda_digits(p: int, t: PadicTruncation) -> None:
+    """Raise PrecisionError unless t pins the digits that lambda_p reads:
+    one above the valuation, three at p = 2."""
     if t.is_zero_mod:
         raise PrecisionError("lambda factor needs a value pinned away from zero")
     need = 3 if p == 2 else 1
     if t.precision - t.valuation < need:
         raise PrecisionError(f"need {need} digits above the valuation")
+
+
+def lambda_of_truncation(place: Place, t: PadicTruncation) -> Phase:
+    """Lambda factor of a truncated value; needs enough pinned digits."""
+    _check_lambda_digits(place.p, t)
     return lambda_v(place, t.representative())
 
 

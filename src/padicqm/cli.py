@@ -24,8 +24,8 @@ from typing import NamedTuple
 from .characters import Amplitude
 from .dynamics import action_form_constant_field
 from .errors import OutputLimitError, PadicqmError
-from .gauss import gauss_full, quad_char_integral_ball
-from .places import Place, valuation
+from .gauss import gauss_full, quad_char_integral_ball, stabilization_threshold
+from .places import Place, is_prime, valuation
 from .propagators import (
     OscillatorBoundaryData,
     SymbolicKernel,
@@ -226,6 +226,25 @@ def _cmd_gauss(args) -> int:
     return EXIT_OK
 
 
+def _check_ball_phase(p: int, alpha: Fraction, beta: Fraction, N: int) -> None:
+    """OutputLimitError where the ball integral's phase is sure to be too long to write.
+
+    From N = ``stabilization_threshold`` on, the integral is the full one,
+    lambda_p(alpha) |2 alpha|_p^(-1/2) chi_p(-beta^2/4 alpha).  For
+    e = v(4 alpha) - 2 v(beta) > 3, the denominator of -beta^2/4 alpha is
+    p^e, and lambda_p adds at most eighths, so the phase denominator is a
+    multiple of p^e.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not (limit and alpha and beta and is_prime(p)):
+        return
+    e = valuation(4 * alpha, p) - 2 * valuation(beta, p)
+    if e > 3 and N >= stabilization_threshold(p, alpha, beta) and p**e >= 10**limit:
+        raise OutputLimitError(
+            f"the phase denominator is a multiple of {p}^{e}, more than {limit} digits"
+        )
+
+
 def _cmd_ball_integral(args) -> int:
     if abs(args.N) > MAX_BALL_RADIUS:
         print(f"resource limit: --N {args.N} exceeds {MAX_BALL_RADIUS} in absolute value",
@@ -241,6 +260,7 @@ def _cmd_ball_integral(args) -> int:
         "beta": _text(args.beta),
         "N": args.N,
     }
+    _check_ball_phase(args.p, args.alpha, args.beta, args.N)
     amp = quad_char_integral_ball(args.p, args.alpha, args.beta, args.N)
     row.update(_amp_fields(amp, args.p))
     _emit([row], args.format, {"command": "ball-integral"})

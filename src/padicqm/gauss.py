@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from typing import Callable
 
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
@@ -217,7 +218,7 @@ class QuadraticCharacter:
     """The integrand chi_p(alpha x^2 + beta x) as a float-valued function.
 
     Calling it evaluates one point through ``fractional_part``.  On a ball
-    the Haar oracle uses ``coset_values`` instead, which works on integer
+    the Haar oracle uses ``coset_angles`` instead, which works on integer
     coset indices.
     """
 
@@ -229,16 +230,17 @@ class QuadraticCharacter:
         q = fractional_part(self.alpha * x * x + self.beta * x, self.p)
         return cmath.exp(2j * math.pi * float(q))
 
-    def coset_values(self, ball: BallSpec) -> list[complex]:
-        """Values at the representatives r p^(-N), r = 0 .. n_cosets - 1, in order.
+    def coset_angles(self, ball: BallSpec) -> list[float]:
+        """Angles 2 pi {x}_p at the representatives r p^(-N), r = 0 .. n_cosets - 1.
 
         For integer r, {r^2 A + r B}_p = r^2 {A}_p + r {B}_p mod 1, with
         A = alpha p^(-2N) and B = beta p^(-N).  Two ``fractional_part``
         calls give {A}_p = c2/m and {B}_p = c1/m over one denominator
-        m = p^L, and each coset's phase is ((c2 r + c1) r mod m)/m.  The
-        integer quotient k/m and ``float(Fraction(k, m))`` are both the
-        correctly rounded value of the same rational, so every value is
-        bit-identical to calling the character at the representative.
+        m = p^L, and each coset's phase is k_r/m, k_r = c2 r^2 + c1 r: two
+        running sums, as the second difference of k_r is the constant 2 c2.
+        (k_r mod m)/m and ``float(Fraction(k_r, m))`` are the same correctly
+        rounded float, and ``cmath.exp`` of i theta is (cos theta, sin theta),
+        so cos and sin of each angle are bit for bit the character's value.
         """
         if ball.prime != self.p:
             raise ValueError(
@@ -250,15 +252,17 @@ class QuadraticCharacter:
         m = max(quad.denominator, lin.denominator)
         c2 = quad.numerator * (m // quad.denominator)
         c1 = lin.numerator * (m // lin.denominator)
-        turn = 2j * math.pi
-        return [cmath.exp(turn * ((c2 * r + c1) * r % m / m)) for r in range(ball.n_cosets)]
+        n = ball.n_cosets
+        steps = accumulate(repeat(2 * c2, n - 2), initial=c2 + c1)
+        tau = 2 * math.pi
+        return [tau * (k % m / m) for k in islice(accumulate(steps, initial=0), n)]
 
 
 def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticCharacter:
     """Float-valued chi_p(alpha x^2 + beta x), for feeding the Haar oracle.
 
     On a ball the oracle enumerates it over integer coset residues from
-    two ``fractional_part`` calls (``QuadraticCharacter.coset_values``),
+    two ``fractional_part`` calls (``QuadraticCharacter.coset_angles``),
     bit-identical to evaluating it at each coset representative.
     """
     return QuadraticCharacter(p, Fraction(alpha), Fraction(beta))
@@ -268,25 +272,24 @@ def haar_oracle(p: int, f: Callable[[Fraction], complex], ball: BallSpec) -> com
     """Numerical Haar integral of f over the ball by coset enumeration.
 
     Evaluates f at every coset representative and weights by the coset
-    measure p^{-M}.  A ``QuadraticCharacter`` is evaluated over integer
-    coset residues from two ``fractional_part`` calls, with the same
-    values as per point; any other callable is called at each
-    representative.  Deterministic: the real and imaginary parts are each
-    summed by ``math.fsum``, correctly rounded and so independent of the
-    enumeration order.
+    measure p^{-M}.  A ``QuadraticCharacter`` gives the angle of each
+    coset from integer residues (``coset_angles``), and its cosines and
+    sines are the real and imaginary parts of the per-point values; any
+    other callable is called at each representative.  Deterministic: the
+    real and imaginary parts are each summed by ``math.fsum``, correctly
+    rounded and so independent of the enumeration order.
     """
     if ball.prime != p:
         raise ValueError("ball prime disagrees with p")
     if ball.n_cosets > COSET_CAP:
         raise OracleCapError(f"{ball.n_cosets} cosets exceed the cap of {COSET_CAP}")
     if isinstance(f, QuadraticCharacter):
-        values = f.coset_values(ball)
+        angles = f.coset_angles(ball)
+        re, im = map(math.cos, angles), map(math.sin, angles)
     else:
         values = [f(r) for r in ball.representatives()]
-    total = complex(
-        math.fsum(z.real for z in values), math.fsum(z.imag for z in values)
-    )
-    return total * float(p) ** (-ball.resolution_exponent)
+        re, im = (z.real for z in values), (z.imag for z in values)
+    return complex(math.fsum(re), math.fsum(im)) * float(p) ** (-ball.resolution_exponent)
 
 
 def fresnel_oracle(

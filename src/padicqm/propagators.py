@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import PadicTruncation, _sin_cos_sums, lambda_of_truncation, sqrt_p
+from .analytic import PadicTruncation, _check_lambda_digits, _sin_cos_sums, sqrt_p
 from .characters import Amplitude, Phase, chi, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
@@ -433,8 +433,8 @@ def oscillator_action_form(
     good as those digits.
     """
     inv_tan, root_over_sin = _oscillator_truncations(data, p, precision)
-    # raises PrecisionError unless the lambda digits of gamma are pinned
-    lambda_of_truncation(Place.prime(p), root_over_sin)
+    # from_form reads lambda of gamma = -root_over_sin: its digits must be pinned
+    _check_lambda_digits(p, root_over_sin)
     # t * c is pinned above p^0, where its fractional part lives, exactly
     # when chi_of_truncation(t.scale(c)) would not raise
     for t, c in ((inv_tan, data.dgamma1 * data.x1**2 / 2),

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from padicqm import Amplitude, OutputLimitError, Place, gauss_full, quad_char_integral_ball
+from padicqm import (
+    Amplitude,
+    OutputLimitError,
+    Place,
+    gauss_full,
+    quad_char_integral_ball,
+    stabilization_threshold,
+)
 from padicqm import cli, gauss
 from padicqm.cli import main
 
@@ -510,6 +517,50 @@ class TestOutputLimit:
         code, out, err = run_cli(capsys, argv)
         assert (code, out, calls) == (3, "", [])
         assert err.startswith("resource limit: ")
+
+    def test_ball_phase_too_long_exits_3_before_any_work(self, capsys, monkeypatch):
+        # a 25-digit prime: with beta = 1/p^175 (4,292 digits)
+        # the phase denominator is a multiple of p^350, and N = 10000 is past
+        # the stabilization threshold 175; with beta = 1 the phase is 0
+        if not sys.get_int_max_str_digits():
+            pytest.skip("this interpreter writes integers of any length")
+        p = 3317044064679887385961813
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return quad_char_integral_ball(*args)
+
+        monkeypatch.setattr(cli, "quad_char_integral_ball", spy)
+        argv = ["ball-integral", "--p", str(p), "--alpha", "1", f"--beta=1/{p**175}",
+                "--N", "10000"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, calls) == (3, "", [])
+        assert err.startswith(f"resource limit: the phase denominator is a multiple of {p}^350")
+        code, out, _ = run_cli(capsys, [*argv[:5], "--beta", "1", "--N", "10000"])
+        row = json.loads(out)["rows"][0]
+        assert (code, row["modulus_sq"], row["phase"]) == (0, "1", "0")
+        assert calls == [(p, F(1), F(1), 10_000)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_ball_phase_bound_fires_only_on_phases_too_long(self, monkeypatch, p):
+        # around v(beta) = -limit/(2 log10 p) and N = the stabilization
+        # threshold, wherever the bound fires the exact phase is too long
+        limit = 640
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        centre = math.ceil(limit / (2 * math.log10(p)))
+        fired = 0
+        for k in range(centre - 2, centre + 3):
+            alpha, beta = F(3 if p == 2 else 2), F(1, p**k)
+            n0 = stabilization_threshold(p, alpha, beta)
+            for N in (n0 - 1, n0, n0 + 2):
+                try:
+                    cli._check_ball_phase(p, alpha, beta, N)
+                except OutputLimitError:
+                    fired += 1
+                    phase = quad_char_integral_ball(p, alpha, beta, N).phase.value
+                    assert phase.denominator >= 10**limit
+        assert fired >= 2
 
 
 def _emit_payloads(monkeypatch):

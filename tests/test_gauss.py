@@ -221,7 +221,7 @@ def criterion_1_cells():
 def assert_routes_agree(f, ball):
     """Integer-residue route == per-point route, value by value and in total."""
     per_point = [f(x) for x in ball.representatives()]
-    assert f.coset_values(ball) == per_point
+    assert [complex(math.cos(t), math.sin(t)) for t in f.coset_angles(ball)] == per_point
     lookup = dict(zip(ball.representatives(), per_point))
     assert haar_oracle(ball.prime, f, ball) == haar_oracle(
         ball.prime, lookup.__getitem__, ball
@@ -237,6 +237,35 @@ def coefficients(p):
         st.integers(-3, 3),
     )
     return st.one_of(st.just(F(0)), mixed)
+
+
+class TestCosetAngles:
+    """The running-sum residues at small balls and zero coefficients."""
+
+    @pytest.mark.parametrize("p, alpha, beta, ball, phases", [
+        # n_cosets = 1, 2, 3
+        (3, F(1, 9), F(1, 3), BallSpec(3, 0, 0), [0]),
+        (2, F(1, 4), F(1, 2), BallSpec(2, 0, 1), [0, F(3, 4)]),
+        (3, F(1, 3), F(1, 3), BallSpec(3, 0, 1), [0, F(2, 3), 0]),
+        # c2 = 0, c1 = 0, both zero
+        (2, F(0), F(1, 2), BallSpec(2, 0, 1), [0, F(1, 2)]),
+        (3, F(1, 3), F(0), BallSpec(3, 0, 1), [0, F(1, 3), F(1, 3)]),
+        (5, F(0), F(0), BallSpec(5, 1, 1), [0] * 25),
+        # alpha = p^2 is nonzero, but alpha x^2 is p-integral on the unit ball: c2 = 0
+        (5, F(25), F(1, 5), BallSpec(5, 0, 1), [F(r, 5) for r in range(5)]),
+        # p = 2 with m = 2 n: four cosets, residues mod 8
+        (2, F(1, 8), F(0), BallSpec(2, 0, 2), [0, F(1, 8), F(1, 2), F(1, 8)]),
+        (2, F(1, 2), F(1, 4), BallSpec(2, 1, 1), [0, F(1, 4), F(3, 4), F(1, 2)]),
+    ])
+    def test_small_balls(self, p, alpha, beta, ball, phases):
+        f = quadratic_char_fn(p, alpha, beta)
+        angles = f.coset_angles(ball)
+        assert angles == [2 * math.pi * float(q) for q in phases]
+        assert angles == [
+            2 * math.pi * float(fractional_part(alpha * x * x + beta * x, p))
+            for x in ball.representatives()
+        ]
+        assert_routes_agree(f, ball)
 
 
 class TestQuadraticCharacter:

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import Phase, lambda_v, legendre
+from .characters import Phase, legendre
 from .errors import DomainError, NonSquareError, PrecisionError
-from .places import Place, p_split, unit_residue, valuation
+from .places import p_split, unit_residue, valuation
 
 
 #: moduli up to this many bits take ``pow(u, -1, p**k)``; above it Newton's
@@ -205,12 +205,6 @@ def _check_lambda_digits(p: int, t: PadicTruncation) -> None:
     need = 3 if p == 2 else 1
     if t.precision - t.valuation < need:
         raise PrecisionError(f"need {need} digits above the valuation")
-
-
-def lambda_of_truncation(place: Place, t: PadicTruncation) -> Phase:
-    """Lambda factor of a truncated value; needs enough pinned digits."""
-    _check_lambda_digits(place.p, t)
-    return lambda_v(place, t.representative())
 
 
 def _trig_domain_valuation(x: Fraction, p: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -21,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .characters import Amplitude
+from .characters import Amplitude, lambda_v
 from .dynamics import action_form_constant_field
 from .errors import OutputLimitError, PadicqmError
 from .gauss import gauss_full, quad_char_integral_ball, stabilization_threshold
@@ -227,22 +228,26 @@ def _cmd_gauss(args) -> int:
 
 
 def _check_ball_phase(p: int, alpha: Fraction, beta: Fraction, N: int) -> None:
-    """OutputLimitError where the ball integral's phase is sure to be too long to write.
+    """OutputLimitError where the ball integral's phase is too long to write.
 
     From N = ``stabilization_threshold`` on, the integral is the full one,
     lambda_p(alpha) |2 alpha|_p^(-1/2) chi_p(-beta^2/4 alpha).  For
-    e = v(4 alpha) - 2 v(beta) > 3, the denominator of -beta^2/4 alpha is
-    p^e, and lambda_p adds at most eighths, so the phase denominator is a
-    multiple of p^e.
+    e = v(4 alpha) - 2 v(beta) > 0, the denominator of -beta^2/4 alpha is
+    p^e.  At odd p the phase denominator is p^e times that of lambda_p(alpha),
+    1, 2 or 4; at p = 2 with e > 3 it is 2^e, as lambda_2 adds only eighths.
+    Any other phase denominator is at most 8.  The phase n/d has n < d, so
+    it is too long to write exactly when d >= 10^limit.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not (limit and alpha and beta and is_prime(p)):
         return
     e = valuation(4 * alpha, p) - 2 * valuation(beta, p)
-    if e > 3 and N >= stabilization_threshold(p, alpha, beta) and p**e >= 10**limit:
-        raise OutputLimitError(
-            f"the phase denominator is a multiple of {p}^{e}, more than {limit} digits"
-        )
+    if e > (3 if p == 2 else 0) and N >= stabilization_threshold(p, alpha, beta):
+        lam = 1 if p == 2 else lambda_v(Place.prime(p), alpha).value.denominator
+        if p**e * lam >= 10**limit:
+            raise OutputLimitError(
+                f"the phase denominator is a multiple of {p}^{e}, more than {limit} digits"
+            )
 
 
 def _cmd_ball_integral(args) -> int:
@@ -328,11 +333,10 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_kernel_oscillator(args) -> int:
-    required = [args.x0, args.x1, args.gamma0, args.gamma1,
-                args.dgamma0, args.dgamma1, args.s0, args.s1, args.ds0, args.ds1]
-    if any(v is None for v in required):
-        print("oscillator system needs --x0 --x1 --gamma0 --gamma1 "
-              "--dgamma0 --dgamma1 --s0 --s1 --ds0 --ds1", file=sys.stderr)
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(OscillatorBoundaryData)}
+    if None in values.values():
+        print("oscillator system needs " + " ".join(f"--{name}" for name in values),
+              file=sys.stderr)
         return EXIT_USAGE
     if args.precision > MAX_PRECISION:
         print(f"resource limit: --precision {args.precision} exceeds {MAX_PRECISION}",
@@ -340,13 +344,9 @@ def _cmd_kernel_oscillator(args) -> int:
         return EXIT_RESOURCE
     # the inputs take the write check of the other commands' echoed inputs
     # before any work: a rational too long to write exits 3 here
-    for value in required:
+    for value in values.values():
         _text(value)
-    data = OscillatorBoundaryData(
-        x0=args.x0, x1=args.x1, gamma0=args.gamma0, gamma1=args.gamma1,
-        dgamma0=args.dgamma0, dgamma1=args.dgamma1,
-        s0=args.s0, s1=args.s1, ds0=args.ds0, ds1=args.ds1,
-    )
+    data = OscillatorBoundaryData(**values)
     rows = []
     for place in args.place:
         row = {"place": str(place), "system": "osc", "sqrt_branch": "canonical"}
@@ -402,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="constant acceleration (const-field)")
     kernel.add_argument("--lam", type=_rational, default=Fraction(0),
                         help="cosmological constant (desitter)")
-    for name in ("x0", "x1", "gamma0", "gamma1", "dgamma0", "dgamma1",
-                 "s0", "s1", "ds0", "ds1"):
-        kernel.add_argument(f"--{name}", type=_rational, default=None,
+    for field in dataclasses.fields(OscillatorBoundaryData):
+        kernel.add_argument(f"--{field.name}", type=_rational, default=None,
                             help="oscillator boundary value")
     kernel.add_argument("--precision", type=int, default=20,
                         help="p-adic working precision for the oscillator")

@@ -15,6 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .analytic import PadicTruncation, _check_lambda_digits, _sin_cos_sums, sqrt_p
 from .characters import Amplitude, Phase, chi, lambda_v, phase_sum
@@ -214,6 +215,13 @@ def k_general_quadratic(
     return SymbolicKernel.from_form(place, form).evaluate(x0, x1)
 
 
+def _fold_constant_field(place: Place, a: Fraction | int, steps) -> SymbolicKernel:
+    """The constant-field step kernels of ``steps`` composed in time order."""
+    kernels = (SymbolicKernel.from_form(place, action_form_constant_field(a, eps))
+               for eps in steps)
+    return reduce(lambda kernel, step: compose_kernels(step, kernel), kernels)
+
+
 def finite_n_propagator(
     place: Place,
     a: Fraction | int,
@@ -230,14 +238,7 @@ def finite_n_propagator(
     """
     if partition.place != place:
         raise PartitionError("partition place disagrees with the requested place")
-    kernels = [
-        SymbolicKernel.from_form(place, action_form_constant_field(a, eps))
-        for eps in partition.step_lengths()
-    ]
-    kernel = kernels[0]
-    for step in kernels[1:]:
-        kernel = compose_kernels(step, kernel)
-    return kernel.evaluate(q0, q1)
+    return _fold_constant_field(place, a, partition.step_lengths()).evaluate(q0, q1)
 
 
 def semigroup_residual(
@@ -257,10 +258,7 @@ def semigroup_residual(
     t0, t_mid, t1 = Fraction(t0), Fraction(t_mid), Fraction(t1)
     if t_mid == t0 or t1 == t_mid or t1 == t0:
         raise DegenerateIntervalError("intermediate time collides with an endpoint")
-    composed = compose_kernels(
-        SymbolicKernel.from_form(place, action_form_constant_field(a, t1 - t_mid)),
-        SymbolicKernel.from_form(place, action_form_constant_field(a, t_mid - t0)),
-    ).evaluate(q0, q1)
+    composed = _fold_constant_field(place, a, (t_mid - t0, t1 - t_mid)).evaluate(q0, q1)
     direct = k_general_quadratic(place, action_form_constant_field(a, t1 - t0), q1, q0)
     if composed == direct:
         return Amplitude.zero()
@@ -294,19 +292,16 @@ def overlap_ball_integral(
     diverging mass p^N / |t1 - t|_p on the diagonal -- the ball pairing
     of a delta.
     """
-    a, t, t1 = Fraction(a), Fraction(t), Fraction(t1)
-    x0, x1 = Fraction(x0), Fraction(x1)
-    tau = t1 - t
-    if tau == 0:
-        raise DegenerateIntervalError("coincident times: the pairing is the delta limit")
     place = Place.prime(p)
-    # conj(K(x1;x)) K(x0;x): lambda factors cancel; the chi argument is
-    # S(x1, x) - S(x0, x), linear in x.
-    const = (x1 * x1 - x0 * x0) / (2 * tau) + a * (x1 - x0) * tau / 2
-    beta_lin = -(x1 - x0) / tau
-    ball = quad_char_integral_ball(p, Fraction(0), beta_lin, N)
-    # |K|^2 is the value |tau|^{-1}, so its squared modulus is |tau|^{-2}
-    weight = Amplitude((1 / norm(tau, place)) ** 2, chi(place, const))
+    # coincident times raise DegenerateIntervalError: the pairing is the delta limit
+    kernel = SymbolicKernel.from_form(place, action_form_constant_field(a, Fraction(t1) - t))
+    form, dx = kernel.form, x1 - x0
+    # conj(K(x1;x)) K(x0;x): lambda factors cancel, and so do the x^2 terms
+    # of S(x1, x) - S(x0, x), leaving gamma (x1 - x0) x plus a constant
+    ball = quad_char_integral_ball(p, Fraction(0), form.gamma * dx, N)
+    const = form.alpha * (x1 * x1 - x0 * x0) + form.delta * dx
+    # |K|^2 is the value |gamma|, so its squared modulus is |gamma|^2
+    weight = Amplitude(kernel.prefactor.modulus_sq ** 2, chi(place, const))
     return weight * ball
 
 

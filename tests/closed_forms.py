@@ -11,13 +11,15 @@ from fractions import Fraction
 from padicqm import (
     Amplitude,
     DegenerateIntervalError,
+    PadicTruncation,
+    Phase,
     Place,
+    PrecisionError,
     chi,
     chi_of_truncation,
     lambda_v,
     norm,
 )
-from padicqm.analytic import lambda_of_truncation
 from padicqm.propagators import oscillator_chi_rational_part
 
 import series_oracle
@@ -74,6 +76,14 @@ def k_desitter(
     return Amplitude(1 / norm(4 * T, place), lambda_v(place, -2 * T) + chi(place, arg))
 
 
+def _pinned_lambda(place: Place, t: PadicTruncation) -> Phase:
+    """lambda_p of t's representative; PrecisionError unless t pins the
+    digits lambda_p reads: one above the valuation, three at p = 2."""
+    if t.is_zero_mod or t.precision - t.valuation < (3 if place.p == 2 else 1):
+        raise PrecisionError("lambda digits of the truncation are not pinned")
+    return lambda_v(place, t.representative())
+
+
 def k_oscillator(place: Place, data, P: int) -> Amplitude:
     """Time-dependent oscillator propagator at a p-adic place, modulo p^P.
 
@@ -89,7 +99,7 @@ def k_oscillator(place: Place, data, P: int) -> Amplitude:
     trig = inv_tan.scale(quad_coeff) + root_over_sin.scale(data.x1 * data.x0)
     return Amplitude(
         root_over_sin.norm(),
-        lambda_of_truncation(place, root_over_sin.scale(2))
+        _pinned_lambda(place, root_over_sin.scale(2))
         + chi(place, oscillator_chi_rational_part(data))
         + chi_of_truncation(trig),
     )

@@ -18,6 +18,7 @@ from padicqm import (
     gauss_full,
     quad_char_integral_ball,
     stabilization_threshold,
+    valuation,
 )
 from padicqm import cli, gauss
 from padicqm.cli import main
@@ -542,25 +543,52 @@ class TestOutputLimit:
         assert (code, row["modulus_sq"], row["phase"]) == (0, "1", "0")
         assert calls == [(p, F(1), F(1), 10_000)]
 
+    def test_ball_phase_with_lambda_factor_exits_3_before_any_work(self, capsys, monkeypatch):
+        # alpha = 11 has odd valuation and 11 = 3 mod 4, so lambda_11(alpha) is
+        # +-i: with beta = 1/11^2064 the phase denominator is 4 * 11^4129, 4,301
+        # digits, while 11^4129 alone has 4,300
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        calls = []
+        monkeypatch.setattr(cli, "quad_char_integral_ball", lambda *args: calls.append(args))
+        argv = ["ball-integral", "--p", "11", "--alpha", "11", f"--beta=1/{11**2064}",
+                "--N", "10000"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, calls) == (3, "", [])
+        assert err.startswith("resource limit: the phase denominator is a multiple of 11^4129")
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_ball_phase_bound_fires_only_on_phases_too_long(self, monkeypatch, p):
-        # around v(beta) = -limit/(2 log10 p) and N = the stabilization
-        # threshold, wherever the bound fires the exact phase is too long
-        limit = 640
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
-        centre = math.ceil(limit / (2 * math.log10(p)))
-        fired = 0
-        for k in range(centre - 2, centre + 3):
-            alpha, beta = F(3 if p == 2 else 2), F(1, p**k)
-            n0 = stabilization_threshold(p, alpha, beta)
-            for N in (n0 - 1, n0, n0 + 2):
-                try:
-                    cli._check_ball_phase(p, alpha, beta, N)
-                except OutputLimitError:
-                    fired += 1
-                    phase = quad_char_integral_ball(p, alpha, beta, N).phase.value
-                    assert phase.denominator >= 10**limit
+        # around v(beta) = -limit/(2 log10 p): from N = the stabilization
+        # threshold on, the bound fires exactly when the exact phase
+        # denominator has more digits than the limit, lambda's factor of
+        # 2 or 4 included; below the threshold it never fires
+        limits = range(640, 661)
+        centre = math.ceil(650 / (2 * math.log10(p)))
+        # alpha = p and 2p have odd valuation, where lambda_p(alpha) has
+        # denominator 4 at p = 3 mod 4, and 2 at p = 5 for the non-residue 2
+        alphas = (F(3), F(2), F(6)) if p == 2 else (F(2), F(p), F(2 * p))
+        fired = decided_by_lambda = 0
+        for alpha in alphas:
+            for k in range(centre - 6, centre + 7):
+                beta = F(1, p**k)
+                n0 = stabilization_threshold(p, alpha, beta)
+                for N in (n0 - 1, n0, n0 + 2):
+                    d = quad_char_integral_ball(p, alpha, beta, N).phase.value.denominator
+                    for limit in limits:
+                        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+                        try:
+                            cli._check_ball_phase(p, alpha, beta, N)
+                        except OutputLimitError:
+                            fired += 1
+                            assert N >= n0 and d >= 10**limit
+                        else:
+                            assert N < n0 or d < 10**limit
+                            continue
+                        e = valuation(4 * alpha, p) - 2 * valuation(beta, p)
+                        decided_by_lambda += p**e < 10**limit
         assert fired >= 2
+        if p != 2:
+            assert decided_by_lambda >= 1
 
 
 def _emit_payloads(monkeypatch):

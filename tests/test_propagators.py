@@ -414,11 +414,13 @@ class TestOscillator:
         # with x = 0 everything chi-dependent drops; |sin|_3 = |3|_3, and
         # the phase is lambda_3(2 sqrt(1)/sin 3)
         assert amp.modulus_sq == 3
-        from padicqm.analytic import _sin_cos_sums, lambda_of_truncation
+        from padicqm.analytic import _sin_cos_sums
 
         sin_t, _ = _sin_cos_sums(F(3), 3, 20)
-        one = PadicTruncation.from_rational(1, 3, 20)
-        assert amp.phase == lambda_of_truncation(P3, (one / sin_t).scale(2))
+        root_over_sin = (PadicTruncation.from_rational(1, 3, 20) / sin_t).scale(2)
+        # lambda_3 reads one digit above the valuation
+        assert root_over_sin.precision - root_over_sin.valuation >= 1
+        assert amp.phase == lambda_v(P3, root_over_sin.representative())
 
     def test_matches_hand_formula(self):
         for p in (3, 5, 7):

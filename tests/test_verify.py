@@ -1,6 +1,18 @@
+from fractions import Fraction as F
+
 import pytest
 
-from padicqm import PadicqmError, Place
+from padicqm import (
+    PadicqmError,
+    PartitionSpec,
+    Phase,
+    Place,
+    finite_n_propagator,
+    lambda_v,
+    propagators,
+    valuation,
+    verify,
+)
 from padicqm.verify import CHECKS
 
 PADIC_ONLY = ("overlap", "gauss")
@@ -31,3 +43,54 @@ def test_padic_checks_skip_the_real_place(name):
     assert CHECKS[name](places=(Place.real(), p3), trials=2) == CHECKS[name](
         places=(p3,), trials=2
     ) == []
+
+
+def _compose_with_lambda_of_minus_a():
+    """compose_kernels taking lambda_v(-A) for the Gauss factor, not lambda_v(A)."""
+    compose = propagators.compose_kernels
+
+    def mutated(k2, k1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagators, "lambda_v", lambda place, x: lambda_v(place, -x))
+            return compose(k2, k1)
+
+    return mutated
+
+
+@pytest.mark.parametrize("name, count", [("composition", 118), ("semigroup", 9)])
+def test_fold_checks_catch_compose_kernels_taking_lambda_of_minus_a(monkeypatch, name, count):
+    monkeypatch.setattr(propagators, "compose_kernels", _compose_with_lambda_of_minus_a())
+    failures = CHECKS[name](trials=3, seed=1)
+    assert len(failures) == count
+    # a failure row holds every input the fold drew, so it can be replayed
+    row = failures[0]
+    assert list(row) == ["check", "place", "N", "points", "a", "q0", "q1", "got", "want"]
+    assert row["check"] == name and (name == "composition" or row["N"] == 2)
+    place = Place.parse(row["place"])
+    points, a, q0, q1 = [F(t) for t in row["points"]], F(row["a"]), F(row["q0"]), F(row["q1"])
+    got = finite_n_propagator(place, a, PartitionSpec(place, tuple(points)), q0, q1)
+    assert str(got) == row["got"]
+
+
+def test_overlap_catches_a_threshold_one_too_high(monkeypatch):
+    threshold = verify.overlap_vanishing_threshold
+    monkeypatch.setattr(verify, "overlap_vanishing_threshold",
+                        lambda p, x_diff, tau: threshold(p, x_diff, tau) + 1)
+    assert len(CHECKS["overlap"](trials=5, seed=0)) == 9
+
+
+def test_gauss_catches_a_conjugated_closed_form(monkeypatch):
+    full = verify.gauss_full
+    monkeypatch.setattr(verify, "gauss_full", lambda place, a, b: full(place, a, b).conjugate())
+    assert len(CHECKS["gauss"](trials=3, seed=0)) == 30
+
+
+def test_lambda_catches_lambda_3_without_its_legendre_symbol(monkeypatch):
+    # at odd valuation lambda_3(a) is +-i by the Legendre symbol of a's unit
+    def mutated(place, a):
+        if place.p == 3 and valuation(a, 3) % 2:
+            return Phase(F(1, 4))
+        return lambda_v(place, a)
+
+    monkeypatch.setattr(verify, "lambda_v", mutated)
+    assert len(CHECKS["lambda"](trials=50, seed=0)) == 4

@@ -139,10 +139,6 @@ class Amplitude:
         z = self.phase.to_complex()
         return r * z.real, r * z.imag
 
-    def to_complex(self) -> complex:
-        re, im = self.render()
-        return complex(re, im)
-
     def __str__(self) -> str:
         return f"|.|^2={self.modulus_sq}, phase={self.phase}"
 

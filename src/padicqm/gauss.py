@@ -12,12 +12,10 @@ p-adic balls and a damped Fresnel quadrature at the real place.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import Callable
 
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
 from .errors import DegenerateQuadraticError, OracleCapError, QuadratureError
@@ -47,12 +45,6 @@ class BallSpec:
     @property
     def n_cosets(self) -> int:
         return self.prime ** (self.radius_exponent + self.resolution_exponent)
-
-    def representatives(self):
-        """Coset representatives sum(x_i p^i, -N <= i < M), ascending."""
-        scale = Fraction(self.prime) ** (-self.radius_exponent)
-        for r in range(self.n_cosets):
-            yield r * scale
 
 
 def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplitude:
@@ -113,11 +105,7 @@ def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
         if b == 0:
             return Amplitude(Fraction(mod) ** 2, Phase())
         return Amplitude.zero()
-    j = 0
-    aj = a
-    while aj % p == 0:
-        aj //= p
-        j += 1
+    j, aj = p_split(a, p)
     if j > 0:
         if b % p**j != 0:
             return Amplitude.zero()
@@ -215,20 +203,15 @@ def stabilization_threshold(p: int, alpha: Fraction, beta: Fraction) -> int:
 
 @dataclass(frozen=True)
 class QuadraticCharacter:
-    """The integrand chi_p(alpha x^2 + beta x) as a float-valued function.
+    """The integrand chi_p(alpha x^2 + beta x), enumerated over a ball's cosets.
 
-    Calling it evaluates one point through ``fractional_part``.  On a ball
-    the Haar oracle uses ``coset_angles`` instead, which works on integer
-    coset indices.
+    ``coset_angles`` works on integer coset indices, which is all the Haar
+    oracle reads.
     """
 
     p: int
     alpha: Fraction
     beta: Fraction
-
-    def __call__(self, x: Fraction) -> complex:
-        q = fractional_part(self.alpha * x * x + self.beta * x, self.p)
-        return cmath.exp(2j * math.pi * float(q))
 
     def coset_angles(self, ball: BallSpec) -> list[float]:
         """Angles 2 pi {x}_p at the representatives r p^(-N), r = 0 .. n_cosets - 1.
@@ -240,7 +223,8 @@ class QuadraticCharacter:
         running sums, as the second difference of k_r is the constant 2 c2.
         (k_r mod m)/m and ``float(Fraction(k_r, m))`` are the same correctly
         rounded float, and ``cmath.exp`` of i theta is (cos theta, sin theta),
-        so cos and sin of each angle are bit for bit the character's value.
+        so cos and sin of each angle are bit for bit the character's value
+        at each representative.
         """
         if ball.prime != self.p:
             raise ValueError(
@@ -259,36 +243,28 @@ class QuadraticCharacter:
 
 
 def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticCharacter:
-    """Float-valued chi_p(alpha x^2 + beta x), for feeding the Haar oracle.
+    """chi_p(alpha x^2 + beta x), for feeding the Haar oracle.
 
     On a ball the oracle enumerates it over integer coset residues from
-    two ``fractional_part`` calls (``QuadraticCharacter.coset_angles``),
-    bit-identical to evaluating it at each coset representative.
+    two ``fractional_part`` calls (``QuadraticCharacter.coset_angles``).
     """
     return QuadraticCharacter(p, Fraction(alpha), Fraction(beta))
 
 
-def haar_oracle(p: int, f: Callable[[Fraction], complex], ball: BallSpec) -> complex:
-    """Numerical Haar integral of f over the ball by coset enumeration.
+def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
+    """Numerical Haar integral of the character f over the ball by coset enumeration.
 
-    Evaluates f at every coset representative and weights by the coset
-    measure p^{-M}.  A ``QuadraticCharacter`` gives the angle of each
-    coset from integer residues (``coset_angles``), and its cosines and
-    sines are the real and imaginary parts of the per-point values; any
-    other callable is called at each representative.  Deterministic: the
-    real and imaginary parts are each summed by ``math.fsum``, correctly
-    rounded and so independent of the enumeration order.
+    Takes the angle of each coset from integer residues (``coset_angles``)
+    and weights by the coset measure p^{-M}.  Deterministic: the cosines
+    and the sines are each summed by ``math.fsum``, correctly rounded and
+    so independent of the enumeration order.
     """
     if ball.prime != p:
         raise ValueError("ball prime disagrees with p")
     if ball.n_cosets > COSET_CAP:
         raise OracleCapError(f"{ball.n_cosets} cosets exceed the cap of {COSET_CAP}")
-    if isinstance(f, QuadraticCharacter):
-        angles = f.coset_angles(ball)
-        re, im = map(math.cos, angles), map(math.sin, angles)
-    else:
-        values = [f(r) for r in ball.representatives()]
-        re, im = (z.real for z in values), (z.imag for z in values)
+    angles = f.coset_angles(ball)
+    re, im = map(math.cos, angles), map(math.sin, angles)
     return complex(math.fsum(re), math.fsum(im)) * float(p) ** (-ball.resolution_exponent)
 
 

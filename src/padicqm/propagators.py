@@ -294,14 +294,13 @@ def overlap_ball_integral(
     """
     place = Place.prime(p)
     # coincident times raise DegenerateIntervalError: the pairing is the delta limit
-    kernel = SymbolicKernel.from_form(place, action_form_constant_field(a, Fraction(t1) - t))
-    form, dx = kernel.form, x1 - x0
+    form, dx = action_form_constant_field(a, Fraction(t1) - t), x1 - x0
     # conj(K(x1;x)) K(x0;x): lambda factors cancel, and so do the x^2 terms
     # of S(x1, x) - S(x0, x), leaving gamma (x1 - x0) x plus a constant
     ball = quad_char_integral_ball(p, Fraction(0), form.gamma * dx, N)
     const = form.alpha * (x1 * x1 - x0 * x0) + form.delta * dx
     # |K|^2 is the value |gamma|, so its squared modulus is |gamma|^2
-    weight = Amplitude(kernel.prefactor.modulus_sq ** 2, chi(place, const))
+    weight = Amplitude(norm(form.gamma, place) ** 2, chi(place, const))
     return weight * ball
 
 

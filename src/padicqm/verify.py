@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
+from . import gauss
 from .characters import assert_eighth_root, lambda_v
 from .dynamics import action_form_constant_field
 from .errors import PadicqmError
@@ -41,8 +42,6 @@ SPAN = 2
 COMPOSITION_STEPS = range(2, 17)
 #: largest Haar-oracle error the gauss check accepts
 HAAR_TOLERANCE = 1e-10
-#: the gauss check runs the Haar oracle on balls of at most this many cosets
-HAAR_POINT_BUDGET = 200_000
 
 
 def random_nonzero_rational(rng: random.Random, place: Place) -> Fraction:
@@ -124,19 +123,22 @@ def _overlap_trial(rng: random.Random, place: Place, _):
     x1 = random_nonzero_rational(rng, place)
     a = random_nonzero_rational(rng, place)
     tau = t1 - t
+    # a failure row holds the arguments of its overlap_ball_integral call
+    drawn = {"a": str(a), "t": str(t), "t1": str(t1), "x0": str(x0), "x1": str(x1)}
     if x1 != x0:
         n0 = overlap_vanishing_threshold(p, x1 - x0, tau)
         for n in (n0, n0 + 1, n0 + 2):
             val = overlap_ball_integral(p, a, t, t1, x0, x1, n)
             if not val.is_zero:
-                yield {"check": "overlap-vanishing", "p": p, "N": n, "value": str(val)}
+                yield {"check": "overlap-vanishing", "p": p, "N": n, **drawn, "value": str(val)}
         if overlap_ball_integral(p, a, t, t1, x0, x1, n0 - 1).is_zero:
-            yield {"check": "overlap-below-threshold", "p": p, "N": n0 - 1}
+            yield {"check": "overlap-below-threshold", "p": p, "N": n0 - 1, **drawn}
     for n in (0, 1, 2):
         diag = overlap_ball_integral(p, a, t, t1, x0, x0, n)
         want = Fraction(p) ** n / norm(tau, place)
         if diag.modulus_sq != want * want or diag.phase.value != 0:
-            yield {"check": "overlap-diagonal", "p": p, "N": n, "value": str(diag)}
+            yield {"check": "overlap-diagonal", "p": p, "N": n, **drawn, "x1": str(x0),
+                   "value": str(diag)}
 
 
 def _gauss_trial(rng: random.Random, place: Place, _):
@@ -150,9 +152,9 @@ def _gauss_trial(rng: random.Random, place: Place, _):
         if ball_val != full:
             yield {"check": "gauss-stabilization", "p": p, "a": str(a), "b": str(b), "N": n,
                    "ball": str(ball_val), "full": str(full)}
-    m = minimal_resolution(p, a, b, n0)
-    if p ** (n0 + m) <= HAAR_POINT_BUDGET:
-        approx = haar_oracle(p, quadratic_char_fn(p, a, b), BallSpec(p, n0, m))
+    ball = BallSpec(p, n0, minimal_resolution(p, a, b, n0))
+    if ball.n_cosets <= gauss.COSET_CAP:
+        approx = haar_oracle(p, quadratic_char_fn(p, a, b), ball)
         exact = complex(*full.render())
         if abs(approx - exact) > HAAR_TOLERANCE:
             yield {"check": "gauss-haar", "p": p, "a": str(a), "b": str(b),

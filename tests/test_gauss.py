@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction as F
 
@@ -27,6 +26,8 @@ from padicqm.characters import Amplitude, Phase
 from padicqm.gauss import _complete_gauss_sum
 from padicqm.places import fractional_part, valuation
 
+import point_oracle
+
 R = Place.real()
 P3, P5 = Place.prime(3), Place.prime(5)
 
@@ -52,17 +53,6 @@ class TestGaussFull:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateQuadraticError):
             gauss_full(P3, 0, 1)
-
-
-def brute_ball_sum(p, alpha, beta, N, M):
-    """Literal measure-weighted coset enumeration (float phases)."""
-    scale = F(p) ** (-N)
-    total = 0j
-    for r in range(p ** (N + M)):
-        x = r * scale
-        q = fractional_part(alpha * x * x + beta * x, p)
-        total += cmath.exp(2j * math.pi * float(q))
-    return total * float(p) ** (-M)
 
 
 def brute_complete_sum_mp(a, b, p, L):
@@ -168,14 +158,19 @@ class TestBallIntegral:
         for alpha, beta, n in cases:
             m = minimal_resolution(p, alpha, beta, n)
             exact = quad_char_integral_ball(p, alpha, beta, n)
-            approx = brute_ball_sum(p, alpha, beta, n, m)
+            approx = point_oracle.haar_integral(
+                quadratic_char_fn(p, alpha, beta), BallSpec(p, n, m)
+            )
             assert abs(complex(*exact.render()) - approx) < 1e-9, (alpha, beta, n)
 
 
 class TestHaarOracle:
     def test_measure_of_ball(self):
         for p, n, m in [(3, 1, 2), (2, 2, 0), (5, 0, 1)]:
-            val = haar_oracle(p, lambda x: 1 + 0j, BallSpec(p, n, m))
+            # the constant character 1
+            f, ball = quadratic_char_fn(p, 0, 0), BallSpec(p, n, m)
+            val = haar_oracle(p, f, ball)
+            assert val == point_oracle.haar_integral(f, ball)
             assert abs(val - p**n) < 1e-12
 
     def test_quadratic_character_matches_closed_form(self):
@@ -198,7 +193,7 @@ class TestHaarOracle:
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(gauss, "COSET_CAP", 1000)
         with pytest.raises(OracleCapError):
-            haar_oracle(3, lambda x: 1 + 0j, BallSpec(3, 10, 10))
+            haar_oracle(3, quadratic_char_fn(3, 0, 0), BallSpec(3, 10, 10))
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -220,12 +215,9 @@ def criterion_1_cells():
 
 def assert_routes_agree(f, ball):
     """Integer-residue route == per-point route, value by value and in total."""
-    per_point = [f(x) for x in ball.representatives()]
+    per_point = point_oracle.values(f, ball)
     assert [complex(math.cos(t), math.sin(t)) for t in f.coset_angles(ball)] == per_point
-    lookup = dict(zip(ball.representatives(), per_point))
-    assert haar_oracle(ball.prime, f, ball) == haar_oracle(
-        ball.prime, lookup.__getitem__, ball
-    )
+    assert haar_oracle(ball.prime, f, ball) == point_oracle.haar_integral(f, ball)
 
 
 def coefficients(p):
@@ -263,7 +255,7 @@ class TestCosetAngles:
         assert angles == [2 * math.pi * float(q) for q in phases]
         assert angles == [
             2 * math.pi * float(fractional_part(alpha * x * x + beta * x, p))
-            for x in ball.representatives()
+            for x in point_oracle.representatives(ball)
         ]
         assert_routes_agree(f, ball)
 

@@ -9,6 +9,7 @@ from padicqm import (
     Place,
     finite_n_propagator,
     lambda_v,
+    overlap_ball_integral,
     propagators,
     valuation,
     verify,
@@ -76,7 +77,24 @@ def test_overlap_catches_a_threshold_one_too_high(monkeypatch):
     threshold = verify.overlap_vanishing_threshold
     monkeypatch.setattr(verify, "overlap_vanishing_threshold",
                         lambda p, x_diff, tau: threshold(p, x_diff, tau) + 1)
-    assert len(CHECKS["overlap"](trials=5, seed=0)) == 9
+    failures = CHECKS["overlap"](trials=5, seed=0)
+    assert len(failures) == 9
+    # a failure row holds the arguments of its overlap_ball_integral call
+    row = failures[0]
+    assert list(row) == ["check", "p", "N", "a", "t", "t1", "x0", "x1"]
+    assert row["check"] == "overlap-below-threshold"
+    args = [F(row[k]) for k in ("a", "t", "t1", "x0", "x1")]
+    assert overlap_ball_integral(row["p"], *args, row["N"]).is_zero
+
+
+def test_gauss_runs_the_haar_oracle_on_every_ball_up_to_the_coset_cap(monkeypatch):
+    # at 13, seed 0 draws one ball of 13^5 = 371,293 cosets among its 12 trials
+    seen = []
+    haar = verify.haar_oracle
+    monkeypatch.setattr(verify, "haar_oracle",
+                        lambda p, f, ball: seen.append(ball.n_cosets) or haar(p, f, ball))
+    assert verify.check_gauss(places=(Place.prime(13),), seed=0) == []
+    assert len(seen) == 12 and max(seen) == 13**5
 
 
 def test_gauss_catches_a_conjugated_closed_form(monkeypatch):

@@ -42,7 +42,8 @@ class QuadratureError(PadicqmError):
 
 
 class DomainError(PadicqmError):
-    """Argument outside the convergence domain of a p-adic power series."""
+    """Argument outside the convergence domain of a p-adic power series,
+    or a nonzero rational outside the normal float range of a float route."""
 
 
 class NonSquareError(PadicqmError):
@@ -51,11 +52,3 @@ class NonSquareError(PadicqmError):
 
 class PrecisionError(PadicqmError):
     """The working precision cannot pin the requested quantity."""
-
-
-class VerificationError(PadicqmError):
-    """An exact identity that should hold failed; carries the witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -12,6 +12,7 @@ partition -- exactly, coefficient by coefficient.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +24,10 @@ from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
     DegenerateFormError,
     DegenerateIntervalError,
+    DomainError,
     NonSquareError,
     PartitionError,
     PrecisionError,
-    VerificationError,
 )
 from .gauss import quad_char_integral_ball
 from .places import Place, norm, p_split, place_less, valuation
@@ -215,64 +216,19 @@ def k_general_quadratic(
     return SymbolicKernel.from_form(place, form).evaluate(x0, x1)
 
 
-def _fold_constant_field(place: Place, a: Fraction | int, steps) -> SymbolicKernel:
-    """The constant-field step kernels of ``steps`` composed in time order."""
-    kernels = (SymbolicKernel.from_form(place, action_form_constant_field(a, eps))
-               for eps in steps)
-    return reduce(lambda kernel, step: compose_kernels(step, kernel), kernels)
-
-
 def finite_n_propagator(
-    place: Place,
-    a: Fraction | int,
-    partition: PartitionSpec,
-    q0: Fraction | int,
-    q1: Fraction | int,
+    a: Fraction | int, partition: PartitionSpec, q0: Fraction | int, q1: Fraction | int
 ) -> Amplitude:
     """Finite-partition path integral for the constant-field system.
 
-    Folds the exact Gauss composition over the subintervals, with the
-    normalization prod lambda_v(2 eps_i) |eps_i|^{-1/2} built into each
-    step kernel.  The result is independent of the partition and equals
-    the one-shot kernel over the total time.
+    Folds the exact Gauss composition over the subintervals at the
+    partition's place, with prod lambda_v(2 eps_i) |eps_i|^{-1/2} built
+    into each step kernel.  The result is independent of the partition
+    and equals the one-shot kernel over the total time.
     """
-    if partition.place != place:
-        raise PartitionError("partition place disagrees with the requested place")
-    return _fold_constant_field(place, a, partition.step_lengths()).evaluate(q0, q1)
-
-
-def semigroup_residual(
-    place: Place,
-    a: Fraction | int,
-    t0: Fraction | int,
-    t_mid: Fraction | int,
-    t1: Fraction | int,
-    q0: Fraction | int,
-    q1: Fraction | int,
-) -> Amplitude:
-    """Composition over an intermediate time minus the one-shot kernel.
-
-    The two agree exactly, so the residual is the canonical zero
-    amplitude; a mismatch raises with the exact witness attached.
-    """
-    t0, t_mid, t1 = Fraction(t0), Fraction(t_mid), Fraction(t1)
-    if t_mid == t0 or t1 == t_mid or t1 == t0:
-        raise DegenerateIntervalError("intermediate time collides with an endpoint")
-    composed = _fold_constant_field(place, a, (t_mid - t0, t1 - t_mid)).evaluate(q0, q1)
-    direct = k_general_quadratic(place, action_form_constant_field(a, t1 - t0), q1, q0)
-    if composed == direct:
-        return Amplitude.zero()
-    raise VerificationError(
-        "composition disagrees with the one-shot kernel",
-        witness={
-            "place": str(place),
-            "a": str(a),
-            "times": (str(t0), str(t_mid), str(t1)),
-            "endpoints": (str(q0), str(q1)),
-            "composed": str(composed),
-            "direct": str(direct),
-        },
-    )
+    kernels = (SymbolicKernel.from_form(partition.place, action_form_constant_field(a, eps))
+               for eps in partition.step_lengths())
+    return reduce(lambda kernel, step: compose_kernels(step, kernel), kernels).evaluate(q0, q1)
 
 
 def overlap_ball_integral(
@@ -387,30 +343,40 @@ def k_oscillator_td(
     return SymbolicKernel.from_form(place, form).evaluate(data.x0, data.x1)
 
 
+def _normal_float(name: str, x: Fraction) -> float:
+    """float(x), or DomainError when x is nonzero and outside the normal float range."""
+    if x and not sys.float_info.min <= abs(x) <= sys.float_info.max:
+        raise DomainError(f"{name} is outside the normal float range")
+    return float(x)
+
+
 def k_oscillator_td_real(data: OscillatorBoundaryData) -> complex:
     """Float evaluation of the oscillator propagator at the real place.
 
     Exact amplitudes are impossible here: sines of rational arguments
-    are irrational, so the value is delivered as a complex float.
+    are irrational, so the value is delivered as a complex float, or a
+    DomainError when a value it reads or forms leaves the float range.
     """
-    delta = float(data.gamma1 - data.gamma0)
+    delta = _normal_float("gamma1 - gamma0", data.gamma1 - data.gamma0)
     s = math.sin(delta)
     if s == 0:
         raise DegenerateIntervalError("vanishing sine of the phase difference")
     g_prod = data.dgamma1 * data.dgamma0
     if g_prod < 0:
         raise NonSquareError("dgamma product negative: no real square root")
-    root = math.sqrt(g_prod)
+    root = math.sqrt(_normal_float("dgamma1*dgamma0", g_prod))
     lam = lambda_v(Place.real(), Fraction(2) if s > 0 else Fraction(-2)).to_complex()
     modulus = abs(root / s) ** 0.5
-    arg_rational = float(oscillator_chi_rational_part(data))
+    arg_rational = _normal_float("the rational chi argument", oscillator_chi_rational_part(data))
     arg_trig = (
-        -float(data.dgamma1 * data.x1**2 + data.dgamma0 * data.x0**2)
+        -_normal_float("the x^2 sum", data.dgamma1 * data.x1**2 + data.dgamma0 * data.x0**2)
         / (2 * math.tan(delta))
-        + float(data.x1 * data.x0) * root / s
+        + _normal_float("x1*x0", data.x1 * data.x0) * root / s
     )
     # chi at the real place is exp(-2 pi i x)
     theta = -2 * math.pi * (arg_rational + arg_trig)
+    if not (math.isfinite(modulus) and math.isfinite(theta)):
+        raise DomainError("the kernel's modulus or phase is outside the float range")
     return lam * modulus * complex(math.cos(theta), math.sin(theta))
 
 

@@ -100,7 +100,7 @@ def _fold_trial(check: str, rng: random.Random, place: Place, n: int):
     a = random_nonzero_rational(rng, place)
     q0 = random_nonzero_rational(rng, place)
     q1 = random_nonzero_rational(rng, place)
-    got = finite_n_propagator(place, a, PartitionSpec(place, tuple(pts)), q0, q1)
+    got = finite_n_propagator(a, PartitionSpec(place, tuple(pts)), q0, q1)
     want = k_general_quadratic(place, action_form_constant_field(a, pts[-1] - pts[0]), q1, q0)
     if got != want:
         yield {

@@ -13,9 +13,12 @@ import pytest
 
 from padicqm import (
     Amplitude,
+    DomainError,
+    OscillatorBoundaryData,
     OutputLimitError,
     Place,
     gauss_full,
+    k_oscillator_td_real,
     quad_char_integral_ball,
     stabilization_threshold,
     valuation,
@@ -136,6 +139,33 @@ class TestKernelCommand:
         )
         assert (code, out) == (2, "")
         assert "mixed partial" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma1", "1e400"],
+        ["--dgamma0", "1e400"],
+        ["--x0", "1e200"],
+        ["--s0", "1e-400", "--ds0", "1"],
+        # |K| ~ 1.09e-200 is a normal float, but dgamma1*dgamma0 = 1e-800 reads as 0.0
+        ["--dgamma0", "1e-400", "--dgamma1", "1e-400", "--gamma1", "1"],
+        # delta != 0 reads as 0.0, whose sine vanishes
+        ["--gamma1", "1e-400"],
+        # every rational is in range, but root / sin(delta) = 1e450 is not
+        ["--gamma1", "1e-300", "--dgamma0", "1e150", "--dgamma1", "1e150"],
+        ["--gamma1", "1e-300", "--dgamma0", "1e150", "--dgamma1", "1e150", "--x0", "0",
+         "--x1", "0"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_real_oscillator_outside_the_float_range_exits_2(self, capsys, flags):
+        argv = ["kernel", "--system", "osc", "--place", "inf", "--x0", "1", "--x1", "2",
+                "--gamma0", "0", "--gamma1", "105", "--dgamma0", "1", "--dgamma1", "1",
+                "--s0", "1", "--s1", "1", "--ds0", "0", "--ds1", "0", *flags]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "float range" in err
+        # the same data raise DomainError in the library, not a float error
+        values = dict(zip(argv[5::2], argv[6::2]))  # a later flag wins, as in argparse
+        data = OscillatorBoundaryData(**{k[2:]: F(v) for k, v in values.items()})
+        with pytest.raises(DomainError):
+            k_oscillator_td_real(data)
 
     @pytest.mark.parametrize("precision, code", [(10_000, 0), (10_001, 3)])
     def test_oscillator_precision_limit(self, capsys, monkeypatch, precision, code):

@@ -35,7 +35,6 @@ from padicqm import (
     oscillator_action_form,
     overlap_ball_integral,
     overlap_vanishing_threshold,
-    semigroup_residual,
     sqrt_p,
 )
 from padicqm import propagators
@@ -136,7 +135,7 @@ class TestFreeKernel:
         assert amp == Amplitude(F(5), lambda_v(P5, 10) + chi(P5, F(-1, 10)))
         # cross-check through an N=2 partition: 0 < 25 < 5 in digit order
         part = PartitionSpec(P5, (F(0), F(25), F(5)))
-        assert finite_n_propagator(P5, 0, part, 0, 1) == amp
+        assert finite_n_propagator(0, part, 0, 1) == amp
 
     def test_real_prefactor_matches_inverse_sqrt_of_iT(self):
         for T in (F(1), F(2), F(1, 3), F(-1), F(-5, 2), F(7)):
@@ -320,11 +319,11 @@ class TestEvaluateAgainstChi:
 class TestFiniteN:
     def test_single_step_is_direct(self):
         part = PartitionSpec(R, (F(0), F(1)))
-        assert finite_n_propagator(R, 2, part, 0, 1) == k_constant_field(R, 2, 1, 0, 1)
+        assert finite_n_propagator(2, part, 0, 1) == k_constant_field(R, 2, 1, 0, 1)
 
     def test_equal_halves(self):
         part = PartitionSpec(R, (F(0), F(1, 2), F(1)))
-        assert finite_n_propagator(R, 1, part, 0, 1) == k_constant_field(R, 1, 1, 0, 1)
+        assert finite_n_propagator(1, part, 0, 1) == k_constant_field(R, 1, 1, 0, 1)
 
     def test_random_padic_partitions(self):
         rng = random.Random(51)
@@ -338,7 +337,7 @@ class TestFiniteN:
                 a = rand_rational(rng, place)
                 q0, q1 = rand_rational(rng, place), rand_rational(rng, place)
                 want = k_constant_field(place, a, ordered[-1] - ordered[0], q0, q1)
-                assert finite_n_propagator(place, a, part, q0, q1) == want
+                assert finite_n_propagator(a, part, q0, q1) == want
 
     def test_partition_validation(self):
         with pytest.raises(PartitionError):
@@ -353,13 +352,13 @@ class TestFiniteN:
 
 class TestSemigroup:
     def test_examples(self):
-        assert semigroup_residual(P3, 0, 0, 1, 2, 0, 1).is_zero
-        assert semigroup_residual(P5, 2, 0, 1, 2, 0, 1).is_zero
-        assert semigroup_residual(R, 2, 0, 1, 2, 0, 1).is_zero
-
-    def test_degenerate_times(self):
-        with pytest.raises(DegenerateIntervalError):
-            semigroup_residual(R, 0, 0, 0, 1, 0, 1)
+        for place in ALL_PLACES:
+            # (0, 1, 2) in the place's order: at 2, 2 comes before 1
+            part = PartitionSpec(place, tuple(sorted_at_place((F(0), F(1), F(2)), place)))
+            total = part.points[-1] - part.points[0]
+            for a in (0, 2):
+                want = k_constant_field(place, a, total, 0, 1)
+                assert finite_n_propagator(a, part, 0, 1) == want
 
 
 class TestOverlap:

@@ -69,7 +69,7 @@ def test_fold_checks_catch_compose_kernels_taking_lambda_of_minus_a(monkeypatch,
     assert row["check"] == name and (name == "composition" or row["N"] == 2)
     place = Place.parse(row["place"])
     points, a, q0, q1 = [F(t) for t in row["points"]], F(row["a"]), F(row["q0"]), F(row["q1"])
-    got = finite_n_propagator(place, a, PartitionSpec(place, tuple(points)), q0, q1)
+    got = finite_n_propagator(a, PartitionSpec(place, tuple(points)), q0, q1)
     assert str(got) == row["got"]
 
 

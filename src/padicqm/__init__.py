@@ -61,7 +61,6 @@ from .places import (
     Place,
     digits,
     fractional_part,
-    linear_less,
     norm,
     valuation,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "k_oscillator_td_real",
     "lambda_v",
     "legendre",
-    "linear_less",
     "minimal_resolution",
     "norm",
     "oscillator_action_form",

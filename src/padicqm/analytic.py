@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .characters import Phase, legendre
 from .errors import DomainError, NonSquareError, PrecisionError
-from .places import p_split, unit_residue, valuation
+from .places import base_p_digits, p_split, unit_residue, valuation
 
 
 #: moduli up to this many bits take ``pow(u, -1, p**k)``; above it Newton's
@@ -85,11 +85,7 @@ class PadicTruncation:
         """Known canonical digits, from index valuation upward."""
         if self.is_zero_mod:
             return ()
-        out, m = [], self.mantissa
-        for _ in range(self.precision - self.valuation):
-            m, d = divmod(m, self.prime)
-            out.append(d)
-        return tuple(out)
+        return base_p_digits(self.mantissa, self.prime, self.precision - self.valuation)
 
     def representative(self) -> Fraction:
         """A rational congruent to the value modulo p^precision."""

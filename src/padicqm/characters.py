@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PadicqmError
 from .places import Place, fractional_part, is_prime, unit_residue
 
 
@@ -195,9 +194,3 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
         return EIGHTH_PHASES[base]
     flip = 4 if (a1 + a2) % 2 == 1 else 0
     return EIGHTH_PHASES[(base + flip) % 8]
-
-
-def assert_eighth_root(ph: Phase) -> None:
-    """Raise unless the phase is an eighth root of unity."""
-    if (ph.value * 8).denominator != 1:
-        raise PadicqmError(f"phase {ph} is not an eighth root of unity")

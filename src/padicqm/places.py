@@ -193,10 +193,13 @@ def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
     return vn - vd, un * pow(ud, -1, m) % m
 
 
-def digit(x: Fraction | int, p: int, index: int) -> int:
-    """Digit d_index of the canonical expansion of nonzero x."""
-    _, r = unit_residue(x, p, index + 1)
-    return r // p**index
+def base_p_digits(r: int, p: int, count: int) -> tuple[int, ...]:
+    """The lowest ``count`` base-p digits of the integer r >= 0, lowest first."""
+    out = []
+    for _ in range(count):
+        r, d = divmod(r, p)
+        out.append(d)
+    return tuple(out)
 
 
 def digits(x: Fraction | int, p: int, count: int) -> DigitExpansion:
@@ -209,11 +212,7 @@ def digits(x: Fraction | int, p: int, count: int) -> DigitExpansion:
     if count < 1:
         raise ValueError("count must be positive")
     v, r = unit_residue(x, p, count)
-    out = []
-    for _ in range(count):
-        r, d = divmod(r, p)
-        out.append(d)
-    return DigitExpansion(valuation=v, digits=tuple(out), prime=p)
+    return DigitExpansion(valuation=v, digits=base_p_digits(r, p, count), prime=p)
 
 
 def fractional_residue(n: int, d: int, p: int) -> tuple[int, int]:
@@ -242,51 +241,43 @@ def fractional_part(x: Fraction | int, p: int) -> Fraction:
     return Fraction(*fractional_residue(x.numerator, x.denominator, p))
 
 
-def linear_less(x: Fraction | int, y: Fraction | int, p: int) -> bool:
-    """Strict linear order on Q inside Q_p.
+def place_keys(values, place: Place) -> list:
+    """Sort keys of the values in the order of the place, one for each value.
 
-    x < y when |x|_p < |y|_p, or the norms tie and the first differing
-    canonical digit of x is smaller.  The first differing digit index is
-    v_p(x - y) - v_p(x), so no digit scan is needed.
-    """
-    if x == y:
-        return False
-    vx, vy = valuation(x, p), valuation(y, p)
-    if vx != vy:
-        return vx > vy
-    idx = valuation(x - y, p) - vx
-    return digit(x, p, idx) < digit(y, p, idx)
-
-
-def place_less(x: Fraction, y: Fraction, place: Place) -> bool:
-    """Strict order of the place: usual order at infinity, digit order at p."""
-    if place.is_real:
-        return x < y
-    return linear_less(x, y, place.p)
-
-
-def place_sorted(values, place: Place) -> list[Fraction]:
-    """The values in increasing order of the place (see :func:`place_less`).
-
-    At p the sort key is (-v_p(x), the first k canonical digits of x),
-    with p**k > 2 H**2 for H the largest |numerator| or denominator in
-    the set.  Two distinct values x, y of equal valuation first differ
-    at digit v_p(x - y) - v_p(x) <= v_p(nx dy - ny dx) <= log_p(2 H**2),
-    so k digits separate every pair.
+    At infinity the key is the value.  At p it is (-v_p(x), the first k
+    canonical digits of x), and (-inf, ()) at zero: the digit order puts
+    smaller norms first, then compares the first differing digit.  k is
+    the least with p**k > 2 H**2, for H the largest |numerator| or
+    denominator among the values.  Two distinct values x, y of equal
+    valuation first differ at digit v_p(x - y) - v_p(x) <=
+    v_p(nx dy - ny dx) <= log_p(2 H**2), so k digits separate every pair.
     """
     values = list(values)
     if place.is_real:
-        return sorted(values)
+        return values
     p = place.p
     bound = 2 * max((max(abs(x.numerator), x.denominator) for x in values), default=1) ** 2
     k, pk = 0, 1
     while pk <= bound:
         k, pk = k + 1, pk * p
-
-    def key(x):
+    keys = []
+    for x in values:
         if x == 0:
-            return (-INFINITE_VALUATION, ())
-        e = digits(x, p, k)
-        return (-e.valuation, e.digits)
+            keys.append((-INFINITE_VALUATION, ()))
+        else:
+            v, r = unit_residue(x, p, k)
+            keys.append((-v, base_p_digits(r, p, k)))
+    return keys
 
-    return sorted(values, key=key)
+
+def place_less(x: Fraction | int, y: Fraction | int, place: Place) -> bool:
+    """Strict order of the place: usual order at infinity, digit order at p."""
+    kx, ky = place_keys((x, y), place)
+    return kx < ky
+
+
+def place_sorted(values, place: Place) -> list[Fraction]:
+    """The values in increasing order of the place (see :func:`place_keys`)."""
+    values = list(values)
+    keys = place_keys(values, place)
+    return [x for _, x in sorted(zip(keys, values), key=lambda pair: pair[0])]

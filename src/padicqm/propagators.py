@@ -30,7 +30,7 @@ from .errors import (
     PrecisionError,
 )
 from .gauss import quad_char_integral_ball
-from .places import Place, norm, p_split, place_less, valuation
+from .places import Place, norm, p_split, place_keys, valuation
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,11 @@ class PartitionSpec:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise PartitionError("a partition needs at least two points")
-        for earlier, later in zip(pts, pts[1:]):
-            if not place_less(earlier, later, self.place):
+        keys = place_keys(pts, self.place)
+        for i in range(len(pts) - 1):
+            if not keys[i] < keys[i + 1]:
                 raise PartitionError(
-                    f"points not strictly increasing at the place: {earlier} !< {later}"
+                    f"points not strictly increasing at the place: {pts[i]} !< {pts[i + 1]}"
                 )
 
     @property
@@ -367,7 +368,9 @@ def k_oscillator_td_real(data: OscillatorBoundaryData) -> complex:
     root = math.sqrt(_normal_float("dgamma1*dgamma0", g_prod))
     lam = lambda_v(Place.real(), Fraction(2) if s > 0 else Fraction(-2)).to_complex()
     modulus = abs(root / s) ** 0.5
-    arg_rational = _normal_float("the rational chi argument", oscillator_chi_rational_part(data))
+    # chi has period 1: the rational part is reduced mod 1 exactly, before it meets a float
+    rational = oscillator_chi_rational_part(data) % 1
+    arg_rational = _normal_float("the rational chi argument", rational)
     arg_trig = (
         -_normal_float("the x^2 sum", data.dgamma1 * data.x1**2 + data.dgamma0 * data.x0**2)
         / (2 * math.tan(delta))

@@ -6,7 +6,8 @@ works on the rational itself instead: the unit part x * p**-v, its
 residue through a modular inverse of the denominator, and the digits one
 at a time as d = u mod p, u <- (u - d)/p.  Valuations divide by p one
 step at a time, where ``places.p_split`` divides by p^(2^i).  The digit order compares the
-digit streams until they differ, without the v_p(x - y) shortcut.
+digit streams until they differ, where ``places.place_keys`` compares keys of
+a proven depth.
 """
 
 from fractions import Fraction

@@ -21,20 +21,7 @@ from padicqm.characters import Phase
 from padicqm.errors import PrecisionError
 
 import series_oracle
-from truncation_oracle import agrees_with, series_eval
-
-
-def geometric_coefficients():
-    while True:
-        yield F(1)
-
-
-def exp_coefficients():
-    k, fact = 0, 1
-    while True:
-        yield F(1, fact)
-        k += 1
-        fact *= k
+from truncation_oracle import agrees_with
 
 
 def sin_partial_sum(x, terms):
@@ -43,26 +30,6 @@ def sin_partial_sum(x, terms):
     for k in range(1, terms, 2):
         acc += (-1) ** ((k - 1) // 2) * F(x) ** k / math.factorial(k)
     return acc
-
-
-class TestSeriesEval:
-    def test_geometric(self):
-        got = series_eval(geometric_coefficients(), 3, 3, 4)
-        want = PadicTruncation.from_rational(F(-1, 2), 3, 4)
-        assert agrees_with(got, want, 4)
-
-    def test_at_zero_returns_constant_term(self):
-        got = series_eval(iter([F(7, 3), F(1), F(2)]), 0, 5, 6)
-        assert agrees_with(got, PadicTruncation.from_rational(F(7, 3), 5, 6), 6)
-
-    def test_exp_diverges(self):
-        with pytest.raises(DomainError):
-            series_eval(exp_coefficients(), 1, 3, 4)
-
-    def test_explicit_term_count(self):
-        got = series_eval(geometric_coefficients(), 9, 3, 6, terms=5)
-        want = PadicTruncation.from_rational(sum(F(9) ** k for k in range(5)), 3, 6)
-        assert agrees_with(got, want, 6)
 
 
 class TestTrig:

@@ -144,7 +144,6 @@ class TestKernelCommand:
         ["--gamma1", "1e400"],
         ["--dgamma0", "1e400"],
         ["--x0", "1e200"],
-        ["--s0", "1e-400", "--ds0", "1"],
         # |K| ~ 1.09e-200 is a normal float, but dgamma1*dgamma0 = 1e-800 reads as 0.0
         ["--dgamma0", "1e-400", "--dgamma1", "1e-400", "--gamma1", "1"],
         # delta != 0 reads as 0.0, whose sine vanishes
@@ -166,6 +165,21 @@ class TestKernelCommand:
         data = OscillatorBoundaryData(**{k[2:]: F(v) for k, v in values.items()})
         with pytest.raises(DomainError):
             k_oscillator_td_real(data)
+
+    @pytest.mark.parametrize("flags", [
+        ["--ds0", str(2**61)],
+        ["--ds0", str(2**81)],
+        # the rational chi part is the integer 5 * 10^399, out of float range
+        ["--s0", "1e-400", "--ds0", "1"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_real_oscillator_ignores_an_integer_rational_part(self, capsys, flags):
+        # chi has period 1: a rational chi part (1/2) ds0 x0^2 / s0 that is an
+        # integer leaves the row as it is at ds0 = 0
+        argv = ["kernel", "--system", "osc", "--place", "inf", "--x0", "1", "--x1", "2",
+                "--gamma0", "0", "--gamma1", "7/10", "--dgamma0", "1", "--dgamma1", "1",
+                "--s0", "1", "--s1", "1", "--ds0", "0", "--ds1", "0"]
+        code, want, _ = run_cli(capsys, argv)
+        assert run_cli(capsys, argv + flags) == (code, want, "") and code == 0
 
     @pytest.mark.parametrize("precision, code", [(10_000, 0), (10_001, 3)])
     def test_oscillator_precision_limit(self, capsys, monkeypatch, precision, code):

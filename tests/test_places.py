@@ -9,17 +9,17 @@ from hypothesis import given, settings, strategies as st
 from padicqm import (
     DigitExpansion,
     PadicqmError,
+    PartitionError,
+    PartitionSpec,
     Place,
     ZeroExpansionError,
     digits,
     fractional_part,
-    linear_less,
     norm,
     valuation,
 )
 from padicqm.cli import _rational
 from padicqm.places import (
-    digit,
     is_prime,
     p_split,
     place_less,
@@ -30,6 +30,7 @@ from padicqm.places import (
 import digit_oracle
 
 PRIMES = [2, 3, 5, 7, 13]
+P3 = Place.prime(3)
 
 
 def padic_rationals(p):
@@ -173,14 +174,13 @@ class TestUnitResidue:
         x = data.draw(rational_or_int(p))
         e = digits(x, p, count)
         assert (e.valuation, e.digits) == digit_oracle.digits(x, p, count)
-        assert [digit(x, p, i) for i in range(count)] == list(e.digits)
 
     @settings(max_examples=150)
     @given(data=st.data(), p=st.sampled_from([2, 3, 5]))
     def test_linear_order_matches_digit_scan(self, data, p):
         pool = rational_or_int(p) | st.just(0)
         x, y = data.draw(pool), data.draw(pool)
-        assert linear_less(x, y, p) == digit_oracle.linear_less(x, y, p)
+        assert place_less(x, y, Place.prime(p)) == digit_oracle.linear_less(x, y, p)
 
     def test_int_and_fraction_agree(self):
         assert unit_residue(-12, 2, 4) == unit_residue(F(-12), 2, 4) == (2, 13)
@@ -238,38 +238,38 @@ def _prime_factors(n):
 
 
 class TestLinearOrder:
+    """``place_less`` at a p-adic place."""
+
     def test_examples(self):
-        assert linear_less(3, 1, 3)
-        assert linear_less(1, 4, 3)
-        assert not linear_less(F(5), F(5), 3)
+        assert place_less(3, 1, P3)
+        assert place_less(1, 4, P3)
+        assert not place_less(F(5), F(5), P3)
 
     @settings(max_examples=60)
     @given(values=st.lists(padic_rationals(3), min_size=2, max_size=8, unique=True))
     def test_strict_total_order(self, values):
-        p = 3
         for x in values:
-            assert not linear_less(x, x, p)
+            assert not place_less(x, x, P3)
         for x in values:
             for y in values:
                 if x != y:
-                    assert linear_less(x, y, p) != linear_less(y, x, p)
-        ordered = sorted(
-            values, key=cmp_to_key(lambda a, b: -1 if linear_less(a, b, p) else 1)
-        )
+                    assert place_less(x, y, P3) != place_less(y, x, P3)
+        ordered = sorted(values, key=cmp_to_key(lambda a, b: -1 if place_less(a, b, P3) else 1))
         for a, b in zip(ordered, ordered[1:]):
-            assert linear_less(a, b, p)
+            assert place_less(a, b, P3)
 
     @settings(max_examples=100)
     @given(x=padic_rationals(5), y=padic_rationals(5), z=padic_rationals(5))
     def test_transitive(self, x, y, z):
-        if linear_less(x, y, 5) and linear_less(y, z, 5):
-            assert linear_less(x, z, 5)
+        p5 = Place.prime(5)
+        if place_less(x, y, p5) and place_less(y, z, p5):
+            assert place_less(x, z, p5)
 
     def test_first_differing_digit(self):
         # 1 = (1,0,0,...) vs 10 = (1,0,1,...): differ at index 2
-        assert digit(F(1), 3, 2) == 0
-        assert digit(F(10), 3, 2) == 1
-        assert linear_less(1, 10, 3)
+        assert digits(F(1), 3, 3).digits[2] == 0
+        assert digits(F(10), 3, 3).digits[2] == 1
+        assert place_less(1, 10, P3)
 
 
 class TestPlace:
@@ -307,11 +307,14 @@ class TestPlace:
 
 
 class TestPlaceSorted:
-    """The key sort against the comparison sort on ``place_less``."""
+    """The key sort against a comparison sort on the digit scan of ``digit_oracle``."""
 
     @staticmethod
     def cmp_sorted(values, place):
-        return sorted(values, key=cmp_to_key(lambda x, y: -1 if place_less(x, y, place) else 1))
+        if place.is_real:
+            return sorted(values)
+        less = digit_oracle.linear_less
+        return sorted(values, key=cmp_to_key(lambda x, y: -1 if less(x, y, place.p) else 1))
 
     @settings(max_examples=300)
     @given(
@@ -336,10 +339,15 @@ class TestPlaceSorted:
             assert place_sorted(values, place) == self.cmp_sorted(values, place)
 
     def test_last_key_digit_decides(self):
-        # H = 1, 2 H^2 = 2: one key digit at p = 2 would tie 1 and -1,
-        # which first differ at digit 1
-        assert place_sorted([F(-1), F(1)], Place.prime(2)) == [1, -1]
-        assert place_sorted([F(-2), F(1)], Place.prime(3)) == [1, -2]
+        # at p = 2, H = 1 and 2 H^2 = 2: one key digit would tie 1 and -1,
+        # which first differ at digit 1; every reader of the key agrees
+        for p, low, high in ((2, 1, -1), (3, 1, -2)):
+            place = Place.prime(p)
+            assert place_sorted([F(high), F(low)], place) == [low, high]
+            assert place_less(low, high, place) and not place_less(high, low, place)
+            assert PartitionSpec(place, (low, high)).points == (low, high)
+            with pytest.raises(PartitionError):
+                PartitionSpec(place, (high, low))
 
     def test_zero_sorts_first(self):
         assert place_sorted([F(1, 3), F(0), F(3)], Place.prime(3)) == [0, 3, F(1, 3)]

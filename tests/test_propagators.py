@@ -4,7 +4,6 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
-from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +38,7 @@ from padicqm import (
 )
 from padicqm import propagators
 from padicqm.errors import PadicqmError, PrecisionError
-from padicqm.places import place_less
+from padicqm.places import place_sorted
 
 import series_oracle
 from closed_forms import k_constant_field, k_desitter, k_free, k_oscillator
@@ -64,12 +63,6 @@ def rand_rational(rng, place=None, span=2):
 def const_field(place, a, T, q0, q1):
     """The library's constant-field kernel: its action form, evaluated."""
     return k_general_quadratic(place, action_form_constant_field(a, T), q1, q0)
-
-
-def sorted_at_place(values, place):
-    return sorted(
-        values, key=cmp_to_key(lambda a, b: -1 if place_less(a, b, place) else 1)
-    )
 
 
 class TestConstantFieldKernel:
@@ -332,7 +325,7 @@ class TestFiniteN:
                 pts = set()
                 while len(pts) < n + 1:
                     pts.add(rand_rational(rng, place))
-                ordered = sorted_at_place(pts, place)
+                ordered = place_sorted(pts, place)
                 part = PartitionSpec(place, tuple(ordered))
                 a = rand_rational(rng, place)
                 q0, q1 = rand_rational(rng, place), rand_rational(rng, place)
@@ -354,7 +347,7 @@ class TestSemigroup:
     def test_examples(self):
         for place in ALL_PLACES:
             # (0, 1, 2) in the place's order: at 2, 2 comes before 1
-            part = PartitionSpec(place, tuple(sorted_at_place((F(0), F(1), F(2)), place)))
+            part = PartitionSpec(place, tuple(place_sorted((F(0), F(1), F(2)), place)))
             total = part.points[-1] - part.points[0]
             for a in (0, 2):
                 want = k_constant_field(place, a, total, 0, 1)

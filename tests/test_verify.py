@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from padicqm import (
     valuation,
     verify,
 )
+from padicqm.cli import main
 from padicqm.verify import CHECKS
 
 PADIC_ONLY = ("overlap", "gauss")
@@ -112,3 +114,23 @@ def test_lambda_catches_lambda_3_without_its_legendre_symbol(monkeypatch):
 
     monkeypatch.setattr(verify, "lambda_v", mutated)
     assert len(CHECKS["lambda"](trials=50, seed=0)) == 4
+
+
+def test_lambda_reports_a_phase_that_is_not_an_eighth_root(monkeypatch, capsys):
+    # a sixteenth of a turn more at 13 keeps both identities, so only the
+    # eighth-root rows fail: one for each of the two arguments of a trial
+    def mutated(place, a):
+        phase = lambda_v(place, a)
+        return phase + Phase(F(1, 16)) if place.p == 13 else phase
+
+    monkeypatch.setattr(verify, "lambda_v", mutated)
+    failures = CHECKS["lambda"](trials=3, seed=0)
+    assert len(failures) == 6
+    for row in failures:
+        assert list(row) == ["check", "place", "a", "phase"]
+        assert row["check"] == "eighth-root" and row["place"] == "13"
+        # the row replays: the phase is lambda_13 of the drawn argument
+        assert str(mutated(Place.prime(13), F(row["a"]))) == row["phase"]
+    assert main(["verify", "--check", "lambda", "--trials", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail" and report["failures"] == failures

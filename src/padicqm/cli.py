@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource limit exceeded, 4 internal error, 141 stdout closed by its
 reader.  Output is JSON (default) or CSV; every row carries the exact
 fractions next to their float rendering, and a fixed seed reproduces
-byte-identical output.
+byte-identical output.  Kernel grids are written by a flat writer of
+their own, text shared by many rows encoded once; every other command
+writes its few rows through ``json.dumps`` and ``csv``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from .characters import Amplitude, lambda_v
 from .dynamics import action_form_constant_field
@@ -126,7 +127,7 @@ def _modulus_text(ms: Fraction, p: int | None) -> str:
         return _text(ms)
 
 
-def _amp_fields(amp: Amplitude, p: int | None = None) -> dict:
+def _amp_fields(amp: Amplitude, p: int | None) -> dict:
     try:
         re, im = amp.render()
     except OverflowError:
@@ -139,84 +140,42 @@ def _amp_fields(amp: Amplitude, p: int | None = None) -> dict:
     }
 
 
-def _json_scalar(value) -> str:
-    """A flat value as ``json.dumps(value, default=str)`` writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    return json.dumps(value, default=str)
-
-
 def _fields(fields: dict, columns: list[str], fmt: str) -> str:
-    """A run of row fields in output form; every run starts with a separator.
+    """A run of kernel row fields in output form; every run starts with a separator.
 
-    JSON writes the fields in their order, ``,\\n      "key": value`` each;
-    CSV writes one cell for each of ``columns``, consecutive in
+    JSON writes the string fields in their order, ``,\\n      "key": "value"``
+    each; CSV writes one cell for each of ``columns``, consecutive in
     CSV_COLUMNS, empty where ``fields`` lacks it.
     """
     if fmt == "json":
         enc = encode_basestring_ascii
-        return "".join([
-            f",\n      {enc(k)}: {enc(v) if type(v) is str else _json_scalar(v)}"
-            for k, v in fields.items()
-        ])
+        return "".join([f",\n      {enc(k)}: {enc(v)}" for k, v in fields.items()])
     buf = io.StringIO()
     csv.writer(buf).writerow([fields.get(col, "") for col in columns])
     return "," + buf.getvalue()[:-2]
 
 
-class RowText(NamedTuple):
-    """A format's fixed text around a row's fields."""
-
-    opening: str
-    before_phase: str
-    before_re: str
-    before_im: str
-    closing: str
-    #: the text of a float that ``Amplitude.render`` cannot give
-    missing: str
-
-
+#: a kernel row's fixed text around its fields in each format: (opening,
+#: before_phase, before_re, before_im, closing, missing), where missing is
+#: the text of a float that ``Amplitude.render`` cannot give
 ROW_TEXT = {
-    "json": RowText("\n    {", ',\n      "phase": "', '",\n      "re": ', ',\n      "im": ',
-                    "\n    }", "null"),
-    "csv": RowText("", ",", ",", ",", "\r\n", ""),
+    "json": ("\n    {", ',\n      "phase": "', '",\n      "re": ', ',\n      "im": ', "\n    }",
+             "null"),
+    "csv": ("", ",", ",", ",", "\r\n", ""),
 }
 
 
-def _kernel_field_writers(coefficient: dict, fmt: str):
-    """(block, point): the writers of a kernel row's (place, system, T) fields
-    and of its (q0, q1) fields, as :func:`_fields` writes them.
+def _emit(rows: list[dict], fmt: str, header: dict) -> None:
+    """Rows under the header: JSON through ``json.dumps``, CSV through ``csv``.
 
-    The request's coefficient field goes with the block's in CSV, where its
-    column comes before T's, and with the grid point's in JSON, after q1.
+    A CSV row has no cell for a field outside CSV_COLUMNS, such as ``sqrt_branch``.
     """
-    to_block, to_point = (coefficient, {}) if fmt == "csv" else ({}, coefficient)
-    return (lambda block: _fields({**block, **to_block}, _BLOCK_COLUMNS, fmt),
-            lambda point: _fields({**point, **to_point}, _POINT_COLUMNS, fmt))
-
-
-def _document(header: dict, rows: list[str], fmt: str) -> str:
-    """The row texts under the header: for JSON, what ``json.dumps({**header,
-    "rows": rows}, indent=2, default=str) + "\\n"`` writes for rows of scalar
-    fields, at least one a row; for CSV, a header line and the rows.
-    """
-    if fmt == "csv":
-        return ",".join(CSV_COLUMNS) + "\r\n" + "".join(rows)
-    enc = encode_basestring_ascii
-    head = "".join([f"\n  {enc(k)}: {_json_scalar(v)}," for k, v in header.items()])
-    if not rows:
-        return f'{{{head}\n  "rows": []\n}}\n'
-    return f'{{{head}\n  "rows": [{",".join(rows)}\n  ]\n}}\n'
-
-
-def _emit(rows: list[dict], fmt: str, header: dict | None = None) -> None:
-    text = ROW_TEXT[fmt]
-    texts = [text.opening + _fields(row, CSV_COLUMNS, fmt)[1:] + text.closing for row in rows]
-    sys.stdout.write(_document(header or {}, texts, fmt))
+    if fmt == "json":
+        sys.stdout.write(json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n")
+        return
+    writer = csv.DictWriter(sys.stdout, CSV_COLUMNS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _cmd_gauss(args) -> int:
@@ -280,20 +239,22 @@ def _kernel_rows(args) -> list[str]:
     and its float root r a block.  A row adds its phase n/d from
     :meth:`SymbolicKernel.phase_grid` and re, im = r cos, r sin of
     2 pi n/d: ``float(Fraction(n, d))`` is n/d, so they are bit for bit
-    the values of ``Amplitude.render``.
+    the values of ``Amplitude.render``.  The coefficient field goes with
+    the block's fields in CSV, where its column comes before T's, and with
+    the grid point's in JSON, after q1.
     """
     fmt = args.format
     field, make_form = KERNEL_FORMS[args.system]
     coeff = Fraction(0) if field is None else getattr(args, field)
-    block_fields, point_fields = _kernel_field_writers(
-        {} if field is None else {field: _text(coeff)}, fmt)
+    coeff_field = {} if field is None else {field: _text(coeff)}
+    to_block, to_point = (coeff_field, {}) if fmt == "csv" else ({}, coeff_field)
     q0s = [_text(q0) for q0 in args.q0]
     q1s = [_text(q1) for q1 in args.q1]
     Ts = [(T, _text(T)) for T in args.T]
-    pairs = [point_fields({"q0": q0, "q1": q1}) for q0 in q0s for q1 in q1s]
-    text = ROW_TEXT[fmt]
-    before_re, before_im, closing = text.before_re, text.before_im, text.closing
-    null = f"{before_re}{text.missing}{before_im}{text.missing}{closing}"
+    pairs = [_fields({"q0": q0, "q1": q1, **to_point}, _POINT_COLUMNS, fmt)
+             for q0 in q0s for q1 in q1s]
+    opening, before_phase, before_re, before_im, closing, missing = ROW_TEXT[fmt]
+    null = f"{before_re}{missing}{before_im}{missing}{closing}"
     tau, cos, sin = 2 * math.pi, math.cos, math.sin
     rows = []
     for place in args.place:
@@ -301,10 +262,10 @@ def _kernel_rows(args) -> list[str]:
             kernel = SymbolicKernel.from_form(place, make_form(coeff, T))
             if not pairs:
                 continue
-            start = text.opening + block_fields(
-                {"place": str(place), "system": args.system, "T": T_text})[1:]
+            start = opening + _fields({"place": str(place), "system": args.system,
+                                       "T": T_text, **to_block}, _BLOCK_COLUMNS, fmt)[1:]
             modulus = _fields({"modulus_sq": _modulus_text(kernel.prefactor.modulus_sq, place.p)},
-                              ["modulus_sq"], fmt) + text.before_phase
+                              ["modulus_sq"], fmt) + before_phase
             try:
                 r = kernel.prefactor.float_modulus()
             except OverflowError:
@@ -328,7 +289,13 @@ def _cmd_kernel(args) -> int:
     if args.system == "osc":
         return _cmd_kernel_oscillator(args)
     rows = _kernel_rows(args)
-    sys.stdout.write(_document({"command": "kernel", "system": args.system}, rows, args.format))
+    if args.format == "csv":
+        sys.stdout.write(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows))
+        return EXIT_OK
+    # what json.dumps(indent=2) writes for the header and the row texts
+    body = f'[{",".join(rows)}\n  ]' if rows else "[]"
+    sys.stdout.write(f'{{\n  "command": "kernel",\n  "system": "{args.system}",\n'
+                     f'  "rows": {body}\n}}\n')
     return EXIT_OK
 
 

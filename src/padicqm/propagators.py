@@ -261,14 +261,18 @@ def overlap_ball_integral(
     return weight * ball
 
 
-def overlap_vanishing_threshold(p: int, x_diff: Fraction, tau: Fraction) -> int:
+def overlap_vanishing_threshold(p: int, x_diff: Fraction | int, tau: Fraction | int) -> int:
     """Smallest N at which the off-diagonal pairing is exactly zero.
 
     The pairing vanishes once the linear character is nontrivial on the
-    ball: N >= v_p(x_diff / tau) + 1.
+    ball: N >= v_p(x_diff / tau) + 1.  Coincident times (tau = 0) raise
+    DegenerateIntervalError, as in :func:`overlap_ball_integral`.
     """
+    x_diff, tau = Fraction(x_diff), Fraction(tau)
     if x_diff == 0:
         raise ValueError("threshold defined for distinct endpoints")
+    if tau == 0:
+        raise DegenerateIntervalError("zero time interval")
     return valuation(x_diff / tau, p) + 1
 
 

@@ -694,17 +694,6 @@ class TestJsonWriter:
         assert ball["rows"][0]["N"] == -1000 and ball["rows"][0]["re"] is None
         assert empty["rows"] == []
 
-    def test_scalars(self, capsys):
-        header = {"command": "x", "n": -12, "t": True, "f": False, "none": None,
-                  "frac": F(-3, 7), "uni": "caf\u00e9 \"q\"\n\\"}
-        rows = [{"a": 0.1, "b": -0.0, "c": 1e300, "d": 5e-324, "e": math.inf,
-                 "g": -math.inf, "h": math.nan, "i": 2**70}, {"a": ""}]
-        cli._emit(rows, "json", header)
-        cli._emit([], "json")
-        want = (json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n"
-                + json.dumps({"rows": []}, indent=2) + "\n")
-        assert capsys.readouterr().out == want
-
 
 class TestRepeatedMain:
     def test_in_process_calls_match_fresh_processes(self, capsys):

@@ -385,6 +385,15 @@ class TestOverlap:
     def test_coincident_times_rejected(self):
         with pytest.raises(DegenerateIntervalError):
             overlap_ball_integral(3, 0, 1, 1, 0, 1, 2)
+        for tau in (F(0), 0):
+            with pytest.raises(DegenerateIntervalError):
+                overlap_vanishing_threshold(3, F(1), tau)
+
+    def test_threshold_takes_int_inputs(self):
+        for x_diff, tau in ((1, 1), (9, 3), (2, F(1, 3)), (F(1, 3), 9)):
+            assert (overlap_vanishing_threshold(3, x_diff, tau)
+                    == overlap_vanishing_threshold(3, F(x_diff), F(tau)))
+        assert overlap_vanishing_threshold(3, 1, 1) == 1
 
 
 OSC_SAMPLE = OscillatorBoundaryData(

@@ -6,8 +6,7 @@ result's stated precision is never better than what the inputs justify.
 Trigonometric series converge for |x|_p <= 1/p (odd p) and <= 1/4
 (p = 2); they are summed modulo p^(P+S), S guard digits for the powers
 of p in the factorials, and the exact Fraction loop of the tests'
-``series_oracle`` is their oracle.  Square roots are lifted digit by
-digit.
+``series_oracle`` is their oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import Phase, legendre
-from .errors import DomainError, NonSquareError, PrecisionError
+from .errors import DomainError, InputError, NonSquareError, PrecisionError
 from .places import base_p_digits, p_split, unit_residue, valuation
 
 
@@ -315,7 +314,7 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     p = 2, where both roots lead with 1).
     """
     if x == 0:
-        raise ValueError("square root of zero is trivial; argument must be nonzero")
+        raise InputError("square root of zero is trivial; argument must be nonzero")
     v = valuation(x, p)
     if v % 2 != 0:
         raise NonSquareError(f"odd valuation {v}: no square root in Q_{p}")
@@ -332,17 +331,17 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
             # Newton step: y <- (y + u/y) / 2 modulo the lifted modulus p^j
             y = (y + (target - y * y) * _unit_inverse(2 * y, p, j)) % p**j
         if (p - y) % p < y % p:
-            y = (-y) % p**k
+            y = -y
     else:
         if target % 8 != 1:
             raise NonSquareError("unit part is not 1 mod 8: no square root in Q_2")
         y, j = 1, 3
         while j < k + 2:
-            if (y * y - target) % 2 ** (j + 1) != 0:
-                y += 2 ** (j - 1)
-            j += 1
+            # y^2 = t mod 2^j lifts to y + ((t - y^2)/2) / y modulo 2^(2j - 2)
+            j = min(2 * j - 2, k + 2)
+            y = (y + (target - y * y) // 2 * _unit_inverse(y, 2, j)) % 2**j
         # canonical branch: digit above the leading 1 equals zero
         if y % 4 != 1:
-            y = (-y) % 2**k
-        y %= 2**k
+            y = -y
+    # _make reduces y modulo p^k
     return PadicTruncation._make(p, half_v, y, half_v + k)

@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import InputError
 from .places import Place, fractional_part, is_prime, unit_residue
 
 
@@ -85,7 +86,7 @@ class Amplitude:
             ms = Fraction(ms)
             object.__setattr__(self, "modulus_sq", ms)
         if ms.numerator < 0:
-            raise ValueError("modulus_sq must be nonnegative")
+            raise InputError("modulus_sq must be nonnegative")
         if not ms.numerator:
             object.__setattr__(self, "phase", ZERO_PHASE)
 
@@ -157,7 +158,7 @@ def chi(place: Place, x: Fraction | int) -> Phase:
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1}, by Euler's criterion."""
     if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+        raise InputError("p must be an odd prime")
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -174,7 +175,7 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
     Rejects a = 0: the factor is defined only for nonzero arguments.
     """
     if a == 0:
-        raise ValueError("lambda factor undefined at zero")
+        raise InputError("lambda factor undefined at zero")
     if place.is_real:
         return EIGHTH_PHASES[7 if a > 0 else 1]
     p = place.p

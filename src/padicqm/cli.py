@@ -1,8 +1,17 @@
 """Command-line front end: kernels, Gauss integrals, verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource limit exceeded, 4 internal error, 141 stdout closed by its
-reader.  Output is JSON (default) or CSV; every row carries the exact
+A handler returns 0 or 1 and raises any other failure; :func:`main` alone
+maps the type it raised to the exit code (argparse exits 2 on a usage error):
+
+    exit  raised                                  stderr
+    0, 1  nothing: success, verification failed  nothing
+    2     any PadicqmError but OutputLimitError   ``error: <message>``
+    3     OutputLimitError, any resource limit    ``resource limit: <message>``
+    4     anything else: a bug, such as a         ``internal error: <type>: <message>``
+          ValueError other than an InputError
+    141   BrokenPipeError: stdout closed          nothing
+
+Output is JSON (default) or CSV; every row carries the exact
 fractions next to their float rendering, and a fixed seed reproduces
 byte-identical output.  Kernel grids are written by a flat writer of
 their own, text shared by many rows encoded once; every other command
@@ -27,7 +36,7 @@ from .characters import Amplitude, lambda_v
 from .dynamics import action_form_constant_field
 from .errors import OutputLimitError, PadicqmError
 from .gauss import gauss_full, quad_char_integral_ball, stabilization_threshold
-from .places import Place, is_prime, valuation
+from .places import Place, valuation
 from .propagators import (
     OscillatorBoundaryData,
     SymbolicKernel,
@@ -198,7 +207,7 @@ def _check_ball_phase(p: int, alpha: Fraction, beta: Fraction, N: int) -> None:
     it is too long to write exactly when d >= 10^limit.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not (limit and alpha and beta and is_prime(p)):
+    if not (limit and alpha and beta):
         return
     e = valuation(4 * alpha, p) - 2 * valuation(beta, p)
     if e > (3 if p == 2 else 0) and N >= stabilization_threshold(p, alpha, beta):
@@ -211,9 +220,7 @@ def _check_ball_phase(p: int, alpha: Fraction, beta: Fraction, N: int) -> None:
 
 def _cmd_ball_integral(args) -> int:
     if abs(args.N) > MAX_BALL_RADIUS:
-        print(f"resource limit: --N {args.N} exceeds {MAX_BALL_RADIUS} in absolute value",
-              file=sys.stderr)
-        return EXIT_RESOURCE
+        raise OutputLimitError(f"--N {args.N} exceeds {MAX_BALL_RADIUS} in absolute value")
     # the echoed inputs are written first: a rational too long to write
     # exits 3 here, and a writable alpha, beta keeps the Gauss sum modulus
     # p^L within p^(2N) times their denominators
@@ -270,8 +277,10 @@ def _kernel_rows(args) -> list[str]:
                 r = kernel.prefactor.float_modulus()
             except OverflowError:
                 r = None
+            # phases first: the except below sees only the digit limit of str()
+            grid = zip(pairs, kernel.phase_grid(args.q0, args.q1))
             try:
-                for pair, (n, d) in zip(pairs, kernel.phase_grid(args.q0, args.q1)):
+                for pair, (n, d) in grid:
                     if r is None:
                         floats = null
                     else:
@@ -302,15 +311,10 @@ def _cmd_kernel(args) -> int:
 def _cmd_kernel_oscillator(args) -> int:
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(OscillatorBoundaryData)}
     if None in values.values():
-        print("oscillator system needs " + " ".join(f"--{name}" for name in values),
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise PadicqmError("oscillator system needs " + " ".join(f"--{name}" for name in values))
     if args.precision > MAX_PRECISION:
-        print(f"resource limit: --precision {args.precision} exceeds {MAX_PRECISION}",
-              file=sys.stderr)
-        return EXIT_RESOURCE
-    # the inputs take the write check of the other commands' echoed inputs
-    # before any work: a rational too long to write exits 3 here
+        raise OutputLimitError(f"--precision {args.precision} exceeds {MAX_PRECISION}")
+    # as for echoed inputs, a rational too long to write exits 3 before any work
     for value in values.values():
         _text(value)
     data = OscillatorBoundaryData(**values)
@@ -330,8 +334,7 @@ def _cmd_kernel_oscillator(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.trials is not None and args.trials > MAX_TRIALS:
-        print(f"resource limit: --trials {args.trials} exceeds {MAX_TRIALS}", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise OutputLimitError(f"--trials {args.trials} exceeds {MAX_TRIALS}")
     # each check rejects a run that would check nothing, before any work
     given = {"trials": args.trials, "places": args.place}
     failures = CHECKS[args.check](
@@ -344,8 +347,7 @@ def _cmd_verify(args) -> int:
         "status": "pass" if not failures else "fail",
         "failures": failures,
     }
-    json.dump(report, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, default=str) + "\n")
     return EXIT_OK if not failures else EXIT_VERIFY_FAIL
 
 
@@ -423,9 +425,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except PadicqmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
         # exit 1 stays reserved for verification failures

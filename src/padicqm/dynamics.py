@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateIntervalError
+from .errors import DegenerateIntervalError, InputError
 
 Poly = tuple[Fraction, ...]
 
@@ -80,9 +80,9 @@ class PolynomialPath:
         for name in ("t_start", "t_end", "q_start", "q_end"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if poly_eval(self.coefficients, self.t_start) != self.q_start:
-            raise ValueError("path does not hit its start point")
+            raise InputError("path does not hit its start point")
         if poly_eval(self.coefficients, self.t_end) != self.q_end:
-            raise ValueError("path does not hit its end point")
+            raise InputError("path does not hit its end point")
 
     def velocity(self) -> Poly:
         return poly_derivative(self.coefficients)

@@ -1,8 +1,15 @@
-"""Exception hierarchy for the padicqm library."""
+"""Exception hierarchy for the padicqm library.
+
+The table in :mod:`padicqm.cli` gives the exit code of each class.
+"""
 
 
 class PadicqmError(Exception):
     """Base class for all library errors."""
+
+
+class InputError(PadicqmError, ValueError):
+    """An argument outside the function's domain; also a ValueError, for callers that catch one."""
 
 
 class ZeroExpansionError(PadicqmError):
@@ -34,7 +41,7 @@ class OracleCapError(PadicqmError):
 
 
 class OutputLimitError(PadicqmError):
-    """An exact output field has an integer too long for the interpreter to write."""
+    """A resource limit: an input over its bound, or an output field too long to write."""
 
 
 class QuadratureError(PadicqmError):

@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
-from .errors import DegenerateQuadraticError, OracleCapError, QuadratureError
-from .places import Place, fractional_part, is_prime, norm, p_split, valuation
+from .errors import DegenerateQuadraticError, InputError, OracleCapError, QuadratureError
+from .places import Place, fractional_part, norm, p_split, require_prime, valuation
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
 COSET_CAP = 10**6
@@ -37,10 +37,9 @@ class BallSpec:
     resolution_exponent: int
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise ValueError(f"not a prime: {self.prime}")
+        require_prime(self.prime)
         if self.resolution_exponent < -self.radius_exponent:
-            raise ValueError("resolution must be at least as fine as the ball")
+            raise InputError("resolution must be at least as fine as the ball")
 
     @property
     def n_cosets(self) -> int:
@@ -63,12 +62,8 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
     return Amplitude(modulus_sq, phase)
 
 
-def _residue(q: Fraction, modulus: int, p: int) -> int:
+def _residue(q: Fraction, modulus: int) -> int:
     """Representative of a p-integral rational q modulo p**k (modulus = p**k)."""
-    if modulus == 1:
-        return 0
-    if q.denominator % p == 0:
-        raise ValueError("rational is not p-integral")
     return q.numerator * pow(q.denominator, -1, modulus) % modulus
 
 
@@ -163,8 +158,7 @@ def quad_char_integral_ball(
     p^L is the common denominator of the coset phases.  The value is
     then p^{N-L} times the complete sum -- exact for every input.
     """
-    if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
+    require_prime(p)
     alpha, beta = Fraction(alpha), Fraction(beta)
     s1 = 0
     if alpha != 0:
@@ -177,8 +171,9 @@ def quad_char_integral_ball(
         # integrand is identically 1 on the ball; value = measure = p^N
         return Amplitude(Fraction(p) ** (2 * N), Phase())
     mod = p**L
-    a_int = _residue(alpha * Fraction(p) ** (L - 2 * N), mod, p) if alpha else 0
-    b_int = _residue(beta * Fraction(p) ** (L - N), mod, p) if beta else 0
+    # L >= 2N - v(alpha) and L >= N - v(beta): both arguments are p-integral
+    a_int = _residue(alpha * Fraction(p) ** (L - 2 * N), mod) if alpha else 0
+    b_int = _residue(beta * Fraction(p) ** (L - N), mod) if beta else 0
     g = _complete_gauss_sum(a_int, b_int, p, L)
     scale = Amplitude(Fraction(p) ** (2 * (N - L)), Phase())
     return scale * g
@@ -227,7 +222,7 @@ class QuadraticCharacter:
         at each representative.
         """
         if ball.prime != self.p:
-            raise ValueError(
+            raise InputError(
                 f"ball prime {ball.prime} disagrees with the character's prime {self.p}"
             )
         scale = Fraction(self.p) ** ball.radius_exponent
@@ -260,7 +255,7 @@ def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
     so independent of the enumeration order.
     """
     if ball.prime != p:
-        raise ValueError("ball prime disagrees with p")
+        raise InputError("ball prime disagrees with p")
     if ball.n_cosets > COSET_CAP:
         raise OracleCapError(f"{ball.n_cosets} cosets exceed the cap of {COSET_CAP}")
     angles = f.coset_angles(ball)
@@ -284,7 +279,7 @@ def fresnel_oracle(
     if a_f == 0:
         raise DegenerateQuadraticError("quadratic coefficient is zero")
     if d <= 0:
-        raise ValueError("damping must be positive")
+        raise InputError("damping must be positive")
 
     def core_re(x: float) -> float:
         return math.exp(-d * x * x) * math.cos(2 * math.pi * (a_f * x * x + b_f * x))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PadicqmError, ZeroExpansionError
+from .errors import InputError, PadicqmError, ZeroExpansionError
 
 #: Sentinel returned by :func:`valuation` at zero.
 INFINITE_VALUATION = math.inf
@@ -59,6 +59,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=4096)
+def require_prime(p: int) -> None:
+    """Raise InputError unless p is prime; cached, as valuation runs it on every call."""
+    if not is_prime(p):
+        raise InputError(f"not a prime: {p}")
+
+
 @dataclass(frozen=True, order=False)
 class Place:
     """A completion of Q: the real place or a p-adic place.
@@ -69,8 +76,8 @@ class Place:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"not a prime: {self.p}")
+        if self.p is not None:
+            require_prime(self.p)
 
     @classmethod
     def real(cls) -> Place:
@@ -110,9 +117,9 @@ class DigitExpansion:
 
     def __post_init__(self):
         if not self.digits or self.digits[0] == 0:
-            raise ValueError("canonical expansion must have a nonzero leading digit")
+            raise InputError("canonical expansion must have a nonzero leading digit")
         if any(d < 0 or d >= self.prime for d in self.digits):
-            raise ValueError("digit out of range")
+            raise InputError("digit out of range")
 
     def __str__(self) -> str:
         body = " + ".join(
@@ -131,7 +138,7 @@ def p_split(n: int, p: int) -> tuple[int, int]:
     divisions beat the recursion's calls.
     """
     if not n:
-        raise ValueError("zero has infinite valuation")
+        raise InputError("zero has infinite valuation")
     v = 0
     while n % p == 0:
         n //= p
@@ -158,8 +165,7 @@ def valuation(x: Fraction | int, p: int) -> int | float:
 
     x = p**v * (a/b) with p dividing neither a nor b.
     """
-    if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
+    require_prime(p)
     if x == 0:
         return INFINITE_VALUATION
     return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
@@ -181,10 +187,9 @@ def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
 
     Integer arithmetic on ``x.numerator`` and ``x.denominator`` only, so
     ``int`` and ``Fraction`` inputs alike need no coercion.  Raises
-    ValueError for a non-prime p and :class:`ZeroExpansionError` at x = 0.
+    InputError for a non-prime p and :class:`ZeroExpansionError` at x = 0.
     """
-    if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
+    require_prime(p)
     n, d = x.numerator, x.denominator
     if n == 0:
         raise ZeroExpansionError("zero has no canonical expansion")
@@ -210,7 +215,7 @@ def digits(x: Fraction | int, p: int, count: int) -> DigitExpansion:
     the zero element has no canonical expansion.
     """
     if count < 1:
-        raise ValueError("count must be positive")
+        raise InputError("count must be positive")
     v, r = unit_residue(x, p, count)
     return DigitExpansion(valuation=v, digits=base_p_digits(r, p, count), prime=p)
 
@@ -236,8 +241,7 @@ def fractional_part(x: Fraction | int, p: int) -> Fraction:
     is p-integral.  Zero whenever |x|_p <= 1.  See
     :func:`fractional_residue`.
     """
-    if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
+    require_prime(p)
     return Fraction(*fractional_residue(x.numerator, x.denominator, p))
 
 

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateFormError,
     DegenerateIntervalError,
     DomainError,
+    InputError,
     NonSquareError,
     PartitionError,
     PrecisionError,
@@ -161,7 +162,7 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
     forms are combined on their integer numerators and reduced once.
     """
     if k2.place != k1.place:
-        raise ValueError("kernels live at different places")
+        raise InputError("kernels live at different places")
     place = k2.place
     D2, (a2, b2, g2, d2, e2, z2) = k2.form.den, k2.form.nums
     D1, (a1, b1, g1, d1, e1, z1) = k1.form.den, k1.form.nums
@@ -270,7 +271,7 @@ def overlap_vanishing_threshold(p: int, x_diff: Fraction | int, tau: Fraction | 
     """
     x_diff, tau = Fraction(x_diff), Fraction(tau)
     if x_diff == 0:
-        raise ValueError("threshold defined for distinct endpoints")
+        raise InputError("threshold defined for distinct endpoints")
     if tau == 0:
         raise DegenerateIntervalError("zero time interval")
     return valuation(x_diff / tau, p) + 1
@@ -302,7 +303,7 @@ class OscillatorBoundaryData:
         for name in self.__dataclass_fields__:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.s0 == 0 or self.s1 == 0:
-            raise ValueError("s boundary values must be nonzero")
+            raise InputError("s boundary values must be nonzero")
         if self.dgamma0 * self.dgamma1 == 0:
             # the mixed partial of the action is -sqrt(dgamma1*dgamma0)/sin delta
             raise DegenerateFormError("dgamma1*dgamma0 = 0: mixed partial of the action vanishes")
@@ -343,7 +344,7 @@ def k_oscillator_td(
     digit the kernel reads, or a PrecisionError is raised.
     """
     if place.is_real:
-        raise ValueError("use k_oscillator_td_real for the real place")
+        raise InputError("use k_oscillator_td_real for the real place")
     form = oscillator_action_form(data, place.p, precision)
     return SymbolicKernel.from_form(place, form).evaluate(data.x0, data.x1)
 

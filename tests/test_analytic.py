@@ -195,6 +195,17 @@ class TestSqrt:
         assert r.mantissa % 4 == 1  # canonical: second digit zero
         assert agrees_with(r * r, PadicTruncation.from_rational(17, 2, 10), 10)
 
+    def test_two_adic_high_precision(self):
+        # 2000 digits: the lift doubles its precision at each step
+        r = sqrt_p(F(25, 9), 2, 2000)
+        # 5/3 = 3 mod 4, so the canonical root is -5/3
+        assert r.precision == 2000
+        assert agrees_with(r, PadicTruncation.from_rational(F(-5, 3), 2, 2000), 2000)
+        x = F(17 * 4**3, 9)
+        r = sqrt_p(x, 2, 2000)
+        assert r.mantissa % 4 == 1
+        assert agrees_with(r * r, PadicTruncation.from_rational(x, 2, 2000), 2000)
+
     @settings(max_examples=150, deadline=None)
     @given(
         u=st.integers(1, 400),

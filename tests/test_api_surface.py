@@ -5,6 +5,7 @@
 the benchmark without failing any other test.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -15,6 +16,12 @@ from pathlib import Path
 import pytest
 
 import padicqm
+from padicqm import (
+    OscillatorBoundaryData,
+    PadicqmError,
+    overlap_vanishing_threshold,
+    quad_char_integral_ball,
+)
 
 BENCHMARK_NAMES = {
     "padicqm.analytic": ("_sin_cos_sums", "sqrt_p"),
@@ -70,3 +77,27 @@ def test_import_loads_no_numpy_or_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_no_untyped_raise():
+    # every library error is typed where it is raised; the command line
+    # reports a bare ValueError or ZeroDivisionError as an internal error
+    found = []
+    for path in sorted(Path(padicqm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "ZeroDivisionError"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: overlap_vanishing_threshold(3, 0, 1),
+    lambda: quad_char_integral_ball(4, 1, 0, 1),
+    lambda: OscillatorBoundaryData(x0=1, x1=2, gamma0=0, gamma1=3, dgamma0=1, dgamma1=1,
+                                   s0=0, s1=1, ds0=0, ds1=0),
+], ids=["threshold at x_diff = 0", "ball integral at p = 4", "oscillator at s0 = 0"])
+def test_out_of_domain_inputs_raise_padicqm_error(call):
+    with pytest.raises(PadicqmError):
+        call()

@@ -14,6 +14,7 @@ import pytest
 from padicqm import (
     Amplitude,
     DomainError,
+    InputError,
     OscillatorBoundaryData,
     OutputLimitError,
     Place,
@@ -26,6 +27,7 @@ from padicqm import (
 from padicqm import cli, gauss
 from padicqm.cli import main
 
+import argv_corpus
 import kernel_oracle
 from closed_forms import k_constant_field, k_desitter, k_free
 
@@ -126,6 +128,8 @@ class TestKernelCommand:
             capsys, ["kernel", "--system", "osc", "--place", "3", "--x0", "1"]
         )
         assert code == 2
+        assert err == ("error: oscillator system needs --x0 --x1 --gamma0 --gamma1 --dgamma0"
+                       " --dgamma1 --s0 --s1 --ds0 --ds1\n")
 
     @pytest.mark.parametrize("place", ["inf", "3"])
     def test_oscillator_vanishing_dgamma_exits_2(self, capsys, place):
@@ -823,12 +827,45 @@ class TestVerifyCommand:
 
 
 class TestInternalError:
-    def test_unexpected_exception_exits_4_without_traceback(self, capsys, monkeypatch):
+    # a library error is typed where it is raised: a bare ValueError or
+    # ZeroDivisionError reaching main is a bug, not a usage error
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError, ZeroDivisionError])
+    def test_unexpected_exception_exits_4_without_traceback(self, capsys, monkeypatch, error):
         def broken_command(args):
-            raise RuntimeError("stub failure")
+            raise error("stub failure")
 
         monkeypatch.setattr(cli, "_cmd_gauss", broken_command)
         code, out, err = run_cli(capsys, ["gauss", "--place", "3", "--a", "1"])
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
-        assert err == "internal error: RuntimeError: stub failure\n"
+        assert err == f"internal error: {error.__name__}: stub failure\n"
+
+    def test_input_error_exits_2(self, capsys, monkeypatch):
+        def rejecting_command(args):
+            raise InputError("stub input")
+
+        monkeypatch.setattr(cli, "_cmd_gauss", rejecting_command)
+        code, out, err = run_cli(capsys, ["gauss", "--place", "3", "--a", "1"])
+        assert (code, out, err) == (cli.EXIT_USAGE, "", "error: stub input\n")
+
+
+class TestFuzz:
+    def test_seeded_argvs_exit_0_to_3_with_a_typed_message(self, capsys):
+        # 300 argvs over every command, edge values included, in well under a second
+        rng = random.Random(1)
+        codes = set()
+        for _ in range(300):
+            argv = argv_corpus.random_argv(rng)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            codes.add(code)
+            assert code in (0, 2, 3), (argv, err)
+            if err.startswith("usage: "):
+                assert code == 2, argv
+            else:
+                assert err == "" or (err.startswith(("error: ", "resource limit: "))
+                                     and err.count("\n") == 1), (argv, err)
+        assert {0, 2} <= codes

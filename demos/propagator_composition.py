@@ -19,7 +19,6 @@ from padicqm import (
     action_form_constant_field,
     finite_n_propagator,
 )
-from padicqm.places import place_sorted
 
 
 def main():
@@ -35,11 +34,10 @@ def main():
     points = {F(0), F(1)}
     while len(points) < 9:
         points.add(F(rng.randint(-30, 30), rng.randint(1, 30)))
-    ordered = place_sorted(points, place)
+    part = PartitionSpec.in_order(place, points)
     print("  partition in 3-adic digit order:")
-    print("   ", " < ".join(str(t) for t in ordered))
-    part = PartitionSpec(place, tuple(ordered))
-    total_time = ordered[-1] - ordered[0]
+    print("   ", " < ".join(str(t) for t in part.points))
+    total_time = part.points[-1] - part.points[0]
     folded = finite_n_propagator(2, part, 0, 1)
     kernel = SymbolicKernel.from_form(place, action_form_constant_field(2, total_time))
     direct = kernel.evaluate(0, 1)

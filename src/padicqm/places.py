@@ -171,15 +171,25 @@ def valuation(x: Fraction | int, p: int) -> int | float:
     return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
 
 
+def ratio_norm(n: int, d: int, place: Place) -> tuple[int, int]:
+    """|n/d| at the place as (a, b) with a/b the norm, for nonzero integers n, d.
+
+    n/d need not be reduced.  At infinity (a, b) is (|n|, |d|), unreduced
+    too; at p it is (1, p**v) or (p**-v, 1) with v = v_p(n) - v_p(d).
+    """
+    p = place.p
+    if p is None:
+        return abs(n), abs(d)
+    v = p_split(n, p)[0] - p_split(d, p)[0]
+    return (1, p**v) if v >= 0 else (p**-v, 1)
+
+
 def norm(x: Fraction | int, place: Place) -> Fraction:
     """Exact norm of x at the given place: |x| or p**(-v_p(x)); 0 at x = 0."""
     x = Fraction(x)
-    if place.is_real:
-        return abs(x)
     if x == 0:
         return Fraction(0)
-    v = valuation(x, place.p)
-    return Fraction(place.p) ** (-v)
+    return Fraction(*ratio_norm(x.numerator, x.denominator, place))
 
 
 def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
@@ -278,10 +288,3 @@ def place_less(x: Fraction | int, y: Fraction | int, place: Place) -> bool:
     """Strict order of the place: usual order at infinity, digit order at p."""
     kx, ky = place_keys((x, y), place)
     return kx < ky
-
-
-def place_sorted(values, place: Place) -> list[Fraction]:
-    """The values in increasing order of the place (see :func:`place_keys`)."""
-    values = list(values)
-    keys = place_keys(values, place)
-    return [x for _, x in sorted(zip(keys, values), key=lambda pair: pair[0])]

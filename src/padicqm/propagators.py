@@ -31,7 +31,7 @@ from .errors import (
     PrecisionError,
 )
 from .gauss import quad_char_integral_ball
-from .places import Place, norm, p_split, place_keys, valuation
+from .places import Place, norm, p_split, place_keys, ratio_norm, valuation
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,25 @@ class PartitionSpec:
     def __post_init__(self):
         pts = tuple(Fraction(t) for t in self.points)
         object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
-            raise PartitionError("a partition needs at least two points")
-        keys = place_keys(pts, self.place)
-        for i in range(len(pts) - 1):
-            if not keys[i] < keys[i + 1]:
-                raise PartitionError(
-                    f"points not strictly increasing at the place: {pts[i]} !< {pts[i + 1]}"
-                )
+        _require_increasing(pts, place_keys(pts, self.place))
+
+    @classmethod
+    def in_order(cls, place: Place, values) -> PartitionSpec:
+        """The partition through the values, put in the place's order.
+
+        One pass of :func:`place_keys` both sorts the values and checks
+        them, so the constructor's own pass is skipped; fewer than two
+        values, or two equal ones, raise PartitionError as it does.
+        """
+        values = [Fraction(t) for t in values]
+        keys = place_keys(values, place)
+        order = sorted(range(len(values)), key=keys.__getitem__)
+        pts = tuple(values[i] for i in order)
+        _require_increasing(pts, [keys[i] for i in order])
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "place", place)
+        object.__setattr__(spec, "points", pts)
+        return spec
 
     @property
     def n_steps(self) -> int:
@@ -63,6 +74,17 @@ class PartitionSpec:
 
     def step_lengths(self) -> tuple[Fraction, ...]:
         return tuple(b - a for a, b in zip(self.points, self.points[1:]))
+
+
+def _require_increasing(pts: tuple[Fraction, ...], keys: Sequence) -> None:
+    """Raise PartitionError unless there are two points or more, with strictly increasing keys."""
+    if len(pts) < 2:
+        raise PartitionError("a partition needs at least two points")
+    for i in range(len(pts) - 1):
+        if not keys[i] < keys[i + 1]:
+            raise PartitionError(
+                f"points not strictly increasing at the place: {pts[i]} !< {pts[i + 1]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -173,25 +195,28 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
     if n == 0:
         raise DegenerateIntervalError("degenerate composition: quadratic term vanishes")
     m = e2 * D1 + d1 * D2
-    # New form: S'(q1, q0) = B^2/(4A) - C with C the x-free chi part, over 4n D1 D2.
-    n4 = 4 * n
+    # New form: S'(q1, q0) = B^2/(4A) - C with C the x-free chi part, over 4n D, D = D1 D2.
+    n4, D = 4 * n, D1 * D2
     form = QuadraticActionForm.from_integers(
-        n4 * D1 * D2,
+        n4 * D,
         (
             (n4 * a2 - g2 * g2 * D1) * D1,
             (n4 * b1 - g1 * g1 * D2) * D2,
-            -2 * g2 * g1 * D1 * D2,
+            -2 * g2 * g1 * D,
             2 * (2 * n * d2 - g2 * m) * D1,
             2 * (2 * n * e1 - g1 * m) * D2,
             -m * m + n4 * (z2 * D1 + z1 * D2),
         ),
     )
-    # Gauss integral over x contributes lambda(A) |2A|^{-1/2} chi(-B^2/4A).
-    A = Fraction(-n, D1 * D2)
+    # Gauss integral over x contributes lambda(A) |2A|^{-1/2} chi(-B^2/4A),
+    # with |2A| = |2n/D| = an/ad read off the integers; the squared moduli
+    # of the steps and |2A|^{-1} multiply into one Fraction.
+    an, ad = ratio_norm(2 * n, D, place)
     p2, p1 = k2.prefactor, k1.prefactor
+    m2, m1 = p2.modulus_sq, p1.modulus_sq
     prefactor = Amplitude(
-        p2.modulus_sq * p1.modulus_sq / norm(2 * A, place),
-        phase_sum(p2.phase, p1.phase, lambda_v(place, A)),
+        Fraction(m2.numerator * m1.numerator * ad, m2.denominator * m1.denominator * an),
+        phase_sum(p2.phase, p1.phase, lambda_v(place, Fraction(-n, D))),
     )
     return SymbolicKernel(place, prefactor, form)
 

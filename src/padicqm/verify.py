@@ -5,6 +5,11 @@ every trial passed.  A check that would run nothing -- fewer than one
 trial, or no place it can use -- raises instead, so an empty list always
 covers some work.  All randomness is driven by an explicit seed, so a
 fixed configuration reproduces bit-identical results.
+
+A random rational takes three draws of its place's stream (four at p)
+and is built as one Fraction.  The time points of a trial are put in
+the place's order by :meth:`PartitionSpec.in_order`, whose one pass of
+order keys both sorts and checks them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .gauss import (
     quadratic_char_fn,
     stabilization_threshold,
 )
-from .places import Place, norm, place_sorted
+from .places import Place, norm
 from .propagators import (
     PartitionSpec,
     finite_n_propagator,
@@ -48,17 +53,18 @@ def random_nonzero_rational(rng: random.Random, place: Place) -> Fraction:
     """A random nonzero rational; p-adic places get norms across p^-SPAN..p^SPAN."""
     num = rng.randint(1, 24) * rng.choice((-1, 1))
     den = rng.randint(1, 24)
-    x = Fraction(num, den)
-    if not place.is_real:
-        x *= Fraction(place.p) ** rng.randint(-SPAN, SPAN)
-    return x
+    if place.is_real:
+        return Fraction(num, den)
+    k = rng.randint(-SPAN, SPAN)
+    return Fraction(num * place.p**k, den) if k >= 0 else Fraction(num, den * place.p**-k)
 
 
-def _distinct_points(rng: random.Random, place: Place, count: int) -> list[Fraction]:
+def _random_partition(rng: random.Random, place: Place, count: int) -> PartitionSpec:
+    """A partition through count distinct random rationals, in the place's order."""
     points: set[Fraction] = set()
     while len(points) < count:
         points.add(random_nonzero_rational(rng, place))
-    return place_sorted(points, place)
+    return PartitionSpec.in_order(place, points)
 
 
 def _run_trials(places, trials: int, key, trial, rounds=(None,), padic_only=False) -> list[dict]:
@@ -97,11 +103,12 @@ def _lambda_trial(rng: random.Random, place: Place, _):
 
 def _fold_trial(check: str, rng: random.Random, place: Place, n: int):
     """The constant-field kernel folded over n random steps against the one-shot kernel."""
-    pts = _distinct_points(rng, place, n + 1)
+    partition = _random_partition(rng, place, n + 1)
+    pts = partition.points
     a = random_nonzero_rational(rng, place)
     q0 = random_nonzero_rational(rng, place)
     q1 = random_nonzero_rational(rng, place)
-    got = finite_n_propagator(a, PartitionSpec(place, tuple(pts)), q0, q1)
+    got = finite_n_propagator(a, partition, q0, q1)
     want = k_general_quadratic(place, action_form_constant_field(a, pts[-1] - pts[0]), q1, q0)
     if got != want:
         yield {
@@ -119,7 +126,7 @@ def _fold_trial(check: str, rng: random.Random, place: Place, n: int):
 
 def _overlap_trial(rng: random.Random, place: Place, _):
     p = place.p
-    t, t1 = _distinct_points(rng, place, 2)
+    t, t1 = _random_partition(rng, place, 2).points
     x0 = random_nonzero_rational(rng, place)
     x1 = random_nonzero_rational(rng, place)
     a = random_nonzero_rational(rng, place)

@@ -23,7 +23,7 @@ from padicqm.places import (
     is_prime,
     p_split,
     place_less,
-    place_sorted,
+    ratio_norm,
     unit_residue,
 )
 
@@ -95,6 +95,18 @@ class TestNorm:
     def test_zero(self):
         assert norm(0, Place.prime(5)) == 0
         assert norm(0, Place.real()) == 0
+
+    @settings(max_examples=200)
+    @given(n=st.integers(-500, 500).filter(bool), d=st.integers(-500, 500).filter(bool),
+           p=st.sampled_from([None, 2, 3, 5, 7]))
+    def test_ratio_norm_of_unreduced_integers(self, n, d, p):
+        # n/d need not be reduced; at p a common power of p leaves the pair as it is
+        place = Place(p)
+        a, b = ratio_norm(n, d, place)
+        assert a > 0 and b > 0 and F(a, b) == norm(F(n, d), place)
+        if p is not None:
+            assert F(a, b) == F(p) ** -valuation(F(n, d), p)
+            assert ratio_norm(n * p**3, d * p**3, place) == (a, b)
 
     @settings(max_examples=200)
     @given(x=padic_rationals(3), y=padic_rationals(3))
@@ -307,7 +319,8 @@ class TestPlace:
 
 
 class TestPlaceSorted:
-    """The key sort against a comparison sort on the digit scan of ``digit_oracle``."""
+    """``PartitionSpec.in_order``, sorting on one key pass, against a comparison
+    sort on the digit scan of ``digit_oracle``."""
 
     @staticmethod
     def cmp_sorted(values, place):
@@ -315,6 +328,14 @@ class TestPlaceSorted:
             return sorted(values)
         less = digit_oracle.linear_less
         return sorted(values, key=cmp_to_key(lambda x, y: -1 if less(x, y, place.p) else 1))
+
+    def check(self, values, place):
+        if len(values) < 2:
+            with pytest.raises(PartitionError):
+                PartitionSpec.in_order(place, values)
+        else:
+            points = PartitionSpec.in_order(place, values).points
+            assert list(points) == self.cmp_sorted(values, place)
 
     @settings(max_examples=300)
     @given(
@@ -326,8 +347,7 @@ class TestPlaceSorted:
     def test_equals_comparison_sort(self, p, values):
         # with numerators and denominators this small, the first differing
         # digit of a pair often is the last digit the key keeps
-        place = Place.real() if p is None else Place.prime(p)
-        assert place_sorted(values, place) == self.cmp_sorted(values, place)
+        self.check(values, Place.real() if p is None else Place.prime(p))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_wide_sets(self, p):
@@ -336,18 +356,25 @@ class TestPlaceSorted:
         for _ in range(200):
             values = list({F(rng.randint(-24, 24), rng.randint(1, 24)) * F(p) ** rng.randint(-2, 2)
                            for _ in range(rng.randint(1, 17))})
-            assert place_sorted(values, place) == self.cmp_sorted(values, place)
+            self.check(values, place)
 
     def test_last_key_digit_decides(self):
         # at p = 2, H = 1 and 2 H^2 = 2: one key digit would tie 1 and -1,
         # which first differ at digit 1; every reader of the key agrees
         for p, low, high in ((2, 1, -1), (3, 1, -2)):
             place = Place.prime(p)
-            assert place_sorted([F(high), F(low)], place) == [low, high]
+            assert PartitionSpec.in_order(place, [F(high), F(low)]).points == (low, high)
             assert place_less(low, high, place) and not place_less(high, low, place)
             assert PartitionSpec(place, (low, high)).points == (low, high)
             with pytest.raises(PartitionError):
                 PartitionSpec(place, (high, low))
 
     def test_zero_sorts_first(self):
-        assert place_sorted([F(1, 3), F(0), F(3)], Place.prime(3)) == [0, 3, F(1, 3)]
+        points = PartitionSpec.in_order(Place.prime(3), [F(1, 3), F(0), F(3)]).points
+        assert points == (0, 3, F(1, 3))
+
+    def test_equal_values_raise(self):
+        # the one key pass checks as the constructor does: equal keys are no strict order
+        for place in (Place.real(), Place.prime(3)):
+            with pytest.raises(PartitionError):
+                PartitionSpec.in_order(place, [F(2), F(1, 3), F(2)])

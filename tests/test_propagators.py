@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicqm import (
     Amplitude,
@@ -38,7 +38,6 @@ from padicqm import (
 )
 from padicqm import propagators
 from padicqm.errors import PadicqmError, PrecisionError
-from padicqm.places import place_sorted
 
 import series_oracle
 from closed_forms import k_constant_field, k_desitter, k_free, k_oscillator
@@ -249,6 +248,14 @@ class TestComposeAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(place=st.sampled_from(ALL_PLACES), steps=st.lists(STEP, min_size=2, max_size=6),
            q0=small_rationals(), q1=small_rationals())
+    # at p = 2 the first composition has v_2(2n) - v_2(D1 D2), the valuation
+    # of 2A = -2n/(D1 D2), negative (-3), zero and positive (+1)
+    @example(place=P2, steps=[("const-field", F(1, 2), F(2)), ("desitter", F(3), F(2))],
+             q0=F(1, 3), q1=F(-2))
+    @example(place=P2, steps=[("const-field", F(1), F(1, 4)), ("desitter", F(7), F(3, 4))],
+             q0=F(1, 3), q1=F(-2))
+    @example(place=P2, steps=[("free", F(3), F(1)), ("const-field", F(5), F(1)),
+                              ("desitter", F(1), F(4))], q0=F(5, 2), q1=F(0))
     def test_folds_equal(self, place, steps, q0, q1):
         kernels = [SymbolicKernel.from_form(place, step_form(*step)) for step in steps]
         got = want = kernels[0]
@@ -325,11 +332,10 @@ class TestFiniteN:
                 pts = set()
                 while len(pts) < n + 1:
                     pts.add(rand_rational(rng, place))
-                ordered = place_sorted(pts, place)
-                part = PartitionSpec(place, tuple(ordered))
+                part = PartitionSpec.in_order(place, pts)
                 a = rand_rational(rng, place)
                 q0, q1 = rand_rational(rng, place), rand_rational(rng, place)
-                want = k_constant_field(place, a, ordered[-1] - ordered[0], q0, q1)
+                want = k_constant_field(place, a, part.points[-1] - part.points[0], q0, q1)
                 assert finite_n_propagator(a, part, q0, q1) == want
 
     def test_partition_validation(self):
@@ -347,7 +353,7 @@ class TestSemigroup:
     def test_examples(self):
         for place in ALL_PLACES:
             # (0, 1, 2) in the place's order: at 2, 2 comes before 1
-            part = PartitionSpec(place, tuple(place_sorted((F(0), F(1), F(2)), place)))
+            part = PartitionSpec.in_order(place, (F(0), F(1), F(2)))
             total = part.points[-1] - part.points[0]
             for a in (0, 2):
                 want = k_constant_field(place, a, total, 0, 1)
@@ -739,6 +745,29 @@ class TestOscillatorFormSoundness:
             oscillator_action_form(data, 2, 3)
         form = oscillator_action_form(data, 2, 83)
         assert k_general_quadratic(P2, form, data.x1, data.x0).phase.value == F(5, 8)
+
+
+#: units at 2, 3, 5 and 7: with a sign they meet every unit class mod 8 and
+#: both square classes mod 3, 5 and 7
+UNITS = st.sampled_from([1, 11, 13, 17, 19, 23])
+GAMMA = st.builds(lambda s, u, w, k: F(s * u, w) * F(2 * 3 * 5 * 7) ** k,
+                  st.sampled_from([-1, 1]), UNITS, UNITS, st.integers(-3, 3))
+
+
+class TestFromFormPrefactor:
+    """``from_form``'s prefactor against the Fraction route |gamma| lambda(-2 gamma)."""
+
+    @settings(max_examples=300)
+    @given(place=st.sampled_from(ALL_PLACES),
+           form=st.one_of(
+               st.builds(QuadraticActionForm, alpha=small_rationals(), beta=small_rationals(),
+                         gamma=GAMMA, delta=small_rationals(), epsilon=small_rationals(),
+                         zeta=small_rationals()),
+               STEP.map(lambda step: step_form(*step))))
+    def test_prefactor_is_norm_and_lambda_of_gamma(self, place, form):
+        # GAMMA has v_p(gamma) from -3 to 3 at each of 2, 3, 5 and 7
+        want = Amplitude(norm(form.gamma, place), lambda_v(place, -2 * form.gamma))
+        assert SymbolicKernel.from_form(place, form).prefactor == want
 
 
 class TestFormInvarianceAcrossPlaces:

@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,7 @@ from padicqm import (
     finite_n_propagator,
     lambda_v,
     overlap_ball_integral,
+    places,
     propagators,
     valuation,
     verify,
@@ -73,6 +76,44 @@ def test_fold_checks_catch_compose_kernels_taking_lambda_of_minus_a(monkeypatch,
     points, a, q0, q1 = [F(t) for t in row["points"]], F(row["a"]), F(row["q0"]), F(row["q1"])
     got = finite_n_propagator(a, PartitionSpec(place, tuple(points)), q0, q1)
     assert str(got) == row["got"]
+
+
+def test_a_composition_trial_computes_its_order_keys_once(monkeypatch):
+    # the drawn points are sorted and checked from one pass of order keys
+    calls = []
+    keys = places.place_keys
+
+    def counted(values, place):
+        calls.append(place)
+        return keys(values, place)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("padicqm") and getattr(module, "place_keys", None) is keys:
+            monkeypatch.setattr(module, "place_keys", counted)
+    assert verify.check_composition(places=(Place.prime(3),), trials=1) == []
+    assert len(calls) == len(verify.COMPOSITION_STEPS) == 15
+
+
+#: the first 20 draws of the composition stream of seed 0 at 3, taken at each place
+SEEDED_DRAWS = {
+    "inf": ["2", "24/11", "-20/9", "4", "-4/17", "5/2", "10/7", "1/8", "-7/5", "-5/14",
+            "12", "1/5", "-1", "3/11", "-4/3", "19/20", "4", "-4/5", "-13/22", "6/7"],
+    "2": ["8", "2", "-19/9", "-7/4", "17/22", "3/11", "1/16", "-2", "1/6", "-1/10",
+          "-5/46", "11/40", "3/8", "11", "8/13", "-16/23", "3/2", "11/7", "12/5", "56/13"],
+    "3": ["18", "9/2", "-19/9", "-7/6", "17/22", "2/11", "1/24", "-4/3", "1/4", "-3/20",
+          "-10/207", "11/60", "1/4", "11", "18/13", "-36/23", "1", "11/7", "18/5", "126/13"],
+}
+
+
+@pytest.mark.parametrize("place", ["inf", "2", "3"])
+def test_seeded_draw_stream_is_pinned(place):
+    # every check and criterion draws its inputs here: a fixed seed must keep
+    # giving the same values, from the same calls on the generator
+    rng = random.Random(repr((0, "3", "composition")))
+    draws = [verify.random_nonzero_rational(rng, Place.parse(place)) for _ in range(20)]
+    assert [str(x) for x in draws] == SEEDED_DRAWS[place]
+    # and take as many values from the generator: 3 a draw at infinity, 4 at p
+    assert rng.getrandbits(32) == (3433140320 if place == "inf" else 1981416324)
 
 
 def test_overlap_catches_a_threshold_one_too_high(monkeypatch):

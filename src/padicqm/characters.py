@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .places import Place, fractional_part, is_prime, unit_residue
+from .places import Place, fractional_part, is_prime, ratio_split
 
 
 @dataclass(frozen=True)
@@ -163,35 +163,38 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
+def lambda_of_split(place: Place, v: int, u: int) -> Phase:
+    """lambda_v(a) from the split (v, u) of a nonzero a by :func:`ratio_split`.
+
+    Real place: (1 - i*sign a)/sqrt(2), i.e. phase 7/8 for a > 0 and 1/8
+    for a < 0.  Odd p: dispatch on the parity of v and p mod 4 via the
+    Legendre symbol of u.  p = 2: dispatch on the parity of v via bits 1
+    and 2 of u mod 8 (the digits a_1, a_2).
+    """
+    p = place.p
+    if p is None:
+        k = 7 if u > 0 else 1
+    elif p != 2:
+        # 1 for even v, else (u/p) for p = 1 (mod 4) and i*(u/p) for p = 3 (mod 4)
+        k = 0 if v % 2 == 0 else (0 if p % 4 == 1 else 2) + (0 if legendre(u, p) == 1 else 4)
+    else:
+        a1, a2 = (u >> 1) & 1, (u >> 2) & 1
+        # (1 + (-1)**a1 * i)/sqrt(2) is the eighth root of unity +-1/8.
+        k = 7 if a1 else 1
+        if v % 2 and a1 != a2:
+            k = (k + 4) % 8
+    return EIGHTH_PHASES[k]
+
+
 def lambda_v(place: Place, a: Fraction | int) -> Phase:
     """The arithmetic eighth-root-of-unity factor of the Gauss integral.
 
-    Real place: (1 - i*sign a)/sqrt(2), i.e. phase 7/8 for a > 0 and 1/8
-    for a < 0.  p-Adic places read a = p**v * u off
-    :func:`~padicqm.places.unit_residue`.  Odd p: dispatch on the parity
-    of v and p mod 4 via the Legendre symbol of u mod p.  p = 2: dispatch
-    on the parity of v via bits 1 and 2 of u mod 8 (the digits a_1, a_2).
+    :func:`lambda_of_split` of the split of ``a.numerator`` and
+    ``a.denominator`` at the place: integer arithmetic only, so ``int``
+    and ``Fraction`` inputs alike need no coercion.
 
     Rejects a = 0: the factor is defined only for nonzero arguments.
     """
     if a == 0:
         raise InputError("lambda factor undefined at zero")
-    if place.is_real:
-        return EIGHTH_PHASES[7 if a > 0 else 1]
-    p = place.p
-    v, u = unit_residue(a, p, 3 if p == 2 else 1)
-    if p != 2:
-        if v % 2 == 0:
-            return ZERO_PHASE
-        eps = legendre(u, p)
-        if p % 4 == 1:
-            return EIGHTH_PHASES[0 if eps == 1 else 4]
-        # p = 3 mod 4: value i*(u/p)
-        return EIGHTH_PHASES[2 if eps == 1 else 6]
-    a1, a2 = (u >> 1) & 1, (u >> 2) & 1
-    # (1 + (-1)**a1 * i)/sqrt(2) is the eighth root of unity +-1/8.
-    base = 1 if a1 == 0 else 7
-    if v % 2 == 0:
-        return EIGHTH_PHASES[base]
-    flip = 4 if (a1 + a2) % 2 == 1 else 0
-    return EIGHTH_PHASES[(base + flip) % 8]
+    return lambda_of_split(place, *ratio_split(a.numerator, a.denominator, place))

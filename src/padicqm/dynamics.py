@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateIntervalError, InputError
+from .places import as_fraction
 
 Poly = tuple[Fraction, ...]
 
@@ -195,7 +196,7 @@ def action_constant_field(
 
 def action_form_constant_field(a: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
     """The constant-field action as a quadratic form in the endpoints."""
-    a, T = Fraction(a), Fraction(T)
+    a, T = as_fraction(a), as_fraction(T)
     if T == 0:
         raise DegenerateIntervalError("zero time interval")
     an, ad, tn, td = a.numerator, a.denominator, T.numerator, T.denominator

@@ -171,17 +171,40 @@ def valuation(x: Fraction | int, p: int) -> int | float:
     return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
 
 
-def ratio_norm(n: int, d: int, place: Place) -> tuple[int, int]:
+def ratio_split(n: int, d: int, place: Place) -> tuple[int, int]:
+    """Split n/d at the place as (v, u), for nonzero integers n and d.
+
+    At p, n/d = p**v * un/ud with p dividing neither un nor ud, and
+    u = un * ud.  u is not the unit un/ud, but it has the unit's Legendre
+    symbol at odd p and its residue mod 8 at p = 2, as (ud/p)**2 = 1 and
+    ud**2 = 1 (mod 8) -- all that lambda reads of a unit.  At infinity
+    the split is (0, the sign of n/d).  n/d need not be reduced.
+    """
+    p = place.p
+    if p is None:
+        return 0, 1 if (n > 0) == (d > 0) else -1
+    (vn, un), (vd, ud) = p_split(n, p), p_split(d, p)
+    return vn - vd, un * ud
+
+
+def ratio_norm(n: int, d: int, place: Place, v: int | None = None) -> tuple[int, int]:
     """|n/d| at the place as (a, b) with a/b the norm, for nonzero integers n, d.
 
     n/d need not be reduced.  At infinity (a, b) is (|n|, |d|), unreduced
-    too; at p it is (1, p**v) or (p**-v, 1) with v = v_p(n) - v_p(d).
+    too; at p it is (1, p**v) or (p**-v, 1) with v the valuation of
+    :func:`ratio_split`, which a caller already holding it passes as v.
     """
     p = place.p
     if p is None:
         return abs(n), abs(d)
-    v = p_split(n, p)[0] - p_split(d, p)[0]
+    if v is None:
+        v = ratio_split(n, d, place)[0]
     return (1, p**v) if v >= 0 else (p**-v, 1)
+
+
+def as_fraction(x: Fraction | int) -> Fraction:
+    """x as a Fraction; a Fraction itself is returned as it is, not rebuilt."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def norm(x: Fraction | int, place: Place) -> Fraction:

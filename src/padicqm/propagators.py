@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .analytic import PadicTruncation, _check_lambda_digits, _sin_cos_sums, sqrt_p
-from .characters import Amplitude, Phase, chi, lambda_v, phase_sum
+from .characters import Amplitude, Phase, chi, lambda_of_split, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
     DegenerateFormError,
@@ -31,7 +31,16 @@ from .errors import (
     PrecisionError,
 )
 from .gauss import quad_char_integral_ball
-from .places import Place, norm, p_split, place_keys, ratio_norm, valuation
+from .places import (
+    Place,
+    as_fraction,
+    norm,
+    p_split,
+    place_keys,
+    ratio_norm,
+    ratio_split,
+    valuation,
+)
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,7 @@ class PartitionSpec:
         them, so the constructor's own pass is skipped; fewer than two
         values, or two equal ones, raise PartitionError as it does.
         """
-        values = [Fraction(t) for t in values]
+        values = [as_fraction(t) for t in values]
         keys = place_keys(values, place)
         order = sorted(range(len(values)), key=keys.__getitem__)
         pts = tuple(values[i] for i in order)
@@ -106,10 +115,14 @@ class SymbolicKernel:
         gamma is the mixed partial of the form; the expression is the
         same at every place.
         """
-        g = form.mixed_partial
-        if g == 0:
+        g, den = form.nums[2], form.den
+        if not g:
             raise DegenerateFormError("mixed partial of the action form vanishes")
-        return cls(place, Amplitude(norm(g, place), lambda_v(place, -2 * g)), form)
+        v, u = ratio_split(g, den, place)
+        # -2 gamma splits as (v, -2u), and as (v + 1, -u) at p = 2
+        lam = (lambda_of_split(place, v + 1, -u) if place.p == 2
+               else lambda_of_split(place, v, -2 * u))
+        return cls(place, Amplitude(Fraction(*ratio_norm(g, den, place, v)), lam), form)
 
     def evaluate(self, q0: Fraction | int, q1: Fraction | int) -> Amplitude:
         """Amplitude for propagation from q0 to q1: the 1 x 1 :meth:`phase_grid`."""
@@ -208,15 +221,17 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
             -m * m + n4 * (z2 * D1 + z1 * D2),
         ),
     )
-    # Gauss integral over x contributes lambda(A) |2A|^{-1/2} chi(-B^2/4A),
-    # with |2A| = |2n/D| = an/ad read off the integers; the squared moduli
+    # Gauss integral over x contributes lambda(A) |2A|^{-1/2} chi(-B^2/4A).
+    # One split of n/D gives both: A = -n/D splits as (v, -u), and
+    # |2A| = an/ad has valuation v, or v + 1 at p = 2.  The squared moduli
     # of the steps and |2A|^{-1} multiply into one Fraction.
-    an, ad = ratio_norm(2 * n, D, place)
+    v, u = ratio_split(n, D, place)
+    an, ad = ratio_norm(2 * n, D, place, v + 1 if place.p == 2 else v)
     p2, p1 = k2.prefactor, k1.prefactor
     m2, m1 = p2.modulus_sq, p1.modulus_sq
     prefactor = Amplitude(
         Fraction(m2.numerator * m1.numerator * ad, m2.denominator * m1.denominator * an),
-        phase_sum(p2.phase, p1.phase, lambda_v(place, Fraction(-n, D))),
+        phase_sum(p2.phase, p1.phase, lambda_of_split(place, v, -u)),
     )
     return SymbolicKernel(place, prefactor, form)
 

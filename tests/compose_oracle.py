@@ -4,7 +4,8 @@ The library composes two symbolic kernels on the integer numerators of
 their action forms over one common denominator
 (``propagators.compose_kernels``).  This route collects the coefficients
 of the intermediate point as ``Fraction`` values and completes the
-square coefficient by coefficient, as the library did before.
+square coefficient by coefficient, as the library did before, with the
+Gauss factor's lambda from ``lambda_oracle``.
 """
 
 from fractions import Fraction
@@ -16,10 +17,11 @@ from padicqm import (
     SymbolicKernel,
     action_form_constant_field,
     compose_kernels,
-    lambda_v,
     norm,
 )
 from padicqm.places import Place
+
+import lambda_oracle
 
 
 def compose_kernels_fraction(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
@@ -40,7 +42,7 @@ def compose_kernels_fraction(k2: SymbolicKernel, k1: SymbolicKernel) -> Symbolic
     # linear coefficient of x: u*q1 + w*q0 + s
     u, w, s = -f2.gamma, -f1.gamma, -(f2.epsilon + f1.delta)
     # Gauss integral over x contributes lambda(A) |2A|^{-1/2} chi(-B^2/4A).
-    gauss_pref = Amplitude(1 / norm(2 * A, place), lambda_v(place, A))
+    gauss_pref = Amplitude(1 / norm(2 * A, place), lambda_oracle.lambda_v(place, A))
     # New form: S'(q1, q0) = B^2/(4A) - C with C the x-free chi part,
     # -C = f2-part(q1) + f1-part(q0).
     inv4a = 1 / (4 * A)

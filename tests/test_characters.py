@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicqm import Amplitude, Phase, Place, chi, lambda_v, legendre
-from padicqm.places import is_prime
+from padicqm.characters import lambda_of_split
+from padicqm.places import is_prime, ratio_split
+
+import lambda_oracle
 
 
 def legendre_bruteforce(a: int, p: int) -> int:
@@ -98,6 +101,30 @@ class TestLambda:
         for place in (R, P2, P3, P5, P7):
             for a in (F(2), F(-3, 4), F(5, 7), F(12)):
                 assert lambda_v(place, a) + lambda_v(place, -a) == Phase(F(0))
+
+    # 5 and 13 are 1 (mod 4), 3 and 7 are 3 (mod 4)
+    @settings(max_examples=300)
+    @given(n=st.integers(-300, 300).filter(bool), d=st.integers(-300, 300).filter(bool),
+           c=st.integers(1, 40), j=st.integers(0, 3), pidx=st.sampled_from([None, 2, 3, 5, 7, 13]))
+    def test_split_of_unreduced_pairs_matches_oracle(self, n, d, c, j, pidx):
+        # n/d times c p^j over itself: a common factor, a common power of p,
+        # and a denominator of either sign all leave lambda as it is
+        place = R if pidx is None else Place.prime(pidx)
+        k = c * (pidx or 1) ** j
+        want = lambda_oracle.lambda_v(place, F(n, d))
+        assert lambda_of_split(place, *ratio_split(n * k, d * k, place)) == want
+        assert lambda_v(place, F(n, d)) == want
+
+    def test_every_two_adic_residue_matches_oracle(self):
+        # each unit residue mod 8 at either valuation parity, over unreduced pairs
+        for r in (1, 3, 5, 7):
+            for v in range(-3, 4):
+                for num, den in ((r, 1), (-r, -1), (r * 9, 9), (r * 3, -3 * 7 * 7)):
+                    a = F(num, den) * F(2) ** v
+                    want = lambda_oracle.lambda_v(P2, a)
+                    n, d = num * 2 ** max(v, 0) * 6, den * 2 ** max(-v, 0) * 6
+                    assert lambda_of_split(P2, *ratio_split(n, d, P2)) == want
+                    assert lambda_v(P2, a) == want
 
 
 class TestAmplitude:

@@ -24,6 +24,7 @@ from padicqm.places import (
     p_split,
     place_less,
     ratio_norm,
+    ratio_split,
     unit_residue,
 )
 
@@ -107,6 +108,26 @@ class TestNorm:
         if p is not None:
             assert F(a, b) == F(p) ** -valuation(F(n, d), p)
             assert ratio_norm(n * p**3, d * p**3, place) == (a, b)
+
+    @settings(max_examples=200)
+    @given(n=st.integers(-500, 500).filter(bool), d=st.integers(-500, 500).filter(bool),
+           c=st.integers(1, 30), p=st.sampled_from([None, 2, 3, 5, 7]))
+    def test_ratio_split_of_unreduced_integers(self, n, d, c, p):
+        # (v, u): v the valuation of n/d, and u = un ud a unit with the
+        # residue class of un/ud that lambda reads: mod 8 at 2, its square class at odd p
+        place = Place(p)
+        v, u = ratio_split(n * c, d * c, place)
+        x = F(n, d)
+        if p is None:
+            assert (v, u) == (0, 1 if x > 0 else -1)
+            return
+        assert v == valuation(x, p) and u % p
+        r = digit_oracle.unit_residue(x, p, 3 if p == 2 else 1)[1]
+        if p == 2:
+            assert u % 8 == r
+        else:
+            assert pow(u * r, (p - 1) // 2, p) == 1
+        assert ratio_norm(n, d, place, v) == ratio_norm(n, d, place)
 
     @settings(max_examples=200)
     @given(x=padic_rationals(3), y=padic_rationals(3))

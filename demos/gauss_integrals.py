@@ -4,8 +4,9 @@ The same closed form
     lambda_v(a) |2a|_v^(-1/2) chi_v(-b^2/4a)
 evaluates at the real place and at every prime, with all arithmetic
 exact.  Ball-restricted p-adic integrals stabilize to it once the ball
-swallows the critical point, and two independent numerical oracles
-(Haar coset enumeration, damped Fresnel quadrature) confirm the values.
+swallows the critical point, and an independent numerical oracle (Haar
+coset enumeration) confirms the values.  At the real place the value is
+the Fresnel integral; for a = 1, b = 0 it is (1 - i)/2.
 """
 
 from fractions import Fraction as F
@@ -13,7 +14,6 @@ from fractions import Fraction as F
 from padicqm import (
     BallSpec,
     Place,
-    fresnel_limit,
     gauss_full,
     haar_oracle,
     minimal_resolution,
@@ -47,13 +47,6 @@ def main():
     print(f"  enumerated {p**(n0+m)} cosets: {approx:.12f}")
     print(f"  closed form:                   {exact:.12f}")
     print(f"  |difference| = {abs(approx - exact):.2e}")
-
-    print("\n=== Fresnel quadrature at the real place ===")
-    for a_r, b_r in ((F(1), F(0)), (F(-1), F(0)), (F(1), F(1))):
-        exact = complex(*gauss_full(Place.real(), a_r, b_r).render())
-        osc = fresnel_limit(a_r, b_r)
-        print(f"  a = {a_r}, b = {b_r}: quadrature {osc:.8f}, "
-              f"closed form {exact:.8f}, error {abs(osc - exact):.2e}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 The library evaluates, composes and verifies quadratic-action
 path-integral kernels at every place of the rationals using exact
-rational arithmetic, with independent numerical Haar-measure and
-Fresnel oracles for cross-checking.
+rational arithmetic, with an independent numerical Haar-measure oracle
+for cross-checking at the p-adic places.  It has no runtime dependency
+outside the standard library.
 """
 
 from .analytic import (
@@ -42,14 +43,11 @@ from .errors import (
     PadicqmError,
     PartitionError,
     PrecisionError,
-    QuadratureError,
     ZeroExpansionError,
 )
 from .gauss import (
     BallSpec,
     QuadraticCharacter,
-    fresnel_limit,
-    fresnel_oracle,
     gauss_full,
     haar_oracle,
     minimal_resolution,
@@ -108,8 +106,6 @@ __all__ = [
     "euler_lagrange_residual",
     "finite_n_propagator",
     "fractional_part",
-    "fresnel_limit",
-    "fresnel_oracle",
     "gauss_full",
     "haar_oracle",
     "k_general_quadratic",
@@ -139,7 +135,6 @@ __all__ = [
     "PartitionError",
     "OracleCapError",
     "OutputLimitError",
-    "QuadratureError",
     "DomainError",
     "NonSquareError",
     "PrecisionError",

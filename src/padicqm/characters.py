@@ -193,8 +193,13 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
     ``a.denominator`` at the place: integer arithmetic only, so ``int``
     and ``Fraction`` inputs alike need no coercion.
 
-    Rejects a = 0: the factor is defined only for nonzero arguments.
+    Rejects a = 0, as the factor is defined only for nonzero arguments,
+    and an a with no numerator, such as a float: both raise InputError.
     """
-    if a == 0:
+    try:
+        n, d = a.numerator, a.denominator
+    except AttributeError:
+        raise InputError(f"not a rational: {a!r}") from None
+    if n == 0:
         raise InputError("lambda factor undefined at zero")
-    return lambda_of_split(place, *ratio_split(a.numerator, a.denominator, place))
+    return lambda_of_split(place, *ratio_split(n, d, place))

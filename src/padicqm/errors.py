@@ -44,10 +44,6 @@ class OutputLimitError(PadicqmError):
     """A resource limit: an input over its bound, or an output field too long to write."""
 
 
-class QuadratureError(PadicqmError):
-    """Numerical quadrature failed to converge."""
-
-
 class DomainError(PadicqmError):
     """Argument outside the convergence domain of a p-adic power series,
     or a nonzero rational outside the normal float range of a float route."""

@@ -1,13 +1,14 @@
-"""Gauss integrals over Q_v and their independent numerical oracles.
+"""Gauss integrals over Q_v and their independent numerical oracle.
 
 The closed form of the quadratic character integral over a completion,
 
     integral of chi_v(a x^2 + b x) dx  =  lambda_v(a) |2a|_v^{-1/2} chi_v(-b^2/4a),
 
 is evaluated exactly.  Its ball-restricted p-adic version reduces to
-complete quadratic Gauss sums modulo p^L, also evaluated exactly.  Two
-numerical oracles check both: a Haar-measure coset enumeration over
-p-adic balls and a damped Fresnel quadrature at the real place.
+complete quadratic Gauss sums modulo p^L, also evaluated exactly.  A
+numerical oracle checks both over p-adic balls: a Haar-measure coset
+enumeration.  At the real place the tests check the closed form against
+a quadrature and against the principal-root formula.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
-from .errors import DegenerateQuadraticError, InputError, OracleCapError, QuadratureError
+from .errors import DegenerateQuadraticError, InputError, OracleCapError
 from .places import Place, fractional_part, norm, p_split, require_prime, valuation
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
@@ -262,65 +263,3 @@ def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
     re, im = map(math.cos, angles), map(math.sin, angles)
     return complex(math.fsum(re), math.fsum(im)) * float(p) ** (-ball.resolution_exponent)
 
-
-def fresnel_oracle(
-    a: Fraction | float, b: Fraction | float, damping: float
-) -> complex:
-    """Damped real-place Gauss integral by quadrature.
-
-    Evaluates integral of exp(-2 pi i (a x^2 + b x)) exp(-damping x^2) dx.
-    The |x| <= 1 core is integrated directly; each tail is mapped by
-    u = x^2 onto a Fourier-type integral handled by the oscillatory-
-    weight quadrature, which remains accurate for thousands of cycles.
-    """
-    from scipy.integrate import quad
-
-    a_f, b_f, d = float(a), float(b), float(damping)
-    if a_f == 0:
-        raise DegenerateQuadraticError("quadratic coefficient is zero")
-    if d <= 0:
-        raise InputError("damping must be positive")
-
-    def core_re(x: float) -> float:
-        return math.exp(-d * x * x) * math.cos(2 * math.pi * (a_f * x * x + b_f * x))
-
-    def core_im(x: float) -> float:
-        return -math.exp(-d * x * x) * math.sin(2 * math.pi * (a_f * x * x + b_f * x))
-
-    core_r, err_r = quad(core_re, -1.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=400)
-    core_i, err_i = quad(core_im, -1.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=400)
-
-    # Both tails together: integral over u >= 1 of
-    # exp(-d u) cos(2 pi b sqrt(u)) / sqrt(u) * exp(-2 pi i a u) du.
-    def g(u: float) -> float:
-        return math.exp(-d * u) * math.cos(2 * math.pi * b_f * math.sqrt(u)) / math.sqrt(u)
-
-    omega = 2 * math.pi * abs(a_f)
-    tail_cos, err_c = quad(g, 1.0, math.inf, weight="cos", wvar=omega, limit=4000)
-    tail_sin, err_s = quad(g, 1.0, math.inf, weight="sin", wvar=omega, limit=4000)
-    if max(err_r, err_i, err_c, err_s) > 1e-7:
-        raise QuadratureError("oscillatory quadrature failed to converge")
-    sign = 1.0 if a_f > 0 else -1.0
-    return complex(core_r + tail_cos, core_i - sign * tail_sin)
-
-
-#: decreasing dampings that the Fresnel limit extrapolates from
-FRESNEL_DAMPINGS = (1e-1, 1e-2, 1e-3)
-
-
-def fresnel_limit(a: Fraction | float, b: Fraction | float) -> complex:
-    """Zero-damping extrapolation of the Fresnel quadrature.
-
-    Polynomial (Neville) extrapolation in the damping parameter over
-    ``FRESNEL_DAMPINGS``; advisory accuracy about 1e-6.
-    """
-    xs = FRESNEL_DAMPINGS
-    ys = [fresnel_oracle(a, b, d) for d in xs]
-    n = len(xs)
-    table = list(ys)
-    for level in range(1, n):
-        for i in range(n - level):
-            table[i] = table[i + 1] + (table[i + 1] - table[i]) * xs[i + level] / (
-                xs[i] - xs[i + level]
-            )
-    return table[0]

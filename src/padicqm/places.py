@@ -163,12 +163,17 @@ def _split_by_squares(n: int, p: int) -> tuple[int, int]:
 def valuation(x: Fraction | int, p: int) -> int | float:
     """Exponent of p in x; +inf for x = 0.
 
-    x = p**v * (a/b) with p dividing neither a nor b.
+    x = p**v * (a/b) with p dividing neither a nor b.  Raises InputError
+    for an x with no numerator, such as a float.
     """
     require_prime(p)
-    if x == 0:
+    try:
+        n, d = x.numerator, x.denominator
+    except AttributeError:
+        raise InputError(f"not a rational: {x!r}") from None
+    if n == 0:
         return INFINITE_VALUATION
-    return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
+    return p_split(n, p)[0] - p_split(d, p)[0]
 
 
 def ratio_split(n: int, d: int, place: Place) -> tuple[int, int]:
@@ -220,10 +225,14 @@ def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
 
     Integer arithmetic on ``x.numerator`` and ``x.denominator`` only, so
     ``int`` and ``Fraction`` inputs alike need no coercion.  Raises
-    InputError for a non-prime p and :class:`ZeroExpansionError` at x = 0.
+    InputError for a non-prime p or an x with no numerator (a float), and
+    :class:`ZeroExpansionError` at x = 0.
     """
     require_prime(p)
-    n, d = x.numerator, x.denominator
+    try:
+        n, d = x.numerator, x.denominator
+    except AttributeError:
+        raise InputError(f"not a rational: {x!r}") from None
     if n == 0:
         raise ZeroExpansionError("zero has no canonical expansion")
     (vn, un), (vd, ud) = p_split(n, p), p_split(d, p)
@@ -272,10 +281,15 @@ def fractional_part(x: Fraction | int, p: int) -> Fraction:
 
     A rational in [0, 1) with a p-power denominator; x minus the result
     is p-integral.  Zero whenever |x|_p <= 1.  See
-    :func:`fractional_residue`.
+    :func:`fractional_residue`.  Raises InputError for an x with no
+    numerator, such as a float.
     """
     require_prime(p)
-    return Fraction(*fractional_residue(x.numerator, x.denominator, p))
+    try:
+        n, d = x.numerator, x.denominator
+    except AttributeError:
+        raise InputError(f"not a rational: {x!r}") from None
+    return Fraction(*fractional_residue(n, d, p))
 
 
 def place_keys(values, place: Place) -> list:

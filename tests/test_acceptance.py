@@ -19,7 +19,6 @@ from padicqm import (
     action_form_constant_field,
     cos_p,
     desitter_action_form,
-    fresnel_limit,
     gauss_full,
     haar_oracle,
     k_general_quadratic,
@@ -44,6 +43,7 @@ from padicqm.verify import (
     random_nonzero_rational,
 )
 
+import fresnel_reference
 from closed_forms import k_constant_field, k_desitter, k_free, k_oscillator
 from truncation_oracle import agrees_with
 
@@ -173,14 +173,14 @@ def test_criterion_7_real_place_spot_values():
     amp = gauss_full(R, 1, 0)
     re, im = amp.render()
     assert abs(re - 0.5) <= 1e-12 and abs(im - (-0.5)) <= 1e-12
-    quadrature = fresnel_limit(1, 0)
-    assert abs(quadrature - complex(0.5, -0.5)) <= 1e-6
+    quadrature = fresnel_reference.quadrature(1, 0)
+    assert abs(quadrature - complex(re, im)) <= 1e-10
     for T in (F(1), F(2), F(1, 2), F(5, 3), F(-1), F(-3, 4), F(-7, 2), F(10)):
         pref = Amplitude(1 / norm(T, R), lambda_v(R, 2 * T))
         got = complex(*pref.render())
         want = 1 / cmath.sqrt(1j * float(T))
         assert abs(got - want) <= 1e-12, T
-    _report(7, "real-place spot values: Fresnel 1e-12/1e-6, prefactor 1e-12")
+    _report(7, "real-place spot values: Fresnel 1e-12, quadrature 1e-10, prefactor 1e-12")
 
 
 def test_criterion_8_padic_analytic_layer():

@@ -17,11 +17,17 @@ import pytest
 
 import padicqm
 from padicqm import (
+    InputError,
     OscillatorBoundaryData,
     PadicqmError,
+    Place,
+    fractional_part,
+    lambda_v,
     overlap_vanishing_threshold,
     quad_char_integral_ball,
+    valuation,
 )
+from padicqm.places import unit_residue
 
 BENCHMARK_NAMES = {
     "padicqm.analytic": ("_sin_cos_sums", "sqrt_p"),
@@ -64,8 +70,7 @@ def test_benchmark_names_resolve(module):
 
 
 def test_import_loads_no_numpy_or_scipy():
-    # scipy is imported lazily inside fresnel_oracle; at import time either
-    # one would dominate the start-up time and memory of every command
+    # either one would dominate the start-up time and memory of every command
     code = (
         "import padicqm, sys; "
         "print(sorted({'numpy', 'scipy'} & {m.split('.')[0] for m in sys.modules}))"
@@ -77,6 +82,25 @@ def test_import_loads_no_numpy_or_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_imports_only_the_standard_library():
+    # the package declares no runtime dependency; this holds for imports
+    # inside functions too, which an import-time check would not see
+    found = []
+    for path in sorted(Path(padicqm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "padicqm" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def test_no_untyped_raise():
@@ -100,4 +124,15 @@ def test_no_untyped_raise():
 ], ids=["threshold at x_diff = 0", "ball integral at p = 4", "oscillator at s0 = 0"])
 def test_out_of_domain_inputs_raise_padicqm_error(call):
     with pytest.raises(PadicqmError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lambda_v(Place.prime(3), 1.5),
+    lambda: valuation(1.5, 3),
+    lambda: unit_residue(1.5, 3, 2),
+    lambda: fractional_part(1.5, 3),
+], ids=["lambda_v", "valuation", "unit_residue", "fractional_part"])
+def test_float_input_raises_input_error(call):
+    with pytest.raises(InputError, match="not a rational"):
         call()

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -11,8 +12,6 @@ from padicqm import (
     OracleCapError,
     Place,
     QuadraticCharacter,
-    fresnel_limit,
-    fresnel_oracle,
     gauss_full,
     haar_oracle,
     minimal_resolution,
@@ -26,6 +25,7 @@ from padicqm.characters import Amplitude, Phase
 from padicqm.gauss import _complete_gauss_sum
 from padicqm.places import fractional_part, valuation
 
+import fresnel_reference
 import point_oracle
 
 R = Place.real()
@@ -132,13 +132,15 @@ class TestBallIntegral:
         scaled = Amplitude(norm(c, P3) ** 2, Phase(F(0))) * rhs
         assert lhs == scaled
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 19, 23])
     @settings(max_examples=40, deadline=None)
-    @given(
-        alpha=small_rationals(5).filter(lambda v: v != 0),
-        beta=small_rationals(5),
-    )
-    def test_stabilization(self, alpha, beta):
-        p = 5
+    @given(data=st.data())
+    def test_stabilization(self, p, data):
+        # gauss_full takes its phase from lambda_p, the ball integral from
+        # the lambda-free _complete_gauss_sum; p = 11, 19 and 23 reach the
+        # p = 3 (mod 4) primes above 7
+        alpha = data.draw(small_rationals(p).filter(lambda v: v != 0), label="alpha")
+        beta = data.draw(small_rationals(p), label="beta")
         full = gauss_full(Place.prime(p), alpha, beta)
         n0 = stabilization_threshold(p, alpha, beta)
         for n in (n0, n0 + 1, n0 + 2):
@@ -289,25 +291,37 @@ class TestQuadraticCharacter:
 
 
 class TestFresnelOracle:
+    """gauss_full at the real place against the references of tests/fresnel_reference.py."""
+
+    def assert_quadrature_agrees(self, a, b):
+        exact = complex(*gauss_full(R, a, b).render())
+        assert abs(fresnel_reference.quadrature(a, b) - exact) <= 1e-10
+
     def test_positive_quadratic(self):
-        val = fresnel_limit(1, 0)
-        assert abs(val - complex(0.5, -0.5)) < 1e-6
+        self.assert_quadrature_agrees(1, 0)
 
     def test_sign_flip_conjugates(self):
-        val = fresnel_limit(-1, 0)
-        assert abs(val - complex(0.5, 0.5)) < 1e-6
+        self.assert_quadrature_agrees(-1, 0)
 
     def test_linear_term(self):
-        val = fresnel_limit(1, 1)
-        exact = complex(*gauss_full(R, 1, 1).render())
-        assert abs(val - exact) < 1e-6
+        self.assert_quadrature_agrees(1, 1)
 
-    def test_single_damping_is_close(self):
-        val = fresnel_oracle(1, 0, 1e-2)
-        assert abs(val - complex(0.5, -0.5)) < 5e-3
+    def test_far_stationary_point(self):
+        # the stationary point -b/2a = -21/2 lies far from the origin
+        self.assert_quadrature_agrees(F(-1, 6), F(-7, 2))
 
-    def test_preconditions(self):
-        with pytest.raises(DegenerateQuadraticError):
-            fresnel_oracle(0, 1, 1e-2)
-        with pytest.raises(ValueError):
-            fresnel_oracle(1, 0, -1.0)
+    def test_principal_root_grid(self):
+        # every case is checked; a conjugated lambda_inf would miss every
+        # case whose phase is not 0 or 1/2
+        rng = random.Random(0)
+        changed = 0
+        for _ in range(200):
+            a = rng.choice((1, -1)) * F(rng.randint(1, 12), rng.randint(1, 6))
+            b = F(rng.randint(-12, 12), rng.randint(1, 6))
+            amp = gauss_full(R, a, b)
+            want = fresnel_reference.principal_root(a, b)
+            assert abs(complex(*amp.render()) - want) <= 1e-12, (a, b)
+            if amp.phase.value not in (0, F(1, 2)):
+                changed += 1
+                assert abs(complex(*amp.conjugate().render()) - want) > 1e-6, (a, b)
+        assert changed == 190

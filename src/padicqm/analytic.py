@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .characters import Phase, legendre
 from .errors import DomainError, InputError, NonSquareError, PrecisionError
-from .places import base_p_digits, p_split, unit_residue, valuation
+from .places import base_p_digits, p_split, rational, unit_residue, valuation
 
 
 #: moduli up to this many bits take ``pow(u, -1, p**k)``; above it Newton's
@@ -68,9 +68,7 @@ class PadicTruncation:
 
     @classmethod
     def from_rational(cls, x: Fraction | int, p: int, P: int) -> PadicTruncation:
-        if x == 0:
-            return cls.zero_mod(p, P)
-        v = valuation(x, p)
+        v = valuation(x, p)  # +inf at x = 0
         if v >= P:
             return cls.zero_mod(p, P)
         return cls(p, v, unit_residue(x, p, P - v)[1], P)
@@ -154,7 +152,7 @@ class PadicTruncation:
 
     def scale(self, c: Fraction | int) -> PadicTruncation:
         """Multiply by an exact rational (no precision loss beyond the shift)."""
-        p = self.prime
+        p, c = self.prime, rational(c)
         if c == 0:
             return PadicTruncation.zero_mod(p, math.inf)
         if self.is_zero_mod:
@@ -267,17 +265,17 @@ def _sin_cos_sums(
 
 def sin_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic sine by its Taylor series, correct modulo p^P."""
-    return _sin_cos_sums(Fraction(x), p, P)[0]
+    return _sin_cos_sums(rational(x), p, P)[0]
 
 
 def cos_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic cosine by its Taylor series, correct modulo p^P."""
-    return _sin_cos_sums(Fraction(x), p, P)[1]
+    return _sin_cos_sums(rational(x), p, P)[1]
 
 
 def tan_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic tangent: sin/cos with cos a unit throughout the domain."""
-    s, c = _sin_cos_sums(Fraction(x), p, P)
+    s, c = _sin_cos_sums(rational(x), p, P)
     # a sine of O(p^P) is its own quotient; at P < 1 the cosine is O(p^P) too
     return s if s.is_zero_mod else s / c
 
@@ -313,9 +311,9 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     digit order (smaller leading digit for odd p; second digit 0 for
     p = 2, where both roots lead with 1).
     """
-    if x == 0:
-        raise InputError("square root of zero is trivial; argument must be nonzero")
     v = valuation(x, p)
+    if v == math.inf:
+        raise InputError("square root of zero is trivial; argument must be nonzero")
     if v % 2 != 0:
         raise NonSquareError(f"odd valuation {v}: no square root in Q_{p}")
     half_v = v // 2

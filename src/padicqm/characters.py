@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .places import Place, fractional_part, is_prime, ratio_split
+from .places import Place, fractional_part, is_prime, ratio_split, rational
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class Phase:
 
     def __post_init__(self):
         q = self.value
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
+        if type(q) is not Fraction:
+            q = rational(q)
         n, d = q.numerator, q.denominator
         if n < 0 or n >= d:
             q = Fraction(n % d, d)
@@ -82,8 +82,8 @@ class Amplitude:
 
     def __post_init__(self):
         ms = self.modulus_sq
-        if not isinstance(ms, Fraction):
-            ms = Fraction(ms)
+        if type(ms) is not Fraction:
+            ms = rational(ms)
             object.__setattr__(self, "modulus_sq", ms)
         if ms.numerator < 0:
             raise InputError("modulus_sq must be nonnegative")
@@ -149,7 +149,7 @@ def chi(place: Place, x: Fraction | int) -> Phase:
     Real place: exp(-2*pi*i*x), i.e. phase -x mod 1.  p-Adic place:
     exp(2*pi*i*{x}_p) with {x}_p the p-adic fractional part.
     """
-    x = Fraction(x)
+    x = rational(x)
     if place.is_real:
         return Phase(-x)
     return Phase(fractional_part(x, place.p))
@@ -157,7 +157,7 @@ def chi(place: Place, x: Fraction | int) -> Phase:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1}, by Euler's criterion."""
-    if p == 2 or not is_prime(p):
+    if p == 2 or type(p) is not int or not is_prime(p):
         raise InputError("p must be an odd prime")
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
@@ -190,16 +190,10 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
     """The arithmetic eighth-root-of-unity factor of the Gauss integral.
 
     :func:`lambda_of_split` of the split of ``a.numerator`` and
-    ``a.denominator`` at the place: integer arithmetic only, so ``int``
-    and ``Fraction`` inputs alike need no coercion.
-
-    Rejects a = 0, as the factor is defined only for nonzero arguments,
-    and an a with no numerator, such as a float: both raise InputError.
+    ``a.denominator`` at the place.  Rejects a = 0, as the factor is
+    defined only for nonzero arguments: InputError.
     """
-    try:
-        n, d = a.numerator, a.denominator
-    except AttributeError:
-        raise InputError(f"not a rational: {a!r}") from None
-    if n == 0:
+    a = rational(a)
+    if not a:
         raise InputError("lambda factor undefined at zero")
-    return lambda_of_split(place, *ratio_split(n, d, place))
+    return lambda_of_split(place, *ratio_split(a.numerator, a.denominator, place))

@@ -108,7 +108,7 @@ def _rational_list(text: str) -> list[Fraction]:
 def _place(text: str) -> Place:
     try:
         return Place.parse(text)
-    except (ValueError, PadicqmError) as exc:
+    except PadicqmError as exc:
         raise argparse.ArgumentTypeError(f"bad place {text!r}: {exc}") from exc
 
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateIntervalError, InputError
-from .places import as_fraction
+from .places import rational
 
 Poly = tuple[Fraction, ...]
 
 
 def _trim(coeffs) -> Poly:
-    out = [Fraction(c) for c in coeffs]
+    out = [rational(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out) if out else (Fraction(0),)
@@ -41,7 +41,7 @@ def poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def poly_scale(a: Poly, c: Fraction) -> Poly:
-    return _trim(Fraction(c) * x for x in a)
+    return _trim(c * x for x in a)
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -79,7 +79,7 @@ class PolynomialPath:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _trim(self.coefficients))
         for name in ("t_start", "t_end", "q_start", "q_end"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, rational(getattr(self, name)))
         if poly_eval(self.coefficients, self.t_start) != self.q_start:
             raise InputError("path does not hit its start point")
         if poly_eval(self.coefficients, self.t_end) != self.q_end:
@@ -106,8 +106,11 @@ class QuadraticActionForm:
     den: int
     nums: tuple[int, int, int, int, int, int]
 
-    def __init__(self, alpha, beta, gamma, delta=0, epsilon=0, zeta=0):
-        coeffs = [Fraction(c) for c in (alpha, beta, gamma, delta, epsilon, zeta)]
+    def __init__(
+        self, alpha: Fraction | int, beta: Fraction | int, gamma: Fraction | int,
+        delta: Fraction | int = 0, epsilon: Fraction | int = 0, zeta: Fraction | int = 0,
+    ):
+        coeffs = [rational(c) for c in (alpha, beta, gamma, delta, epsilon, zeta)]
         # the lcm of reduced denominators leaves no factor common to all
         den = math.lcm(*(c.denominator for c in coeffs))
         object.__setattr__(self, "den", den)
@@ -136,6 +139,7 @@ class QuadraticActionForm:
 
     def evaluate(self, x1: Fraction | int, x0: Fraction | int) -> Fraction:
         """S(x1, x0) as a reduced Fraction, summed in integers over den d1^2 d0^2."""
+        x1, x0 = rational(x1), rational(x0)
         n1, d1 = x1.numerator, x1.denominator
         n0, d0 = x0.numerator, x0.denominator
         a, b, g, dl, e, z = self.nums
@@ -151,7 +155,7 @@ def classical_path_constant_field(
     a: Fraction | int, T: Fraction | int, q0: Fraction | int, q1: Fraction | int
 ) -> PolynomialPath:
     """Solution of qddot = a from (0, q0) to (T, q1)."""
-    a, T, q0, q1 = Fraction(a), Fraction(T), Fraction(q0), Fraction(q1)
+    a, T, q0, q1 = rational(a), rational(T), rational(q0), rational(q1)
     if T == 0:
         raise DegenerateIntervalError("zero time interval")
     lin = (q1 - q0 - a * T * T / 2) / T
@@ -167,7 +171,7 @@ def classical_path_constant_field(
 def euler_lagrange_residual(path: PolynomialPath, a: Fraction | int) -> Poly:
     """qddot - a as a polynomial; identically zero iff the path is classical."""
     accel = poly_derivative(poly_derivative(path.coefficients))
-    return poly_add(accel, (-Fraction(a),))
+    return poly_add(accel, (-rational(a),))
 
 
 def action_integral(path: PolynomialPath, a: Fraction | int) -> Fraction:
@@ -176,7 +180,7 @@ def action_integral(path: PolynomialPath, a: Fraction | int) -> Fraction:
     Integration is by polynomial antiderivative evaluated at the
     endpoints, the only integral available for Q_p -> Q_p maps.
     """
-    a = Fraction(a)
+    a = rational(a)
     v = path.velocity()
     integrand = poly_add(poly_scale(poly_mul(v, v), Fraction(1, 2)),
                          poly_scale(path.coefficients, a))
@@ -188,7 +192,7 @@ def action_constant_field(
     a: Fraction | int, T: Fraction | int, q0: Fraction | int, q1: Fraction | int
 ) -> Fraction:
     """Classical action of the constant-field system in closed form."""
-    a, T, q0, q1 = Fraction(a), Fraction(T), Fraction(q0), Fraction(q1)
+    a, T, q0, q1 = rational(a), rational(T), rational(q0), rational(q1)
     if T == 0:
         raise DegenerateIntervalError("zero time interval")
     return (q1 - q0) ** 2 / (2 * T) + a * (q1 + q0) * T / 2 - a * a * T**3 / 24
@@ -196,7 +200,9 @@ def action_constant_field(
 
 def action_form_constant_field(a: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
     """The constant-field action as a quadratic form in the endpoints."""
-    a, T = as_fraction(a), as_fraction(T)
+    # the fold's step lengths are Fractions: they take no call
+    a = a if type(a) is Fraction else rational(a)
+    T = T if type(T) is Fraction else rational(T)
     if T == 0:
         raise DegenerateIntervalError("zero time interval")
     an, ad, tn, td = a.numerator, a.denominator, T.numerator, T.denominator

@@ -20,7 +20,7 @@ from itertools import accumulate, islice, repeat
 
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
-from .places import Place, fractional_part, norm, p_split, require_prime, valuation
+from .places import Place, fractional_part, norm, p_split, rational, require_prime, valuation
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
 COSET_CAP = 10**6
@@ -53,7 +53,7 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
     Requires a != 0; the degenerate linear case belongs to the ball
     integrals below.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = rational(a), rational(b)
     if a == 0:
         raise DegenerateQuadraticError(
             "quadratic coefficient is zero; use quad_char_integral_ball"
@@ -137,6 +137,8 @@ def minimal_resolution(p: int, alpha: Fraction, beta: Fraction, N: int) -> int:
     Constancy on x + p^M Z_p for every |x|_p <= p^N requires
     |2 alpha x + beta|_p <= p^M over the ball and |alpha|_p <= p^{2M}.
     """
+    require_prime(p)
+    alpha, beta = rational(alpha), rational(beta)
     v2 = 1 if p == 2 else 0
     bounds = [-N]
     if alpha != 0:
@@ -160,7 +162,7 @@ def quad_char_integral_ball(
     then p^{N-L} times the complete sum -- exact for every input.
     """
     require_prime(p)
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = rational(alpha), rational(beta)
     s1 = 0
     if alpha != 0:
         s1 = max(0, 2 * N - valuation(alpha, p))
@@ -186,7 +188,7 @@ def stabilization_threshold(p: int, alpha: Fraction, beta: Fraction) -> int:
     Sufficient bound: the ball must contain the critical point -beta/2alpha
     and the concentration scale |2 alpha|^{-1/2}.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = rational(alpha), rational(beta)
     if alpha == 0:
         raise DegenerateQuadraticError("threshold defined for quadratic phases only")
     v2 = 1 if p == 2 else 0
@@ -208,6 +210,10 @@ class QuadraticCharacter:
     p: int
     alpha: Fraction
     beta: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", rational(self.alpha))
+        object.__setattr__(self, "beta", rational(self.beta))
 
     def coset_angles(self, ball: BallSpec) -> list[float]:
         """Angles 2 pi {x}_p at the representatives r p^(-N), r = 0 .. n_cosets - 1.
@@ -244,7 +250,7 @@ def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticChara
     On a ball the oracle enumerates it over integer coset residues from
     two ``fractional_part`` calls (``QuadraticCharacter.coset_angles``).
     """
-    return QuadraticCharacter(p, Fraction(alpha), Fraction(beta))
+    return QuadraticCharacter(p, alpha, beta)
 
 
 def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:

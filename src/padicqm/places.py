@@ -59,11 +59,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=4096)
 def require_prime(p: int) -> None:
-    """Raise InputError unless p is prime; cached, as valuation runs it on every call."""
-    if not is_prime(p):
+    """Raise InputError unless p is an int and prime; 3.0 == 3 would hit is_prime's cache."""
+    if type(p) is not int or not is_prime(p):
         raise InputError(f"not a prime: {p}")
+
+
+def rational(x: Fraction | int) -> Fraction:
+    """The one input check for rationals: a Fraction as it is, an int converted.
+
+    Anything else, a float or a str among them, raises InputError.  Hot paths
+    test ``type(x) is Fraction`` inline and call this only otherwise.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise InputError(f"not a rational: {x!r}")
 
 
 @dataclass(frozen=True, order=False)
@@ -89,11 +101,15 @@ class Place:
 
     @classmethod
     def parse(cls, text: str) -> Place:
-        """Parse ``"inf"`` (or ``"real"``) or a prime integer string."""
+        """Parse ``"inf"`` (or ``"real"``, ``"oo"``) or a prime integer string."""
         text = text.strip()
         if text in ("inf", "real", "oo"):
             return cls.real()
-        return cls.prime(int(text))
+        try:
+            p = int(text)
+        except ValueError:
+            raise InputError(f"not a place: {text!r}") from None
+        return cls.prime(p)
 
     @property
     def is_real(self) -> bool:
@@ -163,17 +179,13 @@ def _split_by_squares(n: int, p: int) -> tuple[int, int]:
 def valuation(x: Fraction | int, p: int) -> int | float:
     """Exponent of p in x; +inf for x = 0.
 
-    x = p**v * (a/b) with p dividing neither a nor b.  Raises InputError
-    for an x with no numerator, such as a float.
+    x = p**v * (a/b) with p dividing neither a nor b.
     """
     require_prime(p)
-    try:
-        n, d = x.numerator, x.denominator
-    except AttributeError:
-        raise InputError(f"not a rational: {x!r}") from None
-    if n == 0:
+    x = rational(x)
+    if not x:
         return INFINITE_VALUATION
-    return p_split(n, p)[0] - p_split(d, p)[0]
+    return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
 
 
 def ratio_split(n: int, d: int, place: Place) -> tuple[int, int]:
@@ -207,14 +219,9 @@ def ratio_norm(n: int, d: int, place: Place, v: int | None = None) -> tuple[int,
     return (1, p**v) if v >= 0 else (p**-v, 1)
 
 
-def as_fraction(x: Fraction | int) -> Fraction:
-    """x as a Fraction; a Fraction itself is returned as it is, not rebuilt."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def norm(x: Fraction | int, place: Place) -> Fraction:
     """Exact norm of x at the given place: |x| or p**(-v_p(x)); 0 at x = 0."""
-    x = Fraction(x)
+    x = rational(x)
     if x == 0:
         return Fraction(0)
     return Fraction(*ratio_norm(x.numerator, x.denominator, place))
@@ -223,20 +230,19 @@ def norm(x: Fraction | int, place: Place) -> Fraction:
 def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
     """Split nonzero x as p**v * u with u a p-adic unit; returns (v, u mod p**k).
 
-    Integer arithmetic on ``x.numerator`` and ``x.denominator`` only, so
-    ``int`` and ``Fraction`` inputs alike need no coercion.  Raises
-    InputError for a non-prime p or an x with no numerator (a float), and
-    :class:`ZeroExpansionError` at x = 0.
+    Raises InputError for a non-prime p, and :class:`ZeroExpansionError`
+    at x = 0.
     """
     require_prime(p)
-    try:
-        n, d = x.numerator, x.denominator
-    except AttributeError:
-        raise InputError(f"not a rational: {x!r}") from None
-    if n == 0:
+    x = rational(x)
+    if not x:
         raise ZeroExpansionError("zero has no canonical expansion")
+    return _unit_split(x.numerator, x.denominator, p, p**k)
+
+
+def _unit_split(n: int, d: int, p: int, m: int) -> tuple[int, int]:
+    """(v, u mod m), n/d = p**v * u with u a unit, for nonzero n, d and m a power of p."""
     (vn, un), (vd, ud) = p_split(n, p), p_split(d, p)
-    m = p**k
     return vn - vd, un * pow(ud, -1, m) % m
 
 
@@ -281,15 +287,11 @@ def fractional_part(x: Fraction | int, p: int) -> Fraction:
 
     A rational in [0, 1) with a p-power denominator; x minus the result
     is p-integral.  Zero whenever |x|_p <= 1.  See
-    :func:`fractional_residue`.  Raises InputError for an x with no
-    numerator, such as a float.
+    :func:`fractional_residue`.
     """
     require_prime(p)
-    try:
-        n, d = x.numerator, x.denominator
-    except AttributeError:
-        raise InputError(f"not a rational: {x!r}") from None
-    return Fraction(*fractional_residue(n, d, p))
+    x = rational(x)
+    return Fraction(*fractional_residue(x.numerator, x.denominator, p))
 
 
 def place_keys(values, place: Place) -> list:
@@ -302,6 +304,7 @@ def place_keys(values, place: Place) -> list:
     denominator among the values.  Two distinct values x, y of equal
     valuation first differ at digit v_p(x - y) - v_p(x) <=
     v_p(nx dy - ny dx) <= log_p(2 H**2), so k digits separate every pair.
+    The values are ints or Fractions, as its callers have checked them.
     """
     values = list(values)
     if place.is_real:
@@ -316,12 +319,6 @@ def place_keys(values, place: Place) -> list:
         if x == 0:
             keys.append((-INFINITE_VALUATION, ()))
         else:
-            v, r = unit_residue(x, p, k)
+            v, r = _unit_split(x.numerator, x.denominator, p, pk)
             keys.append((-v, base_p_digits(r, p, k)))
     return keys
-
-
-def place_less(x: Fraction | int, y: Fraction | int, place: Place) -> bool:
-    """Strict order of the place: usual order at infinity, digit order at p."""
-    kx, ky = place_keys((x, y), place)
-    return kx < ky

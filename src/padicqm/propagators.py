@@ -32,14 +32,7 @@ from .errors import (
 )
 from .gauss import quad_char_integral_ball
 from .places import (
-    Place,
-    as_fraction,
-    norm,
-    p_split,
-    place_keys,
-    ratio_norm,
-    ratio_split,
-    valuation,
+    Place, norm, p_split, place_keys, ratio_norm, ratio_split, rational, valuation,
 )
 
 
@@ -55,7 +48,7 @@ class PartitionSpec:
     points: tuple[Fraction, ...]
 
     def __post_init__(self):
-        pts = tuple(Fraction(t) for t in self.points)
+        pts = tuple(rational(t) for t in self.points)
         object.__setattr__(self, "points", pts)
         _require_increasing(pts, place_keys(pts, self.place))
 
@@ -67,7 +60,7 @@ class PartitionSpec:
         them, so the constructor's own pass is skipped; fewer than two
         values, or two equal ones, raise PartitionError as it does.
         """
-        values = [as_fraction(t) for t in values]
+        values = [t if type(t) is Fraction else rational(t) for t in values]
         keys = place_keys(values, place)
         order = sorted(range(len(values)), key=keys.__getitem__)
         pts = tuple(values[i] for i in order)
@@ -152,12 +145,14 @@ class SymbolicKernel:
         # e (v = 0 at infinity)
         later = []
         for q1 in q1s:
+            q1 = q1 if type(q1) is Fraction else rational(q1)
             n1, d1 = q1.numerator, q1.denominator
             v1, e1 = p_split(d1, p) if p else (0, d1)
             later.append(((al * n1 + dl * d1) * n1 + ze * d1 * d1, ga * n1 * d1,
                           d1 * d1, 2 * v1, e1 * e1))
         earlier = []
         for q0 in q0s:
+            q0 = q0 if type(q0) is Fraction else rational(q0)
             n0, d0 = q0.numerator, q0.denominator
             v0, e0 = p_split(d0, p) if p else (0, d0)
             earlier.append(((be * n0 + ep * d0) * n0, n0 * d0, d0 * d0, 2 * v0, e0 * e0))
@@ -238,7 +233,7 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
 
 def desitter_action_form(lam: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
     """Action form of the minisuperspace cosmological model with constant lam."""
-    lam, T = Fraction(lam), Fraction(T)
+    lam, T = rational(lam), rational(T)
     if T == 0:
         raise DegenerateIntervalError("zero time interval")
     return QuadraticActionForm(
@@ -268,6 +263,7 @@ def finite_n_propagator(
     into each step kernel.  The result is independent of the partition
     and equals the one-shot kernel over the total time.
     """
+    q0, q1 = rational(q0), rational(q1)  # before the fold, not after it
     kernels = (SymbolicKernel.from_form(partition.place, action_form_constant_field(a, eps))
                for eps in partition.step_lengths())
     return reduce(lambda kernel, step: compose_kernels(step, kernel), kernels).evaluate(q0, q1)
@@ -291,8 +287,9 @@ def overlap_ball_integral(
     of a delta.
     """
     place = Place.prime(p)
+    t, t1, x0, x1 = rational(t), rational(t1), rational(x0), rational(x1)
     # coincident times raise DegenerateIntervalError: the pairing is the delta limit
-    form, dx = action_form_constant_field(a, Fraction(t1) - t), x1 - x0
+    form, dx = action_form_constant_field(a, t1 - t), x1 - x0
     # conj(K(x1;x)) K(x0;x): lambda factors cancel, and so do the x^2 terms
     # of S(x1, x) - S(x0, x), leaving gamma (x1 - x0) x plus a constant
     ball = quad_char_integral_ball(p, Fraction(0), form.gamma * dx, N)
@@ -309,7 +306,7 @@ def overlap_vanishing_threshold(p: int, x_diff: Fraction | int, tau: Fraction | 
     ball: N >= v_p(x_diff / tau) + 1.  Coincident times (tau = 0) raise
     DegenerateIntervalError, as in :func:`overlap_ball_integral`.
     """
-    x_diff, tau = Fraction(x_diff), Fraction(tau)
+    x_diff, tau = rational(x_diff), rational(tau)
     if x_diff == 0:
         raise InputError("threshold defined for distinct endpoints")
     if tau == 0:
@@ -341,7 +338,7 @@ class OscillatorBoundaryData:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, rational(getattr(self, name)))
         if self.s0 == 0 or self.s1 == 0:
             raise InputError("s boundary values must be nonzero")
         if self.dgamma0 * self.dgamma1 == 0:

@@ -11,6 +11,7 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,14 +21,15 @@ from padicqm import (
     InputError,
     OscillatorBoundaryData,
     PadicqmError,
+    PadicTruncation,
+    PartitionSpec,
     Place,
-    fractional_part,
-    lambda_v,
+    PolynomialPath,
+    QuadraticActionForm,
+    SymbolicKernel,
     overlap_vanishing_threshold,
     quad_char_integral_ball,
-    valuation,
 )
-from padicqm.places import unit_residue
 
 BENCHMARK_NAMES = {
     "padicqm.analytic": ("_sin_cos_sums", "sqrt_p"),
@@ -43,7 +45,7 @@ BENCHMARK_NAMES = {
         "quadratic_char_fn",
         "stabilization_threshold",
     ),
-    "padicqm.places": ("Place", "fractional_part", "place_less", "valuation"),
+    "padicqm.places": ("Place", "fractional_part", "valuation"),
     "padicqm.propagators": (
         "OscillatorBoundaryData",
         "compose_kernels",
@@ -127,12 +129,110 @@ def test_out_of_domain_inputs_raise_padicqm_error(call):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: lambda_v(Place.prime(3), 1.5),
-    lambda: valuation(1.5, 3),
-    lambda: unit_residue(1.5, 3, 2),
-    lambda: fractional_part(1.5, 3),
-], ids=["lambda_v", "valuation", "unit_residue", "fractional_part"])
-def test_float_input_raises_input_error(call):
-    with pytest.raises(InputError, match="not a rational"):
-        call()
+P3 = Place.prime(3)
+FORM = QuadraticActionForm(-1, -1, 2)
+PATH = PolynomialPath((0, 1), 0, 1, 0, 1)
+#: instances whose methods the table calls
+INSTANCES = {
+    "PadicTruncation": PadicTruncation.from_rational(1, 3, 5),
+    "QuadraticActionForm": FORM,
+    "SymbolicKernel": SymbolicKernel.from_form(P3, FORM),
+}
+#: valid arguments of every public callable with a Fraction-annotated parameter;
+#: a tuple stands for a sequence of rationals, whose last item is replaced
+VALID_ARGUMENTS = {
+    "Amplitude": dict(modulus_sq=1),
+    "OscillatorBoundaryData": dict(x0=1, x1=2, gamma0=0, gamma1=3, dgamma0=1, dgamma1=1,
+                                   s0=1, s1=1, ds0=0, ds1=0),
+    "PadicTruncation.from_rational": dict(x=1, p=3, P=5),
+    "PadicTruncation.scale": dict(c=2),
+    "PartitionSpec": dict(place=P3, points=(0, 1)),
+    "Phase": dict(value=1),
+    "PolynomialPath": dict(coefficients=(0, 1), t_start=0, t_end=1, q_start=0, q_end=1),
+    "QuadraticActionForm": dict(alpha=1, beta=1, gamma=1, delta=0, epsilon=0, zeta=0),
+    "QuadraticActionForm.evaluate": dict(x1=1, x0=0),
+    "QuadraticCharacter": dict(p=3, alpha=1, beta=0),
+    "SymbolicKernel.evaluate": dict(q0=0, q1=1),
+    "SymbolicKernel.phase_grid": dict(q0s=(0, 1), q1s=(0, 1)),
+    "action_constant_field": dict(a=1, T=1, q0=0, q1=1),
+    "action_form_constant_field": dict(a=1, T=1),
+    "action_integral": dict(path=PATH, a=0),
+    "chi": dict(place=P3, x=1),
+    "classical_path_constant_field": dict(a=1, T=1, q0=0, q1=1),
+    "cos_p": dict(x=3, p=3, P=5),
+    "desitter_action_form": dict(lam=1, T=1),
+    "digits": dict(x=1, p=3, count=3),
+    "euler_lagrange_residual": dict(path=PATH, a=0),
+    "finite_n_propagator": dict(a=1, partition=PartitionSpec.in_order(P3, (0, 1, 3)), q0=0, q1=1),
+    "fractional_part": dict(x=1, p=3),
+    "gauss_full": dict(place=P3, a=1, b=0),
+    "k_general_quadratic": dict(place=P3, form=FORM, x1=1, x0=0),
+    "lambda_v": dict(place=P3, a=1),
+    "minimal_resolution": dict(p=3, alpha=1, beta=0, N=1),
+    "norm": dict(x=1, place=P3),
+    "overlap_ball_integral": dict(p=3, a=1, t=0, t1=1, x0=0, x1=1, N=1),
+    "overlap_vanishing_threshold": dict(p=3, x_diff=1, tau=1),
+    "quad_char_integral_ball": dict(p=3, alpha=1, beta=0, N=1),
+    "quadratic_char_fn": dict(p=3, alpha=1, beta=0),
+    "sin_p": dict(x=3, p=3, P=5),
+    "sqrt_p": dict(x=4, p=3, P=5),
+    "stabilization_threshold": dict(p=3, alpha=1, beta=0),
+    "tan_p": dict(x=3, p=3, P=5),
+    "valuation": dict(x=1, p=3),
+}
+
+
+def _public_callables():
+    """(name, callable) for every callable of ``padicqm.__all__`` and its public methods."""
+    for name in padicqm.__all__:
+        obj = getattr(padicqm, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            owner = INSTANCES.get(name, obj)
+            for attr, value in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(getattr(value, "__func__", value)):
+                    yield f"{name}.{attr}", getattr(owner, attr)
+
+
+def _rational_parameters():
+    """(callable, its name, parameter) for every parameter annotated with Fraction."""
+    return [(fn, name, param.name)
+            for name, fn in _public_callables()
+            for param in inspect.signature(fn).parameters.values()
+            if "Fraction" in str(param.annotation)]
+
+
+RATIONAL_PARAMETERS = _rational_parameters()
+
+
+def test_the_signature_scan_finds_the_rational_parameters():
+    assert len(RATIONAL_PARAMETERS) >= 79
+    assert {name for _, name, _ in RATIONAL_PARAMETERS} == set(VALID_ARGUMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_ARGUMENTS))
+def test_valid_arguments_are_accepted(name):
+    fn = next(fn for fn, n, _ in RATIONAL_PARAMETERS if n == name)
+    fn(**VALID_ARGUMENTS[name])
+
+
+_PER_CALLABLE = Counter(name for _, name, _ in RATIONAL_PARAMETERS)
+
+
+@pytest.mark.parametrize(
+    "fn, name, param", RATIONAL_PARAMETERS,
+    ids=[name if _PER_CALLABLE[name] == 1 else f"{name}-{param}"
+         for _, name, param in RATIONAL_PARAMETERS],
+)
+def test_float_input_raises_input_error(fn, name, param):
+    # every Fraction parameter takes an int or a Fraction, and rejects a float
+    # or a str, whose text only the command line parses
+    kwargs = VALID_ARGUMENTS.get(name)
+    assert kwargs is not None and param in kwargs, f"{name}({param}) is missing from the table"
+    for bad in (0.5, "1/2"):
+        valid = kwargs[param]
+        value = valid[:-1] + (bad,) if isinstance(valid, tuple) else bad
+        with pytest.raises(InputError, match="not a rational"):
+            fn(**{**kwargs, param: value})

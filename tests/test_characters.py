@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicqm import Amplitude, Phase, Place, chi, lambda_v, legendre
+from padicqm import Amplitude, InputError, Phase, Place, chi, lambda_v, legendre
 from padicqm.characters import lambda_of_split
 from padicqm.places import is_prime, ratio_split
 
@@ -158,10 +158,12 @@ class TestAmplitude:
             Amplitude(F(-1))
 
     def test_non_fraction_modulus_coerced(self):
-        for ms in (2, 0.25, "3/4"):
-            amp = Amplitude(ms, Phase(F(1, 3)))
-            assert type(amp.modulus_sq) is F and amp.modulus_sq == F(ms)
+        amp = Amplitude(2, Phase(F(1, 3)))
+        assert type(amp.modulus_sq) is F and amp.modulus_sq == 2
         assert Amplitude(0, Phase(F(1, 3))) == Amplitude.zero()
+        for bad in (0.25, "3/4"):
+            with pytest.raises(InputError, match="not a rational"):
+                Amplitude(bad, Phase(F(1, 3)))
         with pytest.raises(ValueError):
             Amplitude(-1)
 
@@ -197,7 +199,10 @@ class TestPhase:
         value = Phase(q).value
         assert type(value) is F and 0 <= value < 1
         assert (value - q).denominator == 1
-        assert Phase(0.75).value == F(3, 4) and Phase(-1).value == 0
+        assert Phase(-1).value == 0
+        for bad in (0.75, "3/4"):
+            with pytest.raises(InputError, match="not a rational"):
+                Phase(bad)
 
     def test_to_complex(self):
         z = Phase(F(1, 2)).to_complex()

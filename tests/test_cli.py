@@ -76,6 +76,13 @@ class TestKernelCommand:
             main(["kernel", "--system", "free", "--place", "3", "--T", "1/0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", ["3.0", "x"])
+    def test_place_that_is_not_a_place_exits_2(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--system", "free", "--place", text])
+        assert exc.value.code == 2
+        assert f"bad place {text!r}: not a place: {text!r}" in capsys.readouterr().err
+
     def test_degenerate_interval_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,

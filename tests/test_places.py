@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicqm import (
+    BallSpec,
     DigitExpansion,
+    InputError,
     PadicqmError,
     PartitionError,
     PartitionSpec,
@@ -15,6 +17,8 @@ from padicqm import (
     ZeroExpansionError,
     digits,
     fractional_part,
+    legendre,
+    minimal_resolution,
     norm,
     valuation,
 )
@@ -22,9 +26,11 @@ from padicqm.cli import _rational
 from padicqm.places import (
     is_prime,
     p_split,
-    place_less,
+    place_keys,
     ratio_norm,
     ratio_split,
+    rational,
+    require_prime,
     unit_residue,
 )
 
@@ -32,6 +38,12 @@ import digit_oracle
 
 PRIMES = [2, 3, 5, 7, 13]
 P3 = Place.prime(3)
+
+
+def key_less(x, y, place):
+    """The strict order of the place, read from the keys of ``place_keys``."""
+    kx, ky = place_keys((x, y), place)
+    return kx < ky
 
 
 def padic_rationals(p):
@@ -213,7 +225,7 @@ class TestUnitResidue:
     def test_linear_order_matches_digit_scan(self, data, p):
         pool = rational_or_int(p) | st.just(0)
         x, y = data.draw(pool), data.draw(pool)
-        assert place_less(x, y, Place.prime(p)) == digit_oracle.linear_less(x, y, p)
+        assert key_less(x, y, Place.prime(p)) == digit_oracle.linear_less(x, y, p)
 
     def test_int_and_fraction_agree(self):
         assert unit_residue(-12, 2, 4) == unit_residue(F(-12), 2, 4) == (2, 13)
@@ -231,6 +243,11 @@ class TestUnitResidue:
         for zero in (0, F(0)):
             with pytest.raises(ZeroExpansionError):
                 unit_residue(zero, 3, 2)
+
+    @pytest.mark.parametrize("x", [1.5, "3/2"])
+    def test_rejects_a_value_that_is_not_rational(self, x):
+        with pytest.raises(InputError, match="not a rational"):
+            unit_residue(x, 3, 2)
 
 
 class TestFractionalPart:
@@ -271,38 +288,53 @@ def _prime_factors(n):
 
 
 class TestLinearOrder:
-    """``place_less`` at a p-adic place."""
+    """The order of ``place_keys`` at a p-adic place."""
 
     def test_examples(self):
-        assert place_less(3, 1, P3)
-        assert place_less(1, 4, P3)
-        assert not place_less(F(5), F(5), P3)
+        assert key_less(3, 1, P3)
+        assert key_less(1, 4, P3)
+        assert not key_less(F(5), F(5), P3)
 
     @settings(max_examples=60)
     @given(values=st.lists(padic_rationals(3), min_size=2, max_size=8, unique=True))
     def test_strict_total_order(self, values):
         for x in values:
-            assert not place_less(x, x, P3)
+            assert not key_less(x, x, P3)
         for x in values:
             for y in values:
                 if x != y:
-                    assert place_less(x, y, P3) != place_less(y, x, P3)
-        ordered = sorted(values, key=cmp_to_key(lambda a, b: -1 if place_less(a, b, P3) else 1))
+                    assert key_less(x, y, P3) != key_less(y, x, P3)
+        ordered = sorted(values, key=cmp_to_key(lambda a, b: -1 if key_less(a, b, P3) else 1))
         for a, b in zip(ordered, ordered[1:]):
-            assert place_less(a, b, P3)
+            assert key_less(a, b, P3)
 
     @settings(max_examples=100)
     @given(x=padic_rationals(5), y=padic_rationals(5), z=padic_rationals(5))
     def test_transitive(self, x, y, z):
         p5 = Place.prime(5)
-        if place_less(x, y, p5) and place_less(y, z, p5):
-            assert place_less(x, z, p5)
+        if key_less(x, y, p5) and key_less(y, z, p5):
+            assert key_less(x, z, p5)
 
     def test_first_differing_digit(self):
         # 1 = (1,0,0,...) vs 10 = (1,0,1,...): differ at index 2
         assert digits(F(1), 3, 3).digits[2] == 0
         assert digits(F(10), 3, 3).digits[2] == 1
-        assert place_less(1, 10, P3)
+        assert key_less(1, 10, P3)
+
+
+class TestRational:
+    def test_a_fraction_is_returned_as_it_is(self):
+        x = F(3, 4)
+        assert rational(x) is x
+
+    def test_an_int_becomes_a_fraction(self):
+        for n in (0, -7, 10**30):
+            assert type(rational(n)) is F and rational(n) == n
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, "1/2", "3", None, 1 + 0j])
+    def test_anything_else_raises(self, x):
+        with pytest.raises(InputError, match="^not a rational: "):
+            rational(x)
 
 
 class TestPlace:
@@ -317,6 +349,24 @@ class TestPlace:
             Place.prime(9)
         with pytest.raises(ValueError):
             Place.parse("15")
+
+    @pytest.mark.parametrize("text", ["x", "3.0", "", "1/3"])
+    def test_parse_rejects_text_that_is_not_a_place(self, text):
+        with pytest.raises(InputError, match=f"^not a place: {text!r}$"):
+            Place.parse(text)
+
+    def test_rejects_a_prime_that_is_not_an_int(self):
+        # 3 first, so that a cache keyed on 3 == 3.0 would answer for 3.0
+        require_prime(3)
+        calls = [lambda: require_prime(3.0), lambda: Place(3.0), lambda: Place.prime(3.0),
+                 lambda: BallSpec(3.0, 1, 1), lambda: valuation(F(9), 3.0),
+                 lambda: fractional_part(F(1, 9), 3.0), lambda: unit_residue(F(9), 3.0, 2),
+                 lambda: minimal_resolution(3.0, 0, 0, 1)]
+        for call in calls:
+            with pytest.raises(InputError, match=r"^not a prime: 3\.0$"):
+                call()
+        with pytest.raises(InputError, match="odd prime"):
+            legendre(1, 3.0)
 
     def test_primality(self):
         assert is_prime(2) and is_prime(97) and is_prime(7919) and is_prime(41)
@@ -385,7 +435,7 @@ class TestPlaceSorted:
         for p, low, high in ((2, 1, -1), (3, 1, -2)):
             place = Place.prime(p)
             assert PartitionSpec.in_order(place, [F(high), F(low)]).points == (low, high)
-            assert place_less(low, high, place) and not place_less(high, low, place)
+            assert key_less(low, high, place) and not key_less(high, low, place)
             assert PartitionSpec(place, (low, high)).points == (low, high)
             with pytest.raises(PartitionError):
                 PartitionSpec(place, (high, low))

@@ -12,6 +12,7 @@ from padicqm import (
     Amplitude,
     DegenerateFormError,
     DegenerateIntervalError,
+    InputError,
     NonSquareError,
     OscillatorBoundaryData,
     PadicTruncation,
@@ -356,6 +357,14 @@ class TestFiniteN:
             # 3-adically, 9 comes before 3 (|9| < |3|): this order is invalid
             PartitionSpec(P3, (F(3), F(9)))
         PartitionSpec(P3, (F(9), F(3)))  # valid in digit order
+
+    @pytest.mark.parametrize("q0, q1", [(0.5, 1), (0, "1/2")])
+    def test_endpoints_are_checked_before_the_fold(self, monkeypatch, q0, q1):
+        folds = []
+        monkeypatch.setattr(propagators, "compose_kernels", lambda *kernels: folds.append(kernels))
+        with pytest.raises(InputError, match="not a rational"):
+            finite_n_propagator(1, PartitionSpec(R, (F(0), F(1), F(2))), q0, q1)
+        assert folds == []
 
 
 class TestSemigroup:

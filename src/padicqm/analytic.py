@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .characters import Phase, legendre
 from .errors import DomainError, InputError, NonSquareError, PrecisionError
-from .places import base_p_digits, p_split, rational, unit_residue, valuation
+from .places import base_p_digits, integer, p_split, rational, unit_residue, valuation
 
 
 #: moduli up to this many bits take ``pow(u, -1, p**k)``; above it Newton's
@@ -64,11 +64,12 @@ class PadicTruncation:
 
     @classmethod
     def zero_mod(cls, p: int, P: int) -> PadicTruncation:
-        return cls(p, None, 0, P)
+        """O(p^P), and the exact zero at P = math.inf."""
+        return cls(p, None, 0, P if P == math.inf else integer(P))
 
     @classmethod
     def from_rational(cls, x: Fraction | int, p: int, P: int) -> PadicTruncation:
-        v = valuation(x, p)  # +inf at x = 0
+        P, v = integer(P), valuation(x, p)  # v = +inf at x = 0
         if v >= P:
             return cls.zero_mod(p, P)
         return cls(p, v, unit_residue(x, p, P - v)[1], P)
@@ -232,6 +233,7 @@ def _sin_cos_sums(
     p-integral in the domain, so p^s divides a: with M = P + S the
     quotient pins each sum modulo p^P.
     """
+    P = integer(P)
     K = _trig_term_count(_trig_domain_valuation(x, p), p, P)
     n, m = x.numerator, x.denominator
     if n == 0 or P < 1:
@@ -311,7 +313,7 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     digit order (smaller leading digit for odd p; second digit 0 for
     p = 2, where both roots lead with 1).
     """
-    v = valuation(x, p)
+    P, v = integer(P), valuation(x, p)
     if v == math.inf:
         raise InputError("square root of zero is trivial; argument must be nonzero")
     if v % 2 != 0:

@@ -20,7 +20,9 @@ from itertools import accumulate, islice, repeat
 
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
-from .places import Place, fractional_part, norm, p_split, rational, require_prime, valuation
+from .places import (
+    Place, fractional_part, integer, norm, p_split, rational, require_prime, valuation,
+)
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
 COSET_CAP = 10**6
@@ -39,7 +41,7 @@ class BallSpec:
 
     def __post_init__(self):
         require_prime(self.prime)
-        if self.resolution_exponent < -self.radius_exponent:
+        if integer(self.resolution_exponent) < -integer(self.radius_exponent):
             raise InputError("resolution must be at least as fine as the ball")
 
     @property
@@ -138,7 +140,7 @@ def minimal_resolution(p: int, alpha: Fraction, beta: Fraction, N: int) -> int:
     |2 alpha x + beta|_p <= p^M over the ball and |alpha|_p <= p^{2M}.
     """
     require_prime(p)
-    alpha, beta = rational(alpha), rational(beta)
+    alpha, beta, N = rational(alpha), rational(beta), integer(N)
     v2 = 1 if p == 2 else 0
     bounds = [-N]
     if alpha != 0:
@@ -162,7 +164,7 @@ def quad_char_integral_ball(
     then p^{N-L} times the complete sum -- exact for every input.
     """
     require_prime(p)
-    alpha, beta = rational(alpha), rational(beta)
+    alpha, beta, N = rational(alpha), rational(beta), integer(N)
     s1 = 0
     if alpha != 0:
         s1 = max(0, 2 * N - valuation(alpha, p))

@@ -78,6 +78,17 @@ def rational(x: Fraction | int) -> Fraction:
     raise InputError(f"not a rational: {x!r}")
 
 
+def integer(n: int) -> int:
+    """The one input check for integer sizes (radii, precisions, digit counts).
+
+    An int passes as it is; a bool, a float, a str or anything else raises
+    InputError.
+    """
+    if isinstance(n, int) and not isinstance(n, bool):
+        return n
+    raise InputError(f"not an integer: {n!r}")
+
+
 @dataclass(frozen=True, order=False)
 class Place:
     """A completion of Q: the real place or a p-adic place.
@@ -132,6 +143,7 @@ class DigitExpansion:
     prime: int
 
     def __post_init__(self):
+        require_prime(self.prime)
         if not self.digits or self.digits[0] == 0:
             raise InputError("canonical expansion must have a nonzero leading digit")
         if any(d < 0 or d >= self.prime for d in self.digits):
@@ -237,12 +249,8 @@ def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
     x = rational(x)
     if not x:
         raise ZeroExpansionError("zero has no canonical expansion")
-    return _unit_split(x.numerator, x.denominator, p, p**k)
-
-
-def _unit_split(n: int, d: int, p: int, m: int) -> tuple[int, int]:
-    """(v, u mod m), n/d = p**v * u with u a unit, for nonzero n, d and m a power of p."""
-    (vn, un), (vd, ud) = p_split(n, p), p_split(d, p)
+    (vn, un), (vd, ud) = p_split(x.numerator, p), p_split(x.denominator, p)
+    m = p**k
     return vn - vd, un * pow(ud, -1, m) % m
 
 
@@ -262,7 +270,7 @@ def digits(x: Fraction | int, p: int, count: int) -> DigitExpansion:
     :func:`unit_residue`.  Raises :class:`ZeroExpansionError` at x = 0:
     the zero element has no canonical expansion.
     """
-    if count < 1:
+    if integer(count) < 1:
         raise InputError("count must be positive")
     v, r = unit_residue(x, p, count)
     return DigitExpansion(valuation=v, digits=base_p_digits(r, p, count), prime=p)
@@ -293,32 +301,3 @@ def fractional_part(x: Fraction | int, p: int) -> Fraction:
     x = rational(x)
     return Fraction(*fractional_residue(x.numerator, x.denominator, p))
 
-
-def place_keys(values, place: Place) -> list:
-    """Sort keys of the values in the order of the place, one for each value.
-
-    At infinity the key is the value.  At p it is (-v_p(x), the first k
-    canonical digits of x), and (-inf, ()) at zero: the digit order puts
-    smaller norms first, then compares the first differing digit.  k is
-    the least with p**k > 2 H**2, for H the largest |numerator| or
-    denominator among the values.  Two distinct values x, y of equal
-    valuation first differ at digit v_p(x - y) - v_p(x) <=
-    v_p(nx dy - ny dx) <= log_p(2 H**2), so k digits separate every pair.
-    The values are ints or Fractions, as its callers have checked them.
-    """
-    values = list(values)
-    if place.is_real:
-        return values
-    p = place.p
-    bound = 2 * max((max(abs(x.numerator), x.denominator) for x in values), default=1) ** 2
-    k, pk = 0, 1
-    while pk <= bound:
-        k, pk = k + 1, pk * p
-    keys = []
-    for x in values:
-        if x == 0:
-            keys.append((-INFINITE_VALUATION, ()))
-        else:
-            v, r = _unit_split(x.numerator, x.denominator, p, pk)
-            keys.append((-v, base_p_digits(r, p, k)))
-    return keys

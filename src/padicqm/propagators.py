@@ -32,16 +32,18 @@ from .errors import (
 )
 from .gauss import quad_char_integral_ball
 from .places import (
-    Place, norm, p_split, place_keys, ratio_norm, ratio_split, rational, valuation,
+    Place, integer, norm, p_split, ratio_norm, ratio_split, rational, valuation,
 )
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Time points t_0 < t_1 < ... < t_N, strict in the place's order.
+    """Time points t_0, t_1, ..., t_N at one place, pairwise distinct.
 
-    The p-adic order is the digit order on Q_p; the real order is the
-    usual one.  Strictness makes every subinterval length nonzero.
+    The points are taken in the caller's order: Q_p has no order of its
+    own, and the fold needs none.  Distinct points make every step
+    t_{k+1} - t_k and every partial interval t_k - t_0 nonzero, which is
+    all that the exact composition of the step kernels needs.
     """
 
     place: Place
@@ -50,25 +52,10 @@ class PartitionSpec:
     def __post_init__(self):
         pts = tuple(rational(t) for t in self.points)
         object.__setattr__(self, "points", pts)
-        _require_increasing(pts, place_keys(pts, self.place))
-
-    @classmethod
-    def in_order(cls, place: Place, values) -> PartitionSpec:
-        """The partition through the values, put in the place's order.
-
-        One pass of :func:`place_keys` both sorts the values and checks
-        them, so the constructor's own pass is skipped; fewer than two
-        values, or two equal ones, raise PartitionError as it does.
-        """
-        values = [t if type(t) is Fraction else rational(t) for t in values]
-        keys = place_keys(values, place)
-        order = sorted(range(len(values)), key=keys.__getitem__)
-        pts = tuple(values[i] for i in order)
-        _require_increasing(pts, [keys[i] for i in order])
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "place", place)
-        object.__setattr__(spec, "points", pts)
-        return spec
+        if len(pts) < 2:
+            raise PartitionError("a partition needs at least two points")
+        if len(set(pts)) < len(pts):
+            raise PartitionError(f"partition points repeat: {', '.join(map(str, pts))}")
 
     @property
     def n_steps(self) -> int:
@@ -76,17 +63,6 @@ class PartitionSpec:
 
     def step_lengths(self) -> tuple[Fraction, ...]:
         return tuple(b - a for a, b in zip(self.points, self.points[1:]))
-
-
-def _require_increasing(pts: tuple[Fraction, ...], keys: Sequence) -> None:
-    """Raise PartitionError unless there are two points or more, with strictly increasing keys."""
-    if len(pts) < 2:
-        raise PartitionError("a partition needs at least two points")
-    for i in range(len(pts) - 1):
-        if not keys[i] < keys[i + 1]:
-            raise PartitionError(
-                f"points not strictly increasing at the place: {pts[i]} !< {pts[i + 1]}"
-            )
 
 
 @dataclass(frozen=True)
@@ -287,7 +263,7 @@ def overlap_ball_integral(
     of a delta.
     """
     place = Place.prime(p)
-    t, t1, x0, x1 = rational(t), rational(t1), rational(x0), rational(x1)
+    t, t1, x0, x1, N = rational(t), rational(t1), rational(x0), rational(x1), integer(N)
     # coincident times raise DegenerateIntervalError: the pairing is the delta limit
     form, dx = action_form_constant_field(a, t1 - t), x1 - x0
     # conj(K(x1;x)) K(x0;x): lambda factors cancel, and so do the x^2 terms

@@ -7,9 +7,8 @@ covers some work.  All randomness is driven by an explicit seed, so a
 fixed configuration reproduces bit-identical results.
 
 A random rational takes three draws of its place's stream (four at p)
-and is built as one Fraction.  The time points of a trial are put in
-the place's order by :meth:`PartitionSpec.in_order`, whose one pass of
-order keys both sorts and checks them.
+and is built as one Fraction.  The time points of a trial are its first
+distinct draws, in the order drawn.
 """
 
 from __future__ import annotations
@@ -60,11 +59,11 @@ def random_nonzero_rational(rng: random.Random, place: Place) -> Fraction:
 
 
 def _random_partition(rng: random.Random, place: Place, count: int) -> PartitionSpec:
-    """A partition through count distinct random rationals, in the place's order."""
-    points: set[Fraction] = set()
+    """The partition through the first count distinct random rationals, in the order drawn."""
+    points: dict[Fraction, None] = {}
     while len(points) < count:
-        points.add(random_nonzero_rational(rng, place))
-    return PartitionSpec.in_order(place, points)
+        points[random_nonzero_rational(rng, place)] = None
+    return PartitionSpec(place, tuple(points))
 
 
 def _run_trials(places, trials: int, key, trial, rounds=(None,), padic_only=False) -> list[dict]:

@@ -5,9 +5,7 @@ its numerator and denominator (``places.unit_residue``).  This route
 works on the rational itself instead: the unit part x * p**-v, its
 residue through a modular inverse of the denominator, and the digits one
 at a time as d = u mod p, u <- (u - d)/p.  Valuations divide by p one
-step at a time, where ``places.p_split`` divides by p^(2^i).  The digit order compares the
-digit streams until they differ, where ``places.place_keys`` compares keys of
-a proven depth.
+step at a time, where ``places.p_split`` divides by p^(2^i).
 """
 
 from fractions import Fraction
@@ -65,17 +63,3 @@ def digits(x: Fraction | int, p: int, count: int) -> tuple[int, tuple[int, ...]]
     stream = digit_stream(u, p)
     return v, tuple(next(stream) for _ in range(count))
 
-
-def linear_less(x: Fraction | int, y: Fraction | int, p: int) -> bool:
-    """Digit order on Q_p: smaller norm first, then the first differing digit."""
-    x, y = Fraction(x), Fraction(y)
-    if x == y:
-        return False
-    if x == 0 or y == 0:
-        return x == 0
-    (vx, ux), (vy, uy) = unit_part(x, p), unit_part(y, p)
-    if vx != vy:
-        return vx > vy
-    for dx, dy in zip(digit_stream(ux, p), digit_stream(uy, p)):
-        if dx != dy:
-            return dx < dy

@@ -163,7 +163,7 @@ VALID_ARGUMENTS = {
     "desitter_action_form": dict(lam=1, T=1),
     "digits": dict(x=1, p=3, count=3),
     "euler_lagrange_residual": dict(path=PATH, a=0),
-    "finite_n_propagator": dict(a=1, partition=PartitionSpec.in_order(P3, (0, 1, 3)), q0=0, q1=1),
+    "finite_n_propagator": dict(a=1, partition=PartitionSpec(P3, (0, 1, 3)), q0=0, q1=1),
     "fractional_part": dict(x=1, p=3),
     "gauss_full": dict(place=P3, a=1, b=0),
     "k_general_quadratic": dict(place=P3, form=FORM, x1=1, x0=0),
@@ -236,3 +236,45 @@ def test_float_input_raises_input_error(fn, name, param):
         value = valid[:-1] + (bad,) if isinstance(valid, tuple) else bad
         with pytest.raises(InputError, match="not a rational"):
             fn(**{**kwargs, param: value})
+
+
+#: the integer sizes of the public surface: ball radii, precisions, digit counts
+INTEGER_NAMES = {"N", "P", "precision", "count", "radius_exponent", "resolution_exponent"}
+OSC_DATA = OscillatorBoundaryData(x0=1, x1=2, gamma0=0, gamma1=3, dgamma0=1, dgamma1=1,
+                                  s0=1, s1=1, ds0=0, ds1=0)
+#: valid arguments of the callables with an integer size and no rational parameter
+INTEGER_ARGUMENTS = {
+    **VALID_ARGUMENTS,
+    "BallSpec": dict(prime=3, radius_exponent=0, resolution_exponent=1),
+    "PadicTruncation.zero_mod": dict(p=3, P=5),
+    "k_oscillator_td": dict(place=P3, data=OSC_DATA, precision=20),
+    "oscillator_action_form": dict(data=OSC_DATA, p=3, precision=20),
+}
+INTEGER_PARAMETERS = [(fn, name, param.name)
+                      for name, fn in _public_callables()
+                      for param in inspect.signature(fn).parameters.values()
+                      if param.annotation == "int" and param.name in INTEGER_NAMES]
+
+
+def test_the_signature_scan_finds_the_integer_parameters():
+    assert sorted(f"{name}-{param}" for _, name, param in INTEGER_PARAMETERS) == [
+        "BallSpec-radius_exponent", "BallSpec-resolution_exponent",
+        "PadicTruncation.from_rational-P", "PadicTruncation.zero_mod-P", "cos_p-P",
+        "digits-count", "k_oscillator_td-precision", "minimal_resolution-N",
+        "oscillator_action_form-precision", "overlap_ball_integral-N",
+        "quad_char_integral_ball-N", "sin_p-P", "sqrt_p-P", "tan_p-P",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, name, param", INTEGER_PARAMETERS,
+    ids=[f"{name}-{param}" for _, name, param in INTEGER_PARAMETERS],
+)
+def test_non_integer_size_raises_input_error(fn, name, param):
+    # an integer size takes an int only: a float is no radius, precision or
+    # count, and a str is text that only the command line parses
+    kwargs = INTEGER_ARGUMENTS[name]
+    fn(**kwargs)
+    for bad in (1.5, "1", True):
+        with pytest.raises(InputError, match="^not an integer: "):
+            fn(**{**kwargs, param: bad})

@@ -1,7 +1,5 @@
 import math
-import random
 from fractions import Fraction as F
-from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +9,6 @@ from padicqm import (
     DigitExpansion,
     InputError,
     PadicqmError,
-    PartitionError,
-    PartitionSpec,
     Place,
     ZeroExpansionError,
     digits,
@@ -26,7 +22,6 @@ from padicqm.cli import _rational
 from padicqm.places import (
     is_prime,
     p_split,
-    place_keys,
     ratio_norm,
     ratio_split,
     rational,
@@ -37,13 +32,6 @@ from padicqm.places import (
 import digit_oracle
 
 PRIMES = [2, 3, 5, 7, 13]
-P3 = Place.prime(3)
-
-
-def key_less(x, y, place):
-    """The strict order of the place, read from the keys of ``place_keys``."""
-    kx, ky = place_keys((x, y), place)
-    return kx < ky
 
 
 def padic_rationals(p):
@@ -220,13 +208,6 @@ class TestUnitResidue:
         e = digits(x, p, count)
         assert (e.valuation, e.digits) == digit_oracle.digits(x, p, count)
 
-    @settings(max_examples=150)
-    @given(data=st.data(), p=st.sampled_from([2, 3, 5]))
-    def test_linear_order_matches_digit_scan(self, data, p):
-        pool = rational_or_int(p) | st.just(0)
-        x, y = data.draw(pool), data.draw(pool)
-        assert key_less(x, y, Place.prime(p)) == digit_oracle.linear_less(x, y, p)
-
     def test_int_and_fraction_agree(self):
         assert unit_residue(-12, 2, 4) == unit_residue(F(-12), 2, 4) == (2, 13)
         assert unit_residue(F(5, 18), 3, 2) == (-2, 5 * pow(2, -1, 9) % 9)
@@ -287,41 +268,6 @@ def _prime_factors(n):
     return out
 
 
-class TestLinearOrder:
-    """The order of ``place_keys`` at a p-adic place."""
-
-    def test_examples(self):
-        assert key_less(3, 1, P3)
-        assert key_less(1, 4, P3)
-        assert not key_less(F(5), F(5), P3)
-
-    @settings(max_examples=60)
-    @given(values=st.lists(padic_rationals(3), min_size=2, max_size=8, unique=True))
-    def test_strict_total_order(self, values):
-        for x in values:
-            assert not key_less(x, x, P3)
-        for x in values:
-            for y in values:
-                if x != y:
-                    assert key_less(x, y, P3) != key_less(y, x, P3)
-        ordered = sorted(values, key=cmp_to_key(lambda a, b: -1 if key_less(a, b, P3) else 1))
-        for a, b in zip(ordered, ordered[1:]):
-            assert key_less(a, b, P3)
-
-    @settings(max_examples=100)
-    @given(x=padic_rationals(5), y=padic_rationals(5), z=padic_rationals(5))
-    def test_transitive(self, x, y, z):
-        p5 = Place.prime(5)
-        if key_less(x, y, p5) and key_less(y, z, p5):
-            assert key_less(x, z, p5)
-
-    def test_first_differing_digit(self):
-        # 1 = (1,0,0,...) vs 10 = (1,0,1,...): differ at index 2
-        assert digits(F(1), 3, 3).digits[2] == 0
-        assert digits(F(10), 3, 3).digits[2] == 1
-        assert key_less(1, 10, P3)
-
-
 class TestRational:
     def test_a_fraction_is_returned_as_it_is(self):
         x = F(3, 4)
@@ -361,10 +307,13 @@ class TestPlace:
         calls = [lambda: require_prime(3.0), lambda: Place(3.0), lambda: Place.prime(3.0),
                  lambda: BallSpec(3.0, 1, 1), lambda: valuation(F(9), 3.0),
                  lambda: fractional_part(F(1, 9), 3.0), lambda: unit_residue(F(9), 3.0, 2),
-                 lambda: minimal_resolution(3.0, 0, 0, 1)]
+                 lambda: minimal_resolution(3.0, 0, 0, 1),
+                 lambda: DigitExpansion(valuation=0, digits=(1,), prime=3.0)]
         for call in calls:
             with pytest.raises(InputError, match=r"^not a prime: 3\.0$"):
                 call()
+        with pytest.raises(InputError, match="^not a prime: 4$"):
+            DigitExpansion(valuation=0, digits=(1,), prime=4)
         with pytest.raises(InputError, match="odd prime"):
             legendre(1, 3.0)
 
@@ -387,65 +336,3 @@ class TestPlace:
         assert _rational("3/4") == F(3, 4)
         assert _rational(" 5 ") == 5
         assert str(F(-7, 2)) == "-7/2"
-
-
-class TestPlaceSorted:
-    """``PartitionSpec.in_order``, sorting on one key pass, against a comparison
-    sort on the digit scan of ``digit_oracle``."""
-
-    @staticmethod
-    def cmp_sorted(values, place):
-        if place.is_real:
-            return sorted(values)
-        less = digit_oracle.linear_less
-        return sorted(values, key=cmp_to_key(lambda x, y: -1 if less(x, y, place.p) else 1))
-
-    def check(self, values, place):
-        if len(values) < 2:
-            with pytest.raises(PartitionError):
-                PartitionSpec.in_order(place, values)
-        else:
-            points = PartitionSpec.in_order(place, values).points
-            assert list(points) == self.cmp_sorted(values, place)
-
-    @settings(max_examples=300)
-    @given(
-        p=st.sampled_from([None, 2, 3, 5, 7]),
-        values=st.lists(
-            st.builds(F, st.integers(-4, 4), st.integers(1, 4)), unique=True, max_size=8
-        ),
-    )
-    def test_equals_comparison_sort(self, p, values):
-        # with numerators and denominators this small, the first differing
-        # digit of a pair often is the last digit the key keeps
-        self.check(values, Place.real() if p is None else Place.prime(p))
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_wide_sets(self, p):
-        rng = random.Random(p)
-        place = Place.prime(p)
-        for _ in range(200):
-            values = list({F(rng.randint(-24, 24), rng.randint(1, 24)) * F(p) ** rng.randint(-2, 2)
-                           for _ in range(rng.randint(1, 17))})
-            self.check(values, place)
-
-    def test_last_key_digit_decides(self):
-        # at p = 2, H = 1 and 2 H^2 = 2: one key digit would tie 1 and -1,
-        # which first differ at digit 1; every reader of the key agrees
-        for p, low, high in ((2, 1, -1), (3, 1, -2)):
-            place = Place.prime(p)
-            assert PartitionSpec.in_order(place, [F(high), F(low)]).points == (low, high)
-            assert key_less(low, high, place) and not key_less(high, low, place)
-            assert PartitionSpec(place, (low, high)).points == (low, high)
-            with pytest.raises(PartitionError):
-                PartitionSpec(place, (high, low))
-
-    def test_zero_sorts_first(self):
-        points = PartitionSpec.in_order(Place.prime(3), [F(1, 3), F(0), F(3)]).points
-        assert points == (0, 3, F(1, 3))
-
-    def test_equal_values_raise(self):
-        # the one key pass checks as the constructor does: equal keys are no strict order
-        for place in (Place.real(), Place.prime(3)):
-            with pytest.raises(PartitionError):
-                PartitionSpec.in_order(place, [F(2), F(1, 3), F(2)])

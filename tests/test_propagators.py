@@ -126,7 +126,7 @@ class TestFreeKernel:
         # modulus_sq = 1/|5|_5 = 5; phase = lambda_5(10) + {-1/10}_5
         assert amp.modulus_sq == 5
         assert amp == Amplitude(F(5), lambda_v(P5, 10) + chi(P5, F(-1, 10)))
-        # cross-check through an N=2 partition: 0 < 25 < 5 in digit order
+        # cross-check through an N=2 partition
         part = PartitionSpec(P5, (F(0), F(25), F(5)))
         assert finite_n_propagator(0, part, 0, 1) == amp
 
@@ -336,27 +336,34 @@ class TestFiniteN:
         assert finite_n_propagator(1, part, 0, 1) == k_constant_field(R, 1, 1, 0, 1)
 
     def test_random_padic_partitions(self):
+        # distinct points in shuffled order: the fold needs no order, and
+        # at infinity it runs through negative steps
         rng = random.Random(51)
-        for place in (P2, P3, P5, P7):
+        negative_steps = 0
+        for place in ALL_PLACES:
             for n in (2, 4, 8):
                 pts = set()
                 while len(pts) < n + 1:
                     pts.add(rand_rational(rng, place))
-                part = PartitionSpec.in_order(place, pts)
+                pts = sorted(pts)
+                rng.shuffle(pts)
+                part = PartitionSpec(place, tuple(pts))
+                negative_steps += place.is_real and sum(eps < 0 for eps in part.step_lengths())
                 a = rand_rational(rng, place)
                 q0, q1 = rand_rational(rng, place), rand_rational(rng, place)
                 want = k_constant_field(place, a, part.points[-1] - part.points[0], q0, q1)
                 assert finite_n_propagator(a, part, q0, q1) == want
+        assert negative_steps > 0
 
     def test_partition_validation(self):
-        with pytest.raises(PartitionError):
-            PartitionSpec(R, (F(0), F(0)))
-        with pytest.raises(PartitionError):
-            PartitionSpec(R, (F(1),))
-        with pytest.raises(PartitionError):
-            # 3-adically, 9 comes before 3 (|9| < |3|): this order is invalid
-            PartitionSpec(P3, (F(3), F(9)))
-        PartitionSpec(P3, (F(9), F(3)))  # valid in digit order
+        for points in ((0, 0), (1,), (0, 1, 0), ()):
+            for place in (R, P3):
+                with pytest.raises(PartitionError):
+                    PartitionSpec(place, points)
+        # any order of distinct points: 9 before or after 3 at 3, 1 before 0 at infinity
+        assert PartitionSpec(P3, (3, 9)).points == (3, 9)
+        assert PartitionSpec(P3, (9, 3)).points == (9, 3)
+        assert PartitionSpec(R, (1, 0)).step_lengths() == (-1,)
 
     @pytest.mark.parametrize("q0, q1", [(0.5, 1), (0, "1/2")])
     def test_endpoints_are_checked_before_the_fold(self, monkeypatch, q0, q1):
@@ -370,8 +377,7 @@ class TestFiniteN:
 class TestSemigroup:
     def test_examples(self):
         for place in ALL_PLACES:
-            # (0, 1, 2) in the place's order: at 2, 2 comes before 1
-            part = PartitionSpec.in_order(place, (F(0), F(1), F(2)))
+            part = PartitionSpec(place, (F(0), F(1), F(2)))
             total = part.points[-1] - part.points[0]
             for a in (0, 2):
                 want = k_constant_field(place, a, total, 0, 1)

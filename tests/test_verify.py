@@ -1,6 +1,5 @@
 import json
 import random
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +12,6 @@ from padicqm import (
     finite_n_propagator,
     lambda_v,
     overlap_ball_integral,
-    places,
     propagators,
     valuation,
     verify,
@@ -68,7 +66,7 @@ def _compose_with_lambda_of_minus_a():
     return mutated
 
 
-@pytest.mark.parametrize("name, count", [("composition", 118), ("semigroup", 9)])
+@pytest.mark.parametrize("name, count", [("composition", 114), ("semigroup", 9)])
 def test_fold_checks_catch_compose_kernels_taking_lambda_of_minus_a(monkeypatch, name, count):
     monkeypatch.setattr(propagators, "compose_kernels", _compose_with_lambda_of_minus_a())
     failures = CHECKS[name](trials=3, seed=1)
@@ -81,22 +79,6 @@ def test_fold_checks_catch_compose_kernels_taking_lambda_of_minus_a(monkeypatch,
     points, a, q0, q1 = [F(t) for t in row["points"]], F(row["a"]), F(row["q0"]), F(row["q1"])
     got = finite_n_propagator(a, PartitionSpec(place, tuple(points)), q0, q1)
     assert str(got) == row["got"]
-
-
-def test_a_composition_trial_computes_its_order_keys_once(monkeypatch):
-    # the drawn points are sorted and checked from one pass of order keys
-    calls = []
-    keys = places.place_keys
-
-    def counted(values, place):
-        calls.append(place)
-        return keys(values, place)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("padicqm") and getattr(module, "place_keys", None) is keys:
-            monkeypatch.setattr(module, "place_keys", counted)
-    assert verify.check_composition(places=(Place.prime(3),), trials=1) == []
-    assert len(calls) == len(verify.COMPOSITION_STEPS) == 15
 
 
 #: the first 20 draws of the composition stream of seed 0 at 3, taken at each place

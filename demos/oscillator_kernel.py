@@ -15,6 +15,7 @@ from padicqm import (
     cos_p,
     k_oscillator_td,
     k_oscillator_td_real,
+    oscillator_precision,
     sin_p,
     sqrt_p,
     tan_p,
@@ -39,6 +40,8 @@ def main():
     print("\n=== oscillator kernel, boundary data with unit dgamma ===")
     amp = k_oscillator_td(Place.prime(p), data, 24)
     print(f"  |.|^2 = {amp.modulus_sq}, phase = {amp.phase}")
+    # precision 24 is a ceiling: the kernel is evaluated at the least precision that pins it
+    print(f"  evaluated at P* = {oscillator_precision(data, p)} of the 24 digits allowed")
     print(f"  auxiliary-function consistency flag: {data.wronskian_consistent()}")
 
     print("\n=== the same data at the real place (floats, necessarily) ===")

@@ -74,6 +74,7 @@ from .propagators import (
     k_oscillator_td,
     k_oscillator_td_real,
     oscillator_action_form,
+    oscillator_precision,
     overlap_ball_integral,
     overlap_vanishing_threshold,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "minimal_resolution",
     "norm",
     "oscillator_action_form",
+    "oscillator_precision",
     "overlap_ball_integral",
     "overlap_vanishing_threshold",
     "quad_char_integral_ball",

@@ -42,9 +42,9 @@ class PadicTruncation:
 
     Nonzero values are stored as p^valuation * mantissa with the mantissa
     a unit modulo p^(precision - valuation).  A value indistinguishable
-    from zero at this precision has mantissa 0 and valuation None; an
-    exact zero is O(p^inf), precision ``math.inf``, which sums and
-    products carry through like any larger precision.
+    from zero at this precision has mantissa 0 and valuation None; the
+    exact zero (:meth:`exact_zero`) is O(p^inf), precision ``math.inf``,
+    which sums and products carry through like any larger precision.
     """
 
     prime: int
@@ -64,8 +64,18 @@ class PadicTruncation:
 
     @classmethod
     def zero_mod(cls, p: int, P: int) -> PadicTruncation:
-        """O(p^P), and the exact zero at P = math.inf."""
-        return cls(p, None, 0, P if P == math.inf else integer(P))
+        """O(p^P), a value known to be zero modulo p^P."""
+        return cls(p, None, 0, integer(P))
+
+    @classmethod
+    def exact_zero(cls, p: int) -> PadicTruncation:
+        """The exact zero, O(p^inf)."""
+        return cls(p, None, 0, math.inf)
+
+    @classmethod
+    def _zero(cls, p: int, P: int | float) -> PadicTruncation:
+        """O(p^P) for the precision P of a result: the exact zero at P = inf."""
+        return cls.exact_zero(p) if P == math.inf else cls.zero_mod(p, P)
 
     @classmethod
     def from_rational(cls, x: Fraction | int, p: int, P: int) -> PadicTruncation:
@@ -110,7 +120,7 @@ class PadicTruncation:
         p = self.prime
         P = min(self.precision, other.precision)
         if self.is_zero_mod and other.is_zero_mod:
-            return PadicTruncation.zero_mod(p, P)
+            return PadicTruncation._zero(p, P)
         if self.is_zero_mod:
             return PadicTruncation._make(p, other.valuation, other.mantissa, P)
         if other.is_zero_mod:
@@ -130,7 +140,7 @@ class PadicTruncation:
             # O(p^P1) * (p^v2 unit) = O(p^(P1+v2)); O * O = O(p^(P1+P2))
             v1 = self.precision if self.is_zero_mod else self.valuation
             v2 = other.precision if other.is_zero_mod else other.valuation
-            return PadicTruncation.zero_mod(p, v1 + v2)
+            return PadicTruncation._zero(p, v1 + v2)
         P = min(self.valuation + other.precision, other.valuation + self.precision)
         return PadicTruncation._make(
             p, self.valuation + other.valuation, self.mantissa * other.mantissa, P
@@ -141,7 +151,7 @@ class PadicTruncation:
         if other.is_zero_mod:
             raise PrecisionError("division by a value not pinned away from zero")
         if self.is_zero_mod:
-            return PadicTruncation.zero_mod(p, self.precision - other.valuation)
+            return PadicTruncation._zero(p, self.precision - other.valuation)
         v = self.valuation - other.valuation
         P = min(
             self.precision - other.valuation,
@@ -155,9 +165,9 @@ class PadicTruncation:
         """Multiply by an exact rational (no precision loss beyond the shift)."""
         p, c = self.prime, rational(c)
         if c == 0:
-            return PadicTruncation.zero_mod(p, math.inf)
+            return PadicTruncation.exact_zero(p)
         if self.is_zero_mod:
-            return PadicTruncation.zero_mod(p, self.precision + valuation(c, p))
+            return PadicTruncation._zero(p, self.precision + valuation(c, p))
         vc, r = unit_residue(c, p, self.precision - self.valuation)
         return PadicTruncation._make(
             p, self.valuation + vc, self.mantissa * r, self.precision + vc

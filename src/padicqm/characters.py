@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .places import Place, fractional_part, is_prime, ratio_split, rational
+from .places import Place, fractional_part, is_prime, ratio_split, rational, require_place
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ def chi(place: Place, x: Fraction | int) -> Phase:
     Real place: exp(-2*pi*i*x), i.e. phase -x mod 1.  p-Adic place:
     exp(2*pi*i*{x}_p) with {x}_p the p-adic fractional part.
     """
+    require_place(place)
     x = rational(x)
     if place.is_real:
         return Phase(-x)
@@ -193,6 +194,7 @@ def lambda_v(place: Place, a: Fraction | int) -> Phase:
     ``a.denominator`` at the place.  Rejects a = 0, as the factor is
     defined only for nonzero arguments: InputError.
     """
+    require_place(place)
     a = rational(a)
     if not a:
         raise InputError("lambda factor undefined at zero")

@@ -54,9 +54,11 @@ EXIT_INTERNAL = 4
 #: 128 + SIGPIPE, the status of a process that a closed pipe stops
 EXIT_BROKEN_PIPE = 141
 
-#: largest oscillator --precision; the series sums K ~ P terms modulo p^(P+S),
-#: so its cost still grows about quadratically in P: 0.7 s for --place 3,5,7
-#: at the cap (Python 3.11, one process on a shared 2-CPU machine)
+#: largest oscillator --precision, the most digits the kernel may use.  The
+#: kernel runs at min(--precision, P*), P* = oscillator_precision(data, p), so
+#: the CLI cost no longer grows with the requested precision; the cap bounds
+#: the work where P* itself is deep (data of large p-adic size), as the series
+#: at P sums K ~ P terms modulo p^(P+S), about quadratic in P
 MAX_PRECISION = 10_000
 #: largest ball-integral |--N|; the Gauss sum modulus p^L grows with it
 MAX_BALL_RADIUS = 10_000
@@ -375,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         kernel.add_argument(f"--{field.name}", type=_rational, default=None,
                             help="oscillator boundary value")
     kernel.add_argument("--precision", type=int, default=20,
-                        help="p-adic working precision for the oscillator")
+                        help="most p-adic digits the oscillator kernel may use")
     kernel.add_argument("--format", choices=["json", "csv"], default="json")
 
     gauss_cmd = sub.add_parser("gauss", help="full-line Gauss integral")

@@ -21,7 +21,8 @@ from itertools import accumulate, islice, repeat
 from .characters import Amplitude, Phase, chi, lambda_v, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
 from .places import (
-    Place, fractional_part, integer, norm, p_split, rational, require_prime, valuation,
+    Place, fractional_part, integer, norm, p_split, rational, require_place, require_prime,
+    valuation,
 )
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
@@ -55,6 +56,7 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
     Requires a != 0; the degenerate linear case belongs to the ball
     integrals below.
     """
+    require_place(place)
     a, b = rational(a), rational(b)
     if a == 0:
         raise DegenerateQuadraticError(

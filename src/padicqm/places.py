@@ -130,6 +130,16 @@ class Place:
         return "inf" if self.p is None else str(self.p)
 
 
+def require_place(place: Place) -> None:
+    """The one input check for places: raise InputError unless place is a Place.
+
+    A prime or a text is not a place: ``Place.prime`` and ``Place.parse``
+    make one.
+    """
+    if not isinstance(place, Place):
+        raise InputError(f"not a place: {place!r}")
+
+
 @dataclass(frozen=True)
 class DigitExpansion:
     """Leading digits of the canonical p-adic expansion of a rational.
@@ -233,6 +243,7 @@ def ratio_norm(n: int, d: int, place: Place, v: int | None = None) -> tuple[int,
 
 def norm(x: Fraction | int, place: Place) -> Fraction:
     """Exact norm of x at the given place: |x| or p**(-v_p(x)); 0 at x = 0."""
+    require_place(place)
     x = rational(x)
     if x == 0:
         return Fraction(0)

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .analytic import PadicTruncation, _check_lambda_digits, _sin_cos_sums, sqrt_p
+from .analytic import (
+    PadicTruncation, _check_lambda_digits, _sin_cos_sums, _trig_domain_valuation, sqrt_p,
+)
 from .characters import Amplitude, Phase, chi, lambda_of_split, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
@@ -32,7 +34,8 @@ from .errors import (
 )
 from .gauss import quad_char_integral_ball
 from .places import (
-    Place, integer, norm, p_split, ratio_norm, ratio_split, rational, valuation,
+    Place, integer, norm, p_split, ratio_norm, ratio_split, rational, require_place,
+    valuation,
 )
 
 
@@ -50,6 +53,7 @@ class PartitionSpec:
     points: tuple[Fraction, ...]
 
     def __post_init__(self):
+        require_place(self.place)
         pts = tuple(rational(t) for t in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
@@ -77,6 +81,9 @@ class SymbolicKernel:
     prefactor: Amplitude
     form: QuadraticActionForm
 
+    def __post_init__(self):
+        require_place(self.place)
+
     @classmethod
     def from_form(cls, place: Place, form: QuadraticActionForm) -> SymbolicKernel:
         """The kernel lambda_v(-2 gamma) |gamma|_v^{1/2} chi_v(-S(x1, x0)).
@@ -84,6 +91,7 @@ class SymbolicKernel:
         gamma is the mixed partial of the form; the expression is the
         same at every place.
         """
+        require_place(place)
         g, den = form.nums[2], form.den
         if not g:
             raise DegenerateFormError("mixed partial of the action form vanishes")
@@ -331,6 +339,14 @@ def oscillator_chi_rational_part(data: OscillatorBoundaryData) -> Fraction:
     return (data.ds0 * data.x0**2 / data.s0 - data.ds1 * data.x1**2 / data.s1) / 2
 
 
+def _phase_difference(data: OscillatorBoundaryData) -> Fraction:
+    """delta = gamma1 - gamma0, or DegenerateIntervalError at delta = 0."""
+    delta = data.gamma1 - data.gamma0
+    if delta == 0:
+        raise DegenerateIntervalError("coincident auxiliary phases")
+    return delta
+
+
 def _oscillator_truncations(
     data: OscillatorBoundaryData, p: int, precision: int
 ) -> tuple[PadicTruncation, PadicTruncation]:
@@ -338,10 +354,7 @@ def _oscillator_truncations(
 
     delta = gamma1 - gamma0; the square root is the canonical branch.
     """
-    delta = data.gamma1 - data.gamma0
-    if delta == 0:
-        raise DegenerateIntervalError("coincident auxiliary phases")
-    sin_t, cos_t = _sin_cos_sums(delta, p, precision)
+    sin_t, cos_t = _sin_cos_sums(_phase_difference(data), p, precision)
     root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, precision)
     return cos_t / sin_t, root_t / sin_t
 
@@ -353,12 +366,17 @@ def k_oscillator_td(
 
     The kernel of :func:`oscillator_action_form` at the data's endpoints:
     lambda_p(2 sqrt(dgamma1*dgamma0)/sin delta) |sqrt/sin|_p^{1/2} chi_p(-S),
-    the expression of every other system.  The truncations pin every
-    digit the kernel reads, or a PrecisionError is raised.
+    the expression of every other system.  ``precision`` is the most
+    digits the evaluation may use: the form is built at
+    min(precision, P*), P* from :func:`oscillator_precision`, as every
+    precision from P* on gives the same kernel.  Below P* a
+    PrecisionError names P*.
     """
+    require_place(place)
     if place.is_real:
         raise InputError("use k_oscillator_td_real for the real place")
-    form = oscillator_action_form(data, place.p, precision)
+    p, precision = place.p, integer(precision)
+    form = oscillator_action_form(data, p, min(precision, oscillator_precision(data, p)))
     return SymbolicKernel.from_form(place, form).evaluate(data.x0, data.x1)
 
 
@@ -411,20 +429,63 @@ def oscillator_action_form(
     PrecisionError is raised unless the truncations pin the lambda digits
     of gamma and the fractional part of each chi term alpha x1^2,
     beta x0^2 and gamma x1 x0.  At other endpoints the form is only as
-    good as those digits.
+    good as those digits.  Below :func:`oscillator_precision` the error
+    names the least precision that pins them.
     """
-    inv_tan, root_over_sin = _oscillator_truncations(data, p, precision)
-    # from_form reads lambda of gamma = -root_over_sin: its digits must be pinned
-    _check_lambda_digits(p, root_over_sin)
-    # t * c is pinned above p^0, where its fractional part lives, exactly
-    # when chi_of_truncation(t.scale(c)) would not raise
-    for t, c in ((inv_tan, data.dgamma1 * data.x1**2 / 2),
-                 (inv_tan, data.dgamma0 * data.x0**2 / 2),
-                 (root_over_sin, data.x1 * data.x0)):
-        if c != 0 and t.precision + valuation(c, p) < 0:
-            raise PrecisionError("precision below p^0: fractional part not pinned")
+    try:
+        inv_tan, root_over_sin = _oscillator_truncations(data, p, precision)
+        # from_form reads lambda of gamma = -root_over_sin: its digits must be pinned
+        _check_lambda_digits(p, root_over_sin)
+        # t * c is pinned above p^0, where its fractional part lives, exactly
+        # when chi_of_truncation(t.scale(c)) would not raise
+        for t, c in ((inv_tan, data.dgamma1 * data.x1**2 / 2),
+                     (inv_tan, data.dgamma0 * data.x0**2 / 2),
+                     (root_over_sin, data.x1 * data.x0)):
+            if c != 0 and t.precision + valuation(c, p) < 0:
+                raise PrecisionError("precision below p^0: fractional part not pinned")
+    except PrecisionError:
+        raise PrecisionError(
+            f"precision {precision} does not pin the oscillator kernel at p = {p}:"
+            f" it needs {oscillator_precision(data, p)}"
+        ) from None
     cot = inv_tan.representative()
     alpha = cot * data.dgamma1 / 2 + data.ds1 / (2 * data.s1)
     beta = cot * data.dgamma0 / 2 - data.ds0 / (2 * data.s0)
     gamma = -root_over_sin.representative()
     return QuadraticActionForm(alpha=alpha, beta=beta, gamma=gamma)
+
+
+def oscillator_precision(data: OscillatorBoundaryData, p: int) -> int:
+    """P*, the least precision at which :func:`oscillator_action_form` returns.
+
+    Read from valuations alone.  With d = v_p(delta) and
+    r = v_p(dgamma1 dgamma0)/2, at precision P sin delta has valuation d
+    and is pinned once P > d, cos delta is a unit, and ``sqrt_p`` pins
+    max(P, r + 1) digits of the root.  So 1/tan delta is known modulo
+    p^(P - 2d), and sqrt/sin, of valuation r - d, modulo p^Q with
+    Q = min(max(P, r + 1) - d, P + r - 2d).  The guard passes exactly when
+    - lambda's digits are pinned, Q - (r - d) >= need (1, or 3 at p = 2):
+      P >= d + need, and P >= r + need unless r + 1 already reaches it;
+    - each chi term is pinned above p^0, for each nonzero coefficient c:
+      P - 2d + v(c) >= 0 for c = dgamma1 x1^2/2 and dgamma0 x0^2/2, and
+      Q + v(c) >= 0 for c = x1 x0, that is P >= 2d - r - v(c), and
+      P >= d - v(c) unless r + 1 already reaches it.
+    Each condition is monotone in P, so P* is the largest of these
+    bounds; at every P >= P* the kernel is the same.  delta = 0 and delta
+    outside the series domain raise here, as in the evaluation.  A
+    product dgamma1 dgamma0 that is not a square raises NonSquareError in
+    the evaluation at every precision; P* is then only a number.
+    """
+    d = _trig_domain_valuation(_phase_difference(data), p)
+    r = valuation(data.dgamma1 * data.dgamma0, p) // 2
+    need = 3 if p == 2 else 1
+    # a bound k on max(P, r + 1) binds P only when k > r + 1
+    bounds = [d + need] + ([r + need] if need > 1 else [])
+    for c in (data.dgamma1 * data.x1**2 / 2, data.dgamma0 * data.x0**2 / 2):
+        if c:
+            bounds.append(2 * d - valuation(c, p))
+    c = data.x1 * data.x0
+    if c:
+        v = valuation(c, p)
+        bounds += [2 * d - r - v] + ([d - v] if d - v > r + 1 else [])
+    return max(bounds)

@@ -18,7 +18,7 @@ from padicqm import (
 )
 from padicqm.analytic import _sin_cos_sums, _unit_inverse
 from padicqm.characters import Phase
-from padicqm.errors import PrecisionError
+from padicqm.errors import InputError, PrecisionError
 
 import series_oracle
 from truncation_oracle import agrees_with
@@ -264,13 +264,22 @@ class TestTruncationArithmetic:
 
     def test_exact_zero(self):
         zero = PadicTruncation.from_rational(F(5, 3), 3, 7).scale(0)
-        assert zero == PadicTruncation.zero_mod(3, math.inf)
-        assert str(zero) == "0"
+        assert zero == PadicTruncation.exact_zero(3)
+        assert zero.precision == math.inf and str(zero) == "0"
         t = PadicTruncation.from_rational(F(10, 9), 3, 4)
         for total in (t + zero, zero + t, t - zero):
             assert total == t
-        assert (zero * t).precision == zero.precision
+        # the exact zero survives every operation that keeps it exact
+        for exact in (zero + zero, zero - zero, zero * zero, zero * t, t * zero,
+                      zero / t, zero.scale(F(1, 9)), -zero):
+            assert exact == zero
         assert chi_of_truncation(zero) == Phase()
+
+    def test_zero_mod_takes_an_integer_precision(self):
+        assert PadicTruncation.zero_mod(3, 8).precision == 8
+        for bad in (math.inf, 8.0):
+            with pytest.raises(InputError, match="^not an integer: "):
+                PadicTruncation.zero_mod(3, bad)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     def test_unit_inverse_matches_pow(self, p):

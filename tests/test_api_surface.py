@@ -8,6 +8,7 @@ the benchmark without failing any other test.
 import ast
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 
 import padicqm
 from padicqm import (
+    Amplitude,
     InputError,
     OscillatorBoundaryData,
     PadicqmError,
@@ -275,6 +277,40 @@ def test_non_integer_size_raises_input_error(fn, name, param):
     # count, and a str is text that only the command line parses
     kwargs = INTEGER_ARGUMENTS[name]
     fn(**kwargs)
-    for bad in (1.5, "1", True):
+    # math.inf among them: the exact zero is PadicTruncation.exact_zero, not zero_mod
+    for bad in (1.5, "1", True, math.inf):
         with pytest.raises(InputError, match="^not an integer: "):
+            fn(**{**kwargs, param: bad})
+
+
+#: valid arguments of the callables with a Place parameter
+PLACE_ARGUMENTS = {
+    **INTEGER_ARGUMENTS,
+    "SymbolicKernel": dict(place=P3, prefactor=Amplitude(1), form=FORM),
+    "SymbolicKernel.from_form": dict(place=P3, form=FORM),
+}
+PLACE_PARAMETERS = [(fn, name, param.name)
+                    for name, fn in _public_callables()
+                    for param in inspect.signature(fn).parameters.values()
+                    if param.annotation == "Place"]
+
+
+def test_the_signature_scan_finds_the_place_parameters():
+    assert sorted(f"{name}-{param}" for _, name, param in PLACE_PARAMETERS) == [
+        "PartitionSpec-place", "SymbolicKernel-place", "SymbolicKernel.from_form-place",
+        "chi-place", "gauss_full-place", "k_general_quadratic-place",
+        "k_oscillator_td-place", "lambda_v-place", "norm-place",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, name, param", PLACE_PARAMETERS,
+    ids=[f"{name}-{param}" for _, name, param in PLACE_PARAMETERS],
+)
+def test_a_place_that_is_not_a_place_raises_input_error(fn, name, param):
+    # a prime or its text is not a place: Place.prime and Place.parse make one
+    kwargs = PLACE_ARGUMENTS[name]
+    fn(**kwargs)
+    for bad in (3, "3", None):
+        with pytest.raises(InputError, match=f"^not a place: {bad!r}$"):
             fn(**{**kwargs, param: bad})

@@ -215,6 +215,22 @@ class TestKernelCommand:
         else:
             assert calls == [precision]
 
+    OSC_105 = ["kernel", "--system", "osc", "--place", "3,5,7", "--x0", "1", "--x1", "2",
+               "--gamma0", "0", "--gamma1", "105", "--dgamma0", "1", "--dgamma1", "1",
+               "--s0", "1", "--s1", "1", "--ds0", "0", "--ds1", "0"]
+
+    def test_oscillator_below_the_least_precision_names_it(self, capsys):
+        code, out, err = run_cli(capsys, self.OSC_105 + ["--precision", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: precision 1 does not pin the oscillator kernel at p = 3: it needs 2\n"
+
+    def test_oscillator_rows_are_the_same_from_the_least_precision_on(self, capsys):
+        # --precision is the most digits the kernel may use: from P* = 2 on
+        # every precision up to the cap writes the same rows
+        outputs = {run_cli(capsys, self.OSC_105 + ["--precision", str(P)])
+                   for P in (2, 20, 1000, 10_000)}
+        assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+
 
 def _random_grid(rng, system, fmt):
     """A kernel command line over a seed-drawn grid at inf, 2, 3, 5, 7."""

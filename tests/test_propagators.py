@@ -33,6 +33,7 @@ from padicqm import (
     lambda_v,
     norm,
     oscillator_action_form,
+    oscillator_precision,
     overlap_ball_integral,
     overlap_vanishing_threshold,
     sqrt_p,
@@ -492,7 +493,8 @@ class TestOscillator:
         assert abs(got - want) < 1e-9
 
     def test_precision_error_when_too_shallow(self):
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError, match="^precision 1 does not pin the oscillator "
+                                                 "kernel at p = 3: it needs 2$"):
             k_oscillator_td(P3, OSC_SAMPLE, 1)
 
     def test_coincident_phases_rejected_by_both_routes(self):
@@ -645,8 +647,9 @@ class TestOscillatorAgainstExactSums:
 class TestOscillatorPrecisionSoundness:
     """A result at precision P is exact: P + 60 gives the same amplitude.
 
-    The kernel and the hand formula of ``closed_forms`` are checked side
-    by side, and must agree wherever both return.
+    ``k_oscillator_td`` evaluates at min(P, P*), so it is compared with
+    the form route and with the hand formula of ``closed_forms``, each at
+    P + 60, not with itself.  Below P* it raises a PrecisionError naming P*.
     """
 
     CASES = 200
@@ -656,23 +659,103 @@ class TestOscillatorPrecisionSoundness:
     def test_result_stable_under_more_precision(self, p):
         rng = random.Random(p)
         place = Place.prime(p)
-        checked = skipped = 0
+        checked = raised = 0
         for _ in range(self.CASES):
             data = random_oscillator_data(rng, p)
             # half the cases near the shallowest precision that can succeed
             P = rng.randint(1, 12) if rng.random() < 0.5 else rng.randint(1, 120)
-            try:
-                amp = k_oscillator_td(place, data, P)
-                alt = k_oscillator(place, data, P)
-            except PrecisionError:
-                skipped += 1
+            least = oscillator_precision(data, p)
+            if P < least:
+                with pytest.raises(PrecisionError, match=f"it needs {least}$"):
+                    k_oscillator_td(place, data, P)
+                raised += 1
                 continue
-            fine = k_oscillator_td(place, data, P + self.EXTRA)
-            fine_alt = k_oscillator(place, data, P + self.EXTRA)
-            assert amp == fine == alt == fine_alt, (data, P)
+            amp = k_oscillator_td(place, data, P)
+            fine = oscillator_action_form(data, p, P + self.EXTRA)
+            assert amp == k_general_quadratic(place, fine, data.x1, data.x0), (data, P)
+            assert amp == k_oscillator(place, data, P + self.EXTRA), (data, P)
             checked += 1
-        print(f"p={p}: {checked} checked, {skipped} skipped on PrecisionError")
-        assert checked >= self.CASES // 4
+        assert checked >= self.CASES // 2 and raised, (checked, raised)
+
+
+def valuation_grid_data(rng, p):
+    """Boundary data with d = v_p(delta) and r = v_p(dgamma1 dgamma0)/2 drawn
+    on their own, r from -3 to 6 and d from the domain edge to 3 above it;
+    each endpoint is 0 in about one case in seven.  Returns (data, d, r)."""
+
+    def unit():
+        return F(rng.choice((-1, 1)) * rng.choice([n for n in range(1, 40) if n % p]),
+                 rng.choice([n for n in range(1, 40) if n % p]))
+
+    def endpoint():
+        return F(0) if rng.random() < 0.15 else F(p) ** rng.randint(-4, 4) * unit()
+
+    edge = 2 if p == 2 else 1
+    d, r, a = rng.randint(edge, edge + 3), rng.randint(-3, 6), rng.randint(-3, 3)
+    # dgamma1 dgamma0 = p^(2r) (u w)^2, a square at every p
+    u, w = unit(), unit()
+    gamma0 = F(rng.randint(-9, 9), rng.randint(1, 9))
+    data = OscillatorBoundaryData(
+        x0=endpoint(), x1=endpoint(), gamma0=gamma0, gamma1=gamma0 + F(p) ** d * unit(),
+        dgamma0=F(p) ** a * u, dgamma1=F(p) ** (2 * r - a) * u * w * w,
+        s0=unit(), s1=unit(), ds0=unit(), ds1=unit(),
+    )
+    return data, d, r
+
+
+class TestOscillatorPrecision:
+    """``oscillator_precision`` is exact: the guard passes at P* and raises at P* - 1."""
+
+    CASES = 200
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_least_precision_is_exact(self, p):
+        rng = random.Random(p)
+        place = Place.prime(p)
+        seen = Counter()
+        for _ in range(self.CASES):
+            data, d, r = valuation_grid_data(rng, p)
+            least = oscillator_precision(data, p)
+            form = oscillator_action_form(data, p, least)
+            with pytest.raises(PrecisionError, match=f"it needs {least}$"):
+                oscillator_action_form(data, p, least - 1)
+            got = k_general_quadratic(place, form, data.x1, data.x0)
+            assert got == k_oscillator(place, data, least + 60), (data, least)
+            seen.update({"x0 = 0": data.x0 == 0, "x1 = 0": data.x1 == 0,
+                         "r < d": r < d, "r > d": r > d, "P* <= r": least <= r})
+        # every branch of the bound is reached; sqrt_p's r + 1 digits exceed
+        # P* only at odd p, where lambda needs one digit
+        want = {"x0 = 0", "x1 = 0", "r < d", "r > d"} | ({"P* <= r"} if p != 2 else set())
+        assert set(+seen) == want, seen
+
+    def test_the_kernel_evaluates_at_the_least_precision(self, monkeypatch):
+        data = OscillatorBoundaryData(x0=1, x1=2, gamma0=0, gamma1=105, dgamma0=1,
+                                      dgamma1=1, s0=1, s1=1, ds0=0, ds1=0)
+        calls = []
+        truncations = propagators._oscillator_truncations
+
+        def spy(data, p, precision):
+            calls.append((p, precision))
+            return truncations(data, p, precision)
+
+        monkeypatch.setattr(propagators, "_oscillator_truncations", spy)
+        for p in (3, 5, 7):
+            k_oscillator_td(Place.prime(p), data, 1000)
+        assert calls == [(p, oscillator_precision(data, p)) for p in (3, 5, 7)]
+        assert all(P < 1000 for _, P in calls)
+
+    def test_requested_precision_1000(self):
+        # the perfbench oscillator's deepest rung: the kernel at P* is the
+        # kernel of the form at the requested precision
+        data = OscillatorBoundaryData(
+            x0=F(3, 5), x1=F(-7, 4), gamma0=F(2, 11), gamma1=F(2, 11) - 105,
+            dgamma0=1, dgamma1=1, s0=F(5, 8), s1=F(-1, 3), ds0=F(9, 2), ds1=F(4, 7),
+        )
+        for p in (3, 5, 7):
+            place = Place.prime(p)
+            form = oscillator_action_form(data, p, 1000)
+            assert (k_oscillator_td(place, data, 1000)
+                    == k_general_quadratic(place, form, data.x1, data.x0))
 
 
 class TestOscillatorComposition:

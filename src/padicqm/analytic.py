@@ -201,16 +201,6 @@ def chi_of_truncation(t: PadicTruncation) -> Phase:
     return Phase(Fraction(t.mantissa % p_pow, p_pow))
 
 
-def _check_lambda_digits(p: int, t: PadicTruncation) -> None:
-    """Raise PrecisionError unless t pins the digits that lambda_p reads:
-    one above the valuation, three at p = 2."""
-    if t.is_zero_mod:
-        raise PrecisionError("lambda factor needs a value pinned away from zero")
-    need = 3 if p == 2 else 1
-    if t.precision - t.valuation < need:
-        raise PrecisionError(f"need {need} digits above the valuation")
-
-
 def _trig_domain_valuation(x: Fraction, p: int) -> int:
     d = valuation(x, p)
     minimum = 2 if p == 2 else 1
@@ -228,26 +218,28 @@ def _trig_term_count(d: int, p: int, P: int) -> int:
     return max(1, math.ceil(num / den) + 1)
 
 
-def _sin_cos_sums(
-    x: Fraction | int, p: int, P: int
-) -> tuple[PadicTruncation, PadicTruncation]:
-    """Partial sums of sin and cos over the terms x^k/k!, k = 0..K+1, mod p^P.
+def _sin_cos_sums(x: Fraction, p: int, P: int) -> tuple[int, int, int]:
+    """(d, s, c) with sin x = p^d s and cos x = c modulo p^P, for P >= 1.
 
-    The tails past K have norm <= p^-P.  With x = n/m and y = -x^2, each
-    parity is a Horner sum from the innermost term out,
-    h <- 1 + y*h/((2j+r-1)(2j+r)) (r = 1 for sin, 0 for cos), carried as
-    an integer pair h = a/b and reduced modulo p^M whenever a outgrows
-    it; reduction commutes with the integer recurrence, so a and b stay
-    the residues of the exact pair.  The steps multiply to a divisor of
-    (K+1)!, so b is p^s times a unit with s <= S = v_p((K+1)!), and h is
-    p-integral in the domain, so p^s divides a: with M = P + S the
-    quotient pins each sum modulo p^P.
+    d = v_p(x) is the valuation of sin x (the domain's edge at x = 0), s
+    the unit sin x / p^d modulo p^(P - d), or 0 where sin x is O(p^P),
+    and c the unit cos x modulo p^P.  Both are partial sums over the
+    terms x^k/k!, k = 0..K+1, whose tails have norm <= p^-P.  With
+    x = n/m and y = -x^2, each parity is a Horner sum from the innermost
+    term out, h <- 1 + y*h/((2j+r-1)(2j+r)) (r = 1 for sin, 0 for cos),
+    carried as an integer pair h = a/b and reduced modulo p^M whenever a
+    outgrows it; reduction commutes with the integer recurrence, so a
+    and b stay the residues of the exact pair.  The steps multiply to a
+    divisor of (K+1)!, so b is p^s times a unit with s <= S =
+    v_p((K+1)!), and h is p-integral in the domain, so p^s divides a:
+    with M = P + S the quotient pins each sum modulo p^P.
     """
     P = integer(P)
-    K = _trig_term_count(_trig_domain_valuation(x, p), p, P)
+    d = _trig_domain_valuation(x, p)
+    K = _trig_term_count(d, p, P)
     n, m = x.numerator, x.denominator
     if n == 0 or P < 1:
-        return PadicTruncation.zero_mod(p, P), PadicTruncation.from_rational(1, p, P)
+        return d, 0, 1
     S, q = 0, p
     while q <= K + 1:
         S += (K + 1) // q
@@ -270,26 +262,27 @@ def _sin_cos_sums(
     sin_a, sin_b = horner(K // 2, 1)  # odd k = 2j + 1 <= K + 1
     cos_a, cos_b = horner((K + 1) // 2, 0)  # even k = 2j <= K + 1
     inv = _unit_inverse(m * sin_b * cos_b, p, P)
-    sin_t = PadicTruncation._make(p, 0, n * sin_a * cos_b * inv, P)
-    cos_t = PadicTruncation._make(p, 0, m * cos_a * sin_b * inv, P)
-    return sin_t, cos_t
+    # sin x = x h_sin with h_sin a unit, and p^d divides n exactly
+    s = n // p**d * sin_a * cos_b * inv % p ** (P - d) if P > d else 0
+    return d, s, m * cos_a * sin_b * inv % p**P
 
 
 def sin_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic sine by its Taylor series, correct modulo p^P."""
-    return _sin_cos_sums(rational(x), p, P)[0]
+    d, s, _ = _sin_cos_sums(rational(x), p, P)
+    return PadicTruncation._make(p, d, s, P)
 
 
 def cos_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic cosine by its Taylor series, correct modulo p^P."""
-    return _sin_cos_sums(rational(x), p, P)[1]
+    return PadicTruncation._make(p, 0, _sin_cos_sums(rational(x), p, P)[2], P)
 
 
 def tan_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic tangent: sin/cos with cos a unit throughout the domain."""
-    s, c = _sin_cos_sums(rational(x), p, P)
+    d, s, c = _sin_cos_sums(rational(x), p, P)
     # a sine of O(p^P) is its own quotient; at P < 1 the cosine is O(p^P) too
-    return s if s.is_zero_mod else s / c
+    return PadicTruncation._make(p, d, s * _unit_inverse(c, p, P - d) if s else 0, P)
 
 
 def _sqrt_unit_odd(u0: int, p: int) -> int:

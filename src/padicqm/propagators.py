@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .analytic import (
-    PadicTruncation, _check_lambda_digits, _sin_cos_sums, _trig_domain_valuation, sqrt_p,
-)
+from .analytic import _sin_cos_sums, _trig_domain_valuation, _unit_inverse, sqrt_p
 from .characters import Amplitude, Phase, chi, lambda_of_split, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
@@ -339,26 +337,6 @@ def oscillator_chi_rational_part(data: OscillatorBoundaryData) -> Fraction:
     return (data.ds0 * data.x0**2 / data.s0 - data.ds1 * data.x1**2 / data.s1) / 2
 
 
-def _phase_difference(data: OscillatorBoundaryData) -> Fraction:
-    """delta = gamma1 - gamma0, or DegenerateIntervalError at delta = 0."""
-    delta = data.gamma1 - data.gamma0
-    if delta == 0:
-        raise DegenerateIntervalError("coincident auxiliary phases")
-    return delta
-
-
-def _oscillator_truncations(
-    data: OscillatorBoundaryData, p: int, precision: int
-) -> tuple[PadicTruncation, PadicTruncation]:
-    """1/tan delta and sqrt(dgamma1*dgamma0)/sin delta as truncations.
-
-    delta = gamma1 - gamma0; the square root is the canonical branch.
-    """
-    sin_t, cos_t = _sin_cos_sums(_phase_difference(data), p, precision)
-    root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, precision)
-    return cos_t / sin_t, root_t / sin_t
-
-
 def k_oscillator_td(
     place: Place, data: OscillatorBoundaryData, precision: int
 ) -> Amplitude:
@@ -369,14 +347,16 @@ def k_oscillator_td(
     the expression of every other system.  ``precision`` is the most
     digits the evaluation may use: the form is built at
     min(precision, P*), P* from :func:`oscillator_precision`, as every
-    precision from P* on gives the same kernel.  Below P* a
+    precision from P* on gives the same kernel; P* is read once, and the
+    form is the one of :func:`oscillator_action_form`.  Below P* a
     PrecisionError names P*.
     """
     require_place(place)
     if place.is_real:
         raise InputError("use k_oscillator_td_real for the real place")
     p, precision = place.p, integer(precision)
-    form = oscillator_action_form(data, p, min(precision, oscillator_precision(data, p)))
+    least = oscillator_precision(data, p)
+    form = _oscillator_form(data, p, min(precision, least), least)
     return SymbolicKernel.from_form(place, form).evaluate(data.x0, data.x1)
 
 
@@ -424,50 +404,70 @@ def oscillator_action_form(
 ) -> QuadraticActionForm:
     """Quadratic action form of the oscillator, to the stated precision.
 
-    Coefficients are rational representatives of truncated values.  The
-    kernel of the form is exact at the data's own endpoints x1, x0: a
-    PrecisionError is raised unless the truncations pin the lambda digits
-    of gamma and the fractional part of each chi term alpha x1^2,
-    beta x0^2 and gamma x1 x0.  At other endpoints the form is only as
-    good as those digits.  Below :func:`oscillator_precision` the error
-    names the least precision that pins them.
+    cot delta and sqrt(dgamma1*dgamma0)/sin delta enter as rational
+    representatives of their residues at ``precision``.  From
+    :func:`oscillator_precision` on, those residues pin the digits that
+    the kernel at the data's own endpoints x1, x0 reads, so that kernel
+    is exact; at other endpoints the form is only as good as those
+    digits.  Below P* a PrecisionError names P*.
     """
-    try:
-        inv_tan, root_over_sin = _oscillator_truncations(data, p, precision)
-        # from_form reads lambda of gamma = -root_over_sin: its digits must be pinned
-        _check_lambda_digits(p, root_over_sin)
-        # t * c is pinned above p^0, where its fractional part lives, exactly
-        # when chi_of_truncation(t.scale(c)) would not raise
-        for t, c in ((inv_tan, data.dgamma1 * data.x1**2 / 2),
-                     (inv_tan, data.dgamma0 * data.x0**2 / 2),
-                     (root_over_sin, data.x1 * data.x0)):
-            if c != 0 and t.precision + valuation(c, p) < 0:
-                raise PrecisionError("precision below p^0: fractional part not pinned")
-    except PrecisionError:
-        raise PrecisionError(
-            f"precision {precision} does not pin the oscillator kernel at p = {p}:"
-            f" it needs {oscillator_precision(data, p)}"
-        ) from None
-    cot = inv_tan.representative()
-    alpha = cot * data.dgamma1 / 2 + data.ds1 / (2 * data.s1)
-    beta = cot * data.dgamma0 / 2 - data.ds0 / (2 * data.s0)
-    gamma = -root_over_sin.representative()
-    return QuadraticActionForm(alpha=alpha, beta=beta, gamma=gamma)
+    return _oscillator_form(data, p, integer(precision), oscillator_precision(data, p))
+
+
+def _oscillator_form(
+    data: OscillatorBoundaryData, p: int, precision: int, least: int
+) -> QuadraticActionForm:
+    """The oscillator's form at ``precision``, in integers; ``least`` is P*.
+
+    With sin delta = p^d s and cos delta = c from ``_sin_cos_sums`` and
+    the root p^r y from ``sqrt_p``, one inverse of the unit s gives both
+    cot delta = (c/s mod p^(precision - d)) / p^d and
+    root/sin delta = p^(r - d) (y/s mod p^j), j the digits of y, at most
+    precision - d: the representatives of the truncated quotients.  Then
+    alpha = cot delta dgamma1/2 + ds1/(2 s1),
+    beta = cot delta dgamma0/2 - ds0/(2 s0) and gamma = -root/sin delta.
+    """
+    root = sqrt_p(data.dgamma1 * data.dgamma0, p, precision)
+    if precision < least:
+        raise PrecisionError(f"precision {precision} does not pin the oscillator kernel"
+                             f" at p = {p}: it needs {least}")
+    d, s, c = _sin_cos_sums(data.gamma1 - data.gamma0, p, precision)
+    k = precision - d
+    inv = _unit_inverse(s, p, k)
+    cot = c * inv % p**k
+    r = root.valuation
+    ratio = root.mantissa * inv % p ** min(root.precision - r, k)
+    # over 2 p^(d + max(-r, 0)) b1 b0: the form of the docstring, with
+    # ds/s = n/m and b the product of the denominators of dgamma and ds/s
+    g1, g0 = data.dgamma1, data.dgamma0
+    n1, m1 = data.ds1.numerator * data.s1.denominator, data.ds1.denominator * data.s1.numerator
+    n0, m0 = data.ds0.numerator * data.s0.denominator, data.ds0.denominator * data.s0.numerator
+    lo = p ** max(-r, 0)
+    q, b1, b0 = p**d * lo, g1.denominator * m1, g0.denominator * m0
+    return QuadraticActionForm.from_integers(2 * q * b1 * b0, (
+        (cot * g1.numerator * lo * m1 + n1 * q * g1.denominator) * b0,
+        (cot * g0.numerator * lo * m0 - n0 * q * g0.denominator) * b1,
+        -2 * ratio * p ** max(r, 0) * b1 * b0,
+        0, 0, 0,
+    ))
 
 
 def oscillator_precision(data: OscillatorBoundaryData, p: int) -> int:
-    """P*, the least precision at which :func:`oscillator_action_form` returns.
+    """P*, the least precision at which the oscillator's form pins its kernel.
 
-    Read from valuations alone.  With d = v_p(delta) and
-    r = v_p(dgamma1 dgamma0)/2, at precision P sin delta has valuation d
-    and is pinned once P > d, cos delta is a unit, and ``sqrt_p`` pins
-    max(P, r + 1) digits of the root.  So 1/tan delta is known modulo
-    p^(P - 2d), and sqrt/sin, of valuation r - d, modulo p^Q with
-    Q = min(max(P, r + 1) - d, P + r - 2d).  The guard passes exactly when
-    - lambda's digits are pinned, Q - (r - d) >= need (1, or 3 at p = 2):
-      P >= d + need, and P >= r + need unless r + 1 already reaches it;
-    - each chi term is pinned above p^0, for each nonzero coefficient c:
-      P - 2d + v(c) >= 0 for c = dgamma1 x1^2/2 and dgamma0 x0^2/2, and
+    Read from valuations alone, one split of each field's numerator and
+    denominator.  With d = v_p(delta) and r = v_p(dgamma1 dgamma0)/2, at
+    precision P sin delta = p^d s with s known modulo p^(P - d), cos delta
+    is a unit, and ``sqrt_p`` pins max(P, r + 1) digits of the root.  So
+    cot delta is known modulo p^(P - 2d), and sqrt/sin, of valuation
+    r - d, modulo p^Q with Q = min(max(P, r + 1) - d, P + r - 2d).  The
+    kernel at the data's endpoints reads
+    - the digits of gamma = -sqrt/sin that lambda reads, need of them
+      (1, or 3 at p = 2): Q - (r - d) >= need, that is P >= d + need,
+      and P >= r + need unless r + 1 already reaches it;
+    - the fractional part of each chi term, for each nonzero coefficient
+      c: P - 2d + v(c) >= 0 for c = dgamma1 x1^2/2 and dgamma0 x0^2/2,
+      the parts of alpha x1^2 and beta x0^2 that cot delta carries, and
       Q + v(c) >= 0 for c = x1 x0, that is P >= 2d - r - v(c), and
       P >= d - v(c) unless r + 1 already reaches it.
     Each condition is monotone in P, so P* is the largest of these
@@ -476,16 +476,22 @@ def oscillator_precision(data: OscillatorBoundaryData, p: int) -> int:
     product dgamma1 dgamma0 that is not a square raises NonSquareError in
     the evaluation at every precision; P* is then only a number.
     """
-    d = _trig_domain_valuation(_phase_difference(data), p)
-    r = valuation(data.dgamma1 * data.dgamma0, p) // 2
-    need = 3 if p == 2 else 1
+    delta = data.gamma1 - data.gamma0
+    if not delta:
+        raise DegenerateIntervalError("coincident auxiliary phases")
+    d = _trig_domain_valuation(delta, p)
+
+    def v(x: Fraction) -> int:
+        return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
+
+    v1, v0 = v(data.dgamma1), v(data.dgamma0)
+    r, need = (v1 + v0) // 2, 3 if p == 2 else 1
     # a bound k on max(P, r + 1) binds P only when k > r + 1
     bounds = [d + need] + ([r + need] if need > 1 else [])
-    for c in (data.dgamma1 * data.x1**2 / 2, data.dgamma0 * data.x0**2 / 2):
-        if c:
-            bounds.append(2 * d - valuation(c, p))
-    c = data.x1 * data.x0
-    if c:
-        v = valuation(c, p)
-        bounds += [2 * d - r - v] + ([d - v] if d - v > r + 1 else [])
+    # (v(x), v(dgamma)) at each nonzero endpoint; v(dgamma x^2/2) = v(dgamma) + 2 v(x) - v(2)
+    ends = [(v(x), vg) for x, vg in ((data.x1, v1), (data.x0, v0)) if x]
+    bounds += [2 * d - vg - 2 * w + (p == 2) for w, vg in ends]
+    if len(ends) == 2:
+        w = ends[0][0] + ends[1][0]
+        bounds += [2 * d - r - w] + ([d - w] if d - w > r + 1 else [])
     return max(bounds)

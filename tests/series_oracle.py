@@ -1,19 +1,25 @@
 """Sine and cosine partial sums in Fraction arithmetic: the oracle of ``_sin_cos_sums``.
 
 The library sums each parity of the series by Horner in Z/p^M and
-returns truncations modulo p^P (``analytic._sin_cos_sums``).  This route
+returns residues modulo p^P (``analytic._sin_cos_sums``).  This route
 adds the terms x^k/k! one at a time as exact fractions, k = 0..K+1,
 with the same term count K and the same domain check, so the library's
-truncations must be the residues of these sums modulo p^P.
+residues must be those of these sums modulo p^P.
 
 ``oscillator_truncations`` rebuilds the oscillator's two truncations
 from these sums with ``from_rational`` and ``pow``-based division, the
-route the library took before it summed modulo p^M.
+route the library took before it summed modulo p^M, and
+``oscillator_form`` builds the form from them behind the guard that
+once decided when the form pins its kernel: the oracle of
+``oscillator_precision``.
 """
 
 from fractions import Fraction
 
-from padicqm import DegenerateIntervalError, PadicTruncation, PrecisionError, sqrt_p
+from padicqm import (
+    DegenerateIntervalError, PadicTruncation, PrecisionError, QuadraticActionForm,
+    oscillator_precision, sqrt_p, valuation,
+)
 from padicqm.analytic import _trig_domain_valuation, _trig_term_count
 
 
@@ -58,3 +64,36 @@ def oscillator_truncations(data, p: int, P: int):
     root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, P)
     inv_tan = divide(PadicTruncation.from_rational(1, p, P), tan_t)
     return inv_tan, divide(root_t, sin_t)
+
+
+def oscillator_form(data, p: int, P: int) -> QuadraticActionForm:
+    """The oscillator's form at precision P from the truncations above.
+
+    A PrecisionError is raised unless the truncations pin the digits of
+    gamma = -sqrt/sin that lambda reads (one above the valuation, three
+    at p = 2) and the fractional part of each chi term alpha x1^2,
+    beta x0^2 and gamma x1 x0.  Its message names ``oscillator_precision``
+    as the library's does; whether it is raised is this guard's alone.
+    """
+    try:
+        inv_tan, root_over_sin = oscillator_truncations(data, p, P)
+        need = 3 if p == 2 else 1
+        if root_over_sin.is_zero_mod or root_over_sin.precision - root_over_sin.valuation < need:
+            raise PrecisionError("lambda digits not pinned")
+        # t * c is pinned above p^0, where its fractional part lives
+        for t, c in ((inv_tan, data.dgamma1 * data.x1**2 / 2),
+                     (inv_tan, data.dgamma0 * data.x0**2 / 2),
+                     (root_over_sin, data.x1 * data.x0)):
+            if c != 0 and t.precision + valuation(c, p) < 0:
+                raise PrecisionError("precision below p^0: fractional part not pinned")
+    except PrecisionError:
+        raise PrecisionError(
+            f"precision {P} does not pin the oscillator kernel at p = {p}:"
+            f" it needs {oscillator_precision(data, p)}"
+        ) from None
+    cot = inv_tan.representative()
+    return QuadraticActionForm(
+        alpha=cot * data.dgamma1 / 2 + data.ds1 / (2 * data.s1),
+        beta=cot * data.dgamma0 / 2 - data.ds0 / (2 * data.s0),
+        gamma=-root_over_sin.representative(),
+    )

@@ -17,7 +17,10 @@ from fractions import Fraction
 
 from .characters import Phase, legendre
 from .errors import DomainError, InputError, NonSquareError, PrecisionError
-from .places import base_p_digits, integer, p_split, rational, unit_residue, valuation
+from .places import (
+    base_p_digits, integer, p_split, rational, require_prime, unit_residue, unit_split,
+    valuation,
+)
 
 
 #: moduli up to this many bits take ``pow(u, -1, p**k)``; above it Newton's
@@ -316,14 +319,18 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     digit order (smaller leading digit for odd p; second digit 0 for
     p = 2, where both roots lead with 1).
     """
-    P, v = integer(P), valuation(x, p)
-    if v == math.inf:
+    P = integer(P)
+    require_prime(p)
+    x = rational(x)
+    if not x:
         raise InputError("square root of zero is trivial; argument must be nonzero")
+    # one split gives both the valuation and the unit residue
+    v, un, ud = unit_split(x, p)
     if v % 2 != 0:
         raise NonSquareError(f"odd valuation {v}: no square root in Q_{p}")
     half_v = v // 2
     k = max(1, P - half_v)
-    _, target = unit_residue(x, p, k + 2)
+    target = un * _unit_inverse(ud, p, k + 2) % p ** (k + 2)
     if p != 2:
         u0 = target % p
         if legendre(u0, p) != 1:

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
-from .characters import Amplitude, Phase, chi, lambda_v, legendre
+from .characters import EIGHTH_PHASES, ZERO_PHASE, Amplitude, Phase, lambda_of_split, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
 from .places import (
-    Place, fractional_part, integer, norm, p_split, rational, require_place, require_prime,
-    valuation,
+    Place, fractional_residue, integer, p_split, ratio_norm, ratio_split, rational,
+    require_place, require_prime, unit_split, valuation,
 )
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
@@ -54,7 +54,8 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
     """Closed form of the full-line Gauss integral over Q_v.
 
     Requires a != 0; the degenerate linear case belongs to the ball
-    integrals below.
+    integrals below.  |2a|^{-1} and lambda_v(a) come from one split of a,
+    chi_v(-b^2/4a) from the integers -bn^2 ad / (4 an bd^2), unreduced.
     """
     require_place(place)
     a, b = rational(a), rational(b)
@@ -62,29 +63,47 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
         raise DegenerateQuadraticError(
             "quadratic coefficient is zero; use quad_char_integral_ball"
         )
-    modulus_sq = 1 / norm(2 * a, place)
-    phase = lambda_v(place, a) + chi(place, -b * b / (4 * a))
-    return Amplitude(modulus_sq, phase)
+    an, ad = a.numerator, a.denominator
+    v, u = ratio_split(an, ad, place)
+    # |2a| = (n, d) as n/d; v(2a) = v(a) + 1 at p = 2
+    n, d = ratio_norm(2 * an, ad, place, v + (place.p == 2))
+    phase = lambda_of_split(place, v, u)
+    if b:
+        bn, bd = b.numerator, b.denominator
+        # -b^2/4a over a positive denominator: the sign of an goes on the numerator
+        num = -bn * bn * ad if an > 0 else bn * bn * ad
+        den = 4 * abs(an) * bd * bd
+        # the real character exp(-2 pi i x) has phase -x, the p-adic one {x}_p
+        if place.p is None:
+            k, m = -num, den
+        else:
+            k, m = fractional_residue(num, den, place.p)
+        if k:
+            q = phase.value
+            phase = Phase(Fraction(q.numerator * m + k * q.denominator, q.denominator * m))
+    return Amplitude(Fraction(d, n), phase)
 
 
-def _residue(q: Fraction, modulus: int) -> int:
-    """Representative of a p-integral rational q modulo p**k (modulus = p**k)."""
-    return q.numerator * pow(q.denominator, -1, modulus) % modulus
+def _scaled(m: int, p: int, e: int) -> Fraction:
+    """m * p**e for integers m and e, e of either sign."""
+    return Fraction(m * p**e) if e >= 0 else Fraction(m, p**-e)
 
 
-def _square_shift(u: int, h: int, p: int, L: int) -> Phase:
-    """The phase c/p^L with c = -h^2/u mod p^L, for a p-adic unit u.
+def _square_shift(u: int, h: int, p: int, L: int, eighths: int = 0) -> Phase:
+    """The phase c/p^L + eighths/8 with c = -h^2/u mod p^L, for a p-adic unit u.
 
     With h = p^j h', c = p^(2j) c' for c' = -h'^2/u mod p^(L - 2j), so the
     phase is c'/p^(L - 2j), and 0 once 2j >= L, that is once p^ceil(L/2)
-    divides h: no product wider than p^(L - 2j) is reduced.
+    divides h: no product wider than p^(L - 2j) is reduced.  The eighths
+    are the Gauss sum's root of unity, added over the same integers.
     """
     if h % p ** ((L + 1) // 2) == 0:
-        return Phase()
+        return EIGHTH_PHASES[eighths % 8]
     j, h = p_split(h, p)
     mod = p ** (L - 2 * j)
     h %= mod
-    return Phase(Fraction(-h * h * pow(u, -1, mod) % mod, mod))
+    c = -h * h * pow(u, -1, mod) % mod
+    return Phase(Fraction(8 * c + eighths * mod, 8 * mod))
 
 
 def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
@@ -103,36 +122,36 @@ def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
     b %= mod
     if a == 0:
         if b == 0:
-            return Amplitude(Fraction(mod) ** 2, Phase())
+            return Amplitude(Fraction(mod * mod), ZERO_PHASE)
         return Amplitude.zero()
-    j, aj = p_split(a, p)
+    j, a = p_split(a, p)
+    # a = p^j a' with a' a unit: the sum is p^(2j) times the sum of
+    # a' x^2 + (b/p^j) x mod p^(L-j), and 0 unless p^j divides b
+    lift = 1
     if j > 0:
-        if b % p**j != 0:
+        q = p**j
+        if b % q != 0:
             return Amplitude.zero()
-        inner = _complete_gauss_sum(aj, b // p**j, p, L - j)
-        return Amplitude(Fraction(p) ** (2 * j), Phase()) * inner
-    # now p does not divide a
+        b //= q
+        L -= j
+        mod //= q
+        lift = q * q
     if p != 2:
-        shift = _square_shift(4 * a, b, p, L)
-        if L % 2 == 0:
-            return Amplitude(Fraction(mod), shift)
-        eps = legendre(a, p)
-        if p % 4 == 1:
-            quarter = Fraction(0) if eps == 1 else Fraction(1, 2)
-        else:
-            quarter = Fraction(1, 4) if eps == 1 else Fraction(3, 4)
-        return Amplitude(Fraction(mod), shift + Phase(quarter))
+        eighths = 0
+        if L % 2:
+            # at odd L the sum of a unit a is sqrt(p^L) times (a/p), times i at p = 3 mod 4
+            eighths = (0 if p % 4 == 1 else 2) + (0 if legendre(a, p) == 1 else 4)
+        return Amplitude(Fraction(lift * mod), _square_shift(4 * a, b, p, L, eighths))
     # p = 2, a odd
     if L == 1:
-        return Amplitude(Fraction(4), Phase()) if b % 2 == 1 else Amplitude.zero()
+        return Amplitude(Fraction(4 * lift), ZERO_PHASE) if b % 2 == 1 else Amplitude.zero()
     if b % 2 == 1:
         return Amplitude.zero()
-    shift = _square_shift(a, b // 2, p, L)
     if L % 2 == 0:
-        eighth = Fraction(1, 8) if a % 4 == 1 else Fraction(7, 8)
+        eighths = 1 if a % 4 == 1 else 7
     else:
-        eighth = Fraction(a % 8, 8)
-    return Amplitude(Fraction(2 * mod), shift + Phase(eighth))
+        eighths = a % 8
+    return Amplitude(Fraction(2 * lift * mod), _square_shift(a, b // 2, p, L, eighths))
 
 
 def minimal_resolution(p: int, alpha: Fraction, beta: Fraction, N: int) -> int:
@@ -164,26 +183,28 @@ def quad_char_integral_ball(
     turns that sum into a complete quadratic Gauss sum mod p^L, where
     p^L is the common denominator of the coset phases.  The value is
     then p^{N-L} times the complete sum -- exact for every input.
+    L and the residues of alpha p^(L-2N) and beta p^(L-N) mod p^L come
+    from one split of each coefficient.
     """
     require_prime(p)
     alpha, beta, N = rational(alpha), rational(beta), integer(N)
-    s1 = 0
-    if alpha != 0:
-        s1 = max(0, 2 * N - valuation(alpha, p))
-    s2 = 0
-    if beta != 0:
-        s2 = max(0, N - valuation(beta, p))
-    L = max(s1, s2)
+    L = 0
+    if alpha:
+        va, an, ad = unit_split(alpha, p)
+        L = max(L, 2 * N - va)
+    if beta:
+        vb, bn, bd = unit_split(beta, p)
+        L = max(L, N - vb)
     if L == 0:
         # integrand is identically 1 on the ball; value = measure = p^N
-        return Amplitude(Fraction(p) ** (2 * N), Phase())
+        return Amplitude(_scaled(1, p, 2 * N), ZERO_PHASE)
     mod = p**L
-    # L >= 2N - v(alpha) and L >= N - v(beta): both arguments are p-integral
-    a_int = _residue(alpha * Fraction(p) ** (L - 2 * N), mod) if alpha else 0
-    b_int = _residue(beta * Fraction(p) ** (L - N), mod) if beta else 0
+    # L >= 2N - v(alpha) and L >= N - v(beta): both powers of p are integral
+    a_int = an * pow(ad, -1, mod) * pow(p, va + L - 2 * N, mod) % mod if alpha else 0
+    b_int = bn * pow(bd, -1, mod) * pow(p, vb + L - N, mod) % mod if beta else 0
     g = _complete_gauss_sum(a_int, b_int, p, L)
-    scale = Amplitude(Fraction(p) ** (2 * (N - L)), Phase())
-    return scale * g
+    # the complete sum's squared modulus is an integer
+    return Amplitude(_scaled(g.modulus_sq.numerator, p, 2 * (N - L)), g.phase)
 
 
 def stabilization_threshold(p: int, alpha: Fraction, beta: Fraction) -> int:
@@ -201,6 +222,14 @@ def stabilization_threshold(p: int, alpha: Fraction, beta: Fraction) -> int:
     if beta != 0:
         candidates.append(v2 + va - valuation(beta, p))
     return max(candidates)
+
+
+def _tail(x: Fraction, p: int, e: int) -> tuple[int, int]:
+    """{x p^-e}_p as (r, p^k) with r/p^k its value, unreduced."""
+    n, d = x.numerator, x.denominator
+    if e >= 0:
+        return fractional_residue(n, d * p**e, p)
+    return fractional_residue(n * p**-e, d, p)
 
 
 @dataclass(frozen=True)
@@ -223,25 +252,29 @@ class QuadraticCharacter:
         """Angles 2 pi {x}_p at the representatives r p^(-N), r = 0 .. n_cosets - 1.
 
         For integer r, {r^2 A + r B}_p = r^2 {A}_p + r {B}_p mod 1, with
-        A = alpha p^(-2N) and B = beta p^(-N).  Two ``fractional_part``
-        calls give {A}_p = c2/m and {B}_p = c1/m over one denominator
-        m = p^L, and each coset's phase is k_r/m, k_r = c2 r^2 + c1 r: two
-        running sums, as the second difference of k_r is the constant 2 c2.
-        (k_r mod m)/m and ``float(Fraction(k_r, m))`` are the same correctly
-        rounded float, and ``cmath.exp`` of i theta is (cos theta, sin theta),
-        so cos and sin of each angle are bit for bit the character's value
-        at each representative.
+        A = alpha p^(-2N) and B = beta p^(-N).  ``fractional_residue`` on
+        the integers of A and B gives {A}_p = c2/m and {B}_p = c1/m over
+        one denominator m = p^L, and each coset's phase is k_r/m,
+        k_r = c2 r^2 + c1 r: two running sums, as the second difference of
+        k_r is the constant 2 c2.  (k_r mod m)/m and ``float(Fraction(k_r,
+        m))`` are the same correctly rounded float, reduced or not, and
+        ``cmath.exp`` of i theta is (cos theta, sin theta), so cos and sin
+        of each angle are bit for bit the character's value at each
+        representative.
         """
         if ball.prime != self.p:
             raise InputError(
                 f"ball prime {ball.prime} disagrees with the character's prime {self.p}"
             )
-        scale = Fraction(self.p) ** ball.radius_exponent
-        quad = fractional_part(self.alpha / (scale * scale), self.p)
-        lin = fractional_part(self.beta / scale, self.p)
-        m = max(quad.denominator, lin.denominator)
-        c2 = quad.numerator * (m // quad.denominator)
-        c1 = lin.numerator * (m // lin.denominator)
+        p, N = self.p, ball.radius_exponent
+        c2, m2 = _tail(self.alpha, p, 2 * N)
+        c1, m1 = _tail(self.beta, p, N)
+        m = max(m2, m1)
+        c2 *= m // m2
+        c1 *= m // m1
+        # the least common denominator keeps the running sums short
+        g = math.gcd(c2, c1, m)
+        c2, c1, m = c2 // g, c1 // g, m // g
         n = ball.n_cosets
         steps = accumulate(repeat(2 * c2, n - 2), initial=c2 + c1)
         tau = 2 * math.pi
@@ -252,7 +285,7 @@ def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticChara
     """chi_p(alpha x^2 + beta x), for feeding the Haar oracle.
 
     On a ball the oracle enumerates it over integer coset residues from
-    two ``fractional_part`` calls (``QuadraticCharacter.coset_angles``).
+    two ``fractional_residue`` calls (``QuadraticCharacter.coset_angles``).
     """
     return QuadraticCharacter(p, alpha, beta)
 

@@ -250,6 +250,16 @@ def norm(x: Fraction | int, place: Place) -> Fraction:
     return Fraction(*ratio_norm(x.numerator, x.denominator, place))
 
 
+def unit_split(x: Fraction, p: int) -> tuple[int, int, int]:
+    """Nonzero x = p**v * un/ud as (v, un, ud), p dividing neither un nor ud.
+
+    One :func:`p_split` of the numerator and one of the denominator, with no
+    input check: callers check p and x first.
+    """
+    (vn, un), (vd, ud) = p_split(x.numerator, p), p_split(x.denominator, p)
+    return vn - vd, un, ud
+
+
 def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
     """Split nonzero x as p**v * u with u a p-adic unit; returns (v, u mod p**k).
 
@@ -260,9 +270,9 @@ def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
     x = rational(x)
     if not x:
         raise ZeroExpansionError("zero has no canonical expansion")
-    (vn, un), (vd, ud) = p_split(x.numerator, p), p_split(x.denominator, p)
+    v, un, ud = unit_split(x, p)
     m = p**k
-    return vn - vd, un * pow(ud, -1, m) % m
+    return v, un * pow(ud, -1, m) % m
 
 
 def base_p_digits(r: int, p: int, count: int) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ from padicqm.gauss import _complete_gauss_sum
 from padicqm.places import fractional_part, valuation
 
 import fresnel_reference
+import gauss_oracle
 import point_oracle
 
 R = Place.real()
@@ -53,6 +54,66 @@ class TestGaussFull:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateQuadraticError):
             gauss_full(P3, 0, 1)
+
+
+def seeded_rational(rng, p):
+    """0 one time in six, else +-n/d * p^k with n, d up to 40 (p may divide them) and |k| <= 3."""
+    if rng.randrange(6) == 0:
+        return F(0)
+    return rng.choice((1, -1)) * F(rng.randint(1, 40), rng.randint(1, 40)) * F(p) ** rng.randint(-3, 3)
+
+
+class TestIntegerRoutes:
+    """The integer routes of gauss against the Fraction formulas of tests/gauss_oracle.py."""
+
+    @pytest.mark.parametrize("place", [R, *(Place.prime(p) for p in (2, 3, 5, 7, 13))], ids=str)
+    def test_gauss_full(self, place):
+        rng = random.Random(place.p or 0)
+        hits = {"a < 0": 0, "b = 0": 0, "a = 0": 0}
+        for _ in range(1500):
+            a, b = seeded_rational(rng, place.p or 3), seeded_rational(rng, place.p or 3)
+            hits["a < 0"] += a < 0
+            hits["b = 0"] += b == 0
+            if a == 0:
+                hits["a = 0"] += 1
+                for route in (gauss_full, gauss_oracle.gauss_full):
+                    with pytest.raises(DegenerateQuadraticError):
+                        route(place, a, b)
+                continue
+            assert gauss_full(place, a, b) == gauss_oracle.gauss_full(place, a, b), (a, b)
+        assert min(hits.values()) >= 100, hits
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_complete_gauss_sum_strip(self, p):
+        # the ball integral never reaches the p^(2j) strip with a nonzero sum
+        # (p | a_int forces a unit b_int), so the strip is checked here directly
+        rng = random.Random(p)
+        stripped = 0
+        for _ in range(1500):
+            L = rng.randint(0, 6)
+            j = rng.randint(0, L)
+            a = rng.randrange(1, p**L + 1) * p**j
+            b = rng.randrange(p**L + 1) * p ** rng.randint(0, L)
+            got = _complete_gauss_sum(a, b, p, L)
+            assert got == gauss_oracle.complete_gauss_sum(a, b, p, L), (a, b, L)
+            stripped += 0 < j < L and not got.is_zero
+        assert stripped >= 100
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_ball_integral(self, p):
+        rng = random.Random(p)
+        hits = {"alpha = 0": 0, "beta = 0": 0, "L = 0": 0, "N < 0": 0, "zero value": 0}
+        for _ in range(1500):
+            alpha, beta, n = seeded_rational(rng, p), seeded_rational(rng, p), rng.randint(-3, 3)
+            got = quad_char_integral_ball(p, alpha, beta, n)
+            assert got == gauss_oracle.quad_char_integral_ball(p, alpha, beta, n), (alpha, beta, n)
+            L = max([0] + [s * n - valuation(c, p) for s, c in ((2, alpha), (1, beta)) if c])
+            hits["alpha = 0"] += alpha == 0
+            hits["beta = 0"] += beta == 0
+            hits["L = 0"] += L == 0
+            hits["N < 0"] += n < 0
+            hits["zero value"] += got.is_zero
+        assert min(hits.values()) >= 100, hits
 
 
 def brute_complete_sum_mp(a, b, p, L):

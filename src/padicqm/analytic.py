@@ -48,6 +48,8 @@ class PadicTruncation:
     from zero at this precision has mantissa 0 and valuation None; the
     exact zero (:meth:`exact_zero`) is O(p^inf), precision ``math.inf``,
     which sums and products carry through like any larger precision.
+    The constructor checks nothing, which keeps ``_make`` cheap;
+    :meth:`zero_mod`, :meth:`exact_zero` and :meth:`from_rational` check p.
     """
 
     prime: int
@@ -68,11 +70,13 @@ class PadicTruncation:
     @classmethod
     def zero_mod(cls, p: int, P: int) -> PadicTruncation:
         """O(p^P), a value known to be zero modulo p^P."""
+        require_prime(p)
         return cls(p, None, 0, integer(P))
 
     @classmethod
     def exact_zero(cls, p: int) -> PadicTruncation:
         """The exact zero, O(p^inf)."""
+        require_prime(p)
         return cls(p, None, 0, math.inf)
 
     @classmethod

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .places import Place, fractional_part, is_prime, ratio_split, rational, require_place
+from .places import Place, fractional_part, is_prime, p_split, rational, require_place
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def legendre(a: int, p: int) -> int:
 
 
 def lambda_of_split(place: Place, v: int, u: int) -> Phase:
-    """lambda_v(a) from the split (v, u) of a nonzero a by :func:`ratio_split`.
+    """lambda_v(a) from the split (v, u) of a nonzero a by :func:`gauss_factor`.
 
     Real place: (1 - i*sign a)/sqrt(2), i.e. phase 7/8 for a > 0 and 1/8
     for a < 0.  Odd p: dispatch on the parity of v and p mod 4 via the
@@ -187,15 +187,35 @@ def lambda_of_split(place: Place, v: int, u: int) -> Phase:
     return EIGHTH_PHASES[k]
 
 
+def gauss_factor(place: Place, n: int, d: int) -> tuple[tuple[int, int], Phase]:
+    """The Gauss integral's factor at a = n/d: |2a|_v^-1 as an integer pair, and lambda_v(a).
+
+    For nonzero integers n and d, n/d unreduced: one :func:`p_split` of each
+    at p, the sign of n/d at infinity.  The pair (x, y) has x/y = |2a|_v^-1,
+    unreduced at infinity.  At p, n/d = p**v * un/ud, and lambda reads
+    u = un * ud: not the unit un/ud, but with its Legendre symbol at odd p
+    and its residue mod 8 at p = 2, as (ud/p)**2 = 1 and ud**2 = 1 (mod 8).
+    """
+    p = place.p
+    if p is None:
+        return (abs(d), 2 * abs(n)), lambda_of_split(place, 0, 1 if (n > 0) == (d > 0) else -1)
+    (vn, un), (vd, ud) = p_split(n, p), p_split(d, p)
+    v = vn - vd
+    # |2a|^-1 = p**v(2a), and v(2a) = v + 1 at p = 2
+    w = v + (p == 2)
+    inverse_norm = (p**w, 1) if w >= 0 else (1, p**-w)
+    return inverse_norm, lambda_of_split(place, v, un * ud)
+
+
 def lambda_v(place: Place, a: Fraction | int) -> Phase:
     """The arithmetic eighth-root-of-unity factor of the Gauss integral.
 
-    :func:`lambda_of_split` of the split of ``a.numerator`` and
-    ``a.denominator`` at the place.  Rejects a = 0, as the factor is
-    defined only for nonzero arguments: InputError.
+    The phase of :func:`gauss_factor` at a's numerator and denominator.
+    Rejects a = 0, as the factor is defined only for nonzero arguments:
+    InputError.
     """
     require_place(place)
     a = rational(a)
     if not a:
         raise InputError("lambda factor undefined at zero")
-    return lambda_of_split(place, *ratio_split(a.numerator, a.denominator, place))
+    return gauss_factor(place, a.numerator, a.denominator)[1]

@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .characters import Amplitude, lambda_v
+from .characters import Amplitude
 from .dynamics import action_form_constant_field
 from .errors import OutputLimitError, PadicqmError
 from .gauss import gauss_full, quad_char_integral_ball, stabilization_threshold
@@ -201,23 +201,16 @@ def _check_ball_phase(p: int, alpha: Fraction, beta: Fraction, N: int) -> None:
     """OutputLimitError where the ball integral's phase is too long to write.
 
     From N = ``stabilization_threshold`` on, the integral is the full one,
-    lambda_p(alpha) |2 alpha|_p^(-1/2) chi_p(-beta^2/4 alpha).  For
-    e = v(4 alpha) - 2 v(beta) > 0, the denominator of -beta^2/4 alpha is
-    p^e.  At odd p the phase denominator is p^e times that of lambda_p(alpha),
-    1, 2 or 4; at p = 2 with e > 3 it is 2^e, as lambda_2 adds only eighths.
-    Any other phase denominator is at most 8.  The phase n/d has n < d, so
-    it is too long to write exactly when d >= 10^limit.
+    whose phase n/d ``gauss_full`` gives.  n < d, so the phase is too long
+    to write exactly when d >= 10^limit; the message names p^v_p(d).
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not (limit and alpha and beta):
+    if not (limit and alpha) or N < stabilization_threshold(p, alpha, beta):
         return
-    e = valuation(4 * alpha, p) - 2 * valuation(beta, p)
-    if e > (3 if p == 2 else 0) and N >= stabilization_threshold(p, alpha, beta):
-        lam = 1 if p == 2 else lambda_v(Place.prime(p), alpha).value.denominator
-        if p**e * lam >= 10**limit:
-            raise OutputLimitError(
-                f"the phase denominator is a multiple of {p}^{e}, more than {limit} digits"
-            )
+    d = gauss_full(Place.prime(p), alpha, beta).phase.value.denominator
+    if d >= 10**limit:
+        raise OutputLimitError(f"the phase denominator is a multiple of {p}^{valuation(d, p)},"
+                               f" more than {limit} digits")
 
 
 def _cmd_ball_integral(args) -> int:

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
-from .characters import EIGHTH_PHASES, ZERO_PHASE, Amplitude, Phase, lambda_of_split, legendre
+from .characters import EIGHTH_PHASES, ZERO_PHASE, Amplitude, Phase, gauss_factor, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
 from .places import (
-    Place, fractional_residue, integer, p_split, ratio_norm, ratio_split, rational,
-    require_place, require_prime, unit_split, valuation,
+    Place, fractional_residue, integer, p_split, rational, require_place, require_prime,
+    unit_split,
 )
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
@@ -54,8 +54,10 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
     """Closed form of the full-line Gauss integral over Q_v.
 
     Requires a != 0; the degenerate linear case belongs to the ball
-    integrals below.  |2a|^{-1} and lambda_v(a) come from one split of a,
-    chi_v(-b^2/4a) from the integers -bn^2 ad / (4 an bd^2), unreduced.
+    integrals below.  |2a|^{-1} and lambda_v(a) come from
+    :func:`~padicqm.characters.gauss_factor` on a's numerator and
+    denominator, chi_v(-b^2/4a) from the integers -bn^2 ad / (4 an bd^2),
+    unreduced.
     """
     require_place(place)
     a, b = rational(a), rational(b)
@@ -64,10 +66,7 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
             "quadratic coefficient is zero; use quad_char_integral_ball"
         )
     an, ad = a.numerator, a.denominator
-    v, u = ratio_split(an, ad, place)
-    # |2a| = (n, d) as n/d; v(2a) = v(a) + 1 at p = 2
-    n, d = ratio_norm(2 * an, ad, place, v + (place.p == 2))
-    phase = lambda_of_split(place, v, u)
+    (mn, md), phase = gauss_factor(place, an, ad)
     if b:
         bn, bd = b.numerator, b.denominator
         # -b^2/4a over a positive denominator: the sign of an goes on the numerator
@@ -81,7 +80,7 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
         if k:
             q = phase.value
             phase = Phase(Fraction(q.numerator * m + k * q.denominator, q.denominator * m))
-    return Amplitude(Fraction(d, n), phase)
+    return Amplitude(Fraction(mn, md), phase)
 
 
 def _scaled(m: int, p: int, e: int) -> Fraction:
@@ -89,7 +88,7 @@ def _scaled(m: int, p: int, e: int) -> Fraction:
     return Fraction(m * p**e) if e >= 0 else Fraction(m, p**-e)
 
 
-def _square_shift(u: int, h: int, p: int, L: int, eighths: int = 0) -> Phase:
+def _square_shift(u: int, h: int, p: int, L: int, eighths: int) -> Phase:
     """The phase c/p^L + eighths/8 with c = -h^2/u mod p^L, for a p-adic unit u.
 
     With h = p^j h', c = p^(2j) c' for c' = -h'^2/u mod p^(L - 2j), so the
@@ -165,11 +164,11 @@ def minimal_resolution(p: int, alpha: Fraction, beta: Fraction, N: int) -> int:
     v2 = 1 if p == 2 else 0
     bounds = [-N]
     if alpha != 0:
-        va = valuation(alpha, p)
+        va = unit_split(alpha, p)[0]
         bounds.append(math.ceil(-va / 2))
         bounds.append(N - v2 - va)
     if beta != 0:
-        bounds.append(-valuation(beta, p))
+        bounds.append(-unit_split(beta, p)[0])
     return max(bounds)
 
 
@@ -213,14 +212,15 @@ def stabilization_threshold(p: int, alpha: Fraction, beta: Fraction) -> int:
     Sufficient bound: the ball must contain the critical point -beta/2alpha
     and the concentration scale |2 alpha|^{-1/2}.
     """
+    require_prime(p)
     alpha, beta = rational(alpha), rational(beta)
     if alpha == 0:
         raise DegenerateQuadraticError("threshold defined for quadratic phases only")
     v2 = 1 if p == 2 else 0
-    va = valuation(alpha, p)
+    va = unit_split(alpha, p)[0]
     candidates = [math.ceil((v2 + va + 1) / 2)]
     if beta != 0:
-        candidates.append(v2 + va - valuation(beta, p))
+        candidates.append(v2 + va - unit_split(beta, p)[0])
     return max(candidates)
 
 
@@ -245,6 +245,7 @@ class QuadraticCharacter:
     beta: Fraction
 
     def __post_init__(self):
+        require_prime(self.p)
         object.__setattr__(self, "alpha", rational(self.alpha))
         object.__setattr__(self, "beta", rational(self.beta))
 
@@ -298,6 +299,7 @@ def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
     and the sines are each summed by ``math.fsum``, correctly rounded and
     so independent of the enumeration order.
     """
+    require_prime(p)
     if ball.prime != p:
         raise InputError("ball prime disagrees with p")
     if ball.n_cosets > COSET_CAP:

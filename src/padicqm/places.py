@@ -210,44 +210,17 @@ def valuation(x: Fraction | int, p: int) -> int | float:
     return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
 
 
-def ratio_split(n: int, d: int, place: Place) -> tuple[int, int]:
-    """Split n/d at the place as (v, u), for nonzero integers n and d.
-
-    At p, n/d = p**v * un/ud with p dividing neither un nor ud, and
-    u = un * ud.  u is not the unit un/ud, but it has the unit's Legendre
-    symbol at odd p and its residue mod 8 at p = 2, as (ud/p)**2 = 1 and
-    ud**2 = 1 (mod 8) -- all that lambda reads of a unit.  At infinity
-    the split is (0, the sign of n/d).  n/d need not be reduced.
-    """
-    p = place.p
-    if p is None:
-        return 0, 1 if (n > 0) == (d > 0) else -1
-    (vn, un), (vd, ud) = p_split(n, p), p_split(d, p)
-    return vn - vd, un * ud
-
-
-def ratio_norm(n: int, d: int, place: Place, v: int | None = None) -> tuple[int, int]:
-    """|n/d| at the place as (a, b) with a/b the norm, for nonzero integers n, d.
-
-    n/d need not be reduced.  At infinity (a, b) is (|n|, |d|), unreduced
-    too; at p it is (1, p**v) or (p**-v, 1) with v the valuation of
-    :func:`ratio_split`, which a caller already holding it passes as v.
-    """
-    p = place.p
-    if p is None:
-        return abs(n), abs(d)
-    if v is None:
-        v = ratio_split(n, d, place)[0]
-    return (1, p**v) if v >= 0 else (p**-v, 1)
-
-
 def norm(x: Fraction | int, place: Place) -> Fraction:
     """Exact norm of x at the given place: |x| or p**(-v_p(x)); 0 at x = 0."""
     require_place(place)
     x = rational(x)
     if x == 0:
         return Fraction(0)
-    return Fraction(*ratio_norm(x.numerator, x.denominator, place))
+    p = place.p
+    if p is None:
+        return abs(x)
+    v = unit_split(x, p)[0]
+    return Fraction(1, p**v) if v >= 0 else Fraction(p**-v)
 
 
 def unit_split(x: Fraction, p: int) -> tuple[int, int, int]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .analytic import _sin_cos_sums, _trig_domain_valuation, _unit_inverse, sqrt_p
-from .characters import Amplitude, Phase, chi, lambda_of_split, lambda_v, phase_sum
+from .characters import Amplitude, Phase, chi, gauss_factor, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
     DegenerateFormError,
@@ -31,10 +31,7 @@ from .errors import (
     PrecisionError,
 )
 from .gauss import quad_char_integral_ball
-from .places import (
-    Place, integer, norm, p_split, ratio_norm, ratio_split, rational, require_place,
-    valuation,
-)
+from .places import Place, integer, norm, p_split, rational, require_place, unit_split, valuation
 
 
 @dataclass(frozen=True)
@@ -86,18 +83,19 @@ class SymbolicKernel:
     def from_form(cls, place: Place, form: QuadraticActionForm) -> SymbolicKernel:
         """The kernel lambda_v(-2 gamma) |gamma|_v^{1/2} chi_v(-S(x1, x0)).
 
-        gamma is the mixed partial of the form; the expression is the
-        same at every place.
+        gamma = g/den is the mixed partial of the form; the expression is
+        the same at every place.  The prefactor is the Gauss factor
+        lambda_v(a) |2a|_v^{-1/2} of :func:`~padicqm.characters.gauss_factor`
+        at a = -1/(2 gamma) = -den/(2g): a = -2 gamma/(2 gamma)^2, so
+        lambda_v(a) = lambda_v(-2 gamma) by square absorption, and
+        |2a|_v^{-1} = |gamma|_v.
         """
         require_place(place)
         g, den = form.nums[2], form.den
         if not g:
             raise DegenerateFormError("mixed partial of the action form vanishes")
-        v, u = ratio_split(g, den, place)
-        # -2 gamma splits as (v, -2u), and as (v + 1, -u) at p = 2
-        lam = (lambda_of_split(place, v + 1, -u) if place.p == 2
-               else lambda_of_split(place, v, -2 * u))
-        return cls(place, Amplitude(Fraction(*ratio_norm(g, den, place, v)), lam), form)
+        (mn, md), lam = gauss_factor(place, -den, 2 * g)
+        return cls(place, Amplitude(Fraction(mn, md), lam), form)
 
     def evaluate(self, q0: Fraction | int, q1: Fraction | int) -> Amplitude:
         """Amplitude for propagation from q0 to q1: the 1 x 1 :meth:`phase_grid`."""
@@ -171,7 +169,10 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
     The x-dependence of the combined phase is quadratic, so the Gauss
     closed form applies; the result is again a symbolic kernel, with the
     lambda factors collapsing by the lambda product identities.  The
-    forms are combined on their integer numerators and reduced once.
+    forms are combined on their integer numerators and reduced once, and
+    the Gauss factor lambda_v(A) |2A|_v^{-1/2} at the x^2 coefficient
+    A = -n/(D1 D2) is :func:`~padicqm.characters.gauss_factor` at
+    (-n, D1 D2).
     """
     if k2.place != k1.place:
         raise InputError("kernels live at different places")
@@ -198,17 +199,13 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
             -m * m + n4 * (z2 * D1 + z1 * D2),
         ),
     )
-    # Gauss integral over x contributes lambda(A) |2A|^{-1/2} chi(-B^2/4A).
-    # One split of n/D gives both: A = -n/D splits as (v, -u), and
-    # |2A| = an/ad has valuation v, or v + 1 at p = 2.  The squared moduli
-    # of the steps and |2A|^{-1} multiply into one Fraction.
-    v, u = ratio_split(n, D, place)
-    an, ad = ratio_norm(2 * n, D, place, v + 1 if place.p == 2 else v)
+    # the squared moduli of the steps and |2A|^{-1} multiply into one Fraction
+    (mn, md), lam = gauss_factor(place, -n, D)
     p2, p1 = k2.prefactor, k1.prefactor
     m2, m1 = p2.modulus_sq, p1.modulus_sq
     prefactor = Amplitude(
-        Fraction(m2.numerator * m1.numerator * ad, m2.denominator * m1.denominator * an),
-        phase_sum(p2.phase, p1.phase, lambda_of_split(place, v, -u)),
+        Fraction(m2.numerator * m1.numerator * mn, m2.denominator * m1.denominator * md),
+        phase_sum(p2.phase, p1.phase, lam),
     )
     return SymbolicKernel(place, prefactor, form)
 
@@ -482,7 +479,7 @@ def oscillator_precision(data: OscillatorBoundaryData, p: int) -> int:
     d = _trig_domain_valuation(delta, p)
 
     def v(x: Fraction) -> int:
-        return p_split(x.numerator, p)[0] - p_split(x.denominator, p)[0]
+        return unit_split(x, p)[0]
 
     v1, v0 = v(data.dgamma1), v(data.dgamma0)
     r, need = (v1 + v0) // 2, 3 if p == 2 else 1

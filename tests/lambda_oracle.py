@@ -2,7 +2,7 @@
 
 The library reads lambda_v(a) off one integer split of a's numerator and
 denominator, whose unit u = un * ud is not reduced to a residue
-(``characters.lambda_of_split`` of ``places.ratio_split``).  This route
+(``characters.lambda_of_split`` in ``characters.gauss_factor``).  This route
 works on the rational instead: a = p**v * u with the unit u reduced mod p
 (odd p) or mod 8 (p = 2) by ``digit_oracle.unit_residue``, which takes a
 modular inverse of the unit's denominator.

@@ -20,6 +20,7 @@ import pytest
 import padicqm
 from padicqm import (
     Amplitude,
+    BallSpec,
     InputError,
     OscillatorBoundaryData,
     PadicqmError,
@@ -31,6 +32,7 @@ from padicqm import (
     SymbolicKernel,
     overlap_vanishing_threshold,
     quad_char_integral_ball,
+    quadratic_char_fn,
 )
 
 BENCHMARK_NAMES = {
@@ -313,4 +315,50 @@ def test_a_place_that_is_not_a_place_raises_input_error(fn, name, param):
     fn(**kwargs)
     for bad in (3, "3", None):
         with pytest.raises(InputError, match=f"^not a place: {bad!r}$"):
+            fn(**{**kwargs, param: bad})
+
+
+#: valid arguments of the callables with a prime parameter
+PRIME_ARGUMENTS = {
+    **PLACE_ARGUMENTS,
+    "DigitExpansion": dict(valuation=0, digits=(1,), prime=3),
+    "PadicTruncation.exact_zero": dict(p=3),
+    "Place": dict(p=3),
+    "Place.prime": dict(p=3),
+    "haar_oracle": dict(p=3, f=quadratic_char_fn(3, 1, 0), ball=BallSpec(3, 1, 1)),
+    "legendre": dict(a=2, p=3),
+    "oscillator_precision": dict(data=OSC_DATA, p=3),
+}
+#: the raw PadicTruncation constructor checks nothing, so that ``_make``,
+#: behind every arithmetic result, stays cheap; its factories check p
+PRIME_EXEMPT = {"PadicTruncation"}
+PRIME_PARAMETERS = [(fn, name, param.name)
+                    for name, fn in _public_callables() if name not in PRIME_EXEMPT
+                    for param in inspect.signature(fn).parameters.values()
+                    if param.name in ("p", "prime")]
+
+
+def test_the_signature_scan_finds_the_prime_parameters():
+    assert sorted(f"{name}-{param}" for _, name, param in PRIME_PARAMETERS) == [
+        "BallSpec-prime", "DigitExpansion-prime", "PadicTruncation.exact_zero-p",
+        "PadicTruncation.from_rational-p", "PadicTruncation.zero_mod-p", "Place-p",
+        "Place.prime-p", "QuadraticCharacter-p", "cos_p-p", "digits-p",
+        "fractional_part-p", "haar_oracle-p", "legendre-p", "minimal_resolution-p",
+        "oscillator_action_form-p", "oscillator_precision-p", "overlap_ball_integral-p",
+        "overlap_vanishing_threshold-p", "quad_char_integral_ball-p", "quadratic_char_fn-p",
+        "sin_p-p", "sqrt_p-p", "stabilization_threshold-p", "tan_p-p", "valuation-p",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, name, param", PRIME_PARAMETERS,
+    ids=[f"{name}-{param}" for _, name, param in PRIME_PARAMETERS],
+)
+def test_a_p_that_is_not_a_prime_raises_input_error(fn, name, param):
+    # a composite, 1 and a float equal to a prime are no primes; 3.0 == 3
+    # would otherwise reach integer arithmetic as a float
+    kwargs = PRIME_ARGUMENTS[name]
+    fn(**kwargs)
+    for bad in (4, 1, 3.0):
+        with pytest.raises(InputError, match="prime"):
             fn(**{**kwargs, param: bad})

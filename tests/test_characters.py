@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicqm import Amplitude, InputError, Phase, Place, chi, lambda_v, legendre
-from padicqm.characters import lambda_of_split
-from padicqm.places import is_prime, ratio_split
+from padicqm.characters import gauss_factor
+from padicqm.places import is_prime
 
 import lambda_oracle
 
@@ -112,7 +112,7 @@ class TestLambda:
         place = R if pidx is None else Place.prime(pidx)
         k = c * (pidx or 1) ** j
         want = lambda_oracle.lambda_v(place, F(n, d))
-        assert lambda_of_split(place, *ratio_split(n * k, d * k, place)) == want
+        assert gauss_factor(place, n * k, d * k)[1] == want
         assert lambda_v(place, F(n, d)) == want
 
     def test_every_two_adic_residue_matches_oracle(self):
@@ -123,7 +123,7 @@ class TestLambda:
                     a = F(num, den) * F(2) ** v
                     want = lambda_oracle.lambda_v(P2, a)
                     n, d = num * 2 ** max(v, 0) * 6, den * 2 ** max(-v, 0) * 6
-                    assert lambda_of_split(P2, *ratio_split(n, d, P2)) == want
+                    assert gauss_factor(P2, n, d)[1] == want
                     assert lambda_v(P2, a) == want
 
 

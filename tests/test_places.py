@@ -18,18 +18,18 @@ from padicqm import (
     norm,
     valuation,
 )
+from padicqm.characters import gauss_factor
 from padicqm.cli import _rational
 from padicqm.places import (
     is_prime,
     p_split,
-    ratio_norm,
-    ratio_split,
     rational,
     require_prime,
     unit_residue,
 )
 
 import digit_oracle
+import lambda_oracle
 
 PRIMES = [2, 3, 5, 7, 13]
 
@@ -99,35 +99,27 @@ class TestNorm:
 
     @settings(max_examples=200)
     @given(n=st.integers(-500, 500).filter(bool), d=st.integers(-500, 500).filter(bool),
-           p=st.sampled_from([None, 2, 3, 5, 7]))
-    def test_ratio_norm_of_unreduced_integers(self, n, d, p):
-        # n/d need not be reduced; at p a common power of p leaves the pair as it is
+           c=st.integers(1, 30), j=st.integers(0, 3), p=st.sampled_from([None, 2, 3, 5, 7]))
+    def test_gauss_factor_modulus_of_unreduced_integers(self, n, d, c, j, p):
+        # |2a|^-1 at a = n/d; a common factor c p^j of n and d and a negative
+        # denominator leave it as it is, and at p a common p^3 leaves the pair
         place = Place(p)
-        a, b = ratio_norm(n, d, place)
-        assert a > 0 and b > 0 and F(a, b) == norm(F(n, d), place)
+        k = c * (p or 1) ** j
+        (x, y), _ = gauss_factor(place, n * k, d * k)
+        assert x > 0 and y > 0 and F(x, y) == 1 / norm(2 * F(n, d), place)
         if p is not None:
-            assert F(a, b) == F(p) ** -valuation(F(n, d), p)
-            assert ratio_norm(n * p**3, d * p**3, place) == (a, b)
+            assert F(x, y) == F(p) ** valuation(2 * F(n, d), p)
+            assert gauss_factor(place, n * p**3, d * p**3)[0] == (x, y)
 
     @settings(max_examples=200)
     @given(n=st.integers(-500, 500).filter(bool), d=st.integers(-500, 500).filter(bool),
-           c=st.integers(1, 30), p=st.sampled_from([None, 2, 3, 5, 7]))
-    def test_ratio_split_of_unreduced_integers(self, n, d, c, p):
-        # (v, u): v the valuation of n/d, and u = un ud a unit with the
-        # residue class of un/ud that lambda reads: mod 8 at 2, its square class at odd p
+           c=st.integers(1, 30), j=st.integers(0, 3), p=st.sampled_from([None, 2, 3, 5, 7]))
+    def test_gauss_factor_lambda_of_unreduced_integers(self, n, d, c, j, p):
+        # lambda_v(n/d) from the split of the unreduced pair, against the
+        # oracle's route through the reduced unit residue
         place = Place(p)
-        v, u = ratio_split(n * c, d * c, place)
-        x = F(n, d)
-        if p is None:
-            assert (v, u) == (0, 1 if x > 0 else -1)
-            return
-        assert v == valuation(x, p) and u % p
-        r = digit_oracle.unit_residue(x, p, 3 if p == 2 else 1)[1]
-        if p == 2:
-            assert u % 8 == r
-        else:
-            assert pow(u * r, (p - 1) // 2, p) == 1
-        assert ratio_norm(n, d, place, v) == ratio_norm(n, d, place)
+        k = c * (p or 1) ** j
+        assert gauss_factor(place, n * k, d * k)[1] == lambda_oracle.lambda_v(place, F(n, d))
 
     @settings(max_examples=200)
     @given(x=padic_rationals(3), y=padic_rationals(3))

@@ -16,7 +16,7 @@ from padicqm import (
     valuation,
     verify,
 )
-from padicqm.characters import lambda_of_split
+from padicqm.characters import gauss_factor
 from padicqm.cli import main
 from padicqm.verify import CHECKS
 
@@ -53,14 +53,15 @@ def test_padic_checks_skip_the_real_place(name):
 def _compose_with_lambda_of_minus_a():
     """compose_kernels taking lambda_v(-A) for the Gauss factor, not lambda_v(A).
 
-    compose_kernels reads lambda off the split (v, u) of A; -A splits as (v, -u).
+    compose_kernels reads the factor off gauss_factor at A = n/d; -A is -n/d,
+    with the same |2A|.
     """
     compose = propagators.compose_kernels
 
     def mutated(k2, k1):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(propagators, "lambda_of_split",
-                       lambda place, v, u: lambda_of_split(place, v, -u))
+            mp.setattr(propagators, "gauss_factor",
+                       lambda place, n, d: gauss_factor(place, -n, d))
             return compose(k2, k1)
 
     return mutated

@@ -5,7 +5,7 @@ The same closed form
 evaluates at the real place and at every prime, with all arithmetic
 exact.  Ball-restricted p-adic integrals stabilize to it once the ball
 swallows the critical point, and an independent numerical oracle (Haar
-coset enumeration) confirms the values.  At the real place the value is
+cosets counted exactly by phase) confirms the values.  At the real place the value is
 the Fresnel integral; for a = 1, b = 0 it is (1 - i)/2.
 """
 
@@ -40,12 +40,12 @@ def main():
         marker = "  <- equals the full integral" if ball == full else ""
         print(f"  |x| <= 3^{n}: |.|^2 = {ball.modulus_sq}, phase = {ball.phase}{marker}")
 
-    print("\n=== Haar-measure oracle agrees (float coset enumeration) ===")
+    print("\n=== Haar-measure oracle agrees (exact coset counts, then a few cosines) ===")
     m = minimal_resolution(p, a, b, n0)
     approx = haar_oracle(p, quadratic_char_fn(p, a, b), BallSpec(p, n0, m))
     exact = complex(*full.render())
-    print(f"  enumerated {p**(n0+m)} cosets: {approx:.12f}")
-    print(f"  closed form:                   {exact:.12f}")
+    print(f"  counted {p**(n0+m)} cosets: {approx:.12f}")
+    print(f"  closed form:                {exact:.12f}")
     print(f"  |difference| = {abs(approx - exact):.2e}")
 
 

@@ -7,8 +7,9 @@ The closed form of the quadratic character integral over a completion,
 is evaluated exactly.  Its ball-restricted p-adic version reduces to
 complete quadratic Gauss sums modulo p^L, also evaluated exactly.  A
 numerical oracle checks both over p-adic balls: a Haar-measure coset
-enumeration.  At the real place the tests check the closed form against
-a quadrature and against the principal-root formula.
+sum, counted in integers and rounded only at the end.  At the real
+place the tests check the closed form against a quadrature and against
+the principal-root formula.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, islice, repeat
+from operator import sub
 
 from .characters import EIGHTH_PHASES, ZERO_PHASE, Amplitude, Phase, gauss_factor, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
@@ -154,10 +156,13 @@ def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
 
 
 def minimal_resolution(p: int, alpha: Fraction, beta: Fraction, N: int) -> int:
-    """Smallest M making chi_p(alpha x^2 + beta x) constant on cosets.
+    """A resolution M at which chi_p(alpha x^2 + beta x) is constant on cosets.
 
-    Constancy on x + p^M Z_p for every |x|_p <= p^N requires
-    |2 alpha x + beta|_p <= p^M over the ball and |alpha|_p <= p^{2M}.
+    Sufficient: chi_p is constant on x + p^M Z_p for every |x|_p <= p^N
+    once |2 alpha x + beta|_p <= p^M over the ball and |alpha|_p <= p^{2M}.
+    At odd p it is also the least such M >= -N.  At p = 2 it can be one
+    more than needed, as y^2 = y mod 2 lets the halves of the two terms
+    cancel: chi_2(x^2/2 + x/14) is 1 on all of Z_2, yet M = 1 at N = 0.
     """
     require_prime(p)
     alpha, beta, N = rational(alpha), rational(beta), integer(N)
@@ -234,10 +239,10 @@ def _tail(x: Fraction, p: int, e: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QuadraticCharacter:
-    """The integrand chi_p(alpha x^2 + beta x), enumerated over a ball's cosets.
+    """The integrand chi_p(alpha x^2 + beta x), counted over a ball's cosets.
 
-    ``coset_angles`` works on integer coset indices, which is all the Haar
-    oracle reads.
+    ``coset_counts`` works on integer coset indices and returns exact
+    integers, which is all the Haar oracle reads.
     """
 
     p: int
@@ -249,19 +254,21 @@ class QuadraticCharacter:
         object.__setattr__(self, "alpha", rational(self.alpha))
         object.__setattr__(self, "beta", rational(self.beta))
 
-    def coset_angles(self, ball: BallSpec) -> list[float]:
-        """Angles 2 pi {x}_p at the representatives r p^(-N), r = 0 .. n_cosets - 1.
+    def coset_counts(self, ball: BallSpec) -> tuple[list[int], int]:
+        """How many representatives r p^(-N), r = 0 .. n_cosets - 1, have phase j/m, per j.
 
         For integer r, {r^2 A + r B}_p = r^2 {A}_p + r {B}_p mod 1, with
         A = alpha p^(-2N) and B = beta p^(-N).  ``fractional_residue`` on
         the integers of A and B gives {A}_p = c2/m and {B}_p = c1/m over
-        one denominator m = p^L, and each coset's phase is k_r/m,
+        one denominator m = p^L, L >= 1, and each coset's phase is k_r/m,
         k_r = c2 r^2 + c1 r: two running sums, as the second difference of
-        k_r is the constant 2 c2.  (k_r mod m)/m and ``float(Fraction(k_r,
-        m))`` are the same correctly rounded float, reduced or not, and
-        ``cmath.exp`` of i theta is (cos theta, sin theta), so cos and sin
-        of each angle are bit for bit the character's value at each
-        representative.
+        k_r is the constant 2 c2.  Returns the list of the m counts and m.
+
+        With n = n_cosets, k_(r+nt) - k_r = (2 c2 r n + c1 n) t + c2 n^2 t^2,
+        so chi is constant on every coset exactly when 2 c2 n = 0 and
+        (c1 + c2 n) n = 0 mod m.  Otherwise the coset sum is not the Haar
+        integral, and ``InputError`` is raised before the counts are
+        allocated; when it holds, m <= max(p, 2 n).
         """
         if ball.prime != self.p:
             raise InputError(
@@ -273,38 +280,57 @@ class QuadraticCharacter:
         m = max(m2, m1)
         c2 *= m // m2
         c1 *= m // m1
-        # the least common denominator keeps the running sums short
+        # the least common denominator keeps the running sums and the counts short
         g = math.gcd(c2, c1, m)
         c2, c1, m = c2 // g, c1 // g, m // g
+        if m == 1:
+            # c2 = c1 = 0: the power-basis reduction of haar_oracle needs p | m
+            m = p
         n = ball.n_cosets
+        if 2 * c2 * n % m or (c1 + c2 * n) * n % m:
+            raise InputError(
+                f"chi_{p}({self.alpha} x^2 + {self.beta} x) varies on the cosets of "
+                f"{p}^{ball.resolution_exponent} Z_{p}: its coset sum is no Haar integral"
+            )
+        counts = [0] * m
         steps = accumulate(repeat(2 * c2, n - 2), initial=c2 + c1)
-        tau = 2 * math.pi
-        return [tau * (k % m / m) for k in islice(accumulate(steps, initial=0), n)]
+        for k in islice(accumulate(steps, initial=0), n):
+            counts[k % m] += 1
+        return counts, m
 
 
 def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticCharacter:
     """chi_p(alpha x^2 + beta x), for feeding the Haar oracle.
 
-    On a ball the oracle enumerates it over integer coset residues from
-    two ``fractional_residue`` calls (``QuadraticCharacter.coset_angles``).
+    On a ball the oracle counts it over integer coset residues from
+    two ``fractional_residue`` calls (``QuadraticCharacter.coset_counts``).
     """
     return QuadraticCharacter(p, alpha, beta)
 
 
 def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
-    """Numerical Haar integral of the character f over the ball by coset enumeration.
+    """Numerical Haar integral of the character f over the ball by coset counting.
 
-    Takes the angle of each coset from integer residues (``coset_angles``)
-    and weights by the coset measure p^{-M}.  Deterministic: the cosines
-    and the sines are each summed by ``math.fsum``, correctly rounded and
-    so independent of the enumeration order.
+    ``coset_counts`` gives the number c_j of cosets with phase j/m, so the
+    coset sum is sum_j c_j zeta_m^j in Z[zeta_m], m = p^L.  As
+    sum_t zeta_m^(j + t m/p) = 0, its coordinate j < m - m/p in the power
+    basis is the integer c_j - c_((p-1) m/p + j mod m/p).  Only the
+    nonzero coordinates are rounded: each times the cosine and the sine of
+    2 pi j/m, summed by ``math.fsum`` and weighted by the coset measure
+    p^{-M}.  Raises ``InputError`` unless f is constant on the cosets.
     """
     require_prime(p)
     if ball.prime != p:
         raise InputError("ball prime disagrees with p")
     if ball.n_cosets > COSET_CAP:
         raise OracleCapError(f"{ball.n_cosets} cosets exceed the cap of {COSET_CAP}")
-    angles = f.coset_angles(ball)
-    re, im = map(math.cos, angles), map(math.sin, angles)
+    counts, m = f.coset_counts(ball)
+    w = m - m // p
+    coords = list(map(sub, counts, counts[w:] * (p - 1)))
+    tau = 2 * math.pi
+    re, im = [], []
+    for j in compress(range(w), coords):
+        angle = tau * (j / m)
+        re.append(coords[j] * math.cos(angle))
+        im.append(coords[j] * math.sin(angle))
     return complex(math.fsum(re), math.fsum(im)) * float(p) ** (-ball.resolution_exponent)
-

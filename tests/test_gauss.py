@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from padicqm import (
     BallSpec,
     DegenerateQuadraticError,
+    InputError,
     OracleCapError,
     Place,
     QuadraticCharacter,
@@ -23,7 +25,8 @@ from padicqm import (
 from padicqm import gauss
 from padicqm.characters import Amplitude, Phase
 from padicqm.gauss import _complete_gauss_sum
-from padicqm.places import fractional_part, valuation
+from padicqm.places import valuation
+from padicqm.verify import HAAR_TOLERANCE
 
 import fresnel_reference
 import gauss_oracle
@@ -279,10 +282,26 @@ def criterion_1_cells():
 
 
 def assert_routes_agree(f, ball):
-    """Integer-residue route == per-point route, value by value and in total."""
-    per_point = point_oracle.values(f, ball)
-    assert [complex(math.cos(t), math.sin(t)) for t in f.coset_angles(ball)] == per_point
-    assert haar_oracle(ball.prime, f, ball) == point_oracle.haar_integral(f, ball)
+    """Integer counts == the per-point phases counted, and the two Haar sums agree.
+
+    Where ``coset_counts`` refuses the ball, ``haar_oracle`` must refuse it
+    too, and a brute-force check must find a coset on which f varies.
+    Returns whether the ball was counted.
+    """
+    p, N = ball.prime, ball.radius_exponent
+    try:
+        counts, m = f.coset_counts(ball)
+    except InputError:
+        assert point_oracle.varies_on_a_coset(f, ball)
+        with pytest.raises(InputError):
+            haar_oracle(p, f, ball)
+        return False
+    qs = point_oracle.phases(f, ball)
+    assert len(counts) == m
+    assert Counter(q * m for q in qs) == {j: c for j, c in enumerate(counts) if c}
+    # only a few power-basis coordinates are rounded, against every coset per point
+    assert abs(haar_oracle(p, f, ball) - point_oracle.haar_sum(qs, ball)) <= 1e-13 * p**N
+    return True
 
 
 def coefficients(p):
@@ -297,10 +316,10 @@ def coefficients(p):
 
 
 class TestCosetAngles:
-    """The running-sum residues at small balls and zero coefficients."""
+    """The running-sum residues at small balls and zero coefficients, as phase counts."""
 
     @pytest.mark.parametrize("p, alpha, beta, ball, phases", [
-        # n_cosets = 1, 2, 3
+        # n_cosets = 1, 2, 3; x^2/9 varies on Z_3, so the one coset is not counted
         (3, F(1, 9), F(1, 3), BallSpec(3, 0, 0), [0]),
         (2, F(1, 4), F(1, 2), BallSpec(2, 0, 1), [0, F(3, 4)]),
         (3, F(1, 3), F(1, 3), BallSpec(3, 0, 1), [0, F(2, 3), 0]),
@@ -312,17 +331,17 @@ class TestCosetAngles:
         (5, F(25), F(1, 5), BallSpec(5, 0, 1), [F(r, 5) for r in range(5)]),
         # p = 2 with m = 2 n: four cosets, residues mod 8
         (2, F(1, 8), F(0), BallSpec(2, 0, 2), [0, F(1, 8), F(1, 2), F(1, 8)]),
+        # x^2/2 + x/4 varies on the cosets of 2 Z_2: not counted
         (2, F(1, 2), F(1, 4), BallSpec(2, 1, 1), [0, F(1, 4), F(3, 4), F(1, 2)]),
     ])
     def test_small_balls(self, p, alpha, beta, ball, phases):
         f = quadratic_char_fn(p, alpha, beta)
-        angles = f.coset_angles(ball)
-        assert angles == [2 * math.pi * float(q) for q in phases]
-        assert angles == [
-            2 * math.pi * float(fractional_part(alpha * x * x + beta * x, p))
-            for x in point_oracle.representatives(ball)
-        ]
-        assert_routes_agree(f, ball)
+        assert point_oracle.phases(f, ball) == phases
+        counted = assert_routes_agree(f, ball)
+        assert counted != point_oracle.varies_on_a_coset(f, ball)
+        if counted:
+            counts, m = f.coset_counts(ball)
+            assert counts == [sum(q * m == j for q in phases) for j in range(m)]
 
 
 class TestQuadraticCharacter:
@@ -330,9 +349,29 @@ class TestQuadraticCharacter:
         checked = 0
         for p, a, b, ball in criterion_1_cells():
             if ball.n_cosets <= 20_000:
-                assert_routes_agree(quadratic_char_fn(p, a, b), ball)
+                assert assert_routes_agree(quadratic_char_fn(p, a, b), ball)
                 checked += 1
         assert checked == 237
+
+    def test_criterion_1_cells_against_closed_form(self):
+        # all 240 balls, up to 117,649 cosets; the largest error measured is 2.7e-16 p^N
+        for p, a, b, ball in criterion_1_cells():
+            haar = haar_oracle(p, quadratic_char_fn(p, a, b), ball)
+            exact = complex(*gauss_full(Place.prime(p), a, b).render())
+            assert abs(haar - exact) <= 1e-13 * p**ball.radius_exponent, (p, a, b)
+
+    def test_oracle_sees_the_conjugated_closed_form(self):
+        # the cells where conjugation changes the closed form, each told apart
+        # from the conjugate by more than the tolerance that verify grants
+        seen = 0
+        for p, a, b, ball in criterion_1_cells():
+            full = gauss_full(Place.prime(p), a, b)
+            if full.conjugate() == full:
+                continue
+            haar = haar_oracle(p, quadratic_char_fn(p, a, b), ball)
+            assert abs(haar - complex(*full.conjugate().render())) > HAAR_TOLERANCE, (p, a, b)
+            seen += 1
+        assert seen > 0
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), n=st.integers(-3, 3))
@@ -351,6 +390,28 @@ class TestQuadraticCharacter:
     def test_character_prime_must_match_ball(self, p, q):
         with pytest.raises(ValueError):
             haar_oracle(p, quadratic_char_fn(q, F(1, q), F(1)), BallSpec(p, 1, 1))
+
+
+class TestMinimalResolution:
+    """``minimal_resolution`` against the oracle's exact constancy predicate."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), n=st.integers(-1, 1))
+    def test_sufficient_everywhere_and_least_at_odd_p(self, data, p, n):
+        alpha = data.draw(small_rationals(p), label="alpha")
+        beta = data.draw(small_rationals(p), label="beta")
+        m = minimal_resolution(p, alpha, beta, n)
+        f = quadratic_char_fn(p, alpha, beta)
+        f.coset_counts(BallSpec(p, n, m))
+        if p != 2 and m > -n:
+            with pytest.raises(InputError):
+                f.coset_counts(BallSpec(p, n, m - 1))
+
+    def test_one_step_more_than_needed_at_2(self):
+        # x(7x + 1) is even on Z_2, so chi_2(x^2/2 + x/14) is 1 on the whole unit ball
+        f = quadratic_char_fn(2, F(1, 2), F(1, 14))
+        assert minimal_resolution(2, F(1, 2), F(1, 14), 0) == 1
+        assert f.coset_counts(BallSpec(2, 0, 0)) == ([1, 0], 2)
 
 
 class TestFresnelOracle:

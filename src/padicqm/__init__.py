@@ -22,15 +22,7 @@ from .characters import (
     lambda_v,
     legendre,
 )
-from .dynamics import (
-    PolynomialPath,
-    QuadraticActionForm,
-    action_constant_field,
-    action_form_constant_field,
-    action_integral,
-    classical_path_constant_field,
-    euler_lagrange_residual,
-)
+from .dynamics import QuadraticActionForm, action_form_constant_field
 from .errors import (
     DegenerateFormError,
     DegenerateIntervalError,
@@ -90,21 +82,16 @@ __all__ = [
     "PartitionSpec",
     "Phase",
     "Place",
-    "PolynomialPath",
     "QuadraticActionForm",
     "QuadraticCharacter",
     "SymbolicKernel",
-    "action_constant_field",
     "action_form_constant_field",
-    "action_integral",
     "chi",
     "chi_of_truncation",
-    "classical_path_constant_field",
     "compose_kernels",
     "cos_p",
     "desitter_action_form",
     "digits",
-    "euler_lagrange_residual",
     "finite_n_propagator",
     "fractional_part",
     "gauss_full",

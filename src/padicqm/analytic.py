@@ -18,8 +18,8 @@ from fractions import Fraction
 from .characters import Phase, legendre
 from .errors import DomainError, InputError, NonSquareError, PrecisionError
 from .places import (
-    base_p_digits, integer, p_split, rational, require_prime, unit_residue, unit_split,
-    valuation,
+    base_p_digits, integer, p_split, rational, require_instance, require_prime, unit_residue,
+    unit_split, valuation,
 )
 
 
@@ -200,6 +200,7 @@ def chi_of_truncation(t: PadicTruncation) -> Phase:
     The fractional part depends only on digits below p^0, so it is
     pinned exactly once the precision reaches 0.
     """
+    require_instance(t, PadicTruncation)
     if t.precision < 0:
         raise PrecisionError("precision below p^0: fractional part not pinned")
     if t.is_zero_mod or t.valuation >= 0:

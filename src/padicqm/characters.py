@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .places import Place, fractional_part, is_prime, p_split, rational, require_place
+from .places import (
+    Place, fractional_part, is_prime, p_split, rational, require_instance, require_place,
+)
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ class Amplitude:
     phase: Phase = field(default_factory=Phase)
 
     def __post_init__(self):
+        if type(self.phase) is not Phase:
+            require_instance(self.phase, Phase)
         ms = self.modulus_sq
         if type(ms) is not Fraction:
             ms = rational(ms)

@@ -33,7 +33,7 @@ class DegenerateFormError(PadicqmError):
 
 
 class PartitionError(PadicqmError):
-    """A time partition violates the required strict ordering."""
+    """A time partition has fewer than two points, or repeats one."""
 
 
 class OracleCapError(PadicqmError):

@@ -23,8 +23,8 @@ from operator import sub
 from .characters import EIGHTH_PHASES, ZERO_PHASE, Amplitude, Phase, gauss_factor, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
 from .places import (
-    Place, fractional_residue, integer, p_split, rational, require_place, require_prime,
-    unit_split,
+    Place, fractional_residue, integer, p_split, rational, require_instance, require_place,
+    require_prime, unit_split,
 )
 
 #: most cosets the Haar oracle enumerates; above it raises OracleCapError
@@ -110,49 +110,29 @@ def _square_shift(u: int, h: int, p: int, L: int, eighths: int) -> Phase:
 def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
     """Exact value of sum over x mod p^L of exp(2 pi i (a x^2 + b x)/p^L).
 
-    Classical case analysis: strip common p powers, then complete the
-    square; the unit-coefficient pure sums are p^{L/2} (even L) and
-    Legendre-twisted quadratic Gauss sums (odd L); p = 2 contributes
-    eighth roots of unity.  Evaluated without the lambda machinery so it
-    serves as an independent route to the same values.
+    For a p-adic unit a and residues a, b mod p^L, L >= 1.  Complete the
+    square: the pure sums are p^{L/2} (even L) and Legendre-twisted
+    quadratic Gauss sums (odd L); p = 2 contributes eighth roots of unity.
+    Evaluated without the lambda machinery so it serves as an independent
+    route to the same values.
     """
-    if L == 0:
-        return Amplitude.one()
     mod = p**L
-    a %= mod
-    b %= mod
-    if a == 0:
-        if b == 0:
-            return Amplitude(Fraction(mod * mod), ZERO_PHASE)
-        return Amplitude.zero()
-    j, a = p_split(a, p)
-    # a = p^j a' with a' a unit: the sum is p^(2j) times the sum of
-    # a' x^2 + (b/p^j) x mod p^(L-j), and 0 unless p^j divides b
-    lift = 1
-    if j > 0:
-        q = p**j
-        if b % q != 0:
-            return Amplitude.zero()
-        b //= q
-        L -= j
-        mod //= q
-        lift = q * q
     if p != 2:
         eighths = 0
         if L % 2:
             # at odd L the sum of a unit a is sqrt(p^L) times (a/p), times i at p = 3 mod 4
             eighths = (0 if p % 4 == 1 else 2) + (0 if legendre(a, p) == 1 else 4)
-        return Amplitude(Fraction(lift * mod), _square_shift(4 * a, b, p, L, eighths))
+        return Amplitude(Fraction(mod), _square_shift(4 * a, b, p, L, eighths))
     # p = 2, a odd
     if L == 1:
-        return Amplitude(Fraction(4 * lift), ZERO_PHASE) if b % 2 == 1 else Amplitude.zero()
+        return Amplitude(Fraction(4), ZERO_PHASE) if b % 2 == 1 else Amplitude.zero()
     if b % 2 == 1:
         return Amplitude.zero()
     if L % 2 == 0:
         eighths = 1 if a % 4 == 1 else 7
     else:
         eighths = a % 8
-    return Amplitude(Fraction(2 * lift * mod), _square_shift(a, b // 2, p, L, eighths))
+    return Amplitude(Fraction(2 * mod), _square_shift(a, b // 2, p, L, eighths))
 
 
 def minimal_resolution(p: int, alpha: Fraction, beta: Fraction, N: int) -> int:
@@ -188,7 +168,8 @@ def quad_char_integral_ball(
     p^L is the common denominator of the coset phases.  The value is
     then p^{N-L} times the complete sum -- exact for every input.
     L and the residues of alpha p^(L-2N) and beta p^(L-N) mod p^L come
-    from one split of each coefficient.
+    from one split of each coefficient.  The sum vanishes unless the
+    first residue is a unit, that is unless L = 2N - v(alpha).
     """
     require_prime(p)
     alpha, beta, N = rational(alpha), rational(beta), integer(N)
@@ -202,9 +183,13 @@ def quad_char_integral_ball(
     if L == 0:
         # integrand is identically 1 on the ball; value = measure = p^N
         return Amplitude(_scaled(1, p, 2 * N), ZERO_PHASE)
+    if not alpha or va > 2 * N - L:
+        # then L = N - v(beta) > 2N - v(alpha): b_int is a unit and p divides
+        # a_int, so the p terms over each x mod p^(L-1) cancel
+        return Amplitude.zero()
     mod = p**L
-    # L >= 2N - v(alpha) and L >= N - v(beta): both powers of p are integral
-    a_int = an * pow(ad, -1, mod) * pow(p, va + L - 2 * N, mod) % mod if alpha else 0
+    # L = 2N - v(alpha) makes a_int a unit; L >= N - v(beta) keeps b_int integral
+    a_int = an * pow(ad, -1, mod) % mod
     b_int = bn * pow(bd, -1, mod) * pow(p, vb + L - N, mod) % mod if beta else 0
     g = _complete_gauss_sum(a_int, b_int, p, L)
     # the complete sum's squared modulus is an integer
@@ -270,6 +255,7 @@ class QuadraticCharacter:
         integral, and ``InputError`` is raised before the counts are
         allocated; when it holds, m <= max(p, 2 n).
         """
+        require_instance(ball, BallSpec)
         if ball.prime != self.p:
             raise InputError(
                 f"ball prime {ball.prime} disagrees with the character's prime {self.p}"
@@ -320,6 +306,8 @@ def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
     p^{-M}.  Raises ``InputError`` unless f is constant on the cosets.
     """
     require_prime(p)
+    require_instance(f, QuadraticCharacter)
+    require_instance(ball, BallSpec)
     if ball.prime != p:
         raise InputError("ball prime disagrees with p")
     if ball.n_cosets > COSET_CAP:

@@ -68,12 +68,12 @@ def require_prime(p: int) -> None:
 def rational(x: Fraction | int) -> Fraction:
     """The one input check for rationals: a Fraction as it is, an int converted.
 
-    Anything else, a float or a str among them, raises InputError.  Hot paths
-    test ``type(x) is Fraction`` inline and call this only otherwise.
+    Anything else, a bool, a float or a str among them, raises InputError.
+    Hot paths test ``type(x) is Fraction`` inline and call this only otherwise.
     """
     if type(x) is Fraction:
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise InputError(f"not a rational: {x!r}")
 
@@ -138,6 +138,16 @@ def require_place(place: Place) -> None:
     """
     if not isinstance(place, Place):
         raise InputError(f"not a place: {place!r}")
+
+
+def require_instance(obj: object, cls: type) -> None:
+    """The one input check for the library's objects: raise InputError unless obj is a cls.
+
+    Places have their own check, :func:`require_place`.  Hot paths test
+    ``type(obj) is cls`` inline and call this only otherwise.
+    """
+    if not isinstance(obj, cls):
+        raise InputError(f"not of type {cls.__name__}: {obj!r}")
 
 
 @dataclass(frozen=True)

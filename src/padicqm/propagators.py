@@ -31,7 +31,10 @@ from .errors import (
     PrecisionError,
 )
 from .gauss import quad_char_integral_ball
-from .places import Place, integer, norm, p_split, rational, require_place, unit_split, valuation
+from .places import (
+    Place, integer, norm, p_split, rational, require_instance, require_place, unit_split,
+    valuation,
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,7 @@ class PartitionSpec:
 
     def __post_init__(self):
         require_place(self.place)
+        require_instance(self.points, Sequence)
         pts = tuple(rational(t) for t in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
@@ -78,6 +82,10 @@ class SymbolicKernel:
 
     def __post_init__(self):
         require_place(self.place)
+        # every fold step makes a kernel: the checks are called only on a mismatch
+        if type(self.prefactor) is not Amplitude or type(self.form) is not QuadraticActionForm:
+            require_instance(self.prefactor, Amplitude)
+            require_instance(self.form, QuadraticActionForm)
 
     @classmethod
     def from_form(cls, place: Place, form: QuadraticActionForm) -> SymbolicKernel:
@@ -91,6 +99,8 @@ class SymbolicKernel:
         |2a|_v^{-1} = |gamma|_v.
         """
         require_place(place)
+        if type(form) is not QuadraticActionForm:
+            require_instance(form, QuadraticActionForm)
         g, den = form.nums[2], form.den
         if not g:
             raise DegenerateFormError("mixed partial of the action form vanishes")
@@ -174,6 +184,9 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
     A = -n/(D1 D2) is :func:`~padicqm.characters.gauss_factor` at
     (-n, D1 D2).
     """
+    if type(k2) is not SymbolicKernel or type(k1) is not SymbolicKernel:
+        require_instance(k2, SymbolicKernel)
+        require_instance(k1, SymbolicKernel)
     if k2.place != k1.place:
         raise InputError("kernels live at different places")
     place = k2.place
@@ -242,6 +255,7 @@ def finite_n_propagator(
     into each step kernel.  The result is independent of the partition
     and equals the one-shot kernel over the total time.
     """
+    require_instance(partition, PartitionSpec)
     q0, q1 = rational(q0), rational(q1)  # before the fold, not after it
     kernels = (SymbolicKernel.from_form(partition.place, action_form_constant_field(a, eps))
                for eps in partition.step_lengths())
@@ -371,6 +385,7 @@ def k_oscillator_td_real(data: OscillatorBoundaryData) -> complex:
     are irrational, so the value is delivered as a complex float, or a
     DomainError when a value it reads or forms leaves the float range.
     """
+    require_instance(data, OscillatorBoundaryData)
     delta = _normal_float("gamma1 - gamma0", data.gamma1 - data.gamma0)
     s = math.sin(delta)
     if s == 0:
@@ -473,6 +488,7 @@ def oscillator_precision(data: OscillatorBoundaryData, p: int) -> int:
     product dgamma1 dgamma0 that is not a square raises NonSquareError in
     the evaluation at every precision; P* is then only a number.
     """
+    require_instance(data, OscillatorBoundaryData)
     delta = data.gamma1 - data.gamma0
     if not delta:
         raise DegenerateIntervalError("coincident auxiliary phases")

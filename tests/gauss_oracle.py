@@ -2,11 +2,12 @@
 ``quad_char_integral_ball``.
 
 The library reads each coefficient through one integer split of its
-numerator and denominator and forms the closed form, the ball prelude and
-the strip of the complete Gauss sum in integers.  This route keeps the
-``Fraction`` formulas the library used before: 1/|2a|, lambda_v(a) plus
-chi_v(-b^2/4a) as ``Phase`` values, the ball residues of alpha p^(L-2N)
-and beta p^(L-N) through ``Fraction(p)**k``, and the p^(2j) strip and the
+numerator and denominator, forms the closed form and the ball prelude in
+integers, and reads the ball's zero cases from the valuations.  This
+route keeps the ``Fraction`` formulas the library used before: 1/|2a|,
+lambda_v(a) plus chi_v(-b^2/4a) as ``Phase`` values, the ball residues
+of alpha p^(L-2N) and beta p^(L-N) through ``Fraction(p)**k``, the zero
+cases of the complete Gauss sum, and its p^(2j) strip and the
 p^(2(N-L)) scale as ``Amplitude`` products.
 """
 
@@ -31,8 +32,10 @@ def _residue(q: Fraction, modulus: int) -> int:
 
 
 def complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
-    """The complete Gauss sum mod p^L, with a's p-power stripped by an Amplitude product.
+    """The complete Gauss sum mod p^L of any integers a and b.
 
+    A zero a leaves a linear sum, p^L or 0; a = p^j a' with a' a unit
+    leaves p^j times the sum of a' mod p^(L-j), or 0 unless p^j divides b.
     The unit case is the library's ``_complete_gauss_sum``.
     """
     if L == 0:
@@ -41,10 +44,8 @@ def complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
     a %= mod
     b %= mod
     if a == 0:
-        return _complete_gauss_sum(a, b, p, L)
+        return Amplitude(Fraction(mod) ** 2, Phase()) if b == 0 else Amplitude.zero()
     j, aj = p_split(a, p)
-    if j == 0:
-        return _complete_gauss_sum(a, b, p, L)
     if b % p**j != 0:
         return Amplitude.zero()
     inner = _complete_gauss_sum(aj, b // p**j, p, L - j)

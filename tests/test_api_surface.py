@@ -27,13 +27,14 @@ from padicqm import (
     PadicTruncation,
     PartitionSpec,
     Place,
-    PolynomialPath,
     QuadraticActionForm,
     SymbolicKernel,
     overlap_vanishing_threshold,
     quad_char_integral_ball,
     quadratic_char_fn,
 )
+
+import mechanics_oracle
 
 BENCHMARK_NAMES = {
     "padicqm.analytic": ("_sin_cos_sums", "sqrt_p"),
@@ -127,7 +128,9 @@ def test_no_untyped_raise():
     lambda: quad_char_integral_ball(4, 1, 0, 1),
     lambda: OscillatorBoundaryData(x0=1, x1=2, gamma0=0, gamma1=3, dgamma0=1, dgamma1=1,
                                    s0=0, s1=1, ds0=0, ds1=0),
-], ids=["threshold at x_diff = 0", "ball integral at p = 4", "oscillator at s0 = 0"])
+    lambda: PartitionSpec(Place.prime(3), 5),
+], ids=["threshold at x_diff = 0", "ball integral at p = 4", "oscillator at s0 = 0",
+        "partition points not a sequence"])
 def test_out_of_domain_inputs_raise_padicqm_error(call):
     with pytest.raises(PadicqmError):
         call()
@@ -135,13 +138,21 @@ def test_out_of_domain_inputs_raise_padicqm_error(call):
 
 P3 = Place.prime(3)
 FORM = QuadraticActionForm(-1, -1, 2)
-PATH = PolynomialPath((0, 1), 0, 1, 0, 1)
+KERNEL = SymbolicKernel.from_form(P3, FORM)
+TRUNCATION = PadicTruncation.from_rational(1, 3, 5)
+PATH = mechanics_oracle.PolynomialPath((0, 1), 0, 1, 0, 1)
 #: instances whose methods the table calls
 INSTANCES = {
-    "PadicTruncation": PadicTruncation.from_rational(1, 3, 5),
+    "PadicTruncation": TRUNCATION,
     "QuadraticActionForm": FORM,
-    "SymbolicKernel": SymbolicKernel.from_form(P3, FORM),
+    "QuadraticCharacter": quadratic_char_fn(3, 1, 0),
+    "SymbolicKernel": KERNEL,
 }
+#: the classical mechanics left the package for the test oracle
+#: ``mechanics_oracle``, which keeps the package's rational check: the
+#: input tables check its callables too
+MECHANICS = ("PolynomialPath", "action_constant_field", "action_integral",
+             "classical_path_constant_field", "euler_lagrange_residual")
 #: valid arguments of every public callable with a Fraction-annotated parameter;
 #: a tuple stands for a sequence of rationals, whose last item is replaced
 VALID_ARGUMENTS = {
@@ -187,9 +198,11 @@ VALID_ARGUMENTS = {
 
 
 def _public_callables():
-    """(name, callable) for every callable of ``padicqm.__all__`` and its public methods."""
-    for name in padicqm.__all__:
-        obj = getattr(padicqm, name)
+    """(name, callable) for every callable of ``padicqm.__all__`` and its public methods,
+    and for the callables of ``MECHANICS``."""
+    objects = [(name, getattr(padicqm, name)) for name in padicqm.__all__]
+    objects += [(name, getattr(mechanics_oracle, name)) for name in MECHANICS]
+    for name, obj in objects:
         if inspect.isclass(obj) and issubclass(obj, Exception):
             continue
         yield name, obj
@@ -231,11 +244,12 @@ _PER_CALLABLE = Counter(name for _, name, _ in RATIONAL_PARAMETERS)
          for _, name, param in RATIONAL_PARAMETERS],
 )
 def test_float_input_raises_input_error(fn, name, param):
-    # every Fraction parameter takes an int or a Fraction, and rejects a float
-    # or a str, whose text only the command line parses
+    # every Fraction parameter takes an int or a Fraction, and rejects a float,
+    # a str, whose text only the command line parses, and a bool, an int only
+    # to Python
     kwargs = VALID_ARGUMENTS.get(name)
     assert kwargs is not None and param in kwargs, f"{name}({param}) is missing from the table"
-    for bad in (0.5, "1/2"):
+    for bad in (0.5, "1/2", True):
         valid = kwargs[param]
         value = valid[:-1] + (bad,) if isinstance(valid, tuple) else bad
         with pytest.raises(InputError, match="not a rational"):
@@ -362,3 +376,93 @@ def test_a_p_that_is_not_a_prime_raises_input_error(fn, name, param):
     for bad in (4, 1, 3.0):
         with pytest.raises(InputError, match="prime"):
             fn(**{**kwargs, param: bad})
+
+
+#: the library's classes, whose instances every public callable checks with
+#: ``places.require_instance``; a Place has its own check and table above
+LIBRARY_CLASSES = {name for name in padicqm.__all__
+                   if inspect.isclass(getattr(padicqm, name))
+                   and not issubclass(getattr(padicqm, name), Exception)} - {"Place"}
+#: valid arguments of the callables with a parameter of a library class
+CLASS_ARGUMENTS = {
+    **PRIME_ARGUMENTS,
+    "QuadraticCharacter.coset_counts": dict(ball=BallSpec(3, 1, 1)),
+    "chi_of_truncation": dict(t=TRUNCATION),
+    "compose_kernels": dict(k2=KERNEL, k1=KERNEL),
+    "k_oscillator_td_real": dict(data=OSC_DATA),
+}
+CLASS_PARAMETERS = [(fn, name, param.name)
+                    for name, fn in _public_callables()
+                    for param in inspect.signature(fn).parameters.values()
+                    if param.annotation in LIBRARY_CLASSES]
+
+
+def test_the_signature_scan_finds_the_class_parameters():
+    assert sorted(f"{name}-{param}" for _, name, param in CLASS_PARAMETERS) == [
+        "Amplitude-phase", "QuadraticCharacter.coset_counts-ball", "SymbolicKernel-form",
+        "SymbolicKernel-prefactor", "SymbolicKernel.from_form-form", "chi_of_truncation-t",
+        "compose_kernels-k1", "compose_kernels-k2", "finite_n_propagator-partition",
+        "haar_oracle-ball", "haar_oracle-f", "k_general_quadratic-form",
+        "k_oscillator_td-data", "k_oscillator_td_real-data", "oscillator_action_form-data",
+        "oscillator_precision-data",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, name, param", CLASS_PARAMETERS,
+    ids=[f"{name}-{param}" for _, name, param in CLASS_PARAMETERS],
+)
+def test_an_object_of_the_wrong_class_raises_input_error(fn, name, param):
+    # a text, or any object but the annotated class, is no library object
+    kwargs = CLASS_ARGUMENTS[name]
+    fn(**kwargs)
+    cls = getattr(padicqm, inspect.signature(fn).parameters[param].annotation)
+    with pytest.raises(InputError, match=f"^not of type {cls.__name__}: 'x'$"):
+        fn(**{**kwargs, param: "x"})
+
+
+def test_every_function_in_src_has_a_caller():
+    # a function or method of src/padicqm is public (in __all__, or a public
+    # method of an exported class), a dunder that Python calls, the console
+    # entry cli.main or a _cmd_* handler that cli.main finds through
+    # globals(), or called by name elsewhere in src/; anything else is a
+    # leftover that no program route reaches
+    exported = set(padicqm.__all__)
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(padicqm.__file__).parent.glob("*.py"))}
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    everywhere = Counter(name for tree in trees.values() for name in names(tree))
+
+    def defs(node, owner=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield owner, child
+                yield from defs(child)
+            elif isinstance(child, ast.ClassDef):
+                yield from defs(child, child.name)
+            else:
+                yield from defs(child, owner)
+
+    orphans = []
+    for module, tree in trees.items():
+        for owner, node in defs(tree):
+            name = node.name
+            if (
+                (owner is None and name in exported)
+                or (owner in exported and not name.startswith("_"))
+                or (name.startswith("__") and name.endswith("__"))
+                or (module == "cli" and owner is None
+                    and (name == "main" or name.startswith("_cmd_")))
+            ):
+                continue
+            # references inside the function itself (recursion) do not count
+            if everywhere[name] - Counter(names(node))[name] == 0:
+                orphans.append(f"{module}.{f'{owner}.' if owner else ''}{name}")
+    assert orphans == []

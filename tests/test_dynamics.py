@@ -3,16 +3,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicqm import (
-    DegenerateIntervalError,
+from padicqm import DegenerateIntervalError, action_form_constant_field
+
+from mechanics_oracle import (
     PolynomialPath,
     action_constant_field,
-    action_form_constant_field,
     action_integral,
     classical_path_constant_field,
     euler_lagrange_residual,
+    is_zero_poly,
+    poly_eval,
 )
-from padicqm.dynamics import is_zero_poly, poly_eval
 
 rationals = st.fractions(min_value=F(-20), max_value=F(20), max_denominator=20)
 nonzero = rationals.filter(lambda x: x != 0)

@@ -88,19 +88,23 @@ class TestIntegerRoutes:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_complete_gauss_sum_strip(self, p):
-        # the ball integral never reaches the p^(2j) strip with a nonzero sum
-        # (p | a_int forces a unit b_int), so the strip is checked here directly
+        # the library sums a unit a only, and reads the ball's zero cases from
+        # valuations; the oracle's zero cases and p^(2j) strip, against which
+        # test_ball_integral checks them, are checked here against the sum itself
         rng = random.Random(p)
-        stripped = 0
-        for _ in range(1500):
-            L = rng.randint(0, 6)
+        L_max = max(L for L in range(1, 12) if p**L <= 2500)
+        hits = {"a = 0 mod p^L": 0, "stripped": 0, "zero value": 0}
+        for _ in range(400):
+            L = rng.randint(0, L_max)
             j = rng.randint(0, L)
             a = rng.randrange(1, p**L + 1) * p**j
             b = rng.randrange(p**L + 1) * p ** rng.randint(0, L)
-            got = _complete_gauss_sum(a, b, p, L)
-            assert got == gauss_oracle.complete_gauss_sum(a, b, p, L), (a, b, L)
-            stripped += 0 < j < L and not got.is_zero
-        assert stripped >= 100
+            got = gauss_oracle.complete_gauss_sum(a, b, p, L)
+            assert abs(complex(*got.render()) - enumerated_sum(a, b, p, L)) < 1e-9 * p**L, (a, b, L)
+            hits["a = 0 mod p^L"] += a % p**L == 0
+            hits["stripped"] += 0 < j < L and not got.is_zero
+            hits["zero value"] += got.is_zero
+        assert min(hits.values()) >= 40, hits
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_ball_integral(self, p):
@@ -129,12 +133,22 @@ def brute_complete_sum_mp(a, b, p, L):
         return total
 
 
+def enumerated_sum(a, b, p, L):
+    """The complete Gauss sum mod p^L term by term, the terms counted by residue."""
+    mod = p**L
+    counts = Counter((a * x * x + b * x) % mod for x in range(mod))
+    angles = [(c, 2 * math.pi * k / mod) for k, c in counts.items()]
+    return complex(math.fsum(c * math.cos(t) for c, t in angles),
+                   math.fsum(c * math.sin(t) for c, t in angles))
+
+
 class TestCompleteGaussSum:
     @pytest.mark.parametrize("p,L_max", [(2, 6), (3, 4), (5, 3), (7, 2)])
     def test_against_high_precision_enumeration(self, p, L_max):
-        for L in range(0, L_max + 1):
+        # the library's sum takes a unit a, which the ball integral guarantees
+        for L in range(1, L_max + 1):
             mod = p**L
-            for a in range(0, min(mod, 12)):
+            for a in (a for a in range(min(mod, 12)) if a % p):
                 for b in range(0, min(mod, 12)):
                     got = _complete_gauss_sum(a, b, p, L)
                     want = brute_complete_sum_mp(a, b, p, L)

@@ -236,14 +236,18 @@ def _cmd_ball_integral(args) -> int:
 def _kernel_rows(args) -> list[str]:
     """The kernel grid's row texts, one (place, T) block at a time.
 
-    Text that many rows share is encoded once: the q0, q1 and coefficient
-    fields a request; the place, system and T fields, the squared modulus
-    and its float root r a block.  A row adds its phase n/d from
-    :meth:`SymbolicKernel.phase_grid` and re, im = r cos, r sin of
-    2 pi n/d: ``float(Fraction(n, d))`` is n/d, so they are bit for bit
-    the values of ``Amplitude.render``.  The coefficient field goes with
-    the block's fields in CSV, where its column comes before T's, and with
-    the grid point's in JSON, after q1.
+    Work that many rows share is done once: each T's action form a request,
+    shared by every place; the q0, q1 and coefficient fields a request; the
+    place, system and T fields, the squared modulus and its float root r a
+    block.  A row adds its phase n/d from :meth:`SymbolicKernel.phase_grid`
+    and re, im = r cos, r sin of 2 pi n/d: ``float(Fraction(n, d))`` is
+    n/d, so they are bit for bit the values of ``Amplitude.render``.  A
+    row's tail, its modulus, phase and float fields, depends on the block
+    and the phase only, so each distinct phase of a block is rendered once:
+    at p many rows repeat one, as chi_p(-S) is 1 wherever S is a p-adic
+    integer.  The coefficient field goes with the block's fields in CSV,
+    where its column comes before T's, and with the grid point's in JSON,
+    after q1.
     """
     fmt = args.format
     field, make_form = KERNEL_FORMS[args.system]
@@ -252,7 +256,8 @@ def _kernel_rows(args) -> list[str]:
     to_block, to_point = (coeff_field, {}) if fmt == "csv" else ({}, coeff_field)
     q0s = [_text(q0) for q0 in args.q0]
     q1s = [_text(q1) for q1 in args.q1]
-    Ts = [(T, _text(T)) for T in args.T]
+    # the form depends on T only: a zero T exits 2 even where no place is given
+    Ts = [(_text(T), make_form(coeff, T)) for T in args.T]
     pairs = [_fields({"q0": q0, "q1": q1, **to_point}, _POINT_COLUMNS, fmt)
              for q0 in q0s for q1 in q1s]
     opening, before_phase, before_re, before_im, closing, missing = ROW_TEXT[fmt]
@@ -260,8 +265,8 @@ def _kernel_rows(args) -> list[str]:
     tau, cos, sin = 2 * math.pi, math.cos, math.sin
     rows = []
     for place in args.place:
-        for T, T_text in Ts:
-            kernel = SymbolicKernel.from_form(place, make_form(coeff, T))
+        for T_text, form in Ts:
+            kernel = SymbolicKernel.from_form(place, form)
             if not pairs:
                 continue
             start = opening + _fields({"place": str(place), "system": args.system,
@@ -272,18 +277,24 @@ def _kernel_rows(args) -> list[str]:
                 r = kernel.prefactor.float_modulus()
             except OverflowError:
                 r = None
+            # phase (n, d) -> the row's tail; the modulus and r are the block's
+            tails = {}
             # phases first: the except below sees only the digit limit of str()
             grid = zip(pairs, kernel.phase_grid(args.q0, args.q1))
             try:
-                for pair, (n, d) in grid:
-                    if r is None:
-                        floats = null
-                    else:
-                        theta = tau * (n / d)
-                        floats = (f"{before_re}{r * cos(theta)!r}"
-                                  f"{before_im}{r * sin(theta)!r}{closing}")
-                    phase = f"{n}/{d}" if d != 1 else str(n)
-                    rows.append(f"{start}{pair}{modulus}{phase}{floats}")
+                for pair, nd in grid:
+                    tail = tails.get(nd)
+                    if tail is None:
+                        n, d = nd
+                        if r is None:
+                            floats = null
+                        else:
+                            theta = tau * (n / d)
+                            floats = (f"{before_re}{r * cos(theta)!r}"
+                                      f"{before_im}{r * sin(theta)!r}{closing}")
+                        phase = f"{n}/{d}" if d != 1 else str(n)
+                        tail = tails[nd] = f"{modulus}{phase}{floats}"
+                    rows.append(f"{start}{pair}{tail}")
             except ValueError as exc:
                 raise OutputLimitError(f"an exact field is too long to write: {exc}") from exc
     return rows

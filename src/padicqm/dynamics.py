@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateIntervalError
+from .errors import DegenerateIntervalError, InputError
 from .places import rational
 
 
@@ -47,13 +47,23 @@ class QuadraticActionForm:
 
     @classmethod
     def from_integers(cls, den: int, nums: tuple[int, ...]) -> QuadraticActionForm:
-        """The form with coefficients nums[i] / den, for any nonzero den."""
-        g = math.gcd(den, *nums)
+        """The form with coefficients nums[i] / den: six integers over a nonzero integer.
+
+        Any other den or nums raises InputError; the types are left to
+        ``math.gcd``, whose TypeError on a non-integer becomes one.
+        """
+        try:
+            n0, n1, n2, n3, n4, n5 = nums
+            g = math.gcd(den, n0, n1, n2, n3, n4, n5)
+        except (TypeError, ValueError):
+            raise InputError(f"not six integers over an integer: {nums!r} over {den!r}") from None
+        if not den:
+            raise InputError(f"zero denominator: {nums!r} over 0")
         if den < 0:
             g = -g
         form = object.__new__(cls)
         object.__setattr__(form, "den", den // g)
-        object.__setattr__(form, "nums", tuple(n // g for n in nums))
+        object.__setattr__(form, "nums", (n0 // g, n1 // g, n2 // g, n3 // g, n4 // g, n5 // g))
         return form
 
     alpha = property(lambda self: Fraction(self.nums[0], self.den))

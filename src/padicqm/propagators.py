@@ -125,8 +125,12 @@ class SymbolicKernel:
         is (a D + num b)/(b D) at infinity, and a/b + r/p^k at p, with
         r/p^k the p-adic fractional part of -num/D: the p-parts of den,
         d1^2 and d0^2 are split off once a value, and a row takes one
-        modular inverse.  Each phase is reduced by one gcd.
+        modular inverse.  Each phase is reduced by one gcd.  An axis that
+        is no sequence raises InputError, checked once a call.
         """
+        for qs in (q0s, q1s):
+            if type(qs) is not list and type(qs) is not tuple:
+                require_instance(qs, Sequence)
         den, (al, be, ga, dl, ep, ze) = self.form.den, self.form.nums
         pre = self.prefactor.phase.value
         a, b = pre.numerator, pre.denominator
@@ -224,17 +228,18 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
 
 
 def desitter_action_form(lam: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
-    """Action form of the minisuperspace cosmological model with constant lam."""
+    """Action form of the minisuperspace cosmological model with constant lam.
+
+    It is -1/4 times the constant-field form at a = 2 lam, plus T/2 in
+    zeta: -(x1 - x0)^2/(8T) - lam T (x1 + x0)/4 + T/2 + lam^2 T^3/24.
+    Over 4 den td, with den and nums that form's integers and T = tn/td,
+    the numerators are -nums td, and zeta's adds 2 den tn.
+    """
     lam, T = rational(lam), rational(T)
-    if T == 0:
-        raise DegenerateIntervalError("zero time interval")
-    return QuadraticActionForm(
-        alpha=-1 / (8 * T),
-        beta=-1 / (8 * T),
-        gamma=1 / (4 * T),
-        delta=-lam * T / 4,
-        epsilon=-lam * T / 4,
-        zeta=T / 2 + lam * lam * T**3 / 24,
+    form = action_form_constant_field(2 * lam, T)
+    den, nums, tn, td = form.den, form.nums, T.numerator, T.denominator
+    return QuadraticActionForm.from_integers(
+        4 * den * td, (*(-n * td for n in nums[:5]), 2 * den * tn - nums[5] * td)
     )
 
 

@@ -5,7 +5,9 @@ their action forms over one common denominator
 (``propagators.compose_kernels``).  This route collects the coefficients
 of the intermediate point as ``Fraction`` values and completes the
 square coefficient by coefficient, as the library did before, with the
-Gauss factor's lambda from ``lambda_oracle``.
+Gauss factor's lambda from ``lambda_oracle``.  The step forms of the
+constant field and of de Sitter, which the library builds in integers,
+are written here from their Fraction coefficients.
 """
 
 from fractions import Fraction
@@ -89,4 +91,19 @@ def action_form_constant_field_fraction(a: Fraction | int, T: Fraction | int) ->
         delta=a * T / 2,
         epsilon=a * T / 2,
         zeta=-a * a * T**3 / 24,
+    )
+
+
+def desitter_action_form_fraction(lam: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
+    """The de Sitter action form from its Fraction coefficients."""
+    lam, T = Fraction(lam), Fraction(T)
+    if T == 0:
+        raise DegenerateIntervalError("zero time interval")
+    return QuadraticActionForm(
+        alpha=-1 / (8 * T),
+        beta=-1 / (8 * T),
+        gamma=1 / (4 * T),
+        delta=-lam * T / 4,
+        epsilon=-lam * T / 4,
+        zeta=T / 2 + lam * lam * T**3 / 24,
     )

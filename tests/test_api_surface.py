@@ -421,6 +421,13 @@ def test_an_object_of_the_wrong_class_raises_input_error(fn, name, param):
         fn(**{**kwargs, param: "x"})
 
 
+@pytest.mark.parametrize("q0s, q1s", [(1, (0,)), ((0,), 1)], ids=["q0s", "q1s"])
+def test_a_phase_grid_axis_that_is_not_a_sequence_raises_input_error(q0s, q1s):
+    # the axes are checked once a call, before any row; an int was a bare TypeError
+    with pytest.raises(InputError, match="^not of type Sequence: 1$"):
+        KERNEL.phase_grid(q0s, q1s)
+
+
 def test_every_function_in_src_has_a_caller():
     # a function or method of src/padicqm is public (in __all__, or a public
     # method of an exported class), a dunder that Python calls, the console

@@ -350,6 +350,25 @@ class TestKernelGrid:
             assert out == ",".join(cli.CSV_COLUMNS) + "\r\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zero_T_without_places_exits_2(self, capsys, fmt):
+        # each T's form is built once, before the places: T = 0 is refused
+        # whether or not a place is given
+        code, out, err = run_cli(capsys, ["kernel", "--system", "free", "--place", ",",
+                                          "--T=0", "--format", fmt])
+        assert (code, out, err) == (2, "", "error: zero time interval\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_phase_repeated_across_blocks(self, capsys, fmt):
+        # phase 0 in both (3, T) blocks, under squared moduli 1 and 9: a row
+        # tail kept for a phase must not outlive its block
+        argv = ["kernel", "--system", "free", "--place", "3", "--T=1,9", "--q0=0", "--q1=0",
+                "--format", fmt]
+        out = self.assert_as_oracle(capsys, argv)
+        rows = (json.loads(out)["rows"] if fmt == "json"
+                else list(csv.DictReader(io.StringIO(out))))
+        assert [(row["modulus_sq"], row["phase"]) for row in rows] == [("1", "0"), ("9", "0")]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_phase_too_long_exits_3(self, capsys, fmt):
         if not sys.get_int_max_str_digits():
             pytest.skip("this interpreter writes integers of any length")

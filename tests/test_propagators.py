@@ -47,6 +47,7 @@ from compose_oracle import (
     action_form_constant_field_fraction,
     compose,
     compose_kernels_fraction,
+    desitter_action_form_fraction,
 )
 
 R = Place.real()
@@ -155,6 +156,21 @@ class TestDeSitterKernel:
                 assert k_general_quadratic(place, form, q1, q0) == k_desitter(
                     place, lam, T, q0, q1
                 )
+
+    def test_form_from_integers(self):
+        # the integer route, -1/4 of the constant-field form at a = 2 lam plus
+        # T/2 in zeta, field for field against the Fraction coefficients; at
+        # T = 1/7^1800 the phase is too long for the command line to write
+        rng = random.Random(31)
+        cases = [(F(0), F(1)), (F(0), F(-3, 4)), (F(-5, 2), F(-9)), (F(1), F(1, 7**1800))]
+        cases += [(rand_rational(rng, place), rand_rational(rng, place))
+                  for place in ALL_PLACES for _ in range(20)]
+        cases += [(F(0), rand_rational(rng, place)) for place in ALL_PLACES]
+        for lam, T in cases:
+            got, want = desitter_action_form(lam, T), desitter_action_form_fraction(lam, T)
+            assert (got.den, got.nums) == (want.den, want.nums), (lam, T)
+        with pytest.raises(DegenerateIntervalError, match="zero time interval"):
+            desitter_action_form(1, 0)
 
     def test_real_float_cross_check(self):
         lam, T, q0, q1 = F(1, 2), F(3), F(1), F(2)
@@ -293,6 +309,17 @@ class TestComposeAgainstOracle:
         assert (form.den, form.nums) == (6, (3, -1, 18, 0, 0, 0))
         assert form == QuadraticActionForm.from_integers(-12, (-6, 2, -36, 0, 0, 0))
         assert (form.alpha, form.beta, form.gamma, form.zeta) == (F(1, 2), F(-1, 6), 3, 0)
+
+    @pytest.mark.parametrize("den, nums", [
+        (2, (1, 2)), (2, (1, 2, 3, 4, 5, 6, 7)), (2, 5), (0, (1, 2, 3, 4, 5, 6)), (0, (0,) * 6),
+        ("a", (1, 2, 3, 4, 5, 6)), (2.0, (1, 2, 3, 4, 5, 6)), (2, (1, 2, 3, 4, 5, F(1, 2))),
+    ], ids=["two numerators", "seven numerators", "an int for nums", "zero den",
+            "zero den and numerators", "str den", "float den", "Fraction numerator"])
+    def test_from_integers_rejects_other_input(self, den, nums):
+        # six integer numerators over a nonzero integer, or an InputError;
+        # two numerators once built a form whose kernel raised IndexError
+        with pytest.raises(InputError):
+            QuadraticActionForm.from_integers(den, nums)
 
 
 ENDPOINT = st.one_of(st.integers(-60, 60), small_rationals())

@@ -226,7 +226,7 @@ def _trig_term_count(d: int, p: int, P: int) -> int:
     return max(1, math.ceil(num / den) + 1)
 
 
-def _sin_cos_sums(x: Fraction, p: int, P: int) -> tuple[int, int, int]:
+def _sin_cos_sums(x: Fraction, p: int, P: int, d: int | None = None) -> tuple[int, int, int]:
     """(d, s, c) with sin x = p^d s and cos x = c modulo p^P, for P >= 1.
 
     d = v_p(x) is the valuation of sin x (the domain's edge at x = 0), s
@@ -240,10 +240,12 @@ def _sin_cos_sums(x: Fraction, p: int, P: int) -> tuple[int, int, int]:
     and b stay the residues of the exact pair.  The steps multiply to a
     divisor of (K+1)!, so b is p^s times a unit with s <= S =
     v_p((K+1)!), and h is p-integral in the domain, so p^s divides a:
-    with M = P + S the quotient pins each sum modulo p^P.
+    with M = P + S the quotient pins each sum modulo p^P.  A caller that
+    has d from ``_trig_domain_valuation(x, p)`` passes it.
     """
     P = integer(P)
-    d = _trig_domain_valuation(x, p)
+    if d is None:
+        d = _trig_domain_valuation(x, p)
     K = _trig_term_count(d, p, P)
     n, m = x.numerator, x.denominator
     if n == 0 or P < 1:

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .places import (
-    Place, fractional_part, is_prime, p_split, rational, require_instance, require_place,
+    Place, fractional_part, integer, is_prime, p_split, rational, require_instance,
+    require_place,
 )
 
 
@@ -34,16 +35,23 @@ class Phase:
             q = Fraction(n % d, d)
         object.__setattr__(self, "value", q)
 
+    # an operand of another type is an InputError; the checks are called only on a mismatch
     def __add__(self, other: Phase) -> Phase:
+        if type(other) is not Phase:
+            require_instance(other, Phase)
         return Phase(self.value + other.value)
 
     def __sub__(self, other: Phase) -> Phase:
+        if type(other) is not Phase:
+            require_instance(other, Phase)
         return Phase(self.value - other.value)
 
     def __neg__(self) -> Phase:
         return Phase(-self.value)
 
     def __mul__(self, k: int) -> Phase:
+        if type(k) is not int:
+            integer(k)
         return Phase(self.value * k)
 
     __rmul__ = __mul__
@@ -62,13 +70,14 @@ EIGHTH_PHASES = (ZERO_PHASE, *(Phase(Fraction(k, 8)) for k in range(1, 8)))
 
 
 def phase_sum(*phases: Phase) -> Phase:
-    """The sum of the phases; eighths of a turn are added as integers."""
+    """The sum of the phases; eighths of a turn, such as every lambda, are added as integers."""
     k = 0
     for ph in phases:
-        q, r = divmod(ph.value.numerator * 8, ph.value.denominator)
-        if r:
+        q = ph.value
+        d = q.denominator
+        if 8 % d:
             return Phase(sum(ph.value for ph in phases))
-        k += q
+        k += q.numerator * (8 // d)
     return EIGHTH_PHASES[k % 8]
 
 
@@ -107,6 +116,8 @@ class Amplitude:
         return self.modulus_sq == 0
 
     def __mul__(self, other: Amplitude) -> Amplitude:
+        if type(other) is not Amplitude:
+            require_instance(other, Amplitude)
         return Amplitude(self.modulus_sq * other.modulus_sq, self.phase + other.phase)
 
     def conjugate(self) -> Amplitude:
@@ -164,6 +175,8 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1}, by Euler's criterion."""
     if p == 2 or type(p) is not int or not is_prime(p):
         raise InputError("p must be an odd prime")
+    if type(a) is not int:
+        integer(a)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 

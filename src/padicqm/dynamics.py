@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateIntervalError, InputError
-from .places import rational
+from .places import _unchecked, rational
 
 
 @dataclass(frozen=True, init=False)
@@ -61,10 +61,8 @@ class QuadraticActionForm:
             raise InputError(f"zero denominator: {nums!r} over 0")
         if den < 0:
             g = -g
-        form = object.__new__(cls)
-        object.__setattr__(form, "den", den // g)
-        object.__setattr__(form, "nums", (n0 // g, n1 // g, n2 // g, n3 // g, n4 // g, n5 // g))
-        return form
+        return _unchecked(cls, den=den // g,
+                          nums=(n0 // g, n1 // g, n2 // g, n3 // g, n4 // g, n5 // g))
 
     alpha = property(lambda self: Fraction(self.nums[0], self.den))
     beta = property(lambda self: Fraction(self.nums[1], self.den))
@@ -83,12 +81,21 @@ class QuadraticActionForm:
 
 def action_form_constant_field(a: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
     """The constant-field action as a quadratic form in the endpoints."""
-    # the fold's step lengths are Fractions: they take no call
+    # a Fraction takes no call
     a = a if type(a) is Fraction else rational(a)
     T = T if type(T) is Fraction else rational(T)
     if T == 0:
         raise DegenerateIntervalError("zero time interval")
-    an, ad, tn, td = a.numerator, a.denominator, T.numerator, T.denominator
+    return _constant_field_form(a.numerator, a.denominator, T.numerator, T.denominator)
+
+
+def _constant_field_form(an: int, ad: int, tn: int, td: int) -> QuadraticActionForm:
+    """The constant-field form at a = an/ad and T = tn/td, for ad, td > 0 and tn != 0.
+
+    Neither quotient need be reduced: the integers below are homogeneous
+    in (an, ad), of degree 2, and in (tn, td), of degree 4, so the gcd of
+    ``from_integers`` takes every representative to the same form.
+    """
     # coefficients over 24 ad^2 td^3 tn: 1/(2T), 1/(2T), -1/T, aT/2, aT/2, -a^2 T^3/24
     half = 12 * ad * ad * td**4
     lin = 12 * an * ad * td * td * tn * tn

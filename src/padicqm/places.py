@@ -113,6 +113,7 @@ class Place:
     @classmethod
     def parse(cls, text: str) -> Place:
         """Parse ``"inf"`` (or ``"real"``, ``"oo"``) or a prime integer string."""
+        require_instance(text, str)
         text = text.strip()
         if text in ("inf", "real", "oo"):
             return cls.real()
@@ -150,6 +151,17 @@ def require_instance(obj: object, cls: type) -> None:
         raise InputError(f"not of type {cls.__name__}: {obj!r}")
 
 
+def _unchecked(cls: type, **fields) -> object:
+    """An instance of the frozen dataclass cls with these fields, past its checks.
+
+    Only for fields that are already checked values of the right types; the
+    public constructors keep every check.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class DigitExpansion:
     """Leading digits of the canonical p-adic expansion of a rational.
@@ -164,6 +176,9 @@ class DigitExpansion:
 
     def __post_init__(self):
         require_prime(self.prime)
+        require_instance(self.digits, tuple)
+        for n in (self.valuation, *self.digits):
+            integer(n)
         if not self.digits or self.digits[0] == 0:
             raise InputError("canonical expansion must have a nonzero leading digit")
         if any(d < 0 or d >= self.prime for d in self.digits):
@@ -179,14 +194,18 @@ class DigitExpansion:
 def p_split(n: int, p: int) -> tuple[int, int]:
     """(v, m) with n = p**v * m and p not dividing m, for a nonzero integer n.
 
-    The first four powers of p come off one division at a time and the rest
-    through :func:`_split_by_squares`, so a split takes O(log v) divisions.
-    The prefix is there because most valuations are small (v < 4 in 96 % of
+    At p = 2, v is the index of n's lowest set bit.  At odd p the first
+    four powers of p come off one division at a time and the rest through
+    :func:`_split_by_squares`, so a split takes O(log v) divisions.  The
+    prefix is there because most valuations are small (v < 4 in 96 % of
     the splits a ``verify --check composition`` trial makes), where single
     divisions beat the recursion's calls.
     """
     if not n:
         raise InputError("zero has infinite valuation")
+    if p == 2:
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
     v = 0
     while n % p == 0:
         n //= p

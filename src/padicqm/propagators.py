@@ -20,7 +20,7 @@ from functools import reduce
 
 from .analytic import _sin_cos_sums, _trig_domain_valuation, _unit_inverse, sqrt_p
 from .characters import Amplitude, Phase, chi, gauss_factor, lambda_v, phase_sum
-from .dynamics import QuadraticActionForm, action_form_constant_field
+from .dynamics import QuadraticActionForm, _constant_field_form, action_form_constant_field
 from .errors import (
     DegenerateFormError,
     DegenerateIntervalError,
@@ -32,8 +32,8 @@ from .errors import (
 )
 from .gauss import quad_char_integral_ball
 from .places import (
-    Place, integer, norm, p_split, rational, require_instance, require_place, unit_split,
-    valuation,
+    Place, _unchecked, integer, norm, p_split, rational, require_instance, require_place,
+    unit_split, valuation,
 )
 
 
@@ -57,7 +57,8 @@ class PartitionSpec:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise PartitionError("a partition needs at least two points")
-        if len(set(pts)) < len(pts):
+        # reduced pairs of ints hash faster than the Fractions they stand for
+        if len({(t.numerator, t.denominator) for t in pts}) < len(pts):
             raise PartitionError(f"partition points repeat: {', '.join(map(str, pts))}")
 
     @property
@@ -98,14 +99,18 @@ class SymbolicKernel:
         lambda_v(a) = lambda_v(-2 gamma) by square absorption, and
         |2a|_v^{-1} = |gamma|_v.
         """
-        require_place(place)
+        if type(place) is not Place:
+            require_place(place)
         if type(form) is not QuadraticActionForm:
             require_instance(form, QuadraticActionForm)
         g, den = form.nums[2], form.den
         if not g:
             raise DegenerateFormError("mixed partial of the action form vanishes")
         (mn, md), lam = gauss_factor(place, -den, 2 * g)
-        return cls(place, Amplitude(Fraction(mn, md), lam), form)
+        # every field is checked: the place and the form above, and the
+        # nonzero modulus and eighth phase that gauss_factor gives
+        prefactor = _unchecked(Amplitude, modulus_sq=Fraction(mn, md), phase=lam)
+        return _unchecked(cls, place=place, prefactor=prefactor, form=form)
 
     def evaluate(self, q0: Fraction | int, q1: Fraction | int) -> Amplitude:
         """Amplitude for propagation from q0 to q1: the 1 x 1 :meth:`phase_grid`."""
@@ -220,11 +225,13 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
     (mn, md), lam = gauss_factor(place, -n, D)
     p2, p1 = k2.prefactor, k1.prefactor
     m2, m1 = p2.modulus_sq, p1.modulus_sq
-    prefactor = Amplitude(
-        Fraction(m2.numerator * m1.numerator * mn, m2.denominator * m1.denominator * md),
-        phase_sum(p2.phase, p1.phase, lam),
-    )
-    return SymbolicKernel(place, prefactor, form)
+    mn, md = mn * m2.numerator * m1.numerator, md * m2.denominator * m1.denominator
+    if not mn:  # a zero prefactor: the zero amplitude, whose phase is 0
+        return SymbolicKernel(place, Amplitude.zero(), form)
+    # every field is a checked value: the kernels', the form's and gauss_factor's
+    prefactor = _unchecked(Amplitude, modulus_sq=Fraction(mn, md),
+                           phase=phase_sum(p2.phase, p1.phase, lam))
+    return _unchecked(SymbolicKernel, place=place, prefactor=prefactor, form=form)
 
 
 def desitter_action_form(lam: Fraction | int, T: Fraction | int) -> QuadraticActionForm:
@@ -261,9 +268,13 @@ def finite_n_propagator(
     and equals the one-shot kernel over the total time.
     """
     require_instance(partition, PartitionSpec)
-    q0, q1 = rational(q0), rational(q1)  # before the fold, not after it
-    kernels = (SymbolicKernel.from_form(partition.place, action_form_constant_field(a, eps))
-               for eps in partition.step_lengths())
+    a, q0, q1 = rational(a), rational(q0), rational(q1)  # before the fold, not after it
+    an, ad, place = a.numerator, a.denominator, partition.place
+    ends = [(t.numerator, t.denominator) for t in partition.points]
+    # each step's form from its length (n1 d0 - n0 d1)/(d0 d1), unreduced
+    forms = (_constant_field_form(an, ad, n1 * d0 - n0 * d1, d0 * d1)
+             for (n0, d0), (n1, d1) in zip(ends, ends[1:]))
+    kernels = (SymbolicKernel.from_form(place, form) for form in forms)
     return reduce(lambda kernel, step: compose_kernels(step, kernel), kernels).evaluate(q0, q1)
 
 
@@ -371,8 +382,8 @@ def k_oscillator_td(
     if place.is_real:
         raise InputError("use k_oscillator_td_real for the real place")
     p, precision = place.p, integer(precision)
-    least = oscillator_precision(data, p)
-    form = _oscillator_form(data, p, min(precision, least), least)
+    least, delta, d = _least_precision(data, p)
+    form = _oscillator_form(data, p, min(precision, least), least, delta, d)
     return SymbolicKernel.from_form(place, form).evaluate(data.x0, data.x1)
 
 
@@ -428,13 +439,17 @@ def oscillator_action_form(
     is exact; at other endpoints the form is only as good as those
     digits.  Below P* a PrecisionError names P*.
     """
-    return _oscillator_form(data, p, integer(precision), oscillator_precision(data, p))
+    precision = integer(precision)
+    return _oscillator_form(data, p, precision, *_least_precision(data, p))
 
 
 def _oscillator_form(
-    data: OscillatorBoundaryData, p: int, precision: int, least: int
+    data: OscillatorBoundaryData, p: int, precision: int, least: int, delta: Fraction, d: int
 ) -> QuadraticActionForm:
-    """The oscillator's form at ``precision``, in integers; ``least`` is P*.
+    """The oscillator's form at ``precision``, in integers.
+
+    ``least``, delta = gamma1 - gamma0 and d = v_p(delta) are those of
+    :func:`_least_precision`, formed once for both.
 
     With sin delta = p^d s and cos delta = c from ``_sin_cos_sums`` and
     the root p^r y from ``sqrt_p``, one inverse of the unit s gives both
@@ -448,7 +463,7 @@ def _oscillator_form(
     if precision < least:
         raise PrecisionError(f"precision {precision} does not pin the oscillator kernel"
                              f" at p = {p}: it needs {least}")
-    d, s, c = _sin_cos_sums(data.gamma1 - data.gamma0, p, precision)
+    d, s, c = _sin_cos_sums(delta, p, precision, d)
     k = precision - d
     inv = _unit_inverse(s, p, k)
     cot = c * inv % p**k
@@ -493,6 +508,12 @@ def oscillator_precision(data: OscillatorBoundaryData, p: int) -> int:
     product dgamma1 dgamma0 that is not a square raises NonSquareError in
     the evaluation at every precision; P* is then only a number.
     """
+    return _least_precision(data, p)[0]
+
+
+def _least_precision(data: OscillatorBoundaryData, p: int) -> tuple[int, Fraction, int]:
+    """(P*, delta, d): :func:`oscillator_precision` with delta = gamma1 - gamma0 and
+    d = v_p(delta), which the evaluation reads too."""
     require_instance(data, OscillatorBoundaryData)
     delta = data.gamma1 - data.gamma0
     if not delta:
@@ -512,4 +533,4 @@ def oscillator_precision(data: OscillatorBoundaryData, p: int) -> int:
     if len(ends) == 2:
         w = ends[0][0] + ends[1][0]
         bounds += [2 * d - r - w] + ([d - w] if d - w > r + 1 else [])
-    return max(bounds)
+    return max(bounds), delta, d

@@ -26,6 +26,7 @@ from padicqm import (
     PadicqmError,
     PadicTruncation,
     PartitionSpec,
+    Phase,
     Place,
     QuadraticActionForm,
     SymbolicKernel,
@@ -419,6 +420,63 @@ def test_an_object_of_the_wrong_class_raises_input_error(fn, name, param):
     cls = getattr(padicqm, inspect.signature(fn).parameters[param].annotation)
     with pytest.raises(InputError, match=f"^not of type {cls.__name__}: 'x'$"):
         fn(**{**kwargs, param: "x"})
+
+
+#: valid arguments of the callables with a parameter annotated with a builtin
+#: type that no table above covers: not a rational, an integer size or a prime
+BUILTIN_ARGUMENTS = {
+    "DigitExpansion": dict(valuation=0, digits=(1,), prime=3),
+    "Place.parse": dict(text="3"),
+    "QuadraticActionForm.from_integers": dict(den=1, nums=(1, 1, 1, 0, 0, 0)),
+    "legendre": dict(a=2, p=3),
+}
+#: the raw PadicTruncation constructor keeps its fields unchecked (see PRIME_EXEMPT)
+BUILTIN_PARAMETERS = [(fn, name, param.name)
+                      for name, fn in _public_callables() if name not in PRIME_EXEMPT
+                      for param in inspect.signature(fn).parameters.values()
+                      if param.annotation in ("int", "str", "tuple[int, ...]")
+                      and param.name not in INTEGER_NAMES | {"p", "prime"}]
+
+
+def test_the_signature_scan_finds_the_builtin_parameters():
+    assert sorted(f"{name}-{param}" for _, name, param in BUILTIN_PARAMETERS) == [
+        "DigitExpansion-digits", "DigitExpansion-valuation", "Place.parse-text",
+        "QuadraticActionForm.from_integers-den", "QuadraticActionForm.from_integers-nums",
+        "legendre-a",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, name, param", BUILTIN_PARAMETERS,
+    ids=[f"{name}-{param}" for _, name, param in BUILTIN_PARAMETERS],
+)
+def test_a_builtin_parameter_of_another_type_raises_input_error(fn, name, param):
+    # an int, a str or a tuple of ints takes no other type: each of these
+    # was a bare TypeError or AttributeError
+    kwargs = BUILTIN_ARGUMENTS[name]
+    fn(**kwargs)
+    for bad in ("x", 1.5, None, (1, "x")):
+        with pytest.raises(InputError):
+            fn(**{**kwargs, param: bad})
+
+
+#: every operator of Phase and Amplitude with an operand of another type
+OPERATIONS = {
+    "Phase + int": lambda: Phase() + 1,
+    "Phase - int": lambda: Phase() - 1,
+    "Phase * str": lambda: Phase() * "2",
+    "Phase * float": lambda: Phase() * 0.5,
+    "str * Phase": lambda: "2" * Phase(),
+    "Phase * Phase": lambda: Phase() * Phase(),
+    "Amplitude * int": lambda: Amplitude.one() * 3,
+    "Amplitude * Phase": lambda: Amplitude.one() * Phase(),
+}
+
+
+@pytest.mark.parametrize("operation", OPERATIONS.values(), ids=OPERATIONS)
+def test_an_operand_of_another_type_raises_input_error(operation):
+    with pytest.raises(InputError, match="^not (of type|an integer)"):
+        operation()
 
 
 @pytest.mark.parametrize("q0s, q1s", [(1, (0,)), ((0,), 1)], ids=["q0s", "q1s"])

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -76,6 +77,15 @@ class TestPSplit:
         for v in range(300):
             for u in (1, -1, p - 1, p + 1, 2 * p - 1):
                 assert p_split(p**v * u, p) == self.want(p**v * u, p)
+
+    def test_two_against_the_division_loop(self):
+        # at p = 2 v is read from the lowest set bit, for either sign of n
+        rng = random.Random(2)
+        for v in range(201):
+            for _ in range(3):
+                u = rng.randrange(1, 2**70) | 1
+                for n in (u << v, -(u << v)):
+                    assert p_split(n, 2) == self.want(n, 2) == (v, n >> v)
 
     def test_large_valuation(self):
         # one division by p a step took 13 s here

@@ -41,6 +41,7 @@ from padicqm import (
 from padicqm import propagators
 from padicqm.errors import PadicqmError, PrecisionError
 
+import lambda_oracle
 import series_oracle
 from closed_forms import k_constant_field, k_desitter, k_free, k_oscillator
 from compose_oracle import (
@@ -297,6 +298,44 @@ class TestComposeAgainstOracle:
             assert got == want
         assert got.evaluate(q0, q1) == want.evaluate(q0, q1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(place=st.sampled_from(ALL_PLACES), forms=st.tuples(FORM, FORM),
+           moduli=st.tuples(small_rationals(), small_rationals()),
+           phases=st.tuples(small_rationals(), small_rationals()))
+    # a zero prefactor composes to the zero amplitude, whose phase is 0
+    @example(place=P3, forms=(step_form("free", F(1), F(1)), step_form("free", F(1), F(2))),
+             moduli=(F(0), F(1)), phases=(F(1, 3), F(1, 8)))
+    def test_user_built_prefactors(self, place, forms, moduli, phases):
+        # prefactors of from_form are eighths of a turn; a user's kernel may
+        # carry any phase and squared modulus, and composes alike
+        k2, k1 = (SymbolicKernel(place, Amplitude(abs(m), Phase(ph)), form)
+                  for m, ph, form in zip(moduli, phases, forms))
+        try:
+            got = compose_kernels(k2, k1)
+        except DegenerateIntervalError:
+            return
+        want = compose_kernels_fraction(k2, k1)
+        assert got == want and hash(got) == hash(want)
+        assert got.prefactor.is_zero == (0 in moduli)
+
+    @pytest.mark.parametrize("place", ALL_PLACES, ids=str)
+    def test_library_built_objects_equal_public_ones(self, place):
+        # from_integers, from_form and compose_kernels build their forms,
+        # prefactors and kernels past the constructors' checks: each equals,
+        # and hashes as, the object the public constructors make of its values
+        def public(kernel):
+            f, pre = kernel.form, kernel.prefactor
+            form = QuadraticActionForm(f.alpha, f.beta, f.gamma, f.delta, f.epsilon, f.zeta)
+            return SymbolicKernel(place, Amplitude(pre.modulus_sq, Phase(pre.phase.value)), form)
+
+        k1 = SymbolicKernel.from_form(place, action_form_constant_field(F(3, 2), F(5, 7)))
+        k2 = SymbolicKernel.from_form(place, desitter_action_form(F(-1, 4), F(9, 2)))
+        for kernel in (k1, k2, compose_kernels(k2, k1)):
+            twin = public(kernel)
+            for got, want in ((kernel, twin), (kernel.prefactor, twin.prefactor),
+                              (kernel.form, twin.form)):
+                assert got == want and hash(got) == hash(want)
+
     @settings(max_examples=300)
     @given(a=small_rationals(), T=small_rationals())
     def test_step_form_from_integers(self, a, T):
@@ -382,6 +421,54 @@ class TestFiniteN:
                 want = k_constant_field(place, a, part.points[-1] - part.points[0], q0, q1)
                 assert finite_n_propagator(a, part, q0, q1) == want
         assert negative_steps > 0
+
+    @pytest.mark.parametrize("place", [*ALL_PLACES, Place.prime(11)], ids=str)
+    def test_against_the_fraction_fold(self, place):
+        # steps of shuffled points, negative ones among them, each kernel from
+        # its Fraction step length and form with the prefactor
+        # lambda(-2 gamma) |gamma|^(1/2) of lambda_oracle, folded by the
+        # Fraction route of compose_oracle and evaluated through chi
+        rng = random.Random(f"fold {place}")
+        for n in (1, 2, 3, 5, 8, 13, 24):
+            pts = set()
+            while len(pts) < n + 1:
+                pts.add(rand_rational(rng, place))
+            pts = list(pts)
+            rng.shuffle(pts)
+            a, q0, q1 = (rand_rational(rng, place) for _ in range(3))
+            steps = []
+            for t0, t1 in zip(pts, pts[1:]):
+                form = action_form_constant_field_fraction(a, t1 - t0)
+                prefactor = Amplitude(norm(form.gamma, place),
+                                      lambda_oracle.lambda_v(place, -2 * form.gamma))
+                steps.append(SymbolicKernel(place, prefactor, form))
+            want = steps[0]
+            for step in steps[1:]:
+                want = compose_kernels_fraction(step, want)
+            phase = want.prefactor.phase + chi(place, -want.form.evaluate(q1, q0))
+            got = finite_n_propagator(a, PartitionSpec(place, tuple(pts)), q0, q1)
+            assert got == Amplitude(want.prefactor.modulus_sq, phase), (n, pts)
+
+    def test_a_fold_of_n_steps_composes_n_minus_1_times(self, monkeypatch):
+        # compose_kernels is the fold's only route, entered once a step after
+        # the first: the count perfbench's path-integral audit takes
+        calls = []
+        compose = propagators.compose_kernels
+
+        def counted(k2, k1):
+            calls.append(k2.place)
+            return compose(k2, k1)
+
+        monkeypatch.setattr(propagators, "compose_kernels", counted)
+        rng = random.Random(7)
+        for place in ALL_PLACES:
+            for n in (1, 2, 7, 16):
+                pts = set()
+                while len(pts) < n + 1:
+                    pts.add(rand_rational(rng, place))
+                calls.clear()
+                finite_n_propagator(1, PartitionSpec(place, tuple(pts)), 0, 1)
+                assert calls == [place] * (n - 1)
 
     def test_partition_validation(self):
         for points in ((0, 0), (1,), (0, 1, 0), ()):
@@ -759,9 +846,9 @@ class TestOscillatorPrecision:
         calls = []
         sums = propagators._sin_cos_sums
 
-        def spy(x, p, precision):
+        def spy(x, p, precision, d=None):
             calls.append((p, precision))
-            return sums(x, p, precision)
+            return sums(x, p, precision, d)
 
         monkeypatch.setattr(propagators, "_sin_cos_sums", spy)
         for p in (3, 5, 7):

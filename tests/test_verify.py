@@ -104,6 +104,18 @@ def test_seeded_draw_stream_is_pinned(place):
     assert rng.getrandbits(32) == (3433140320 if place == "inf" else 1981416324)
 
 
+def test_a_composition_request_composes_600_times(monkeypatch, capsys):
+    # perfbench's path-integral audit: a request folds N = 2..16 at each of the
+    # five default places through compose_kernels, N - 1 calls a fold
+    calls = []
+    compose = propagators.compose_kernels
+    monkeypatch.setattr(propagators, "compose_kernels",
+                        lambda k2, k1: calls.append(k2.place) or compose(k2, k1))
+    assert main(["verify", "--check", "composition", "--trials", "1", "--seed", "5"]) == 0
+    assert '"status": "pass"' in capsys.readouterr().out
+    assert len(calls) == 5 * sum(n - 1 for n in verify.COMPOSITION_STEPS) == 600
+
+
 def test_overlap_catches_a_threshold_one_too_high(monkeypatch):
     threshold = verify.overlap_vanishing_threshold
     monkeypatch.setattr(verify, "overlap_vanishing_threshold",

@@ -196,9 +196,10 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
     if type(k2) is not SymbolicKernel or type(k1) is not SymbolicKernel:
         require_instance(k2, SymbolicKernel)
         require_instance(k1, SymbolicKernel)
-    if k2.place != k1.place:
-        raise InputError("kernels live at different places")
     place = k2.place
+    # a fold's kernels share one Place object: identity settles it without __eq__
+    if place is not k1.place and place != k1.place:
+        raise InputError("kernels live at different places")
     D2, (a2, b2, g2, d2, e2, z2) = k2.form.den, k2.form.nums
     D1, (a1, b1, g1, d1, e1, z1) = k1.form.den, k1.form.nums
     # chi argument of the product is -(f2(q1, x) + f1(x, q0)); collected in x

@@ -336,6 +336,15 @@ class TestComposeAgainstOracle:
                               (kernel.form, twin.form)):
                 assert got == want and hash(got) == hash(want)
 
+    def test_places_compare_by_value(self):
+        # equal places held by distinct objects compose; distinct places raise
+        form = action_form_constant_field(1, 2)
+        k1, k2 = (SymbolicKernel.from_form(Place.prime(3), form) for _ in range(2))
+        assert k1.place is not k2.place
+        assert compose_kernels(k2, k1) == compose_kernels_fraction(k2, k1)
+        with pytest.raises(InputError, match="different places"):
+            compose_kernels(SymbolicKernel.from_form(P5, form), k1)
+
     @settings(max_examples=300)
     @given(a=small_rationals(), T=small_rationals())
     def test_step_form_from_integers(self, a, T):

@@ -13,7 +13,9 @@ field (the real-place oscillator's), against the floats the file keeps.
 The corpus: the five ``verify`` checks at seeds 0-2; every CLI command
 of ``.github/workflows/tests.yml`` and of the README's command-line
 block; kernel grids of the four systems at inf, 2, 3, 5 and 7, in JSON
-and CSV; and 120 seeded argvs of ``argv_corpus``.  Rewrite the file
+and CSV; argvs on the edges of parsing, which pin what argparse accepts
+and the bytes of its help and usage errors; and 120 seeded argvs of
+``argv_corpus``.  Rewrite the file
 after an intended change of output, and name each argv it reports::
 
     PYTHONPATH=src python tests/golden_corpus.py
@@ -119,11 +121,32 @@ def _grids() -> list[list[str]]:
             for fmt in ("json", "csv")]
 
 
+def _parse_edges() -> list[list[str]]:
+    """Argvs on the edges of parsing: abbreviations, repeats, signs, ``--``, errors, help."""
+    gauss = ["gauss", "--place", "3", "--a", "1"]
+    return [
+        _osc("3", "105") + ["--prec", "20"],
+        ["kernel", "--sys", "free", "--place", "3"],
+        ["kernel", "--system", "free", "--place", "3", "--T", "1", "--T=2", "--place", "5"],
+        ["kernel", "--system", "const-field", "--place", "3", "--a", "-2"],
+        _osc("3", "105")[:-6] + ["--s1", "-2", "--ds0", "0", "--ds1", "0"],
+        ["kernel", "--system", "const-field", "--place", "3", "--a", "-7/3"],
+        ["kernel", "--system", "free", "--place", "3", "--T="],
+        ["kernel", "--system", "free", "--place", "3", "--", "--T", "1"],
+        ["kernel", "--system", "free", "--place", "3", "--"],
+        gauss + ["--foo=1"],
+        gauss + ["--format", "xml"],
+        ["kernel", "--place", "3"],
+        ["kernel", "-h"],
+        ["verify", "--check", "nope"],
+    ]
+
+
 def argvs() -> list[list[str]]:
     """The corpus, each argv once, in the order above."""
     out = [["verify", "--check", c, "--seed", str(s)]
            for s in range(3) for c in ("lambda", "composition", "semigroup", "overlap", "gauss")]
-    out += _workflow() + _readme() + _grids()
+    out += _workflow() + _readme() + _grids() + _parse_edges()
     rng = random.Random(17)
     out += [argv_corpus.random_argv(rng) for _ in range(120)]
     seen = set()

@@ -41,7 +41,7 @@ def main():
     folded = finite_n_propagator(2, part, 0, 1)
     kernel = SymbolicKernel.from_form(place, action_form_constant_field(2, total_time))
     direct = kernel.evaluate(0, 1)
-    print(f"  N = {part.n_steps} fold : |.|^2 = {folded.modulus_sq}, phase = {folded.phase}")
+    print(f"  N = {len(part.points) - 1} fold : |.|^2 = {folded.modulus_sq}, phase = {folded.phase}")
     print(f"  one-shot T = {total_time}: |.|^2 = {direct.modulus_sq}, phase = {direct.phase}")
     print(f"  exactly equal: {folded == direct}")
 

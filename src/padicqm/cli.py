@@ -13,9 +13,15 @@ maps the type it raised to the exit code (argparse exits 2 on a usage error):
 
 Output is JSON (default) or CSV; every row carries the exact
 fractions next to their float rendering, and a fixed seed reproduces
-byte-identical output.  Kernel grids are written by a flat writer of
-their own, text shared by many rows encoded once; every other command
-writes its few rows through ``json.dumps`` and ``csv``.
+byte-identical output.  Kernel rows, of a grid or of the oscillator, are
+written by a flat writer of their own, text shared by many rows encoded
+once; ``gauss`` and ``ball-integral`` write their one row through
+``json.dumps`` and ``csv``.
+
+:func:`build_parser` is the one definition of the grammar.  An argv of
+plain ``--opt=value`` and ``--opt value`` tokens is read from a table of
+its store actions; argparse parses every other argv, so it alone writes
+help and usage errors.
 """
 
 from __future__ import annotations
@@ -94,6 +100,8 @@ CSV_COLUMNS = [
 #: T, and the grid point's, from q0
 _BLOCK_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("q0")]
 _POINT_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("q0"):CSV_COLUMNS.index("modulus_sq")]
+#: an oscillator row's CSV cells before its phase
+_EXACT_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("phase")]
 
 
 def _rational(text: str) -> Fraction:
@@ -177,14 +185,11 @@ ROW_TEXT = {
 
 
 def _emit(rows: list[dict], fmt: str, header: dict) -> None:
-    """Rows under the header: JSON through ``json.dumps``, CSV through ``csv``.
-
-    A CSV row has no cell for a field outside CSV_COLUMNS, such as ``sqrt_branch``.
-    """
+    """Rows of ``gauss`` and ``ball-integral``: JSON through ``json.dumps``, CSV through ``csv``."""
     if fmt == "json":
         sys.stdout.write(json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n")
         return
-    writer = csv.DictWriter(sys.stdout, CSV_COLUMNS, extrasaction="ignore")
+    writer = csv.DictWriter(sys.stdout, CSV_COLUMNS)
     writer.writeheader()
     writer.writerows(rows)
 
@@ -300,21 +305,14 @@ def _kernel_rows(args) -> list[str]:
     return rows
 
 
-def _cmd_kernel(args) -> int:
-    if args.system == "osc":
-        return _cmd_kernel_oscillator(args)
-    rows = _kernel_rows(args)
-    if args.format == "csv":
-        sys.stdout.write(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows))
-        return EXIT_OK
-    # what json.dumps(indent=2) writes for the header and the row texts
-    body = f'[{",".join(rows)}\n  ]' if rows else "[]"
-    sys.stdout.write(f'{{\n  "command": "kernel",\n  "system": "{args.system}",\n'
-                     f'  "rows": {body}\n}}\n')
-    return EXIT_OK
+def _oscillator_rows(args) -> list[str]:
+    """The oscillator's row texts, one a place, in the kernel grid's row form.
 
-
-def _cmd_kernel_oscillator(args) -> int:
+    A row's fields run to ``modulus_sq`` through :func:`_fields`; JSON keeps
+    ``sqrt_branch`` after ``system``, which has no CSV column.  The real
+    place has no exact field and writes the floats of
+    ``k_oscillator_td_real``, finite wherever it returns.
+    """
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(OscillatorBoundaryData)}
     if None in values.values():
         raise PadicqmError("oscillator system needs " + " ".join(f"--{name}" for name in values))
@@ -324,6 +322,7 @@ def _cmd_kernel_oscillator(args) -> int:
     for value in values.values():
         _text(value)
     data = OscillatorBoundaryData(**values)
+    opening, before_phase, before_re, before_im, closing, missing = ROW_TEXT[args.format]
     rows = []
     for place in args.place:
         row = {"place": str(place), "system": "osc", "sqrt_branch": "canonical"}
@@ -333,8 +332,22 @@ def _cmd_kernel_oscillator(args) -> int:
         else:
             amp = k_oscillator_td(place, data, args.precision)
             row.update(_amp_fields(amp, place.p))
-        rows.append(row)
-    _emit(rows, args.format, {"command": "kernel", "system": "osc"})
+        re, im = (missing if x is None else repr(x) for x in (row.pop("re"), row.pop("im")))
+        phase = row.pop("phase")
+        rows.append(f"{opening}{_fields(row, _EXACT_COLUMNS, args.format)[1:]}{before_phase}"
+                    f"{phase}{before_re}{re}{before_im}{im}{closing}")
+    return rows
+
+
+def _cmd_kernel(args) -> int:
+    rows = _oscillator_rows(args) if args.system == "osc" else _kernel_rows(args)
+    if args.format == "csv":
+        sys.stdout.write(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows))
+        return EXIT_OK
+    # what json.dumps(indent=2) writes for the header and the row texts
+    body = f'[{",".join(rows)}\n  ]' if rows else "[]"
+    sys.stdout.write(f'{{\n  "command": "kernel",\n  "system": "{args.system}",\n'
+                     f'  "rows": {body}\n}}\n')
     return EXIT_OK
 
 
@@ -413,8 +426,68 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _options() -> dict[str, tuple[dict, list, str]]:
+    """Subcommand -> (option string -> action, its actions, the subcommand's dest).
+
+    Read from :func:`_parser`: a subcommand whose actions are help and
+    single-value stores only, as every one of :func:`build_parser` is.
+    """
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sub in commands.choices.items():
+        stores = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        if all(type(a) is argparse._StoreAction and a.nargs is None for a in stores):
+            options = {s: a for a in stores for s in a.option_strings}
+            table[name] = (options, stores, commands.dest)
+    return table
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's namespace for a plain argv, None for any other.
+
+    Plain: a subcommand of :func:`_options`, then only ``--opt=value`` and
+    ``--opt value`` tokens, opt an exact option string of it and a separate
+    value not starting with ``-``, where each value converts through the
+    action's type into its choices and every required option is given.
+    As in argparse, the last value of an option wins and a string default
+    converts through the type.  argparse parses the rest: help, abbreviations,
+    ``--``, values such as ``-2``, and every usage error.
+    """
+    table = _options().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, actions, dest = table
+    given = {}
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            opt, eq, value = token.partition("=")
+            action = options.get(opt)
+            if not eq:
+                value = next(tokens, "-")
+            if action is None or not eq and value[:1] == "-":
+                return None
+            value = action.type(value) if action.type else value
+            if action.choices is not None and value not in action.choices:
+                return None
+            given[action] = value
+        for action in actions:
+            if action not in given:
+                if action.required:
+                    return None
+                value = action.default
+                if isinstance(value, str) and action.type:
+                    value = action.type(value)
+                given[action] = value
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**{dest: argv[0]}, **{a.dest: v for a, v in given.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv) or _parser().parse_args(argv)
     # the handler of subcommand "x-y" is _cmd_x_y, looked up at call time
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:

@@ -61,13 +61,6 @@ class PartitionSpec:
         if len({(t.numerator, t.denominator) for t in pts}) < len(pts):
             raise PartitionError(f"partition points repeat: {', '.join(map(str, pts))}")
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.points) - 1
-
-    def step_lengths(self) -> tuple[Fraction, ...]:
-        return tuple(b - a for a, b in zip(self.points, self.points[1:]))
-
 
 @dataclass(frozen=True)
 class SymbolicKernel:

@@ -1,19 +1,30 @@
-"""Kernel grids row by row: the oracle of ``padicqm kernel``'s block writer.
+"""Kernel rows one by one: the oracle of ``padicqm kernel``'s row writer.
 
 The CLI evaluates a kernel grid one (place, T) block at a time, through
-``SymbolicKernel.phase_grid``, and writes each row from text encoded once
-a request or a block.  This route builds every row on its own instead:
-the amplitude from the ``Fraction`` phase prefactor + chi_v(-S(q1, q0)),
-its fields from ``Amplitude.render``, one dict a row, and the document
-from ``json.dumps`` or ``csv.writer``.
+``SymbolicKernel.phase_grid``, and writes each row, the oscillator's too,
+from text it assembles itself.  This route builds every row on its own
+instead: a grid's amplitude from the ``Fraction`` phase prefactor +
+chi_v(-S(q1, q0)), an oscillator's from ``k_oscillator_td`` and
+``k_oscillator_td_real``, its fields from ``Amplitude.render``, one dict
+a row, and the document from ``json.dumps`` or ``csv.writer``.
 """
 
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
 
-from padicqm import Amplitude, OutputLimitError, SymbolicKernel, chi, valuation
+from padicqm import (
+    Amplitude,
+    OscillatorBoundaryData,
+    OutputLimitError,
+    SymbolicKernel,
+    chi,
+    k_oscillator_td,
+    k_oscillator_td_real,
+    valuation,
+)
 from padicqm.cli import CSV_COLUMNS, KERNEL_FORMS, build_parser
 
 
@@ -78,14 +89,37 @@ def kernel_rows(argv: list[str]) -> tuple[dict, list[dict], str]:
     return {"command": "kernel", "system": args.system}, rows, args.format
 
 
+def oscillator_rows(argv: list[str]) -> tuple[dict, list[dict], str]:
+    """(header, rows, format) of a ``kernel --system osc`` command line, one row a place."""
+    args = build_parser().parse_args(argv)
+    data = OscillatorBoundaryData(**{f.name: getattr(args, f.name)
+                                     for f in dataclasses.fields(OscillatorBoundaryData)})
+    rows = []
+    for place in args.place:
+        row = {"place": str(place), "system": "osc", "sqrt_branch": "canonical"}
+        if place.is_real:
+            value = k_oscillator_td_real(data)
+            row.update({"modulus_sq": "", "phase": "", "re": value.real, "im": value.imag})
+        else:
+            row.update(amp_fields(k_oscillator_td(place, data, args.precision), place.p))
+        rows.append(row)
+    return {"command": "kernel", "system": "osc"}, rows, args.format
+
+
 def payload(argv: list[str]) -> dict:
     header, rows, _ = kernel_rows(argv)
     return {**header, "rows": rows}
 
 
+def oscillator_payload(argv: list[str]) -> dict:
+    header, rows, _ = oscillator_rows(argv)
+    return {**header, "rows": rows}
+
+
 def output(argv: list[str]) -> str:
-    """The bytes ``padicqm kernel`` writes for the command line."""
-    header, rows, fmt = kernel_rows(argv)
+    """The bytes ``padicqm kernel`` writes for the command line, of any system."""
+    osc = build_parser().parse_args(argv).system == "osc"
+    header, rows, fmt = (oscillator_rows if osc else kernel_rows)(argv)
     if fmt == "json":
         return json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n"
     buf = io.StringIO()

@@ -722,19 +722,30 @@ class TestJsonWriter:
     def test_bytes_equal_json_dumps(self, capsys, monkeypatch, argv):
         seen = _emit_payloads(monkeypatch)
         code, out, _ = run_cli(capsys, argv)
-        if argv[0] == "kernel" and argv[2] != "osc":
-            # kernel grids bypass _emit: their payload is the per-row oracle's
+        if argv[0] == "kernel":
+            # kernel rows bypass _emit: their payload is the per-row oracle's
             assert seen == []
-            seen.append(kernel_oracle.payload(argv))
+            oracle = kernel_oracle.oscillator_payload if argv[2] == "osc" else kernel_oracle.payload
+            seen.append(oracle(argv))
         assert code == 0 and len(seen) == 1
         assert out == json.dumps(seen[0], indent=2, default=str) + "\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--system", "osc", "--place", "inf,3,5,7", *OSC_ARGS, "--format", "csv"],
+        ["kernel", "--system", "osc", "--place=", *OSC_ARGS, "--format", "csv"],
+        ["kernel", "--system", "osc", "--place=", *OSC_ARGS],
+    ], ids=["osc-csv", "osc-empty-csv", "osc-empty"])
+    def test_oscillator_bytes_equal_oracle(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and out == kernel_oracle.output(argv)
+
     def test_row_types_covered(self, capsys, monkeypatch):
         seen = _emit_payloads(monkeypatch)
-        run_cli(capsys, ["kernel", "--system", "osc", "--place", "inf,3", *OSC_ARGS])
         run_cli(capsys, ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0",
                          "--N=-1000"])
-        osc, ball = seen
+        ball, = seen
+        osc = kernel_oracle.oscillator_payload(
+            ["kernel", "--system", "osc", "--place", "inf,3", *OSC_ARGS])
         empty = kernel_oracle.payload(["kernel", "--system", "free", "--place", "inf", "--q0="])
         assert osc["rows"][0]["modulus_sq"] == "" and isinstance(osc["rows"][0]["re"], float)
         assert ball["rows"][0]["N"] == -1000 and ball["rows"][0]["re"] is None

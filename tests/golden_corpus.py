@@ -29,9 +29,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 import sys
+import unittest.mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,9 +156,14 @@ def argvs() -> list[list[str]]:
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process ``padicqm`` call."""
+    """Exit code, stdout and stderr of one in-process ``padicqm`` call.
+
+    argparse wraps help and usage text at the terminal's width, which it
+    reads from ``COLUMNS`` first; the file records them at 80 columns.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          unittest.mock.patch.dict(os.environ, {"COLUMNS": "80"})):
         try:
             code = main(list(argv))
         except SystemExit as exc:

@@ -100,8 +100,8 @@ CSV_COLUMNS = [
 #: T, and the grid point's, from q0
 _BLOCK_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("q0")]
 _POINT_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("q0"):CSV_COLUMNS.index("modulus_sq")]
-#: an oscillator row's CSV cells before its phase
-_EXACT_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("phase")]
+#: an oscillator row's CSV cells through modulus_sq, the ones it writes through _fields
+_OSC_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("phase")]
 
 
 def _rational(text: str) -> Fraction:
@@ -334,7 +334,7 @@ def _oscillator_rows(args) -> list[str]:
             row.update(_amp_fields(amp, place.p))
         re, im = (missing if x is None else repr(x) for x in (row.pop("re"), row.pop("im")))
         phase = row.pop("phase")
-        rows.append(f"{opening}{_fields(row, _EXACT_COLUMNS, args.format)[1:]}{before_phase}"
+        rows.append(f"{opening}{_fields(row, _OSC_COLUMNS, args.format)[1:]}{before_phase}"
                     f"{phase}{before_re}{re}{before_im}{im}{closing}")
     return rows
 

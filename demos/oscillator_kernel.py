@@ -1,10 +1,10 @@
 """Time-dependent oscillator kernel via p-adic analytic functions.
 
-The kernel needs sin, tan and a square root of p-adic arguments.  These
-are computed as truncations with rigorous precision tracking, and the
-character phases -- which depend on finitely many digits -- come out
-exact.  The kernel is that of the oscillator's truncated action form,
-through the one evaluator every other system uses.
+The kernel reads cot delta from the p-adic sine and cosine of delta, and
+a square root.  These are computed modulo a power of p with rigorous
+precision tracking, and the character phases -- which depend on finitely
+many digits -- come out exact.  The kernel is that of the oscillator's
+truncated action form, through the one evaluator every other system uses.
 """
 
 from fractions import Fraction as F
@@ -18,7 +18,6 @@ from padicqm import (
     oscillator_precision,
     sin_p,
     sqrt_p,
-    tan_p,
 )
 
 
@@ -28,7 +27,6 @@ def main():
     x = F(p)
     print(f"  sin({x})  = {sin_p(x, p, 12)}")
     print(f"  cos({x})  = {cos_p(x, p, 12)}")
-    print(f"  tan({x})  = {tan_p(x, p, 12)}")
     print(f"  sqrt(7)  = {sqrt_p(7, p, 12)}  (canonical branch)")
 
     data = OscillatorBoundaryData(

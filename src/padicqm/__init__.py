@@ -7,14 +7,7 @@ for cross-checking at the p-adic places.  It has no runtime dependency
 outside the standard library.
 """
 
-from .analytic import (
-    PadicTruncation,
-    chi_of_truncation,
-    cos_p,
-    sin_p,
-    sqrt_p,
-    tan_p,
-)
+from .analytic import PadicTruncation, cos_p, sin_p, sqrt_p
 from .characters import (
     Amplitude,
     Phase,
@@ -87,7 +80,6 @@ __all__ = [
     "SymbolicKernel",
     "action_form_constant_field",
     "chi",
-    "chi_of_truncation",
     "compose_kernels",
     "cos_p",
     "desitter_action_form",
@@ -112,7 +104,6 @@ __all__ = [
     "sin_p",
     "sqrt_p",
     "stabilization_threshold",
-    "tan_p",
     "valuation",
     # errors
     "PadicqmError",

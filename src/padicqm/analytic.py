@@ -1,8 +1,8 @@
-"""p-Adic analytic functions with rigorous finite-precision tracking.
+"""p-Adic sine, cosine and square root, correct modulo p^P.
 
 Values are :class:`PadicTruncation` objects: an element of Q_p known
-modulo p^P.  Arithmetic propagates precision pessimistically, so a
-result's stated precision is never better than what the inputs justify.
+modulo p^P.  The oscillator's kernel reads the sine and cosine as integer
+residues (``_sin_cos_sums``) and its square root through :func:`sqrt_p`.
 Trigonometric series converge for |x|_p <= 1/p (odd p) and <= 1/4
 (p = 2); they are summed modulo p^(P+S), S guard digits for the powers
 of p in the factorials, and the exact Fraction loop of the tests'
@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import Phase, legendre
+from .characters import legendre
 from .errors import DomainError, InputError, NonSquareError, PrecisionError
 from .places import (
-    base_p_digits, integer, p_split, rational, require_instance, require_prime, unit_residue,
-    unit_split, valuation,
+    base_p_digits, integer, p_split, rational, require_prime, unit_residue, unit_split, valuation,
 )
 
 
@@ -46,10 +45,10 @@ class PadicTruncation:
     Nonzero values are stored as p^valuation * mantissa with the mantissa
     a unit modulo p^(precision - valuation).  A value indistinguishable
     from zero at this precision has mantissa 0 and valuation None; the
-    exact zero (:meth:`exact_zero`) is O(p^inf), precision ``math.inf``,
-    which sums and products carry through like any larger precision.
-    The constructor checks nothing, which keeps ``_make`` cheap;
-    :meth:`zero_mod`, :meth:`exact_zero` and :meth:`from_rational` check p.
+    exact zero (:meth:`exact_zero`) is O(p^inf), precision ``math.inf``.
+    A value has no arithmetic.  The constructor checks nothing, which
+    keeps ``_make`` cheap; :meth:`zero_mod`, :meth:`exact_zero` and
+    :meth:`from_rational` check p.
     """
 
     prime: int
@@ -78,11 +77,6 @@ class PadicTruncation:
         """The exact zero, O(p^inf)."""
         require_prime(p)
         return cls(p, None, 0, math.inf)
-
-    @classmethod
-    def _zero(cls, p: int, P: int | float) -> PadicTruncation:
-        """O(p^P) for the precision P of a result: the exact zero at P = inf."""
-        return cls.exact_zero(p) if P == math.inf else cls.zero_mod(p, P)
 
     @classmethod
     def from_rational(cls, x: Fraction | int, p: int, P: int) -> PadicTruncation:
@@ -116,70 +110,6 @@ class PadicTruncation:
             )
         return Fraction(1, self.prime) ** self.valuation
 
-    def __neg__(self) -> PadicTruncation:
-        if self.is_zero_mod:
-            return self
-        return PadicTruncation._make(
-            self.prime, self.valuation, -self.mantissa, self.precision
-        )
-
-    def __add__(self, other: PadicTruncation) -> PadicTruncation:
-        p = self.prime
-        P = min(self.precision, other.precision)
-        if self.is_zero_mod and other.is_zero_mod:
-            return PadicTruncation._zero(p, P)
-        if self.is_zero_mod:
-            return PadicTruncation._make(p, other.valuation, other.mantissa, P)
-        if other.is_zero_mod:
-            return PadicTruncation._make(p, self.valuation, self.mantissa, P)
-        v = min(self.valuation, other.valuation)
-        m = self.mantissa * p ** (self.valuation - v) + other.mantissa * p ** (
-            other.valuation - v
-        )
-        return PadicTruncation._make(p, v, m, P)
-
-    def __sub__(self, other: PadicTruncation) -> PadicTruncation:
-        return self + (-other)
-
-    def __mul__(self, other: PadicTruncation) -> PadicTruncation:
-        p = self.prime
-        if self.is_zero_mod or other.is_zero_mod:
-            # O(p^P1) * (p^v2 unit) = O(p^(P1+v2)); O * O = O(p^(P1+P2))
-            v1 = self.precision if self.is_zero_mod else self.valuation
-            v2 = other.precision if other.is_zero_mod else other.valuation
-            return PadicTruncation._zero(p, v1 + v2)
-        P = min(self.valuation + other.precision, other.valuation + self.precision)
-        return PadicTruncation._make(
-            p, self.valuation + other.valuation, self.mantissa * other.mantissa, P
-        )
-
-    def __truediv__(self, other: PadicTruncation) -> PadicTruncation:
-        p = self.prime
-        if other.is_zero_mod:
-            raise PrecisionError("division by a value not pinned away from zero")
-        if self.is_zero_mod:
-            return PadicTruncation._zero(p, self.precision - other.valuation)
-        v = self.valuation - other.valuation
-        P = min(
-            self.precision - other.valuation,
-            other.precision + self.valuation - 2 * other.valuation,
-        )
-        k = P - v
-        inv = _unit_inverse(other.mantissa, p, k)
-        return PadicTruncation._make(p, v, self.mantissa * inv % p**k, P)
-
-    def scale(self, c: Fraction | int) -> PadicTruncation:
-        """Multiply by an exact rational (no precision loss beyond the shift)."""
-        p, c = self.prime, rational(c)
-        if c == 0:
-            return PadicTruncation.exact_zero(p)
-        if self.is_zero_mod:
-            return PadicTruncation._zero(p, self.precision + valuation(c, p))
-        vc, r = unit_residue(c, p, self.precision - self.valuation)
-        return PadicTruncation._make(
-            p, self.valuation + vc, self.mantissa * r, self.precision + vc
-        )
-
     def __str__(self) -> str:
         if self.is_zero_mod:
             return "0" if self.precision == math.inf else f"O({self.prime}^{self.precision})"
@@ -192,21 +122,6 @@ class PadicTruncation:
             f"{self.prime}^{self.valuation}*({terms or '0'})"
             f" + O({self.prime}^{self.precision})"
         )
-
-
-def chi_of_truncation(t: PadicTruncation) -> Phase:
-    """Additive-character phase of a truncated value.
-
-    The fractional part depends only on digits below p^0, so it is
-    pinned exactly once the precision reaches 0.
-    """
-    require_instance(t, PadicTruncation)
-    if t.precision < 0:
-        raise PrecisionError("precision below p^0: fractional part not pinned")
-    if t.is_zero_mod or t.valuation >= 0:
-        return Phase()
-    p_pow = t.prime ** (-t.valuation)
-    return Phase(Fraction(t.mantissa % p_pow, p_pow))
 
 
 def _trig_domain_valuation(x: Fraction, p: int) -> int:
@@ -286,13 +201,6 @@ def sin_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
 def cos_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     """p-Adic cosine by its Taylor series, correct modulo p^P."""
     return PadicTruncation._make(p, 0, _sin_cos_sums(rational(x), p, P)[2], P)
-
-
-def tan_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
-    """p-Adic tangent: sin/cos with cos a unit throughout the domain."""
-    d, s, c = _sin_cos_sums(rational(x), p, P)
-    # a sine of O(p^P) is its own quotient; at P < 1 the cosine is O(p^P) too
-    return PadicTruncation._make(p, d, s * _unit_inverse(c, p, P - d) if s else 0, P)
 
 
 def _sqrt_unit_odd(u0: int, p: int) -> int:

@@ -78,24 +78,18 @@ KERNEL_FORMS = {
     "const-field": ("a", action_form_constant_field),
     "desitter": ("lam", desitter_action_form),
 }
+#: kernel system -> the options it reads; an argv that gives it any other exits 2
+_GRID_OPTIONS = frozenset({"--system", "--place", "--format", "--T", "--q0", "--q1"})
+KERNEL_OPTIONS = {
+    "free": _GRID_OPTIONS,
+    "const-field": _GRID_OPTIONS | {"--a"},
+    "desitter": _GRID_OPTIONS | {"--lam"},
+    "osc": frozenset({"--system", "--place", "--format", "--precision",
+                      *(f"--{f.name}" for f in dataclasses.fields(OscillatorBoundaryData))}),
+}
 
-CSV_COLUMNS = [
-    "place",
-    "system",
-    "a",
-    "b",
-    "lam",
-    "T",
-    "q0",
-    "q1",
-    "alpha",
-    "beta",
-    "N",
-    "modulus_sq",
-    "phase",
-    "re",
-    "im",
-]
+CSV_COLUMNS = ["place", "system", "a", "b", "lam", "T", "q0", "q1", "alpha", "beta", "N",
+               "modulus_sq", "phase", "re", "im"]
 #: a kernel row's CSV cells before its amplitude: the (place, T) block's, to
 #: T, and the grid point's, from q0
 _BLOCK_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("q0")]
@@ -339,6 +333,22 @@ def _oscillator_rows(args) -> list[str]:
     return rows
 
 
+def _check_kernel_options(system: str, argv: list[str]) -> None:
+    """PadicqmError naming each option of a parsed kernel argv that ``system`` does not read.
+
+    Tokens are read as argparse reads them: ``--opt`` or ``--opt=value``, opt abbreviated or not.
+    """
+    options, reads, unread = _options()["kernel"][0], KERNEL_OPTIONS[system], []
+    for token in argv[1:]:
+        opt = token.partition("=")[0]
+        if opt not in reads and opt.startswith("--") and opt != "--":
+            opt = min((s for s in options if s.startswith(opt)), key=len, default="")
+            if opt and opt not in reads and opt not in unread:
+                unread.append(opt)
+    if unread:
+        raise PadicqmError(f"--system {system} does not read {', '.join(unread)}")
+
+
 def _cmd_kernel(args) -> int:
     rows = _oscillator_rows(args) if args.system == "osc" else _kernel_rows(args)
     if args.format == "csv":
@@ -379,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     kernel = sub.add_parser("kernel", help="evaluate a propagator on a parameter grid")
-    kernel.add_argument("--system", required=True,
-                        choices=[*KERNEL_FORMS, "osc"])
+    kernel.add_argument("--system", required=True, choices=list(KERNEL_OPTIONS))
     kernel.add_argument("--place", type=_place_list, required=True,
                         help="comma-separated places: inf or primes")
     kernel.add_argument("--T", type=_rational_list, default=[Fraction(1)])
@@ -391,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--lam", type=_rational, default=Fraction(0),
                         help="cosmological constant (desitter)")
     for field in dataclasses.fields(OscillatorBoundaryData):
-        kernel.add_argument(f"--{field.name}", type=_rational, default=None,
-                            help="oscillator boundary value")
+        kernel.add_argument(f"--{field.name}", type=_rational, help="oscillator boundary value")
     kernel.add_argument("--precision", type=int, default=20,
                         help="most p-adic digits the oscillator kernel may use")
     kernel.add_argument("--format", choices=["json", "csv"], default="json")
@@ -491,6 +499,8 @@ def main(argv: list[str] | None = None) -> int:
     # the handler of subcommand "x-y" is _cmd_x_y, looked up at call time
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
+        if args.command == "kernel":
+            _check_kernel_options(args.system, argv)
         code = command(args)
         sys.stdout.flush()
         return code

@@ -16,13 +16,13 @@ from padicqm import (
     Place,
     PrecisionError,
     chi,
-    chi_of_truncation,
     lambda_v,
     norm,
 )
 from padicqm.propagators import oscillator_chi_rational_part
 
 import series_oracle
+from truncation_oracle import add, chi_of_truncation, scale
 
 
 def k_constant_field(
@@ -92,14 +92,14 @@ def k_oscillator(place: Place, data, P: int) -> Amplitude:
     rational part, plus chi_p of the truncated term
     -(dgamma1 x1^2 + dgamma0 x0^2)/(2 tan delta) + r x1 x0 taken as one
     value.  The truncations come from the exact Fraction sums of
-    ``series_oracle``.
+    ``series_oracle``, and their arithmetic is ``truncation_oracle``'s.
     """
     inv_tan, root_over_sin = series_oracle.oscillator_truncations(data, place.p, P)
     quad_coeff = -(data.dgamma1 * data.x1**2 + data.dgamma0 * data.x0**2) / 2
-    trig = inv_tan.scale(quad_coeff) + root_over_sin.scale(data.x1 * data.x0)
+    trig = add(scale(inv_tan, quad_coeff), scale(root_over_sin, data.x1 * data.x0))
     return Amplitude(
         root_over_sin.norm(),
-        _pinned_lambda(place, root_over_sin.scale(2))
+        _pinned_lambda(place, scale(root_over_sin, 2))
         + chi(place, oscillator_chi_rational_part(data))
         + chi_of_truncation(trig),
     )

@@ -7,8 +7,8 @@ with the same term count K and the same domain check, so the library's
 residues must be those of these sums modulo p^P.
 
 ``oscillator_truncations`` rebuilds the oscillator's two truncations
-from these sums with ``from_rational`` and ``pow``-based division, the
-route the library took before it summed modulo p^M, and
+from these sums with ``from_rational`` and ``truncation_oracle.divide``,
+the route the library took before it summed modulo p^M, and
 ``oscillator_form`` builds the form from them behind the guard that
 once decided when the form pins its kernel: the oracle of
 ``oscillator_precision``.
@@ -21,6 +21,8 @@ from padicqm import (
     oscillator_precision, sqrt_p, valuation,
 )
 from padicqm.analytic import _trig_domain_valuation, _trig_term_count
+
+from truncation_oracle import divide
 
 
 def sin_cos_sums(x: Fraction, p: int, P: int) -> tuple[Fraction, Fraction]:
@@ -37,20 +39,6 @@ def sin_cos_sums(x: Fraction, p: int, P: int) -> tuple[Fraction, Fraction]:
         else:
             sin_total += -term if (k - 1) % 4 else term
     return sin_total, cos_total
-
-
-def divide(a: PadicTruncation, b: PadicTruncation) -> PadicTruncation:
-    """a / b with the precision rule of ``PadicTruncation.__truediv__``, inverting by ``pow``."""
-    p = a.prime
-    if b.is_zero_mod:
-        raise PrecisionError("division by a value not pinned away from zero")
-    if a.is_zero_mod:
-        return PadicTruncation.zero_mod(p, a.precision - b.valuation)
-    v = a.valuation - b.valuation
-    P = min(a.precision - b.valuation, b.precision + a.valuation - 2 * b.valuation)
-    k = P - v
-    inv = pow(b.mantissa, -1, p**k)
-    return PadicTruncation.from_rational(Fraction(a.mantissa * inv % p**k) * Fraction(p) ** v, p, P)
 
 
 def oscillator_truncations(data, p: int, P: int):

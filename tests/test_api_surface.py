@@ -161,7 +161,6 @@ VALID_ARGUMENTS = {
     "OscillatorBoundaryData": dict(x0=1, x1=2, gamma0=0, gamma1=3, dgamma0=1, dgamma1=1,
                                    s0=1, s1=1, ds0=0, ds1=0),
     "PadicTruncation.from_rational": dict(x=1, p=3, P=5),
-    "PadicTruncation.scale": dict(c=2),
     "PartitionSpec": dict(place=P3, points=(0, 1)),
     "Phase": dict(value=1),
     "PolynomialPath": dict(coefficients=(0, 1), t_start=0, t_end=1, q_start=0, q_end=1),
@@ -193,7 +192,6 @@ VALID_ARGUMENTS = {
     "sin_p": dict(x=3, p=3, P=5),
     "sqrt_p": dict(x=4, p=3, P=5),
     "stabilization_threshold": dict(p=3, alpha=1, beta=0),
-    "tan_p": dict(x=3, p=3, P=5),
     "valuation": dict(x=1, p=3),
 }
 
@@ -226,7 +224,7 @@ RATIONAL_PARAMETERS = _rational_parameters()
 
 
 def test_the_signature_scan_finds_the_rational_parameters():
-    assert len(RATIONAL_PARAMETERS) >= 79
+    assert len(RATIONAL_PARAMETERS) >= 77
     assert {name for _, name, _ in RATIONAL_PARAMETERS} == set(VALID_ARGUMENTS)
 
 
@@ -281,7 +279,7 @@ def test_the_signature_scan_finds_the_integer_parameters():
         "PadicTruncation.from_rational-P", "PadicTruncation.zero_mod-P", "cos_p-P",
         "digits-count", "k_oscillator_td-precision", "minimal_resolution-N",
         "oscillator_action_form-precision", "overlap_ball_integral-N",
-        "quad_char_integral_ball-N", "sin_p-P", "sqrt_p-P", "tan_p-P",
+        "quad_char_integral_ball-N", "sin_p-P", "sqrt_p-P",
     ]
 
 
@@ -345,7 +343,7 @@ PRIME_ARGUMENTS = {
     "oscillator_precision": dict(data=OSC_DATA, p=3),
 }
 #: the raw PadicTruncation constructor checks nothing, so that ``_make``,
-#: behind every arithmetic result, stays cheap; its factories check p
+#: behind every value of sin_p, cos_p and sqrt_p, stays cheap; its factories check p
 PRIME_EXEMPT = {"PadicTruncation"}
 PRIME_PARAMETERS = [(fn, name, param.name)
                     for name, fn in _public_callables() if name not in PRIME_EXEMPT
@@ -361,7 +359,7 @@ def test_the_signature_scan_finds_the_prime_parameters():
         "fractional_part-p", "haar_oracle-p", "legendre-p", "minimal_resolution-p",
         "oscillator_action_form-p", "oscillator_precision-p", "overlap_ball_integral-p",
         "overlap_vanishing_threshold-p", "quad_char_integral_ball-p", "quadratic_char_fn-p",
-        "sin_p-p", "sqrt_p-p", "stabilization_threshold-p", "tan_p-p", "valuation-p",
+        "sin_p-p", "sqrt_p-p", "stabilization_threshold-p", "valuation-p",
     ]
 
 
@@ -388,7 +386,6 @@ LIBRARY_CLASSES = {name for name in padicqm.__all__
 CLASS_ARGUMENTS = {
     **PRIME_ARGUMENTS,
     "QuadraticCharacter.coset_counts": dict(ball=BallSpec(3, 1, 1)),
-    "chi_of_truncation": dict(t=TRUNCATION),
     "compose_kernels": dict(k2=KERNEL, k1=KERNEL),
     "k_oscillator_td_real": dict(data=OSC_DATA),
 }
@@ -401,11 +398,10 @@ CLASS_PARAMETERS = [(fn, name, param.name)
 def test_the_signature_scan_finds_the_class_parameters():
     assert sorted(f"{name}-{param}" for _, name, param in CLASS_PARAMETERS) == [
         "Amplitude-phase", "QuadraticCharacter.coset_counts-ball", "SymbolicKernel-form",
-        "SymbolicKernel-prefactor", "SymbolicKernel.from_form-form", "chi_of_truncation-t",
-        "compose_kernels-k1", "compose_kernels-k2", "finite_n_propagator-partition",
-        "haar_oracle-ball", "haar_oracle-f", "k_general_quadratic-form",
-        "k_oscillator_td-data", "k_oscillator_td_real-data", "oscillator_action_form-data",
-        "oscillator_precision-data",
+        "SymbolicKernel-prefactor", "SymbolicKernel.from_form-form", "compose_kernels-k1",
+        "compose_kernels-k2", "finite_n_propagator-partition", "haar_oracle-ball",
+        "haar_oracle-f", "k_general_quadratic-form", "k_oscillator_td-data",
+        "k_oscillator_td_real-data", "oscillator_action_form-data", "oscillator_precision-data",
     ]
 
 
@@ -477,6 +473,27 @@ OPERATIONS = {
 def test_an_operand_of_another_type_raises_input_error(operation):
     with pytest.raises(InputError, match="^not (of type|an integer)"):
         operation()
+
+
+#: operator symbol -> the name of its dunder, without underscores
+BINARY_OPERATORS = {"+": "add", "-": "sub", "*": "mul", "/": "truediv", "//": "floordiv",
+                    "%": "mod", "**": "pow", "@": "matmul", "&": "and", "|": "or", "^": "xor",
+                    "<<": "lshift", ">>": "rshift"}
+#: the binary arithmetic dunders, reflected ones too
+BINARY_DUNDERS = {f"__{r}{name}__" for name in BINARY_OPERATORS.values() for r in ("", "r")}
+
+
+def test_every_binary_operator_has_a_foreign_operand_case():
+    # "L op R" calls L.__op__ where L is a library class, else R.__rop__
+    classes = {name for name in padicqm.__all__ if inspect.isclass(getattr(padicqm, name))}
+    covered = set()
+    for case in OPERATIONS:
+        left, op, right = case.split()
+        name = BINARY_OPERATORS[op]
+        covered.add(f"{left}.__{name}__" if left in classes else f"{right}.__r{name}__")
+    defined = {f"{name}.{attr}" for name in classes
+               for attr in vars(getattr(padicqm, name)) if attr in BINARY_DUNDERS}
+    assert sorted(defined - covered) == []
 
 
 @pytest.mark.parametrize("q0s, q1s", [(1, (0,)), ((0,), 1)], ids=["q0s", "q1s"])

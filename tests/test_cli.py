@@ -138,6 +138,36 @@ class TestKernelCommand:
         assert err == ("error: oscillator system needs --x0 --x1 --gamma0 --gamma1 --dgamma0"
                        " --dgamma1 --s0 --s1 --ds0 --ds1\n")
 
+    OSC_DATA = ["--x0", "1", "--x1", "2", "--gamma0", "0", "--gamma1", "105", "--dgamma0", "1",
+                "--dgamma1", "1", "--s0", "1", "--s1", "1", "--ds0", "0", "--ds1", "0"]
+
+    @pytest.mark.parametrize("route", ["table", "argparse"])
+    @pytest.mark.parametrize("options, unread", [
+        (["free", "--x0", "1", "--precision", "5", "--lam", "7"], "--x0, --precision, --lam"),
+        (["free", "--a", "0"], "--a"),
+        (["const-field", "--a=1", "--lam", "0", "--lam", "1"], "--lam"),
+        # before any work: T = 0 alone would exit 2 on a degenerate interval
+        (["desitter", "--lam=1", "--a", "1", "--T=0", "--precision", "20"], "--a, --precision"),
+        (["osc", *OSC_DATA, "--T", "1", "--q0=0", "--q1", "1"], "--T, --q0, --q1"),
+    ], ids=["free", "free-a", "const-field", "desitter", "osc"])
+    def test_an_option_the_system_does_not_read_exits_2(self, capsys, options, unread, route):
+        # a misplaced coefficient or a mistyped system would answer another question
+        argv = ["kernel", "--place", "3", "--system", *options]
+        if route == "argparse":
+            argv.append("--form=json")  # an abbreviation, which only argparse reads
+        assert (cli._parse_plain(argv) is None) == (route == "argparse")
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --system {options[0]} does not read {unread}\n"
+
+    def test_an_abbreviated_option_is_named_in_full(self, capsys):
+        code, _, err = run_cli(capsys, ["kernel", "--system", "osc", "--place", "3",
+                                        *self.OSC_DATA, "--l=1"])
+        assert (code, err) == (2, "error: --system osc does not read --lam\n")
+        code, _, err = run_cli(capsys, ["kernel", "--system", "free", "--place", "3",
+                                        "--la", "-7", "--prec=20"])
+        assert (code, err) == (2, "error: --system free does not read --lam, --precision\n")
+
     @pytest.mark.parametrize("place", ["inf", "3"])
     def test_oscillator_vanishing_dgamma_exits_2(self, capsys, place):
         # the mixed partial vanishes: a degenerate form at every place, never a value
@@ -215,9 +245,7 @@ class TestKernelCommand:
         else:
             assert calls == [precision]
 
-    OSC_105 = ["kernel", "--system", "osc", "--place", "3,5,7", "--x0", "1", "--x1", "2",
-               "--gamma0", "0", "--gamma1", "105", "--dgamma0", "1", "--dgamma1", "1",
-               "--s0", "1", "--s1", "1", "--ds0", "0", "--ds1", "0"]
+    OSC_105 = ["kernel", "--system", "osc", "--place", "3,5,7", *OSC_DATA]
 
     def test_oscillator_below_the_least_precision_names_it(self, capsys):
         code, out, err = run_cli(capsys, self.OSC_105 + ["--precision", "1"])

@@ -50,6 +50,7 @@ from compose_oracle import (
     compose_kernels_fraction,
     desitter_action_form_fraction,
 )
+from truncation_oracle import divide, scale
 
 R = Place.real()
 P2, P3, P5, P7 = (Place.prime(p) for p in (2, 3, 5, 7))
@@ -569,7 +570,7 @@ class TestOscillator:
         # with x = 0 everything chi-dependent drops; |sin|_3 = |3|_3, and
         # the phase is lambda_3(2 sqrt(1)/sin 3)
         assert amp.modulus_sq == 3
-        root_over_sin = (PadicTruncation.from_rational(1, 3, 20) / sin_p(F(3), 3, 20)).scale(2)
+        root_over_sin = scale(divide(PadicTruncation.from_rational(1, 3, 20), sin_p(F(3), 3, 20)), 2)
         # lambda_3 reads one digit above the valuation
         assert root_over_sin.precision - root_over_sin.valuation >= 1
         assert amp.phase == lambda_v(P3, root_over_sin.representative())

@@ -79,6 +79,8 @@ def _workflow() -> list[list[str]]:
         _osc("inf", "7/10", ds0="2417851639229258349412352"),
         ["ball-integral", "--p", "4", "--alpha", "1", "--beta", "0", "--N", "1"],
         ["kernel", "--system", "free", "--place", "3.0"],
+        ["kernel", "--system", "free", "--place", "3", "--x0", "1", "--precision", "5",
+         "--lam", "7"],
         *(_osc(place, gamma1) + ["--precision", precision]
           for place, gamma1 in (("3,5,7", "105"), ("2,3,5,7,11,13", "60060"))
           for precision in ("20", "10000")),
@@ -93,6 +95,14 @@ def _workflow() -> list[list[str]]:
         ["kernel", "--system", "free", "--place", "inf,2", "--T=1,2,3,4,5,6,7,8", "--q0=1",
          "--q1=" + ",".join(map(str, range(1, 401)))],
     ]
+    # the gauss and ball-integral rows of the JSON and CSV round trips
+    out += [argv + fmt
+            for fmt in ([], ["--format", "csv"])
+            for argv in (["gauss", "--place", "5", "--a=-3/4", "--b=5/7"],
+                         ["gauss", "--place", "inf", "--a", "1"],
+                         ["ball-integral", "--p", "3", "--alpha", "1/9", "--beta", "2", "--N=1"],
+                         ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0",
+                          "--N=-1000"])]
     return out
 
 

@@ -13,10 +13,9 @@ maps the type it raised to the exit code (argparse exits 2 on a usage error):
 
 Output is JSON (default) or CSV; every row carries the exact
 fractions next to their float rendering, and a fixed seed reproduces
-byte-identical output.  Kernel rows, of a grid or of the oscillator, are
-written by a flat writer of their own, text shared by many rows encoded
-once; ``gauss`` and ``ball-integral`` write their one row through
-``json.dumps`` and ``csv``.
+byte-identical output.  Every row of ``kernel``, ``gauss`` and
+``ball-integral`` is written by one flat writer, text shared by many rows
+encoded once, and :func:`_write` puts the rows under their header.
 
 :func:`build_parser` is the one definition of the grammar.  An argv of
 plain ``--opt=value`` and ``--opt value`` tokens is read from a table of
@@ -90,12 +89,11 @@ KERNEL_OPTIONS = {
 
 CSV_COLUMNS = ["place", "system", "a", "b", "lam", "T", "q0", "q1", "alpha", "beta", "N",
                "modulus_sq", "phase", "re", "im"]
-#: a kernel row's CSV cells before its amplitude: the (place, T) block's, to
-#: T, and the grid point's, from q0
+#: a row's CSV cells before its amplitude; a kernel grid splits them into the
+#: (place, T) block's, to T, and the grid point's, from q0
+_HEAD_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("modulus_sq")]
 _BLOCK_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("q0")]
-_POINT_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("q0"):CSV_COLUMNS.index("modulus_sq")]
-#: an oscillator row's CSV cells through modulus_sq, the ones it writes through _fields
-_OSC_COLUMNS = CSV_COLUMNS[:CSV_COLUMNS.index("phase")]
+_POINT_COLUMNS = _HEAD_COLUMNS[len(_BLOCK_COLUMNS):]
 
 
 def _rational(text: str) -> Fraction:
@@ -140,35 +138,23 @@ def _modulus_text(ms: Fraction, p: int | None) -> str:
         return _text(ms)
 
 
-def _amp_fields(amp: Amplitude, p: int | None) -> dict:
-    try:
-        re, im = amp.render()
-    except OverflowError:
-        re = im = None
-    return {
-        "modulus_sq": _modulus_text(amp.modulus_sq, p),
-        "phase": _text(amp.phase.value),
-        "re": re,
-        "im": im,
-    }
-
-
 def _fields(fields: dict, columns: list[str], fmt: str) -> str:
-    """A run of kernel row fields in output form; every run starts with a separator.
+    """A run of row fields in output form; every run starts with a separator.
 
-    JSON writes the string fields in their order, ``,\\n      "key": "value"``
-    each; CSV writes one cell for each of ``columns``, consecutive in
-    CSV_COLUMNS, empty where ``fields`` lacks it.
+    JSON writes the fields in their order, ``,\\n      "key": "value"`` each,
+    an int (ball-integral's N) as a number; CSV writes one cell for each of
+    ``columns``, consecutive in CSV_COLUMNS, empty where ``fields`` lacks it.
     """
     if fmt == "json":
         enc = encode_basestring_ascii
-        return "".join([f",\n      {enc(k)}: {enc(v)}" for k, v in fields.items()])
+        return "".join([f",\n      {enc(k)}: {v if type(v) is int else enc(v)}"
+                        for k, v in fields.items()])
     buf = io.StringIO()
     csv.writer(buf).writerow([fields.get(col, "") for col in columns])
     return "," + buf.getvalue()[:-2]
 
 
-#: a kernel row's fixed text around its fields in each format: (opening,
+#: a row's fixed text around its fields in each format: (opening,
 #: before_phase, before_re, before_im, closing, missing), where missing is
 #: the text of a float that ``Amplitude.render`` cannot give
 ROW_TEXT = {
@@ -178,21 +164,70 @@ ROW_TEXT = {
 }
 
 
-def _emit(rows: list[dict], fmt: str, header: dict) -> None:
-    """Rows of ``gauss`` and ``ball-integral``: JSON through ``json.dumps``, CSV through ``csv``."""
-    if fmt == "json":
-        sys.stdout.write(json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n")
+def _block(start: str, pairs: list[str], amp: Amplitude, p: int | None, phases,
+           fmt: str) -> list[str]:
+    """Rows ``opening + start + pair + tail`` under one amplitude, a phase (n, d) a pair.
+
+    The modulus text and its float root r are written once; a row adds
+    its phase n/d and re, im = r cos, r sin of 2 pi n/d:
+    ``float(Fraction(n, d))`` is n/d, so they are bit for bit the values
+    of ``Amplitude.render``.  A row's tail, its modulus, phase and float
+    fields, depends on the phase only, so each distinct phase is rendered
+    once: at p many rows of a kernel block repeat one, as chi_p(-S) is 1
+    wherever S is a p-adic integer.
+    """
+    opening, before_phase, before_re, before_im, closing, missing = ROW_TEXT[fmt]
+    start = opening + start
+    modulus = _fields({"modulus_sq": _modulus_text(amp.modulus_sq, p)}, ["modulus_sq"], fmt)
+    try:
+        r = amp.float_modulus()
+    except OverflowError:
+        r = None
+    tau, cos, sin = 2 * math.pi, math.cos, math.sin
+    # phase (n, d) -> the row's tail
+    tails = {}
+    rows = []
+    try:
+        for pair, nd in zip(pairs, phases):
+            tail = tails.get(nd)
+            if tail is None:
+                n, d = nd
+                if r is None:
+                    floats = f"{before_re}{missing}{before_im}{missing}{closing}"
+                else:
+                    theta = tau * (n / d)
+                    floats = (f"{before_re}{r * cos(theta)!r}"
+                              f"{before_im}{r * sin(theta)!r}{closing}")
+                phase = f"{n}/{d}" if d != 1 else str(n)
+                tail = tails[nd] = f"{modulus}{before_phase}{phase}{floats}"
+            rows.append(f"{start}{pair}{tail}")
+    except ValueError as exc:
+        raise OutputLimitError(f"an exact field is too long to write: {exc}") from exc
+    return rows
+
+
+def _row(head: dict, amp: Amplitude, p: int | None, fmt: str) -> list[str]:
+    """The one row of an amplitude, ``head`` its fields before the amplitude's."""
+    value = amp.phase.value
+    start = _fields(head, _HEAD_COLUMNS, fmt)[1:]
+    return _block(start, [""], amp, p, [(value.numerator, value.denominator)], fmt)
+
+
+def _write(header: dict, rows: list[str], fmt: str) -> None:
+    """The rows under their header: CSV, or what ``json.dumps(indent=2)`` writes."""
+    if fmt == "csv":
+        sys.stdout.write(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows))
         return
-    writer = csv.DictWriter(sys.stdout, CSV_COLUMNS)
-    writer.writeheader()
-    writer.writerows(rows)
+    enc = encode_basestring_ascii
+    head = "".join([f"  {enc(k)}: {enc(v)},\n" for k, v in header.items()])
+    body = f'[{",".join(rows)}\n  ]' if rows else "[]"
+    sys.stdout.write(f'{{\n{head}  "rows": {body}\n}}\n')
 
 
 def _cmd_gauss(args) -> int:
-    row = {"place": str(args.place), "system": "gauss", "a": _text(args.a), "b": _text(args.b)}
+    head = {"place": str(args.place), "system": "gauss", "a": _text(args.a), "b": _text(args.b)}
     amp = gauss_full(args.place, args.a, args.b)
-    row.update(_amp_fields(amp, args.place.p))
-    _emit([row], args.format, {"command": "gauss"})
+    _write({"command": "gauss"}, _row(head, amp, args.place.p, args.format), args.format)
     return EXIT_OK
 
 
@@ -218,7 +253,7 @@ def _cmd_ball_integral(args) -> int:
     # the echoed inputs are written first: a rational too long to write
     # exits 3 here, and a writable alpha, beta keeps the Gauss sum modulus
     # p^L within p^(2N) times their denominators
-    row = {
+    head = {
         "place": str(args.p),
         "system": "ball-integral",
         "alpha": _text(args.alpha),
@@ -227,8 +262,7 @@ def _cmd_ball_integral(args) -> int:
     }
     _check_ball_phase(args.p, args.alpha, args.beta, args.N)
     amp = quad_char_integral_ball(args.p, args.alpha, args.beta, args.N)
-    row.update(_amp_fields(amp, args.p))
-    _emit([row], args.format, {"command": "ball-integral"})
+    _write({"command": "ball-integral"}, _row(head, amp, args.p, args.format), args.format)
     return EXIT_OK
 
 
@@ -237,16 +271,11 @@ def _kernel_rows(args) -> list[str]:
 
     Work that many rows share is done once: each T's action form a request,
     shared by every place; the q0, q1 and coefficient fields a request; the
-    place, system and T fields, the squared modulus and its float root r a
-    block.  A row adds its phase n/d from :meth:`SymbolicKernel.phase_grid`
-    and re, im = r cos, r sin of 2 pi n/d: ``float(Fraction(n, d))`` is
-    n/d, so they are bit for bit the values of ``Amplitude.render``.  A
-    row's tail, its modulus, phase and float fields, depends on the block
-    and the phase only, so each distinct phase of a block is rendered once:
-    at p many rows repeat one, as chi_p(-S) is 1 wherever S is a p-adic
-    integer.  The coefficient field goes with the block's fields in CSV,
-    where its column comes before T's, and with the grid point's in JSON,
-    after q1.
+    place, system and T fields a block, whose rows :func:`_block` writes
+    under the block's prefactor from the phases of
+    :meth:`SymbolicKernel.phase_grid`.  The coefficient field goes with
+    the block's fields in CSV, where its column comes before T's, and with
+    the grid point's in JSON, after q1.
     """
     fmt = args.format
     field, make_form = KERNEL_FORMS[args.system]
@@ -259,53 +288,28 @@ def _kernel_rows(args) -> list[str]:
     Ts = [(_text(T), make_form(coeff, T)) for T in args.T]
     pairs = [_fields({"q0": q0, "q1": q1, **to_point}, _POINT_COLUMNS, fmt)
              for q0 in q0s for q1 in q1s]
-    opening, before_phase, before_re, before_im, closing, missing = ROW_TEXT[fmt]
-    null = f"{before_re}{missing}{before_im}{missing}{closing}"
-    tau, cos, sin = 2 * math.pi, math.cos, math.sin
     rows = []
     for place in args.place:
         for T_text, form in Ts:
             kernel = SymbolicKernel.from_form(place, form)
             if not pairs:
                 continue
-            start = opening + _fields({"place": str(place), "system": args.system,
-                                       "T": T_text, **to_block}, _BLOCK_COLUMNS, fmt)[1:]
-            modulus = _fields({"modulus_sq": _modulus_text(kernel.prefactor.modulus_sq, place.p)},
-                              ["modulus_sq"], fmt) + before_phase
-            try:
-                r = kernel.prefactor.float_modulus()
-            except OverflowError:
-                r = None
-            # phase (n, d) -> the row's tail; the modulus and r are the block's
-            tails = {}
-            # phases first: the except below sees only the digit limit of str()
-            grid = zip(pairs, kernel.phase_grid(args.q0, args.q1))
-            try:
-                for pair, nd in grid:
-                    tail = tails.get(nd)
-                    if tail is None:
-                        n, d = nd
-                        if r is None:
-                            floats = null
-                        else:
-                            theta = tau * (n / d)
-                            floats = (f"{before_re}{r * cos(theta)!r}"
-                                      f"{before_im}{r * sin(theta)!r}{closing}")
-                        phase = f"{n}/{d}" if d != 1 else str(n)
-                        tail = tails[nd] = f"{modulus}{phase}{floats}"
-                    rows.append(f"{start}{pair}{tail}")
-            except ValueError as exc:
-                raise OutputLimitError(f"an exact field is too long to write: {exc}") from exc
+            start = _fields({"place": str(place), "system": args.system, "T": T_text,
+                             **to_block}, _BLOCK_COLUMNS, fmt)[1:]
+            # phases first: the except of _block sees only the digit limit of str()
+            phases = kernel.phase_grid(args.q0, args.q1)
+            rows += _block(start, pairs, kernel.prefactor, place.p, phases, fmt)
     return rows
 
 
 def _oscillator_rows(args) -> list[str]:
     """The oscillator's row texts, one a place, in the kernel grid's row form.
 
-    A row's fields run to ``modulus_sq`` through :func:`_fields`; JSON keeps
-    ``sqrt_branch`` after ``system``, which has no CSV column.  The real
-    place has no exact field and writes the floats of
-    ``k_oscillator_td_real``, finite wherever it returns.
+    JSON keeps ``sqrt_branch`` after ``system``, which has no CSV column.
+    The real place has no exact field: its empty ``modulus_sq`` goes in
+    the run of fields before it, as CSV writes a run of one empty cell as
+    ``""``, and its floats are those of ``k_oscillator_td_real``, finite
+    wherever it returns.
     """
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(OscillatorBoundaryData)}
     if None in values.values():
@@ -316,20 +320,18 @@ def _oscillator_rows(args) -> list[str]:
     for value in values.values():
         _text(value)
     data = OscillatorBoundaryData(**values)
-    opening, before_phase, before_re, before_im, closing, missing = ROW_TEXT[args.format]
+    fmt = args.format
+    opening, before_phase, before_re, before_im, closing, _ = ROW_TEXT[fmt]
     rows = []
     for place in args.place:
-        row = {"place": str(place), "system": "osc", "sqrt_branch": "canonical"}
-        if place.is_real:
-            value = k_oscillator_td_real(data)
-            row.update({"modulus_sq": "", "phase": "", "re": value.real, "im": value.imag})
-        else:
-            amp = k_oscillator_td(place, data, args.precision)
-            row.update(_amp_fields(amp, place.p))
-        re, im = (missing if x is None else repr(x) for x in (row.pop("re"), row.pop("im")))
-        phase = row.pop("phase")
-        rows.append(f"{opening}{_fields(row, _OSC_COLUMNS, args.format)[1:]}{before_phase}"
-                    f"{phase}{before_re}{re}{before_im}{im}{closing}")
+        head = {"place": str(place), "system": "osc", "sqrt_branch": "canonical"}
+        if not place.is_real:
+            rows += _row(head, k_oscillator_td(place, data, args.precision), place.p, fmt)
+            continue
+        z = k_oscillator_td_real(data)
+        start = _fields({**head, "modulus_sq": ""}, [*_HEAD_COLUMNS, "modulus_sq"], fmt)[1:]
+        rows.append(f"{opening}{start}{before_phase}{before_re}{z.real!r}"
+                    f"{before_im}{z.imag!r}{closing}")
     return rows
 
 
@@ -351,13 +353,7 @@ def _check_kernel_options(system: str, argv: list[str]) -> None:
 
 def _cmd_kernel(args) -> int:
     rows = _oscillator_rows(args) if args.system == "osc" else _kernel_rows(args)
-    if args.format == "csv":
-        sys.stdout.write(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows))
-        return EXIT_OK
-    # what json.dumps(indent=2) writes for the header and the row texts
-    body = f'[{",".join(rows)}\n  ]' if rows else "[]"
-    sys.stdout.write(f'{{\n  "command": "kernel",\n  "system": "{args.system}",\n'
-                     f'  "rows": {body}\n}}\n')
+    _write({"command": "kernel", "system": args.system}, rows, args.format)
     return EXIT_OK
 
 

@@ -1,12 +1,14 @@
-"""Kernel rows one by one: the oracle of ``padicqm kernel``'s row writer.
+"""CLI rows one by one: the oracle of the row writer of ``padicqm kernel``,
+``gauss`` and ``ball-integral``.
 
 The CLI evaluates a kernel grid one (place, T) block at a time, through
-``SymbolicKernel.phase_grid``, and writes each row, the oscillator's too,
+``SymbolicKernel.phase_grid``, and writes each row, of every command,
 from text it assembles itself.  This route builds every row on its own
 instead: a grid's amplitude from the ``Fraction`` phase prefactor +
 chi_v(-S(q1, q0)), an oscillator's from ``k_oscillator_td`` and
-``k_oscillator_td_real``, its fields from ``Amplitude.render``, one dict
-a row, and the document from ``json.dumps`` or ``csv.writer``.
+``k_oscillator_td_real``, a Gauss or ball integral's from ``gauss_full``
+or ``quad_char_integral_ball``, its fields from ``Amplitude.render``, one
+dict a row, and the document from ``json.dumps`` or ``csv.writer``.
 """
 
 import csv
@@ -21,8 +23,10 @@ from padicqm import (
     OutputLimitError,
     SymbolicKernel,
     chi,
+    gauss_full,
     k_oscillator_td,
     k_oscillator_td_real,
+    quad_char_integral_ball,
     valuation,
 )
 from padicqm.cli import CSV_COLUMNS, KERNEL_FORMS, build_parser
@@ -106,20 +110,37 @@ def oscillator_rows(argv: list[str]) -> tuple[dict, list[dict], str]:
     return {"command": "kernel", "system": "osc"}, rows, args.format
 
 
+def integral_rows(argv: list[str]) -> tuple[dict, list[dict], str]:
+    """(header, rows, format) of a ``gauss`` or ``ball-integral`` command line: its one row."""
+    args = build_parser().parse_args(argv)
+    if args.command == "gauss":
+        row = {"place": str(args.place), "system": "gauss", "a": text(args.a), "b": text(args.b)}
+        amp, p = gauss_full(args.place, args.a, args.b), args.place.p
+    else:
+        row = {"place": str(args.p), "system": "ball-integral", "alpha": text(args.alpha),
+               "beta": text(args.beta), "N": args.N}
+        amp, p = quad_char_integral_ball(args.p, args.alpha, args.beta, args.N), args.p
+    row.update(amp_fields(amp, p))
+    return {"command": args.command}, [row], args.format
+
+
+def rows_of(argv: list[str]) -> tuple[dict, list[dict], str]:
+    """(header, rows, format) of a ``kernel``, ``gauss`` or ``ball-integral`` command line."""
+    args = build_parser().parse_args(argv)
+    if args.command != "kernel":
+        return integral_rows(argv)
+    return (oscillator_rows if args.system == "osc" else kernel_rows)(argv)
+
+
 def payload(argv: list[str]) -> dict:
-    header, rows, _ = kernel_rows(argv)
-    return {**header, "rows": rows}
-
-
-def oscillator_payload(argv: list[str]) -> dict:
-    header, rows, _ = oscillator_rows(argv)
+    """The document of the command line, as the dict ``json.dumps`` writes."""
+    header, rows, _ = rows_of(argv)
     return {**header, "rows": rows}
 
 
 def output(argv: list[str]) -> str:
-    """The bytes ``padicqm kernel`` writes for the command line, of any system."""
-    osc = build_parser().parse_args(argv).system == "osc"
-    header, rows, fmt = (oscillator_rows if osc else kernel_rows)(argv)
+    """The bytes the CLI writes for a ``kernel``, ``gauss`` or ``ball-integral`` command line."""
+    header, rows, fmt = rows_of(argv)
     if fmt == "json":
         return json.dumps({**header, "rows": rows}, indent=2, default=str) + "\n"
     buf = io.StringIO()

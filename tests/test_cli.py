@@ -709,27 +709,13 @@ class TestOutputLimit:
             assert decided_by_lambda >= 1
 
 
-def _emit_payloads(monkeypatch):
-    """Record every (header, rows) that ``cli._emit`` writes as JSON."""
-    seen = []
-    emit = cli._emit
-
-    def spy(rows, fmt, header=None):
-        if fmt == "json":
-            seen.append({**(header or {}), "rows": rows})
-        emit(rows, fmt, header)
-
-    monkeypatch.setattr(cli, "_emit", spy)
-    return seen
-
-
 OSC_ARGS = ["--x0", "1/2", "--x1", "1/3", "--gamma0", "0", "--gamma1", "105",
             "--dgamma0", "1", "--dgamma1", "1", "--s0", "1", "--s1", "2",
             "--ds0", "1/5", "--ds1", "1/7"]
 
 
 class TestJsonWriter:
-    """The row writer against ``json.dumps(payload, indent=2, default=str)``."""
+    """The row writer against the per-row oracle's ``json.dumps`` and ``csv.writer``."""
 
     @pytest.mark.parametrize("argv", [
         ["kernel", "--system", "free", "--place", "inf,2,3,5,7",
@@ -747,16 +733,10 @@ class TestJsonWriter:
         ["kernel", "--system", "free", "--place", "inf", "--q0="],
     ], ids=["free", "const-field", "desitter", "osc", "gauss", "gauss-null",
             "ball", "ball-power", "ball-null", "empty-grid"])
-    def test_bytes_equal_json_dumps(self, capsys, monkeypatch, argv):
-        seen = _emit_payloads(monkeypatch)
+    def test_bytes_equal_json_dumps(self, capsys, argv):
         code, out, _ = run_cli(capsys, argv)
-        if argv[0] == "kernel":
-            # kernel rows bypass _emit: their payload is the per-row oracle's
-            assert seen == []
-            oracle = kernel_oracle.oscillator_payload if argv[2] == "osc" else kernel_oracle.payload
-            seen.append(oracle(argv))
-        assert code == 0 and len(seen) == 1
-        assert out == json.dumps(seen[0], indent=2, default=str) + "\n"
+        assert code == 0
+        assert out == json.dumps(kernel_oracle.payload(argv), indent=2, default=str) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["kernel", "--system", "osc", "--place", "inf,3,5,7", *OSC_ARGS, "--format", "csv"],
@@ -767,13 +747,22 @@ class TestJsonWriter:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0 and out == kernel_oracle.output(argv)
 
-    def test_row_types_covered(self, capsys, monkeypatch):
-        seen = _emit_payloads(monkeypatch)
-        run_cli(capsys, ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0",
-                         "--N=-1000"])
-        ball, = seen
-        osc = kernel_oracle.oscillator_payload(
-            ["kernel", "--system", "osc", "--place", "inf,3", *OSC_ARGS])
+    @pytest.mark.parametrize("argv", [
+        ["gauss", "--place", "5", "--a=-3/4", "--b=5/7"],
+        ["gauss", "--place", "inf", "--a", "1"],
+        ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0", "--N=-10000"],
+        ["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0", "--N=-1000"],
+        ["kernel", "--system", "osc", "--place", "inf", *OSC_ARGS],
+    ], ids=["gauss", "gauss-inf", "ball-power", "ball-null", "osc-real"])
+    def test_csv_bytes_equal_oracle(self, capsys, argv):
+        argv = [*argv, "--format", "csv"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and out == kernel_oracle.output(argv)
+
+    def test_row_types_covered(self):
+        ball = kernel_oracle.payload(["ball-integral", "--p", "3", "--alpha", "0", "--beta", "0",
+                                      "--N=-1000"])
+        osc = kernel_oracle.payload(["kernel", "--system", "osc", "--place", "inf,3", *OSC_ARGS])
         empty = kernel_oracle.payload(["kernel", "--system", "free", "--place", "inf", "--q0="])
         assert osc["rows"][0]["modulus_sq"] == "" and isinstance(osc["rows"][0]["re"], float)
         assert ball["rows"][0]["N"] == -1000 and ball["rows"][0]["re"] is None

@@ -80,9 +80,8 @@ KERNEL_FORMS = {
 #: kernel system -> the options it reads; an argv that gives it any other exits 2
 _GRID_OPTIONS = frozenset({"--system", "--place", "--format", "--T", "--q0", "--q1"})
 KERNEL_OPTIONS = {
-    "free": _GRID_OPTIONS,
-    "const-field": _GRID_OPTIONS | {"--a"},
-    "desitter": _GRID_OPTIONS | {"--lam"},
+    **{system: _GRID_OPTIONS.union([f"--{field}"] if field else [])
+       for system, (field, _) in KERNEL_FORMS.items()},
     "osc": frozenset({"--system", "--place", "--format", "--precision",
                       *(f"--{f.name}" for f in dataclasses.fields(OscillatorBoundaryData))}),
 }

@@ -310,8 +310,10 @@ def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
     require_instance(ball, BallSpec)
     if ball.prime != p:
         raise InputError("ball prime disagrees with p")
-    if ball.n_cosets > COSET_CAP:
-        raise OracleCapError(f"{ball.n_cosets} cosets exceed the cap of {COSET_CAP}")
+    # p^e >= 2^e > COSET_CAP once e reaches its bit length: no power is formed there
+    e = ball.radius_exponent + ball.resolution_exponent
+    if e >= COSET_CAP.bit_length() or ball.n_cosets > COSET_CAP:
+        raise OracleCapError(f"{p}^{e} cosets exceed the cap of {COSET_CAP}")
     counts, m = f.coset_counts(ball)
     w = m - m // p
     coords = list(map(sub, counts, counts[w:] * (p - 1)))

@@ -277,6 +277,26 @@ class TestHaarOracle:
         with pytest.raises(OracleCapError):
             haar_oracle(3, quadratic_char_fn(3, 0, 0), BallSpec(3, 10, 10))
 
+    def test_cap_forms_no_power_past_its_bit_length(self, monkeypatch):
+        # 3^9100 has more than 4,300 digits, beyond str() of an int: the ball
+        # is refused from N + M alone, and the message names the power
+        monkeypatch.setattr(BallSpec, "n_cosets", property(lambda ball: pytest.fail("p^(N+M)")))
+        with pytest.raises(OracleCapError, match=r"^3\^9100 cosets exceed the cap of 1000000$"):
+            haar_oracle(3, quadratic_char_fn(3, 1, 0), BallSpec(3, 9100, 0))
+
+    @pytest.mark.parametrize("p, n, refused", [(2, 3, False), (2, 4, True), (3, 2, True),
+                                               (7, 1, False)])
+    def test_cap_edges(self, monkeypatch, p, n, refused):
+        # the cap 8 has bit length 4: 2^3 and 7 cosets are summed, 2^4 is
+        # refused by its exponent and 3^2 by its count
+        monkeypatch.setattr(gauss, "COSET_CAP", 8)
+        f, ball = quadratic_char_fn(p, 0, 0), BallSpec(p, n, 0)
+        if refused:
+            with pytest.raises(OracleCapError, match=f"^{p}\\^{n} cosets exceed the cap of 8$"):
+                haar_oracle(p, f, ball)
+        else:
+            assert abs(haar_oracle(p, f, ball) - p**n) < 1e-9
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             BallSpec(3, -2, 1)

@@ -154,12 +154,13 @@ def _fields(fields: dict, columns: list[str], fmt: str) -> str:
 
 
 #: a row's fixed text around its fields in each format: (opening,
-#: before_phase, before_re, before_im, closing, missing), where missing is
-#: the text of a float that ``Amplitude.render`` cannot give
+#: before_modulus, before_phase, before_re, before_im, closing, missing),
+#: missing the text of a float that ``Amplitude.render`` cannot give; the
+#: exact texts, of digits, "/", "-" and "^", need no escape in either format
 ROW_TEXT = {
-    "json": ("\n    {", ',\n      "phase": "', '",\n      "re": ', ',\n      "im": ', "\n    }",
-             "null"),
-    "csv": ("", ",", ",", ",", "\r\n", ""),
+    "json": ("\n    {", ',\n      "modulus_sq": "', '",\n      "phase": "', '",\n      "re": ',
+             ',\n      "im": ', "\n    }", "null"),
+    "csv": ("", ",", ",", ",", ",", "\r\n", ""),
 }
 
 
@@ -175,9 +176,9 @@ def _block(start: str, pairs: list[str], amp: Amplitude, p: int | None, phases,
     once: at p many rows of a kernel block repeat one, as chi_p(-S) is 1
     wherever S is a p-adic integer.
     """
-    opening, before_phase, before_re, before_im, closing, missing = ROW_TEXT[fmt]
+    opening, before_modulus, before_phase, before_re, before_im, closing, missing = ROW_TEXT[fmt]
     start = opening + start
-    modulus = _fields({"modulus_sq": _modulus_text(amp.modulus_sq, p)}, ["modulus_sq"], fmt)
+    modulus = f"{before_modulus}{_modulus_text(amp.modulus_sq, p)}{before_phase}"
     try:
         r = amp.float_modulus()
     except OverflowError:
@@ -198,7 +199,7 @@ def _block(start: str, pairs: list[str], amp: Amplitude, p: int | None, phases,
                     floats = (f"{before_re}{r * cos(theta)!r}"
                               f"{before_im}{r * sin(theta)!r}{closing}")
                 phase = f"{n}/{d}" if d != 1 else str(n)
-                tail = tails[nd] = f"{modulus}{before_phase}{phase}{floats}"
+                tail = tails[nd] = f"{modulus}{phase}{floats}"
             rows.append(f"{start}{pair}{tail}")
     except ValueError as exc:
         raise OutputLimitError(f"an exact field is too long to write: {exc}") from exc
@@ -305,9 +306,8 @@ def _oscillator_rows(args) -> list[str]:
     """The oscillator's row texts, one a place, in the kernel grid's row form.
 
     JSON keeps ``sqrt_branch`` after ``system``, which has no CSV column.
-    The real place has no exact field: its empty ``modulus_sq`` goes in
-    the run of fields before it, as CSV writes a run of one empty cell as
-    ``""``, and its floats are those of ``k_oscillator_td_real``, finite
+    The real place has no exact field: it writes ``modulus_sq`` and
+    ``phase`` empty, and the floats of ``k_oscillator_td_real``, finite
     wherever it returns.
     """
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(OscillatorBoundaryData)}
@@ -320,7 +320,7 @@ def _oscillator_rows(args) -> list[str]:
         _text(value)
     data = OscillatorBoundaryData(**values)
     fmt = args.format
-    opening, before_phase, before_re, before_im, closing, _ = ROW_TEXT[fmt]
+    opening, before_modulus, before_phase, before_re, before_im, closing, _ = ROW_TEXT[fmt]
     rows = []
     for place in args.place:
         head = {"place": str(place), "system": "osc", "sqrt_branch": "canonical"}
@@ -328,8 +328,8 @@ def _oscillator_rows(args) -> list[str]:
             rows += _row(head, k_oscillator_td(place, data, args.precision), place.p, fmt)
             continue
         z = k_oscillator_td_real(data)
-        start = _fields({**head, "modulus_sq": ""}, [*_HEAD_COLUMNS, "modulus_sq"], fmt)[1:]
-        rows.append(f"{opening}{start}{before_phase}{before_re}{z.real!r}"
+        start = _fields(head, _HEAD_COLUMNS, fmt)[1:]
+        rows.append(f"{opening}{start}{before_modulus}{before_phase}{before_re}{z.real!r}"
                     f"{before_im}{z.imag!r}{closing}")
     return rows
 

@@ -214,7 +214,7 @@ def _row(head: dict, amp: Amplitude, p: int | None, fmt: str) -> list[str]:
 
 
 def _write(header: dict, rows: list[str], fmt: str) -> None:
-    """The rows under their header: CSV, or what ``json.dumps(indent=2)`` writes."""
+    """The rows under their header: CSV, or the JSON the standard encoder writes at indent 2."""
     if fmt == "csv":
         sys.stdout.write(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows))
         return

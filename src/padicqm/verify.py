@@ -7,8 +7,12 @@ covers some work.  All randomness is driven by an explicit seed, so a
 fixed configuration reproduces bit-identical results.
 
 A random rational takes three draws of its place's stream (four at p)
-and is built as one Fraction.  The time points of a trial are its first
-distinct draws, in the order drawn.
+and is built as one Fraction.  Each draw is what ``randrange`` or
+``choice`` would draw, made straight from ``getrandbits``: a draw below n
+reads n.bit_length() bits and reads again until the value is below n, so
+the stream, the values and the generator's state after them are those of
+the ``random`` module's own calls.  The time points of a trial are its
+first distinct draws, in the order drawn.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .gauss import (
     quadratic_char_fn,
     stabilization_threshold,
 )
-from .places import Place, norm
+from .places import Place, _unchecked, norm
 from .propagators import (
     PartitionSpec,
     finite_n_propagator,
@@ -42,6 +46,9 @@ from .propagators import (
 DEFAULT_PLACES = (Place.real(), Place.prime(2), Place.prime(3), Place.prime(5), Place.prime(7))
 #: p-adic random rationals have norms across p^-SPAN .. p^SPAN
 SPAN = 2
+# the draw of randrange(-SPAN, SPAN + 1): _K_BITS bits, kept below _K_WIDTH
+_K_WIDTH = 2 * SPAN + 1
+_K_BITS = _K_WIDTH.bit_length()
 #: partition sizes N of the composition check
 COMPOSITION_STEPS = range(2, 17)
 #: largest Haar-oracle error the gauss check accepts
@@ -50,23 +57,38 @@ HAAR_TOLERANCE = 1e-10
 
 def random_nonzero_rational(rng: random.Random, place: Place) -> Fraction:
     """A random nonzero rational; p-adic places get norms across p^-SPAN..p^SPAN."""
-    # randrange(a, b + 1) draws what randint(a, b) draws, with one call less
-    num = rng.randrange(1, 25) * rng.choice((-1, 1))
-    den = rng.randrange(1, 25)
+    # randrange(1, 25) * choice((-1, 1)), randrange(1, 25) and, at p,
+    # randrange(-SPAN, SPAN + 1), in that order: 5 bits kept below 24, 2 bits
+    # kept below 2 (0 is -1), 5 bits kept below 24, 3 bits kept below 5
+    bits = rng.getrandbits
+    while (num := bits(5)) >= 24:
+        pass
+    while (sign := bits(2)) >= 2:
+        pass
+    while (den := bits(5)) >= 24:
+        pass
+    num = num + 1 if sign else -1 - num
+    den += 1
     if place.is_real:
         return Fraction(num, den)
-    k = rng.randrange(-SPAN, SPAN + 1)
+    while (k := bits(_K_BITS)) >= _K_WIDTH:
+        pass
+    k -= SPAN
     return Fraction(num * place.p**k, den) if k >= 0 else Fraction(num, den * place.p**-k)
 
 
 def _random_partition(rng: random.Random, place: Place, count: int) -> PartitionSpec:
-    """The partition through the first count distinct random rationals, in the order drawn."""
+    """The partition through the first count >= 2 distinct random rationals, in the order drawn.
+
+    The points are distinct Fractions by the dict's keys, so the partition
+    is built past PartitionSpec's checks.
+    """
     # keyed by the reduced pair of ints, which hashes faster than the Fraction
     points: dict[tuple[int, int], Fraction] = {}
     while len(points) < count:
         t = random_nonzero_rational(rng, place)
         points.setdefault((t.numerator, t.denominator), t)
-    return PartitionSpec(place, tuple(points.values()))
+    return _unchecked(PartitionSpec, place=place, points=tuple(points.values()))
 
 
 def _run_trials(places, trials: int, key, trial, rounds=(None,), padic_only=False) -> list[dict]:
@@ -154,7 +176,12 @@ def _overlap_trial(rng: random.Random, place: Place, _):
 def _gauss_trial(rng: random.Random, place: Place, _):
     p = place.p
     a = random_nonzero_rational(rng, place)
-    b = rng.choice((Fraction(0), random_nonzero_rational(rng, place)))
+    b = random_nonzero_rational(rng, place)
+    # choice((Fraction(0), b)): 2 bits kept below 2, 0 picks Fraction(0)
+    while (pick := rng.getrandbits(2)) >= 2:
+        pass
+    if not pick:
+        b = Fraction(0)
     full = gauss_full(place, a, b)
     n0 = stabilization_threshold(p, a, b)
     for n in (n0, n0 + 1):

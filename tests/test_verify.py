@@ -1,6 +1,8 @@
+import ast
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from padicqm import (
 from padicqm.characters import gauss_factor
 from padicqm.cli import main
 from padicqm.verify import CHECKS
+
+import draw_oracle
 
 PADIC_ONLY = ("overlap", "gauss")
 
@@ -102,6 +106,53 @@ def test_seeded_draw_stream_is_pinned(place):
     assert [str(x) for x in draws] == SEEDED_DRAWS[place]
     # and take as many values from the generator: 3 a draw at infinity, 4 at p
     assert rng.getrandbits(32) == (3433140320 if place == "inf" else 1981416324)
+
+
+def test_draws_are_those_of_randrange_and_choice():
+    # the same values, the generator left in the same state after them, and
+    # the pinned stream: 300 draws at each seed 0-199 and each place of the oracle
+    assert draw_oracle.problems() == []
+
+
+@pytest.mark.parametrize("place", ["inf", "2", "3", "5", "7", "13"])
+def test_random_partition_is_the_checked_one(place):
+    place = Place.parse(place)
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for count in range(2, 18):
+            got = verify._random_partition(rng, place, count)
+            assert got == draw_oracle.random_partition(ref, place, count)
+            assert type(got.points) is tuple and all(type(t) is F for t in got.points)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_gauss_draws_b_as_choice_draws_it(monkeypatch):
+    # b is 0 or a second rational, picked after that rational is drawn
+    drawn = []
+    full = verify.gauss_full
+    monkeypatch.setattr(verify, "gauss_full",
+                        lambda place, a, b: drawn.append((place, a, b)) or full(place, a, b))
+    places = tuple(Place.prime(p) for p in (2, 3, 5, 7))
+    for seed in range(3):
+        assert verify.check_gauss(places=places, trials=12, seed=seed) == []
+    want = []
+    for seed in range(3):
+        for place in places:
+            rng = random.Random(repr((seed, place.p, "gauss")))
+            want += [(place, *draw_oracle.gauss_pair(rng, place)) for _ in range(12)]
+    assert drawn == want
+    # and both picks are taken
+    assert 0 < sum(b == 0 for _, _, b in drawn) < len(drawn)
+
+
+def test_verify_draws_only_through_getrandbits():
+    # every draw is made straight from getrandbits: the module calls no
+    # randrange, randint or choice
+    tree = ast.parse(Path(verify.__file__).read_text())
+    names = {"randrange", "randint", "choice"}
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
+    assert calls == []
 
 
 def test_a_composition_request_composes_600_times(monkeypatch, capsys):

@@ -7,7 +7,8 @@ The closed form of the quadratic character integral over a completion,
 is evaluated exactly.  Its ball-restricted p-adic version reduces to
 complete quadratic Gauss sums modulo p^L, also evaluated exactly.  A
 numerical oracle checks both over p-adic balls: a Haar-measure coset
-sum, counted in integers and rounded only at the end.  At the real
+sum, counted in integers a residue class of cosets at a time and
+rounded only at the end, without completing the square.  At the real
 place the tests check the closed form against a quadrature and against
 the principal-root formula.
 """
@@ -23,12 +24,18 @@ from operator import sub
 from .characters import EIGHTH_PHASES, ZERO_PHASE, Amplitude, Phase, gauss_factor, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
 from .places import (
-    Place, fractional_residue, integer, p_split, rational, require_instance, require_place,
-    require_prime, unit_split,
+    Place, _unchecked, fractional_residue, integer, p_split, rational, require_instance,
+    require_place, require_prime, unit_split,
 )
 
-#: most cosets the Haar oracle enumerates; above it raises OracleCapError
+#: most cosets the Haar oracle counts; above it raises OracleCapError.  It
+#: bounds the count list (m <= max(p, 2 n) entries) and, at m = p, the one
+#: pass over B = n classes
 COSET_CAP = 10**6
+#: power-basis blocks shorter than this are formed whole, not searched
+BLOCK = 64
+#: balls of at most this many cosets are counted one coset at a time
+TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,10 @@ def gauss_full(place: Place, a: Fraction | int, b: Fraction | int = 0) -> Amplit
             k, m = fractional_residue(num, den, place.p)
         if k:
             q = phase.value
-            phase = Phase(Fraction(q.numerator * m + k * q.denominator, q.denominator * m))
-    return Amplitude(Fraction(mn, md), phase)
+            d = q.denominator * m
+            phase = _unchecked(Phase, value=Fraction((q.numerator * m + k * q.denominator) % d, d))
+    # the fields are checked values: a reduced phase in [0, 1) and a positive modulus
+    return _unchecked(Amplitude, modulus_sq=Fraction(mn, md), phase=phase)
 
 
 def _scaled(m: int, p: int, e: int) -> Fraction:
@@ -104,7 +113,7 @@ def _square_shift(u: int, h: int, p: int, L: int, eighths: int) -> Phase:
     mod = p ** (L - 2 * j)
     h %= mod
     c = -h * h * pow(u, -1, mod) % mod
-    return Phase(Fraction(8 * c + eighths * mod, 8 * mod))
+    return _unchecked(Phase, value=Fraction((8 * c + eighths * mod) % (8 * mod), 8 * mod))
 
 
 def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
@@ -122,17 +131,21 @@ def _complete_gauss_sum(a: int, b: int, p: int, L: int) -> Amplitude:
         if L % 2:
             # at odd L the sum of a unit a is sqrt(p^L) times (a/p), times i at p = 3 mod 4
             eighths = (0 if p % 4 == 1 else 2) + (0 if legendre(a, p) == 1 else 4)
-        return Amplitude(Fraction(mod), _square_shift(4 * a, b, p, L, eighths))
+        return _unchecked(Amplitude, modulus_sq=Fraction(mod),
+                          phase=_square_shift(4 * a, b, p, L, eighths))
     # p = 2, a odd
     if L == 1:
-        return Amplitude(Fraction(4), ZERO_PHASE) if b % 2 == 1 else Amplitude.zero()
+        if b % 2 == 1:
+            return _unchecked(Amplitude, modulus_sq=Fraction(4), phase=ZERO_PHASE)
+        return Amplitude.zero()
     if b % 2 == 1:
         return Amplitude.zero()
     if L % 2 == 0:
         eighths = 1 if a % 4 == 1 else 7
     else:
         eighths = a % 8
-    return Amplitude(Fraction(2 * mod), _square_shift(a, b // 2, p, L, eighths))
+    return _unchecked(Amplitude, modulus_sq=Fraction(2 * mod),
+                      phase=_square_shift(a, b // 2, p, L, eighths))
 
 
 def minimal_resolution(p: int, alpha: Fraction, beta: Fraction, N: int) -> int:
@@ -182,7 +195,7 @@ def quad_char_integral_ball(
         L = max(L, N - vb)
     if L == 0:
         # integrand is identically 1 on the ball; value = measure = p^N
-        return Amplitude(_scaled(1, p, 2 * N), ZERO_PHASE)
+        return _unchecked(Amplitude, modulus_sq=_scaled(1, p, 2 * N), phase=ZERO_PHASE)
     if not alpha or va > 2 * N - L:
         # then L = N - v(beta) > 2N - v(alpha): b_int is a unit and p divides
         # a_int, so the p terms over each x mod p^(L-1) cancel
@@ -192,8 +205,9 @@ def quad_char_integral_ball(
     a_int = an * pow(ad, -1, mod) % mod
     b_int = bn * pow(bd, -1, mod) * pow(p, vb + L - N, mod) % mod if beta else 0
     g = _complete_gauss_sum(a_int, b_int, p, L)
-    # the complete sum's squared modulus is an integer
-    return Amplitude(_scaled(g.modulus_sq.numerator, p, 2 * (N - L)), g.phase)
+    # the complete sum's squared modulus is an integer; a zero sum keeps its zero phase
+    return _unchecked(Amplitude, modulus_sq=_scaled(g.modulus_sq.numerator, p, 2 * (N - L)),
+                      phase=g.phase)
 
 
 def stabilization_threshold(p: int, alpha: Fraction, beta: Fraction) -> int:
@@ -246,14 +260,26 @@ class QuadraticCharacter:
         A = alpha p^(-2N) and B = beta p^(-N).  ``fractional_residue`` on
         the integers of A and B gives {A}_p = c2/m and {B}_p = c1/m over
         one denominator m = p^L, L >= 1, and each coset's phase is k_r/m,
-        k_r = c2 r^2 + c1 r: two running sums, as the second difference of
-        k_r is the constant 2 c2.  Returns the list of the m counts and m.
+        k_r = c2 r^2 + c1 r.  Returns the list of the m counts and m.
 
         With n = n_cosets, k_(r+nt) - k_r = (2 c2 r n + c1 n) t + c2 n^2 t^2,
         so chi is constant on every coset exactly when 2 c2 n = 0 and
         (c1 + c2 n) n = 0 mod m.  Otherwise the coset sum is not the Haar
         integral, and ``InputError`` is raised before the counts are
         allocated; when it holds, m <= max(p, 2 n).
+
+        The k_r are counted a residue class at a time.  Let B be the least
+        power of p with c2 B^2 = 0 mod m; B <= n but at p = 2, n = 1.  A
+        ball of at most ``TERMS`` cosets takes B = n instead: one class per
+        coset, the running sums of the k_r.  For r = s + B t, s < B,
+        k_r = k_s + t B u_s mod m with u_s = 2 c2 s + c1, and n u_s = 0 mod m,
+        so the n/B terms of each s hit every residue = k_s mod
+        G_s = gcd(B u_s, m) exactly (n/B) G_s/m times.  The least G_s is
+        G = B g0, g0 = gcd(2 c2, c1, m/B), and the counts of the s at G are
+        one list of length G repeated.  The other s, those with
+        p g0 | u_s, are one residue mod p: each adds to its own class.
+        The loop over s runs B times, about sqrt(m), with the k_s from two
+        running sums, as their second difference is the constant 2 c2.
         """
         require_instance(ball, BallSpec)
         if ball.prime != self.p:
@@ -278,10 +304,41 @@ class QuadraticCharacter:
                 f"chi_{p}({self.alpha} x^2 + {self.beta} x) varies on the cosets of "
                 f"{p}^{ball.resolution_exponent} Z_{p}: its coset sum is no Haar integral"
             )
-        counts = [0] * m
-        steps = accumulate(repeat(2 * c2, n - 2), initial=c2 + c1)
-        for k in islice(accumulate(steps, initial=0), n):
-            counts[k % m] += 1
+        if n <= TERMS:
+            # one class per coset: the class set-up costs more than it saves
+            B = n
+        else:
+            B = 1
+            while c2 * B * B % m:
+                B *= p
+        T = n // B
+        steps = accumulate(repeat(2 * c2, B - 2), initial=c2 + c1)
+        ks = islice(accumulate(steps, initial=0), B)
+        g0 = math.gcd(2 * c2, c1, m // B)
+        if T == 1 or B * g0 == m:
+            # every class is one residue; at m = p this is one pass over B = n
+            counts = [0] * m
+            for k in ks:
+                counts[k % m] += T
+            return counts, m
+        G = B * g0
+        c = n * g0 // m
+        base = [0] * G
+        for k in ks:
+            base[k % G] += c
+        # u_s = g0 (a2 s + c1/g0), and p g0 | u_s for s = s0 mod p when p does not divide a2
+        a2 = 2 * c2 // g0
+        finer = []
+        if a2 % p:
+            for s in range(-(c1 // g0) * pow(a2, -1, p) % p, B, p):
+                k = (c2 * s + c1) * s
+                base[k % G] -= c
+                finer.append((k, B * math.gcd(2 * c2 * s + c1, m // B)))
+        counts = base * (m // G)
+        for k, Gs in finer:
+            cs = T * Gs // m
+            for j in range(k % Gs, m, Gs):
+                counts[j] += cs
         return counts, m
 
 
@@ -300,8 +357,12 @@ def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
     ``coset_counts`` gives the number c_j of cosets with phase j/m, so the
     coset sum is sum_j c_j zeta_m^j in Z[zeta_m], m = p^L.  As
     sum_t zeta_m^(j + t m/p) = 0, its coordinate j < m - m/p in the power
-    basis is the integer c_j - c_((p-1) m/p + j mod m/p).  Only the
-    nonzero coordinates are rounded: each times the cosine and the sine of
+    basis is the integer c_j - c_((p-1) m/p + j mod m/p).  So a block of
+    m/p counts equal to the tail block has no nonzero coordinate; the
+    blocks are compared as lists, a block that differs is searched a p-th
+    at a time, and coordinates are formed only in the parts that differ
+    (all at once when m/p < ``BLOCK``).  The nonzero coordinates, in
+    ascending j, are rounded: each times the cosine and the sine of
     2 pi j/m, summed by ``math.fsum`` and weighted by the coset measure
     p^{-M}.  Raises ``InputError`` unless f is constant on the cosets.
     """
@@ -315,11 +376,31 @@ def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
     if e >= COSET_CAP.bit_length() or ball.n_cosets > COSET_CAP:
         raise OracleCapError(f"{p}^{e} cosets exceed the cap of {COSET_CAP}")
     counts, m = f.coset_counts(ball)
-    w = m - m // p
-    coords = list(map(sub, counts, counts[w:] * (p - 1)))
+    q = m // p
+    w = m - q
+    tail = counts[w:]
+    if q < BLOCK:
+        coords = list(map(sub, counts, tail * (p - 1)))
+        nonzero = compress(range(w), coords)
+    else:
+        # the coordinates of the parts that differ from the tail, keyed by j
+        coords = {}
+        spans = [(lo, q) for lo in range(w - q, -1, -q)]
+        while spans:
+            lo, size = spans.pop()
+            block = counts[lo:lo + size]
+            ref = tail if size == q else tail[lo % q:lo % q + size]
+            if block == ref:
+                continue
+            if size < BLOCK:
+                coords.update(zip(range(lo, lo + size), map(sub, block, ref)))
+            else:
+                size //= p
+                spans.extend((x, size) for x in range(lo + (p - 1) * size, lo - 1, -size))
+        nonzero = compress(coords, coords.values())
     tau = 2 * math.pi
     re, im = [], []
-    for j in compress(range(w), coords):
+    for j in nonzero:
         angle = tau * (j / m)
         re.append(coords[j] * math.cos(angle))
         im.append(coords[j] * math.sin(angle))

@@ -53,7 +53,8 @@ class PartitionSpec:
     def __post_init__(self):
         require_place(self.place)
         require_instance(self.points, Sequence)
-        pts = tuple(rational(t) for t in self.points)
+        # a list is built at its length; tuple(generator) resizes a 10-slot tuple
+        pts = tuple([rational(t) for t in self.points])
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise PartitionError("a partition needs at least two points")

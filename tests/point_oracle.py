@@ -1,16 +1,23 @@
 """The Haar integral by evaluating the character at each coset representative: the oracle of ``haar_oracle``.
 
-The library counts the cosets at each phase from integer residues
+The library counts the cosets at each phase a residue class at a time
 (``QuadraticCharacter.coset_counts``) and rounds only the power-basis
 coordinates of their sum.  This route evaluates the exact phase of
 chi_p(alpha x^2 + beta x) at every representative r p^(-N) through
 ``fractional_part``, takes each value by ``cmath.exp``, and sums the
 values by ``math.fsum`` times the coset measure p^(-M).
+
+``running_sum_counts`` is the integer reference of the counts: one
+residue per coset from two running sums.  ``power_basis_sum`` rounds
+counts as the library did when it counted that way, coordinate by
+coordinate over the whole list.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from itertools import accumulate, compress, islice, repeat
+from operator import sub
 
 from padicqm import BallSpec, QuadraticCharacter
 from padicqm.places import fractional_part
@@ -54,3 +61,43 @@ def varies_on_a_coset(f: QuadraticCharacter, ball: BallSpec) -> bool:
     step = Fraction(f.p) ** ball.resolution_exponent
     return any(phase(f, x) != phase(f, x + t * step)
                for x in representatives(ball) for t in (1, 2))
+
+
+def running_sum_counts(f: QuadraticCharacter, ball: BallSpec) -> tuple[list[int], int]:
+    """``coset_counts`` of an accepted ball, one coset at a time.
+
+    {A}_p = c2/m and {B}_p = c1/m for A = alpha p^(-2N), B = beta p^(-N)
+    over the larger of their denominators m (p if both are 0), and the
+    phase of coset r is k_r/m, k_r = c2 r^2 + c1 r: two running sums, as
+    the second difference of k_r is the constant 2 c2.
+    """
+    p, N = f.p, ball.radius_exponent
+    qa = fractional_part(f.alpha * Fraction(p) ** (-2 * N), p)
+    qb = fractional_part(f.beta * Fraction(p) ** -N, p)
+    m = max(qa.denominator, qb.denominator, p if qa == qb == 0 else 1)
+    c2, c1 = int(qa * m), int(qb * m)
+    n = ball.n_cosets
+    counts = [0] * m
+    steps = accumulate(repeat(2 * c2, n - 2), initial=c2 + c1)
+    for k in islice(accumulate(steps, initial=0), n):
+        counts[k % m] += 1
+    return counts, m
+
+
+def power_basis_sum(counts: list[int], m: int, ball: BallSpec) -> complex:
+    """The measure-weighted sum of counts[j] zeta_m^j from every power-basis coordinate.
+
+    Coordinate j < m - m/p is counts[j] - counts[(p-1) m/p + j mod m/p];
+    each nonzero one times the cosine and the sine of 2 pi j/m, in
+    ascending j, summed by ``math.fsum``.
+    """
+    p = ball.prime
+    w = m - m // p
+    coords = list(map(sub, counts, counts[w:] * (p - 1)))
+    tau = 2 * math.pi
+    re, im = [], []
+    for j in compress(range(w), coords):
+        angle = tau * (j / m)
+        re.append(coords[j] * math.cos(angle))
+        im.append(coords[j] * math.sin(angle))
+    return complex(math.fsum(re), math.fsum(im)) * float(p) ** (-ball.resolution_exponent)

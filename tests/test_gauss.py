@@ -316,7 +316,7 @@ def criterion_1_cells():
 
 
 def assert_routes_agree(f, ball):
-    """Integer counts == the per-point phases counted, and the two Haar sums agree.
+    """Integer counts == the running sums == the per-point phases counted, and the Haar sums agree.
 
     Where ``coset_counts`` refuses the ball, ``haar_oracle`` must refuse it
     too, and a brute-force check must find a coset on which f varies.
@@ -330,6 +330,7 @@ def assert_routes_agree(f, ball):
         with pytest.raises(InputError):
             haar_oracle(p, f, ball)
         return False
+    assert (counts, m) == point_oracle.running_sum_counts(f, ball)
     qs = point_oracle.phases(f, ball)
     assert len(counts) == m
     assert Counter(q * m for q in qs) == {j: c for j, c in enumerate(counts) if c}
@@ -350,7 +351,7 @@ def coefficients(p):
 
 
 class TestCosetAngles:
-    """The running-sum residues at small balls and zero coefficients, as phase counts."""
+    """The coset residues at small balls and zero coefficients, as phase counts."""
 
     @pytest.mark.parametrize("p, alpha, beta, ball, phases", [
         # n_cosets = 1, 2, 3; x^2/9 varies on Z_3, so the one coset is not counted
@@ -386,6 +387,16 @@ class TestQuadraticCharacter:
                 assert assert_routes_agree(quadratic_char_fn(p, a, b), ball)
                 checked += 1
         assert checked == 237
+
+    def test_criterion_1_cells_against_running_sums(self):
+        # all 240 balls, the 3 above 20,000 cosets among them: the class counts
+        # are the running sums' counts, and the oracle is the parent's complex
+        # from them, bit for bit
+        for p, a, b, ball in criterion_1_cells():
+            f = quadratic_char_fn(p, a, b)
+            counts, m = point_oracle.running_sum_counts(f, ball)
+            assert f.coset_counts(ball) == (counts, m), (p, a, b)
+            assert haar_oracle(p, f, ball) == point_oracle.power_basis_sum(counts, m, ball)
 
     def test_criterion_1_cells_against_closed_form(self):
         # all 240 balls, up to 117,649 cosets; the largest error measured is 2.7e-16 p^N
@@ -424,6 +435,43 @@ class TestQuadraticCharacter:
     def test_character_prime_must_match_ball(self, p, q):
         with pytest.raises(ValueError):
             haar_oracle(p, quadratic_char_fn(q, F(1, q), F(1)), BallSpec(p, 1, 1))
+
+
+class TestClassCounts:
+    """``coset_counts`` against the running sums on a ball of each branch of the class count.
+
+    With B the least power of p with c2 B^2 = 0 mod m, coset r = s + B t has
+    k_r = k_s + t B (2 c2 s + c1) mod m, so each s < B spreads its n/B terms
+    evenly over a residue class mod G_s = B gcd(2 c2 s + c1, m/B).
+    """
+
+    @pytest.mark.parametrize("p, alpha, beta, ball", [
+        # n = 1 (at most TERMS cosets): counted one coset at a time; at p = 2
+        # its one term is shorter than any period, as B = 2 > n
+        (2, F(1, 2), F(1, 14), BallSpec(2, 0, 0)),
+        # m = 7, B = 7, G = m: every class is one residue, 7 terms on each
+        (7, F(3, 7), F(1, 7), BallSpec(7, 0, 2)),
+        # m = 64, B = 8, G = 8 and no finer class: one list repeat of the base
+        (2, F(1, 64), F(1, 64), BallSpec(2, 0, 6)),
+        # m = 32, B = 8, G = 16: the finer s, the even ones, are single residues
+        (2, F(1, 32), F(0), BallSpec(2, 0, 6)),
+        # m = 128, B = 16, G = 32: finer classes mod 64, sliced, and single residues
+        (2, F(1, 128), F(0), BallSpec(2, 0, 6)),
+        # m = 81, B = 9, G = 9: finer classes mod 27 and single residues
+        (3, F(1, 9), F(0), BallSpec(3, 1, 3)),
+    ])
+    def test_each_branch(self, p, alpha, beta, ball):
+        assert assert_routes_agree(quadratic_char_fn(p, alpha, beta), ball)
+
+    @pytest.mark.parametrize("p, ball", [(101, BallSpec(101, 0, 1)), (101, BallSpec(101, 0, 2)),
+                                         (999983, BallSpec(999983, 0, 1))])
+    def test_modulus_p(self, p, ball):
+        # m = p: B = p classes of one residue each, n/p terms on each
+        f = quadratic_char_fn(p, F(3, p), F(-5, p))
+        counts, m = point_oracle.running_sum_counts(f, ball)
+        assert m == p
+        assert f.coset_counts(ball) == (counts, m)
+        assert haar_oracle(p, f, ball) == point_oracle.power_basis_sum(counts, m, ball)
 
 
 class TestMinimalResolution:

@@ -9,8 +9,8 @@ values by ``math.fsum`` times the coset measure p^(-M).
 
 ``running_sum_counts`` is the integer reference of the counts: one
 residue per coset from two running sums.  ``power_basis_sum`` rounds
-counts as the library did when it counted that way, coordinate by
-coordinate over the whole list.
+counts coordinate by coordinate over the whole list, which
+``haar_oracle`` must match bit for bit.
 """
 
 import cmath

@@ -390,8 +390,8 @@ class TestQuadraticCharacter:
 
     def test_criterion_1_cells_against_running_sums(self):
         # all 240 balls, the 3 above 20,000 cosets among them: the class counts
-        # are the running sums' counts, and the oracle is the parent's complex
-        # from them, bit for bit
+        # are the running sums' counts, and the oracle rounds them as the
+        # whole-list route does, bit for bit
         for p, a, b, ball in criterion_1_cells():
             f = quadratic_char_fn(p, a, b)
             counts, m = point_oracle.running_sum_counts(f, ball)

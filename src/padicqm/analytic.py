@@ -22,22 +22,6 @@ from .places import (
 )
 
 
-#: moduli up to this many bits take ``pow(u, -1, p**k)``; above it Newton's
-#: doubling y <- y(2 - uy) from a 32-bit base wins.  Measured at p = 2..13,
-#: the two routes tie up to 30 bits; Newton is 1.5-2x faster at 40-60 bits,
-#: 2-5x at 60-200 and 7-11x at p^1000, where a 64-bit base lost up to 2x
-_POW_INVERSE_BITS = 32
-
-
-def _unit_inverse(u: int, p: int, k: int) -> int:
-    """Inverse of a p-adic unit u modulo p^k, for k >= 1."""
-    mod = p**k
-    if k == 1 or mod.bit_length() <= _POW_INVERSE_BITS:
-        return pow(u, -1, mod)
-    y = _unit_inverse(u, p, (k + 1) // 2)
-    return y * (2 - u * y) % mod
-
-
 @dataclass(frozen=True)
 class PadicTruncation:
     """A p-adic number known modulo p^precision.
@@ -186,7 +170,7 @@ def _sin_cos_sums(x: Fraction, p: int, P: int, d: int | None = None) -> tuple[in
 
     sin_a, sin_b = horner(K // 2, 1)  # odd k = 2j + 1 <= K + 1
     cos_a, cos_b = horner((K + 1) // 2, 0)  # even k = 2j <= K + 1
-    inv = _unit_inverse(m * sin_b * cos_b, p, P)
+    inv = pow(m * sin_b * cos_b, -1, p**P)
     # sin x = x h_sin with h_sin a unit, and p^d divides n exactly
     s = n // p**d * sin_a * cos_b * inv % p ** (P - d) if P > d else 0
     return d, s, m * cos_a * sin_b * inv % p**P
@@ -245,7 +229,7 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
         raise NonSquareError(f"odd valuation {v}: no square root in Q_{p}")
     half_v = v // 2
     k = max(1, P - half_v)
-    target = un * _unit_inverse(ud, p, k + 2) % p ** (k + 2)
+    target = un * pow(ud, -1, p ** (k + 2)) % p ** (k + 2)
     if p != 2:
         u0 = target % p
         if legendre(u0, p) != 1:
@@ -254,7 +238,7 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
         while j < k:
             j = min(2 * j, k)
             # Newton step: y <- (y + u/y) / 2 modulo the lifted modulus p^j
-            y = (y + (target - y * y) * _unit_inverse(2 * y, p, j)) % p**j
+            y = (y + (target - y * y) * pow(2 * y, -1, p**j)) % p**j
         if (p - y) % p < y % p:
             y = -y
     else:
@@ -264,7 +248,7 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
         while j < k + 2:
             # y^2 = t mod 2^j lifts to y + ((t - y^2)/2) / y modulo 2^(2j - 2)
             j = min(2 * j - 2, k + 2)
-            y = (y + (target - y * y) // 2 * _unit_inverse(y, 2, j)) % 2**j
+            y = (y + (target - y * y) // 2 * pow(y, -1, 2**j)) % 2**j
         # canonical branch: digit above the leading 1 equals zero
         if y % 4 != 1:
             y = -y

@@ -194,26 +194,16 @@ class DigitExpansion:
 def p_split(n: int, p: int) -> tuple[int, int]:
     """(v, m) with n = p**v * m and p not dividing m, for a nonzero integer n.
 
-    At p = 2, v is the index of n's lowest set bit.  At odd p the first
-    four powers of p come off one division at a time and the rest through
-    :func:`_split_by_squares`, so a split takes O(log v) divisions.  The
-    prefix is there because most valuations are small (v < 4 in 96 % of
-    the splits a ``verify --check composition`` trial makes), where single
-    divisions beat the recursion's calls.
+    At p = 2, v is the index of n's lowest set bit.  At odd p,
+    :func:`_split_by_squares` takes O(log v) divisions, by p, p^2, p^4,
+    ...; dividing by p once per unit of v would take time quadratic in v.
     """
     if not n:
         raise InputError("zero has infinite valuation")
     if p == 2:
         v = (n & -n).bit_length() - 1
         return v, n >> v
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-        if v == 4:
-            w, n = _split_by_squares(n, p)
-            return v + w, n
-    return v, n
+    return _split_by_squares(n, p)
 
 
 def _split_by_squares(n: int, p: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .analytic import _sin_cos_sums, _trig_domain_valuation, _unit_inverse, sqrt_p
+from .analytic import _sin_cos_sums, _trig_domain_valuation, sqrt_p
 from .characters import Amplitude, Phase, chi, gauss_factor, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, _constant_field_form, action_form_constant_field
 from .errors import (
@@ -58,8 +58,7 @@ class PartitionSpec:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise PartitionError("a partition needs at least two points")
-        # reduced pairs of ints hash faster than the Fractions they stand for
-        if len({(t.numerator, t.denominator) for t in pts}) < len(pts):
+        if len(set(pts)) < len(pts):
             raise PartitionError(f"partition points repeat: {', '.join(map(str, pts))}")
 
 
@@ -77,10 +76,8 @@ class SymbolicKernel:
 
     def __post_init__(self):
         require_place(self.place)
-        # every fold step makes a kernel: the checks are called only on a mismatch
-        if type(self.prefactor) is not Amplitude or type(self.form) is not QuadraticActionForm:
-            require_instance(self.prefactor, Amplitude)
-            require_instance(self.form, QuadraticActionForm)
+        require_instance(self.prefactor, Amplitude)
+        require_instance(self.form, QuadraticActionForm)
 
     @classmethod
     def from_form(cls, place: Place, form: QuadraticActionForm) -> SymbolicKernel:
@@ -460,7 +457,7 @@ def _oscillator_form(
                              f" at p = {p}: it needs {least}")
     d, s, c = _sin_cos_sums(delta, p, precision, d)
     k = precision - d
-    inv = _unit_inverse(s, p, k)
+    inv = pow(s, -1, p**k)
     cot = c * inv % p**k
     r = root.valuation
     ratio = root.mantissa * inv % p ** min(root.precision - r, k)

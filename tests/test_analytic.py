@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +13,7 @@ from padicqm import (
     sqrt_p,
     valuation,
 )
-from padicqm.analytic import _sin_cos_sums, _unit_inverse
+from padicqm.analytic import _sin_cos_sums
 from padicqm.characters import Phase
 from padicqm.errors import InputError, PrecisionError
 from padicqm.places import unit_residue
@@ -284,18 +283,3 @@ class TestTruncationArithmetic:
         for bad in (math.inf, 8.0):
             with pytest.raises(InputError, match="^not an integer: "):
                 PadicTruncation.zero_mod(3, bad)
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 13])
-    def test_unit_inverse_matches_pow(self, p):
-        rng = random.Random(p)
-        for k in (1, 2, 5, 20, 21, 27, 28, 29, 64, 65, 200, 1000):
-            u = rng.randrange(p**k) // p * p + rng.randrange(1, p)
-            assert _unit_inverse(u, p, k) == pow(u, -1, p**k), (u, k)
-
-    @pytest.mark.parametrize("p", LARGE_PRIMES)
-    def test_unit_inverse_above_word_size(self, p):
-        # p alone passes the pow threshold: k = 1 must still end the descent
-        rng = random.Random(p)
-        for k in (1, 2, 3, 5, 40):
-            u = rng.randrange(p**k) // p * p + rng.randrange(1, p)
-            assert _unit_inverse(u, p, k) == pow(u, -1, p**k), (u, k)

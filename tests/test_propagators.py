@@ -759,7 +759,7 @@ class TestOscillatorAgainstExactSums:
 
     @pytest.mark.parametrize("p", [2**64 + 13, 10**24 + 7])
     def test_kernel_routes_match_above_word_size(self, p):
-        # p^1 alone outgrows a machine word, so every unit inverse takes Newton steps
+        # p^1 alone outgrows a machine word, so every modulus and unit inverse is multi-word
         kinds = self.compare_routes(p, 30)
         assert kinds["value"] >= 10, kinds
 

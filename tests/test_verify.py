@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from padicqm import (
+    OracleCapError,
     PadicqmError,
     PartitionSpec,
     Phase,
@@ -189,6 +190,26 @@ def test_gauss_runs_the_haar_oracle_on_every_ball_up_to_the_coset_cap(monkeypatc
                         lambda p, f, ball: seen.append(ball.n_cosets) or haar(p, f, ball))
     assert verify.check_gauss(places=(Place.prime(13),), seed=0) == []
     assert len(seen) == 12 and max(seen) == 13**5
+
+
+def test_gauss_leaves_the_coset_cap_to_the_haar_oracle(monkeypatch):
+    # at 999983, seed 0, 7 of the 12 balls exceed gauss.COSET_CAP: the oracle
+    # refuses them, and their trials end the Haar check without a row
+    outcomes = []
+    haar = verify.haar_oracle
+
+    def spy(p, f, ball):
+        try:
+            value = haar(p, f, ball)
+        except OracleCapError:
+            outcomes.append("refused")
+            raise
+        outcomes.append("summed")
+        return value
+
+    monkeypatch.setattr(verify, "haar_oracle", spy)
+    assert verify.check_gauss(places=(Place.prime(999983),), seed=0) == []
+    assert (outcomes.count("refused"), outcomes.count("summed")) == (7, 5)
 
 
 def test_gauss_catches_a_conjugated_closed_form(monkeypatch):

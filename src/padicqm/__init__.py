@@ -7,7 +7,7 @@ for cross-checking at the p-adic places.  It has no runtime dependency
 outside the standard library.
 """
 
-from .analytic import PadicTruncation, cos_p, sin_p, sqrt_p
+from .analytic import PadicTruncation, cos_p, digits, sin_p, sqrt_p
 from .characters import (
     Amplitude,
     Phase,
@@ -41,9 +41,7 @@ from .gauss import (
     stabilization_threshold,
 )
 from .places import (
-    DigitExpansion,
     Place,
-    digits,
     fractional_part,
     norm,
     valuation,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Amplitude",
     "BallSpec",
-    "DigitExpansion",
     "OscillatorBoundaryData",
     "PadicTruncation",
     "PartitionSpec",

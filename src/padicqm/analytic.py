@@ -1,8 +1,10 @@
-"""p-Adic sine, cosine and square root, correct modulo p^P.
+"""p-Adic values correct modulo p^P: canonical digits, sine, cosine and square root.
 
 Values are :class:`PadicTruncation` objects: an element of Q_p known
-modulo p^P.  The oscillator's kernel reads the sine and cosine as integer
-residues (``_sin_cos_sums``) and its square root through :func:`sqrt_p`.
+modulo p^P.  :func:`digits` gives the leading canonical digits of a
+nonzero rational as one.  The oscillator's kernel reads the sine and
+cosine as integer residues (``_sin_cos_sums``) and its square root
+through :func:`sqrt_p`.
 Trigonometric series converge for |x|_p <= 1/p (odd p) and <= 1/4
 (p = 2); they are summed modulo p^(P+S), S guard digits for the powers
 of p in the factorials, and the exact Fraction loop of the tests'
@@ -17,9 +19,7 @@ from fractions import Fraction
 
 from .characters import legendre
 from .errors import DomainError, InputError, NonSquareError, PrecisionError
-from .places import (
-    base_p_digits, integer, p_split, rational, require_prime, unit_residue, unit_split, valuation,
-)
+from .places import integer, p_split, rational, require_prime, unit_residue, unit_split, valuation
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class PadicTruncation:
     from zero at this precision has mantissa 0 and valuation None; the
     exact zero (:meth:`exact_zero`) is O(p^inf), precision ``math.inf``.
     A value has no arithmetic.  The constructor checks nothing, which
-    keeps ``_make`` cheap; :meth:`zero_mod`, :meth:`exact_zero` and
-    :meth:`from_rational` check p.
+    keeps ``_make`` cheap; :meth:`zero_mod`, :meth:`exact_zero`,
+    :meth:`from_rational` and :func:`digits` check p.
     """
 
     prime: int
@@ -42,11 +42,8 @@ class PadicTruncation:
 
     @classmethod
     def _make(cls, p: int, v: int, m: int, P: int) -> PadicTruncation:
-        if v >= P or m % p ** (P - v) == 0:
-            return cls(p, None, 0, P)
-        shift, m = p_split(m, p)
-        v += shift
-        if v >= P:
+        """p^v * m modulo p^P, for a unit m or m = 0."""
+        if v >= P or not m:
             return cls(p, None, 0, P)
         return cls(p, v, m % p ** (P - v), P)
 
@@ -78,7 +75,11 @@ class PadicTruncation:
         """Known canonical digits, from index valuation upward."""
         if self.is_zero_mod:
             return ()
-        return base_p_digits(self.mantissa, self.prime, self.precision - self.valuation)
+        out, r, p = [], self.mantissa, self.prime
+        for _ in range(self.precision - self.valuation):
+            r, d = divmod(r, p)
+            out.append(d)
+        return tuple(out)
 
     def representative(self) -> Fraction:
         """A rational congruent to the value modulo p^precision."""
@@ -106,6 +107,19 @@ class PadicTruncation:
             f"{self.prime}^{self.valuation}*({terms or '0'})"
             f" + O({self.prime}^{self.precision})"
         )
+
+
+def digits(x: Fraction | int, p: int, count: int) -> PadicTruncation:
+    """First ``count`` canonical digits of x: p^v * (u mod p^count) + O(p^(v+count)).
+
+    u is the unit residue of :func:`places.unit_residue`, and ``.digits``
+    gives its base-p digits.  Raises :class:`ZeroExpansionError` at x = 0:
+    the zero element has no canonical expansion.
+    """
+    if integer(count) < 1:
+        raise InputError("count must be positive")
+    v, u = unit_residue(x, p, count)
+    return PadicTruncation(p, v, u, v + count)
 
 
 def _trig_domain_valuation(x: Fraction, p: int) -> int:
@@ -244,13 +258,12 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     else:
         if target % 8 != 1:
             raise NonSquareError("unit part is not 1 mod 8: no square root in Q_2")
+        # y = 1 mod 4 throughout, the canonical branch: once y^2 = t mod 8,
+        # (t - y^2)/2 = 0 mod 4
         y, j = 1, 3
         while j < k + 2:
             # y^2 = t mod 2^j lifts to y + ((t - y^2)/2) / y modulo 2^(2j - 2)
             j = min(2 * j - 2, k + 2)
             y = (y + (target - y * y) // 2 * pow(y, -1, 2**j)) % 2**j
-        # canonical branch: digit above the leading 1 equals zero
-        if y % 4 != 1:
-            y = -y
     # _make reduces y modulo p^k
     return PadicTruncation._make(p, half_v, y, half_v + k)

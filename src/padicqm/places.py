@@ -3,7 +3,9 @@
 A *place* selects a completion of the rationals: the real absolute value
 or the p-adic norm for a prime p.  All quantities here are exact
 ``fractions.Fraction`` values; norms are returned as exact rationals
-(p raised to an integer power), never as floats.
+(p raised to an integer power), never as floats.  The canonical digits
+of a rational, :func:`analytic.digits`, are a ``PadicTruncation`` of
+``analytic``, built from :func:`unit_residue`.
 """
 
 from __future__ import annotations
@@ -162,35 +164,6 @@ def _unchecked(cls: type, **fields) -> object:
     return obj
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Leading digits of the canonical p-adic expansion of a rational.
-
-    Represents x = p**valuation * (d_0 + d_1 p + d_2 p**2 + ...) with
-    d_0 != 0 and every digit in {0, ..., p-1}.
-    """
-
-    valuation: int
-    digits: tuple[int, ...]
-    prime: int
-
-    def __post_init__(self):
-        require_prime(self.prime)
-        require_instance(self.digits, tuple)
-        for n in (self.valuation, *self.digits):
-            integer(n)
-        if not self.digits or self.digits[0] == 0:
-            raise InputError("canonical expansion must have a nonzero leading digit")
-        if any(d < 0 or d >= self.prime for d in self.digits):
-            raise InputError("digit out of range")
-
-    def __str__(self) -> str:
-        body = " + ".join(
-            f"{d}*{self.prime}^{self.valuation + i}" for i, d in enumerate(self.digits)
-        )
-        return body
-
-
 def p_split(n: int, p: int) -> tuple[int, int]:
     """(v, m) with n = p**v * m and p not dividing m, for a nonzero integer n.
 
@@ -265,28 +238,6 @@ def unit_residue(x: Fraction | int, p: int, k: int) -> tuple[int, int]:
     v, un, ud = unit_split(x, p)
     m = p**k
     return v, un * pow(ud, -1, m) % m
-
-
-def base_p_digits(r: int, p: int, count: int) -> tuple[int, ...]:
-    """The lowest ``count`` base-p digits of the integer r >= 0, lowest first."""
-    out = []
-    for _ in range(count):
-        r, d = divmod(r, p)
-        out.append(d)
-    return tuple(out)
-
-
-def digits(x: Fraction | int, p: int, count: int) -> DigitExpansion:
-    """First ``count`` canonical digits of x.
-
-    They are the base-p digits of u mod p**count, the unit residue from
-    :func:`unit_residue`.  Raises :class:`ZeroExpansionError` at x = 0:
-    the zero element has no canonical expansion.
-    """
-    if integer(count) < 1:
-        raise InputError("count must be positive")
-    v, r = unit_residue(x, p, count)
-    return DigitExpansion(valuation=v, digits=base_p_digits(r, p, count), prime=p)
 
 
 def fractional_residue(n: int, d: int, p: int) -> tuple[int, int]:

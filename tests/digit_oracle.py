@@ -10,7 +10,7 @@ step at a time, where ``places.p_split`` divides by p^(2^i).
 
 from fractions import Fraction
 
-from padicqm import DigitExpansion
+from padicqm import PadicTruncation
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -22,7 +22,7 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def partial_sum(e: DigitExpansion) -> Fraction:
+def partial_sum(e: PadicTruncation) -> Fraction:
     """Rational value of the stored digits: p**v * sum d_i p**i."""
     total = sum(d * e.prime**i for i, d in enumerate(e.digits))
     return Fraction(total) * Fraction(e.prime) ** e.valuation

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 from padicqm import (
     Amplitude,
     BallSpec,
+    OracleCapError,
     OscillatorBoundaryData,
     Phase,
     Place,
@@ -34,7 +35,6 @@ from padicqm import (
     sqrt_p,
     stabilization_threshold,
 )
-from padicqm import gauss
 from padicqm.analytic import PadicTruncation
 from padicqm.verify import (
     check_composition,
@@ -77,12 +77,13 @@ def test_criterion_1_gauss_integral_grid():
                     assert quad_char_integral_ball(p, a, b, n) == full, (p, a, b, n)
                 checked += 1
                 m = minimal_resolution(p, a, b, n0)
-                if p ** (n0 + m) <= gauss.COSET_CAP:
-                    ball = BallSpec(p, n0, m)
-                    approx = haar_oracle(p, quadratic_char_fn(p, a, b), ball)
-                    exact = complex(*full.render())
-                    assert abs(approx - exact) <= 1e-10, (p, a, b)
-                    haar_checked += 1
+                try:
+                    approx = haar_oracle(p, quadratic_char_fn(p, a, b), BallSpec(p, n0, m))
+                except OracleCapError:
+                    continue  # the oracle owns the coset cap
+                exact = complex(*full.render())
+                assert abs(approx - exact) <= 1e-10, (p, a, b)
+                haar_checked += 1
     elapsed = time.time() - start
     assert checked == 240 and haar_checked == 240
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds 60s"

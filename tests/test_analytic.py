@@ -178,6 +178,17 @@ class TestSqrt:
         with pytest.raises(NonSquareError):
             sqrt_p(3, 3, 5)
 
+    def test_zero_rejected(self):
+        with pytest.raises(InputError, match="square root of zero"):
+            sqrt_p(0, 3, 5)
+
+    @pytest.mark.parametrize("p, lead", [(17, 6), (41, 17)])
+    def test_tonelli_shanks_past_z_2(self, p, lead):
+        # p = 1 mod 8: 2 is a residue, so the non-residue search passes z = 2
+        r = sqrt_p(2, p, 6)
+        assert r.valuation == 0 and r.mantissa**2 % p**6 == 2
+        assert r.digits[0] == lead  # canonical: the smaller leading digit of r and -r
+
     def test_nonresidue_rejected(self):
         with pytest.raises(NonSquareError):
             sqrt_p(2, 3, 5)  # (2/3) = -1
@@ -280,6 +291,7 @@ class TestTruncationArithmetic:
 
     def test_zero_mod_takes_an_integer_precision(self):
         assert PadicTruncation.zero_mod(3, 8).precision == 8
+        assert PadicTruncation.zero_mod(3, 4).digits == ()
         for bad in (math.inf, 8.0):
             with pytest.raises(InputError, match="^not an integer: "):
                 PadicTruncation.zero_mod(3, bad)

@@ -334,7 +334,6 @@ def test_a_place_that_is_not_a_place_raises_input_error(fn, name, param):
 #: valid arguments of the callables with a prime parameter
 PRIME_ARGUMENTS = {
     **PLACE_ARGUMENTS,
-    "DigitExpansion": dict(valuation=0, digits=(1,), prime=3),
     "PadicTruncation.exact_zero": dict(p=3),
     "Place": dict(p=3),
     "Place.prime": dict(p=3),
@@ -353,7 +352,7 @@ PRIME_PARAMETERS = [(fn, name, param.name)
 
 def test_the_signature_scan_finds_the_prime_parameters():
     assert sorted(f"{name}-{param}" for _, name, param in PRIME_PARAMETERS) == [
-        "BallSpec-prime", "DigitExpansion-prime", "PadicTruncation.exact_zero-p",
+        "BallSpec-prime", "PadicTruncation.exact_zero-p",
         "PadicTruncation.from_rational-p", "PadicTruncation.zero_mod-p", "Place-p",
         "Place.prime-p", "QuadraticCharacter-p", "cos_p-p", "digits-p",
         "fractional_part-p", "haar_oracle-p", "legendre-p", "minimal_resolution-p",
@@ -421,7 +420,6 @@ def test_an_object_of_the_wrong_class_raises_input_error(fn, name, param):
 #: valid arguments of the callables with a parameter annotated with a builtin
 #: type that no table above covers: not a rational, an integer size or a prime
 BUILTIN_ARGUMENTS = {
-    "DigitExpansion": dict(valuation=0, digits=(1,), prime=3),
     "Place.parse": dict(text="3"),
     "QuadraticActionForm.from_integers": dict(den=1, nums=(1, 1, 1, 0, 0, 0)),
     "legendre": dict(a=2, p=3),
@@ -436,7 +434,7 @@ BUILTIN_PARAMETERS = [(fn, name, param.name)
 
 def test_the_signature_scan_finds_the_builtin_parameters():
     assert sorted(f"{name}-{param}" for _, name, param in BUILTIN_PARAMETERS) == [
-        "DigitExpansion-digits", "DigitExpansion-valuation", "Place.parse-text",
+        "Place.parse-text",
         "QuadraticActionForm.from_integers-den", "QuadraticActionForm.from_integers-nums",
         "legendre-a",
     ]

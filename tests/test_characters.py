@@ -188,6 +188,9 @@ class TestPhase:
         assert a + b == Phase(F(3, 8))
         assert a + (-a) == Phase(F(0))
         assert -Phase(F(0)) == Phase(F(0))
+        assert a - Phase(F(1, 3)) == Phase(F(5, 12))
+        assert 3 * a == a * (-5) == Phase(F(1, 4))
+        assert a * 0 == Phase(F(0))
 
     def test_normalization(self):
         assert Phase(F(9, 4)) == Phase(F(1, 4))

@@ -57,6 +57,8 @@ class TestGaussFull:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateQuadraticError):
             gauss_full(P3, 0, 1)
+        with pytest.raises(DegenerateQuadraticError):
+            stabilization_threshold(3, 0, 1)
 
 
 def seeded_rational(rng, p):
@@ -300,6 +302,10 @@ class TestHaarOracle:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             BallSpec(3, -2, 1)
+
+    def test_ball_at_another_prime_rejected(self):
+        with pytest.raises(InputError, match="^ball prime disagrees with p$"):
+            haar_oracle(3, quadratic_char_fn(5, 1, 0), BallSpec(5, 1, 1))
 
 
 def criterion_1_cells():

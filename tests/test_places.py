@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from padicqm import (
     BallSpec,
-    DigitExpansion,
     InputError,
+    PadicTruncation,
     PadicqmError,
     Place,
     ZeroExpansionError,
@@ -165,7 +165,9 @@ class TestNorm:
 class TestDigits:
     def test_examples(self):
         e = digits(5, 3, 3)
+        assert e == PadicTruncation(3, 0, 5, 3)
         assert (e.valuation, e.digits) == (0, (2, 1, 0))
+        assert str(e) == "3^0*(2 + 1*3^1) + O(3^3)"
         e = digits(-1, 3, 4)
         assert (e.valuation, e.digits) == (0, (2, 2, 2, 2))
         e = digits(F(1, 3), 3, 2)
@@ -175,6 +177,10 @@ class TestDigits:
         with pytest.raises(ZeroExpansionError):
             digits(0, 5, 3)
 
+    def test_count_must_be_positive(self):
+        with pytest.raises(InputError, match="count must be positive"):
+            digits(5, 3, 0)
+
     @settings(max_examples=150)
     @given(x=padic_rationals(3), count=st.integers(1, 12))
     def test_round_trip(self, x, count):
@@ -182,10 +188,6 @@ class TestDigits:
         diff = x - digit_oracle.partial_sum(e)
         if diff != 0:
             assert valuation(diff, 3) >= e.valuation + count
-
-    def test_leading_digit_nonzero_enforced(self):
-        with pytest.raises(ValueError):
-            DigitExpansion(valuation=0, digits=(0, 1), prime=3)
 
 
 def rational_or_int(p):
@@ -309,13 +311,12 @@ class TestPlace:
         calls = [lambda: require_prime(3.0), lambda: Place(3.0), lambda: Place.prime(3.0),
                  lambda: BallSpec(3.0, 1, 1), lambda: valuation(F(9), 3.0),
                  lambda: fractional_part(F(1, 9), 3.0), lambda: unit_residue(F(9), 3.0, 2),
-                 lambda: minimal_resolution(3.0, 0, 0, 1),
-                 lambda: DigitExpansion(valuation=0, digits=(1,), prime=3.0)]
+                 lambda: minimal_resolution(3.0, 0, 0, 1), lambda: digits(F(9), 3.0, 2)]
         for call in calls:
             with pytest.raises(InputError, match=r"^not a prime: 3\.0$"):
                 call()
         with pytest.raises(InputError, match="^not a prime: 4$"):
-            DigitExpansion(valuation=0, digits=(1,), prime=4)
+            digits(F(9), 4, 2)
         with pytest.raises(InputError, match="odd prime"):
             legendre(1, 3.0)
 

@@ -244,6 +244,12 @@ class TestComposition:
         with pytest.raises(DegenerateIntervalError):
             compose(P3, 0, 1, -1)
 
+    def test_vanishing_quadratic_term_rejected(self):
+        # A = -(beta2 + alpha1) = 0: the x-integral has no Gauss closed form
+        k2, k1 = (SymbolicKernel.from_form(P3, QuadraticActionForm(1, beta, 1)) for beta in (-1, 1))
+        with pytest.raises(DegenerateIntervalError, match="quadratic term vanishes"):
+            compose_kernels(k2, k1)
+
 
 def small_rationals(top=24):
     return st.builds(
@@ -628,6 +634,12 @@ class TestOscillator:
             k_oscillator_td(P3, data, 20)
         with pytest.raises(DegenerateIntervalError):
             oscillator_action_form(data, 3, 20)
+        with pytest.raises(DegenerateIntervalError, match="vanishing sine"):
+            k_oscillator_td_real(data)
+
+    def test_real_place_has_its_own_route(self):
+        with pytest.raises(InputError, match="k_oscillator_td_real"):
+            k_oscillator_td(R, OSC_SAMPLE, 20)
 
     def test_invalid_boundary_data(self):
         with pytest.raises(ValueError):

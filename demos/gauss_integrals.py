@@ -4,9 +4,10 @@ The same closed form
     lambda_v(a) |2a|_v^(-1/2) chi_v(-b^2/4a)
 evaluates at the real place and at every prime, with all arithmetic
 exact.  Ball-restricted p-adic integrals stabilize to it once the ball
-swallows the critical point, and an independent numerical oracle (Haar
-cosets counted exactly by phase) confirms the values.  At the real place the value is
-the Fresnel integral; for a = 1, b = 0 it is (1 - i)/2.
+swallows the critical point, and an independent numerical oracle (the
+Haar coset sum, exact in Z[zeta_m] before it is rounded) confirms the
+values.  At the real place the value is the Fresnel integral; for
+a = 1, b = 0 it is (1 - i)/2.
 """
 
 from fractions import Fraction as F
@@ -40,7 +41,7 @@ def main():
         marker = "  <- equals the full integral" if ball == full else ""
         print(f"  |x| <= 3^{n}: |.|^2 = {ball.modulus_sq}, phase = {ball.phase}{marker}")
 
-    print("\n=== Haar-measure oracle agrees (exact coset counts, then a few cosines) ===")
+    print("\n=== Haar-measure oracle agrees (exact coset sum, then a few cosines) ===")
     m = minimal_resolution(p, a, b, n0)
     approx = haar_oracle(p, quadratic_char_fn(p, a, b), BallSpec(p, n0, m))
     exact = complex(*full.render())

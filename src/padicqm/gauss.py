@@ -7,10 +7,10 @@ The closed form of the quadratic character integral over a completion,
 is evaluated exactly.  Its ball-restricted p-adic version reduces to
 complete quadratic Gauss sums modulo p^L, also evaluated exactly.  A
 numerical oracle checks both over p-adic balls: a Haar-measure coset
-sum, counted in integers a residue class of cosets at a time and
-rounded only at the end, without completing the square.  At the real
-place the tests check the closed form against a quadrature and against
-the principal-root formula.
+sum, formed exactly in Z[zeta_m], m = p^L, from the residue classes of
+cosets that do not cancel there, and rounded only at the end, without
+completing the square.  At the real place the tests check the closed
+form against a quadrature and against the principal-root formula.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
-from operator import sub
+from operator import mul, sub
 
 from .characters import EIGHTH_PHASES, ZERO_PHASE, Amplitude, Phase, gauss_factor, legendre
 from .errors import DegenerateQuadraticError, InputError, OracleCapError
@@ -28,14 +28,10 @@ from .places import (
     require_place, require_prime, unit_split,
 )
 
-#: most cosets the Haar oracle counts; above it raises OracleCapError.  It
-#: bounds the count list (m <= max(p, 2 n) entries) and, at m = p, the one
-#: pass over B = n classes
+#: most cosets the Haar oracle sums; above it raises OracleCapError.  It
+#: bounds the count list of the single-residue classes (m <= max(p, 2 n)
+#: entries) and, at m = p, the one pass over B = n classes
 COSET_CAP = 10**6
-#: power-basis blocks shorter than this are formed whole, not searched
-BLOCK = 64
-#: balls of at most this many cosets are counted one coset at a time
-TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -238,10 +234,10 @@ def _tail(x: Fraction, p: int, e: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QuadraticCharacter:
-    """The integrand chi_p(alpha x^2 + beta x), counted over a ball's cosets.
+    """The integrand chi_p(alpha x^2 + beta x), summed over a ball's cosets.
 
-    ``coset_counts`` works on integer coset indices and returns exact
-    integers, which is all the Haar oracle reads.
+    ``power_coordinates`` works on integer coset indices and returns the
+    exact coset sum in Z[zeta_m], which is all the Haar oracle reads.
     """
 
     p: int
@@ -253,33 +249,46 @@ class QuadraticCharacter:
         object.__setattr__(self, "alpha", rational(self.alpha))
         object.__setattr__(self, "beta", rational(self.beta))
 
-    def coset_counts(self, ball: BallSpec) -> tuple[list[int], int]:
-        """How many representatives r p^(-N), r = 0 .. n_cosets - 1, have phase j/m, per j.
+    def power_coordinates(self, ball: BallSpec) -> tuple[dict[int, int], int]:
+        """The coset sum over the ball in the power basis of Z[zeta_m]: {j: c_j} and m.
 
         For integer r, {r^2 A + r B}_p = r^2 {A}_p + r {B}_p mod 1, with
         A = alpha p^(-2N) and B = beta p^(-N).  ``fractional_residue`` on
         the integers of A and B gives {A}_p = c2/m and {B}_p = c1/m over
-        one denominator m = p^L, L >= 1, and each coset's phase is k_r/m,
-        k_r = c2 r^2 + c1 r.  Returns the list of the m counts and m.
+        one denominator m = p^L, L >= 1, and the coset of representative
+        r p^(-N), r = 0 .. n_cosets - 1, has phase k_r/m,
+        k_r = c2 r^2 + c1 r.  Returns the nonzero coordinates c_j of
+        sum_r zeta_m^(k_r) on the basis zeta_m^j, j < m - m/p, in
+        ascending j, and m.
 
-        With n = n_cosets, k_(r+nt) - k_r = (2 c2 r n + c1 n) t + c2 n^2 t^2,
-        so chi is constant on every coset exactly when 2 c2 n = 0 and
+        Above ``COSET_CAP`` cosets ``OracleCapError`` is raised, decided
+        from N + M alone once that reaches the cap's bit length, so no
+        larger power is formed.  With n = n_cosets,
+        k_(r+nt) - k_r = (2 c2 r n + c1 n) t + c2 n^2 t^2, so chi is
+        constant on every coset exactly when 2 c2 n = 0 and
         (c1 + c2 n) n = 0 mod m.  Otherwise the coset sum is not the Haar
-        integral, and ``InputError`` is raised before the counts are
-        allocated; when it holds, m <= max(p, 2 n).
+        integral, and ``InputError`` is raised; when it holds,
+        m <= max(p, 2 n).
 
-        The k_r are counted a residue class at a time.  Let B be the least
-        power of p with c2 B^2 = 0 mod m; B <= n but at p = 2, n = 1.  A
-        ball of at most ``TERMS`` cosets takes B = n instead: one class per
-        coset, the running sums of the k_r.  For r = s + B t, s < B,
-        k_r = k_s + t B u_s mod m with u_s = 2 c2 s + c1, and n u_s = 0 mod m,
-        so the n/B terms of each s hit every residue = k_s mod
-        G_s = gcd(B u_s, m) exactly (n/B) G_s/m times.  The least G_s is
-        G = B g0, g0 = gcd(2 c2, c1, m/B), and the counts of the s at G are
-        one list of length G repeated.  The other s, those with
-        p g0 | u_s, are one residue mod p: each adds to its own class.
-        The loop over s runs B times, about sqrt(m), with the k_s from two
-        running sums, as their second difference is the constant 2 c2.
+        The k_r are taken a residue class at a time.  Let B be the least
+        power of p with c2 B^2 = 0 mod m, or n if that is less (at p = 2,
+        n = 1 only).  For r = s + B t, s < B, k_r = k_s + t B u_s mod m
+        with u_s = 2 c2 s + c1, and n u_s = 0 mod m, so the T = n/B terms
+        of each s hit every residue = k_s mod G_s = gcd(B u_s, m) equally
+        often.  As sum_t zeta_m^(j + t m/p) = 0, a class with G_s < m,
+        which divides m/p, sums to 0: only the classes of one residue,
+        u_s = 0 mod m/B, add T zeta_m^(k_s).  When every class is one
+        residue (T = 1, or B g0 = m for g0 = gcd(2 c2, c1, m/B)), the
+        k_s, about as many as m, come from two running sums, as their
+        second difference is the constant 2 c2, and are counted into a
+        list of m; at m = p this is one pass over B = n.  Otherwise
+        u_s = g0 (a2 s + c1/g0) with a2 = 2 c2/g0, and the classes of one
+        residue are the s = s0 mod R, R = m/(B g0), when p does not
+        divide a2, and none when it does: no list of m is made.
+
+        The coordinate j of sum_j c_j zeta_m^j is the integer
+        c_j - c_((p-1) m/p + j mod m/p), as
+        zeta_m^((p-1) m/p + i) = -sum_(t < p-1) zeta_m^(i + t m/p).
         """
         require_instance(ball, BallSpec)
         if ball.prime != self.p:
@@ -287,6 +296,10 @@ class QuadraticCharacter:
                 f"ball prime {ball.prime} disagrees with the character's prime {self.p}"
             )
         p, N = self.p, ball.radius_exponent
+        # p^e >= 2^e > COSET_CAP once e reaches its bit length: no power is formed there
+        e = N + ball.resolution_exponent
+        if e >= COSET_CAP.bit_length() or ball.n_cosets > COSET_CAP:
+            raise OracleCapError(f"{p}^{e} cosets exceed the cap of {COSET_CAP}")
         c2, m2 = _tail(self.alpha, p, 2 * N)
         c1, m1 = _tail(self.beta, p, N)
         m = max(m2, m1)
@@ -296,7 +309,7 @@ class QuadraticCharacter:
         g = math.gcd(c2, c1, m)
         c2, c1, m = c2 // g, c1 // g, m // g
         if m == 1:
-            # c2 = c1 = 0: the power-basis reduction of haar_oracle needs p | m
+            # c2 = c1 = 0: the power basis of Z[zeta_m] needs p | m
             m = p
         n = ball.n_cosets
         if 2 * c2 * n % m or (c1 + c2 * n) * n % m:
@@ -304,49 +317,39 @@ class QuadraticCharacter:
                 f"chi_{p}({self.alpha} x^2 + {self.beta} x) varies on the cosets of "
                 f"{p}^{ball.resolution_exponent} Z_{p}: its coset sum is no Haar integral"
             )
-        if n <= TERMS:
-            # one class per coset: the class set-up costs more than it saves
-            B = n
-        else:
-            B = 1
-            while c2 * B * B % m:
-                B *= p
+        B = 1
+        while B < n and c2 * B * B % m:
+            B *= p
         T = n // B
-        steps = accumulate(repeat(2 * c2, B - 2), initial=c2 + c1)
-        ks = islice(accumulate(steps, initial=0), B)
         g0 = math.gcd(2 * c2, c1, m // B)
+        q = m // p
+        w = m - q
         if T == 1 or B * g0 == m:
-            # every class is one residue; at m = p this is one pass over B = n
             counts = [0] * m
-            for k in ks:
+            steps = accumulate(repeat(2 * c2, B - 2), initial=c2 + c1)
+            for k in islice(accumulate(steps, initial=0), B):
                 counts[k % m] += T
-            return counts, m
-        G = B * g0
-        c = n * g0 // m
-        base = [0] * G
-        for k in ks:
-            base[k % G] += c
-        # u_s = g0 (a2 s + c1/g0), and p g0 | u_s for s = s0 mod p when p does not divide a2
+            coords = list(map(sub, counts, counts[w:] * (p - 1)))
+            return dict(compress(enumerate(coords), coords)), m
+        coords = {}
         a2 = 2 * c2 // g0
-        finer = []
         if a2 % p:
-            for s in range(-(c1 // g0) * pow(a2, -1, p) % p, B, p):
-                k = (c2 * s + c1) * s
-                base[k % G] -= c
-                finer.append((k, B * math.gcd(2 * c2 * s + c1, m // B)))
-        counts = base * (m // G)
-        for k, Gs in finer:
-            cs = T * Gs // m
-            for j in range(k % Gs, m, Gs):
-                counts[j] += cs
-        return counts, m
+            R = m // (B * g0)
+            for s in range(-(c1 // g0) * pow(a2, -1, R) % R, B, R):
+                k = (c2 * s + c1) * s % m
+                if k < w:
+                    coords[k] = coords.get(k, 0) + T
+                else:
+                    for j in range(k - w, w, q):
+                        coords[j] = coords.get(j, 0) - T
+        return {j: coords[j] for j in sorted(coords) if coords[j]}, m
 
 
 def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticCharacter:
     """chi_p(alpha x^2 + beta x), for feeding the Haar oracle.
 
-    On a ball the oracle counts it over integer coset residues from
-    two ``fractional_residue`` calls (``QuadraticCharacter.coset_counts``).
+    On a ball the oracle sums it over integer coset residues from two
+    ``fractional_residue`` calls (``QuadraticCharacter.power_coordinates``).
     """
     return QuadraticCharacter(p, alpha, beta)
 
@@ -354,54 +357,22 @@ def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticChara
 def haar_oracle(p: int, f: QuadraticCharacter, ball: BallSpec) -> complex:
     """Numerical Haar integral of the character f over the ball by coset counting.
 
-    ``coset_counts`` gives the number c_j of cosets with phase j/m, so the
-    coset sum is sum_j c_j zeta_m^j in Z[zeta_m], m = p^L.  As
-    sum_t zeta_m^(j + t m/p) = 0, its coordinate j < m - m/p in the power
-    basis is the integer c_j - c_((p-1) m/p + j mod m/p).  So a block of
-    m/p counts equal to the tail block has no nonzero coordinate; the
-    blocks are compared as lists, a block that differs is searched a p-th
-    at a time, and coordinates are formed only in the parts that differ
-    (all at once when m/p < ``BLOCK``).  The nonzero coordinates, in
-    ascending j, are rounded: each times the cosine and the sine of
-    2 pi j/m, summed by ``math.fsum`` and weighted by the coset measure
-    p^{-M}.  Raises ``InputError`` unless f is constant on the cosets.
+    ``power_coordinates`` gives the coset sum exactly, as the nonzero
+    coordinates c_j of an element of Z[zeta_m], m = p^L, on the power
+    basis zeta_m^j.  Each is rounded: c_j times the cosine and the sine
+    of 2 pi j/m, in ascending j, summed by ``math.fsum`` and weighted by
+    the coset measure p^{-M}.  Raises ``OracleCapError`` above
+    ``COSET_CAP`` cosets and ``InputError`` unless f is constant on the
+    cosets.
     """
     require_prime(p)
     require_instance(f, QuadraticCharacter)
     require_instance(ball, BallSpec)
     if ball.prime != p:
         raise InputError("ball prime disagrees with p")
-    # p^e >= 2^e > COSET_CAP once e reaches its bit length: no power is formed there
-    e = ball.radius_exponent + ball.resolution_exponent
-    if e >= COSET_CAP.bit_length() or ball.n_cosets > COSET_CAP:
-        raise OracleCapError(f"{p}^{e} cosets exceed the cap of {COSET_CAP}")
-    counts, m = f.coset_counts(ball)
-    q = m // p
-    w = m - q
-    tail = counts[w:]
-    if q < BLOCK:
-        coords = list(map(sub, counts, tail * (p - 1)))
-        nonzero = compress(range(w), coords)
-    else:
-        # the coordinates of the parts that differ from the tail, keyed by j
-        coords = {}
-        spans = [(lo, q) for lo in range(w - q, -1, -q)]
-        while spans:
-            lo, size = spans.pop()
-            block = counts[lo:lo + size]
-            ref = tail if size == q else tail[lo % q:lo % q + size]
-            if block == ref:
-                continue
-            if size < BLOCK:
-                coords.update(zip(range(lo, lo + size), map(sub, block, ref)))
-            else:
-                size //= p
-                spans.extend((x, size) for x in range(lo + (p - 1) * size, lo - 1, -size))
-        nonzero = compress(coords, coords.values())
+    coords, m = f.power_coordinates(ball)
     tau = 2 * math.pi
-    re, im = [], []
-    for j in nonzero:
-        angle = tau * (j / m)
-        re.append(coords[j] * math.cos(angle))
-        im.append(coords[j] * math.sin(angle))
-    return complex(math.fsum(re), math.fsum(im)) * float(p) ** (-ball.resolution_exponent)
+    angles = [tau * (j / m) for j in coords]
+    re = math.fsum(map(mul, coords.values(), map(math.cos, angles)))
+    im = math.fsum(map(mul, coords.values(), map(math.sin, angles)))
+    return complex(re, im) * float(p) ** (-ball.resolution_exponent)

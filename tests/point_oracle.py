@@ -1,15 +1,17 @@
 """The Haar integral by evaluating the character at each coset representative: the oracle of ``haar_oracle``.
 
-The library counts the cosets at each phase a residue class at a time
-(``QuadraticCharacter.coset_counts``) and rounds only the power-basis
-coordinates of their sum.  This route evaluates the exact phase of
-chi_p(alpha x^2 + beta x) at every representative r p^(-N) through
-``fractional_part``, takes each value by ``cmath.exp``, and sums the
-values by ``math.fsum`` times the coset measure p^(-M).
+The library sums the cosets a residue class at a time into the exact
+power-basis coordinates of their sum in Z[zeta_m]
+(``QuadraticCharacter.power_coordinates``) and rounds only those.  This
+route evaluates the exact phase of chi_p(alpha x^2 + beta x) at every
+representative r p^(-N) through ``fractional_part``, takes each value
+by ``cmath.exp``, and sums the values by ``math.fsum`` times the coset
+measure p^(-M).
 
-``running_sum_counts`` is the integer reference of the counts: one
-residue per coset from two running sums.  ``power_basis_sum`` rounds
-counts coordinate by coordinate over the whole list, which
+``running_sum_counts`` counts the cosets at each phase, one residue per
+coset from two running sums.  ``power_coordinates`` reduces any such
+counts to the power basis over the whole list: the integer reference of
+the library's coordinates.  ``power_basis_sum`` rounds them, which
 ``haar_oracle`` must match bit for bit.
 """
 
@@ -64,7 +66,7 @@ def varies_on_a_coset(f: QuadraticCharacter, ball: BallSpec) -> bool:
 
 
 def running_sum_counts(f: QuadraticCharacter, ball: BallSpec) -> tuple[list[int], int]:
-    """``coset_counts`` of an accepted ball, one coset at a time.
+    """How many cosets of an accepted ball have phase j/m, per j, one coset at a time.
 
     {A}_p = c2/m and {B}_p = c1/m for A = alpha p^(-2N), B = beta p^(-N)
     over the larger of their denominators m (p if both are 0), and the
@@ -84,20 +86,27 @@ def running_sum_counts(f: QuadraticCharacter, ball: BallSpec) -> tuple[list[int]
     return counts, m
 
 
-def power_basis_sum(counts: list[int], m: int, ball: BallSpec) -> complex:
-    """The measure-weighted sum of counts[j] zeta_m^j from every power-basis coordinate.
+def power_coordinates(counts: list[int], m: int, p: int) -> dict[int, int]:
+    """The nonzero power-basis coordinates of sum_j counts[j] zeta_m^j, m = p^L, in ascending j.
 
-    Coordinate j < m - m/p is counts[j] - counts[(p-1) m/p + j mod m/p];
-    each nonzero one times the cosine and the sine of 2 pi j/m, in
-    ascending j, summed by ``math.fsum``.
+    Coordinate j < m - m/p is counts[j] - counts[(p-1) m/p + j mod m/p],
+    as sum_t zeta_m^(j + t m/p) = 0.
     """
-    p = ball.prime
     w = m - m // p
     coords = list(map(sub, counts, counts[w:] * (p - 1)))
+    return {j: coords[j] for j in compress(range(w), coords)}
+
+
+def power_basis_sum(counts: list[int], m: int, ball: BallSpec) -> complex:
+    """The measure-weighted sum of counts[j] zeta_m^j from its power-basis coordinates.
+
+    Each nonzero coordinate times the cosine and the sine of 2 pi j/m, in
+    ascending j, summed by ``math.fsum``.
+    """
     tau = 2 * math.pi
     re, im = [], []
-    for j in compress(range(w), coords):
+    for j, c in power_coordinates(counts, m, ball.prime).items():
         angle = tau * (j / m)
-        re.append(coords[j] * math.cos(angle))
-        im.append(coords[j] * math.sin(angle))
-    return complex(math.fsum(re), math.fsum(im)) * float(p) ** (-ball.resolution_exponent)
+        re.append(c * math.cos(angle))
+        im.append(c * math.sin(angle))
+    return complex(math.fsum(re), math.fsum(im)) * float(ball.prime) ** (-ball.resolution_exponent)

@@ -384,7 +384,7 @@ LIBRARY_CLASSES = {name for name in padicqm.__all__
 #: valid arguments of the callables with a parameter of a library class
 CLASS_ARGUMENTS = {
     **PRIME_ARGUMENTS,
-    "QuadraticCharacter.coset_counts": dict(ball=BallSpec(3, 1, 1)),
+    "QuadraticCharacter.power_coordinates": dict(ball=BallSpec(3, 1, 1)),
     "compose_kernels": dict(k2=KERNEL, k1=KERNEL),
     "k_oscillator_td_real": dict(data=OSC_DATA),
 }
@@ -396,7 +396,7 @@ CLASS_PARAMETERS = [(fn, name, param.name)
 
 def test_the_signature_scan_finds_the_class_parameters():
     assert sorted(f"{name}-{param}" for _, name, param in CLASS_PARAMETERS) == [
-        "Amplitude-phase", "QuadraticCharacter.coset_counts-ball", "SymbolicKernel-form",
+        "Amplitude-phase", "QuadraticCharacter.power_coordinates-ball", "SymbolicKernel-form",
         "SymbolicKernel-prefactor", "SymbolicKernel.from_form-form", "compose_kernels-k1",
         "compose_kernels-k2", "finite_n_propagator-partition", "haar_oracle-ball",
         "haar_oracle-f", "k_general_quadratic-form", "k_oscillator_td-data",

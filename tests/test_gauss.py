@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -286,6 +287,31 @@ class TestHaarOracle:
         with pytest.raises(OracleCapError, match=r"^3\^9100 cosets exceed the cap of 1000000$"):
             haar_oracle(3, quadratic_char_fn(3, 1, 0), BallSpec(3, 9100, 0))
 
+    @pytest.mark.parametrize("ball", [BallSpec(3, 20, 21), BallSpec(3, 0, 10**8)])
+    def test_the_coordinates_share_the_cap(self, monkeypatch, ball):
+        # 3^41 cosets, at minimal_resolution's ball of chi_3(x^2/3), and 3^(10^8):
+        # the public method refuses both from N + M, as haar_oracle does, before
+        # a count list or p^(N+M) is formed
+        f = quadratic_char_fn(3, F(1, 3), 0)
+        assert ball.resolution_exponent >= minimal_resolution(3, f.alpha, f.beta, ball.radius_exponent)
+        monkeypatch.setattr(BallSpec, "n_cosets", property(lambda ball: pytest.fail("p^(N+M)")))
+        for route in (f.power_coordinates, lambda ball: haar_oracle(3, f, ball)):
+            with pytest.raises(OracleCapError, match=r"^3\^\d+ cosets exceed the cap of 1000000$"):
+                route(ball)
+
+    def test_memory_of_a_large_ball(self):
+        # the criterion-1 ball of 7^6 cosets sums its few classes of one
+        # residue: no list of its m = 7^7 counts is made
+        p, a, b, ball = next(cell for cell in criterion_1_cells() if cell[3].n_cosets == 7**6)
+        f = quadratic_char_fn(p, a, b)
+        tracemalloc.start()
+        try:
+            haar_oracle(p, f, ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
     @pytest.mark.parametrize("p, n, refused", [(2, 3, False), (2, 4, True), (3, 2, True),
                                                (7, 1, False)])
     def test_cap_edges(self, monkeypatch, p, n, refused):
@@ -321,25 +347,43 @@ def criterion_1_cells():
                     yield p, a, b, BallSpec(p, n0, minimal_resolution(p, a, b, n0))
 
 
-def assert_routes_agree(f, ball):
-    """Integer counts == the running sums == the per-point phases counted, and the Haar sums agree.
+def assert_coordinates(f, ball, counts, m):
+    """``power_coordinates`` is the reduction of the counts, item for item in ascending j."""
+    coords, mf = f.power_coordinates(ball)
+    ref = point_oracle.power_coordinates(counts, m, ball.prime)
+    assert mf == m and coords == ref
+    assert list(coords) == list(ref)
 
-    Where ``coset_counts`` refuses the ball, ``haar_oracle`` must refuse it
-    too, and a brute-force check must find a coset on which f varies.
-    Returns whether the ball was counted.
+
+def histogram(qs, m):
+    """How many of the phases qs are j/m, per j < m; each must be one."""
+    counts = [0] * m
+    for q in qs:
+        j = q * m
+        assert j.denominator == 1, (q, m)
+        counts[j.numerator] += 1
+    return counts
+
+
+def assert_routes_agree(f, ball):
+    """Exact coordinates == the reduced running-sum counts == the per-point phases counted, and the Haar sums agree.
+
+    Where ``power_coordinates`` refuses the ball, ``haar_oracle`` must refuse
+    it too, and a brute-force check must find a coset on which f varies.
+    Returns whether the ball was summed.
     """
     p, N = ball.prime, ball.radius_exponent
     try:
-        counts, m = f.coset_counts(ball)
+        f.power_coordinates(ball)
     except InputError:
         assert point_oracle.varies_on_a_coset(f, ball)
         with pytest.raises(InputError):
             haar_oracle(p, f, ball)
         return False
-    assert (counts, m) == point_oracle.running_sum_counts(f, ball)
+    counts, m = point_oracle.running_sum_counts(f, ball)
+    assert_coordinates(f, ball, counts, m)
     qs = point_oracle.phases(f, ball)
-    assert len(counts) == m
-    assert Counter(q * m for q in qs) == {j: c for j, c in enumerate(counts) if c}
+    assert histogram(qs, m) == counts
     # only a few power-basis coordinates are rounded, against every coset per point
     assert abs(haar_oracle(p, f, ball) - point_oracle.haar_sum(qs, ball)) <= 1e-13 * p**N
     return True
@@ -381,8 +425,8 @@ class TestCosetAngles:
         counted = assert_routes_agree(f, ball)
         assert counted != point_oracle.varies_on_a_coset(f, ball)
         if counted:
-            counts, m = f.coset_counts(ball)
-            assert counts == [sum(q * m == j for q in phases) for j in range(m)]
+            m = point_oracle.running_sum_counts(f, ball)[1]
+            assert_coordinates(f, ball, histogram(phases, m), m)
 
 
 class TestQuadraticCharacter:
@@ -395,13 +439,13 @@ class TestQuadraticCharacter:
         assert checked == 237
 
     def test_criterion_1_cells_against_running_sums(self):
-        # all 240 balls, the 3 above 20,000 cosets among them: the class counts
-        # are the running sums' counts, and the oracle rounds them as the
-        # whole-list route does, bit for bit
+        # all 240 balls, the 3 above 20,000 cosets among them: the coordinates
+        # are those of the running sums' counts, and the oracle rounds them as
+        # the whole-list route does, bit for bit
         for p, a, b, ball in criterion_1_cells():
             f = quadratic_char_fn(p, a, b)
             counts, m = point_oracle.running_sum_counts(f, ball)
-            assert f.coset_counts(ball) == (counts, m), (p, a, b)
+            assert_coordinates(f, ball, counts, m)
             assert haar_oracle(p, f, ball) == point_oracle.power_basis_sum(counts, m, ball)
 
     def test_criterion_1_cells_against_closed_form(self):
@@ -444,26 +488,28 @@ class TestQuadraticCharacter:
 
 
 class TestClassCounts:
-    """``coset_counts`` against the running sums on a ball of each branch of the class count.
+    """``power_coordinates`` against the running sums on a ball of each branch of the class count.
 
     With B the least power of p with c2 B^2 = 0 mod m, coset r = s + B t has
     k_r = k_s + t B (2 c2 s + c1) mod m, so each s < B spreads its n/B terms
-    evenly over a residue class mod G_s = B gcd(2 c2 s + c1, m/B).
+    evenly over a residue class mod G_s = B gcd(2 c2 s + c1, m/B), which
+    sums to 0 in Z[zeta_m] unless G_s = m.
     """
 
     @pytest.mark.parametrize("p, alpha, beta, ball", [
-        # n = 1 (at most TERMS cosets): counted one coset at a time; at p = 2
-        # its one term is shorter than any period, as B = 2 > n
+        # n = 1 at p = 2: B stops at n, below the least power 2 with
+        # c2 B^2 = 0 mod m, so the one class is the one coset
         (2, F(1, 2), F(1, 14), BallSpec(2, 0, 0)),
         # m = 7, B = 7, G = m: every class is one residue, 7 terms on each
         (7, F(3, 7), F(1, 7), BallSpec(7, 0, 2)),
-        # m = 64, B = 8, G = 8 and no finer class: one list repeat of the base
+        # m = 64, B = 8, G = 8: p divides a2 = 2 c2/g0, so no class is one
+        # residue and every coordinate is 0
         (2, F(1, 64), F(1, 64), BallSpec(2, 0, 6)),
-        # m = 32, B = 8, G = 16: the finer s, the even ones, are single residues
+        # m = 32, B = 8, G = 16: the s = 0 mod 2 are the classes of one residue
         (2, F(1, 32), F(0), BallSpec(2, 0, 6)),
-        # m = 128, B = 16, G = 32: finer classes mod 64, sliced, and single residues
+        # m = 128, B = 16, G = 32: the s = 0 mod 4 are; the finer classes mod 64 cancel
         (2, F(1, 128), F(0), BallSpec(2, 0, 6)),
-        # m = 81, B = 9, G = 9: finer classes mod 27 and single residues
+        # m = 81, B = 9, G = 9: s = 0 alone is; the classes mod 9 and mod 27 cancel
         (3, F(1, 9), F(0), BallSpec(3, 1, 3)),
     ])
     def test_each_branch(self, p, alpha, beta, ball):
@@ -476,7 +522,7 @@ class TestClassCounts:
         f = quadratic_char_fn(p, F(3, p), F(-5, p))
         counts, m = point_oracle.running_sum_counts(f, ball)
         assert m == p
-        assert f.coset_counts(ball) == (counts, m)
+        assert_coordinates(f, ball, counts, m)
         assert haar_oracle(p, f, ball) == point_oracle.power_basis_sum(counts, m, ball)
 
 
@@ -490,16 +536,16 @@ class TestMinimalResolution:
         beta = data.draw(small_rationals(p), label="beta")
         m = minimal_resolution(p, alpha, beta, n)
         f = quadratic_char_fn(p, alpha, beta)
-        f.coset_counts(BallSpec(p, n, m))
+        f.power_coordinates(BallSpec(p, n, m))
         if p != 2 and m > -n:
             with pytest.raises(InputError):
-                f.coset_counts(BallSpec(p, n, m - 1))
+                f.power_coordinates(BallSpec(p, n, m - 1))
 
     def test_one_step_more_than_needed_at_2(self):
         # x(7x + 1) is even on Z_2, so chi_2(x^2/2 + x/14) is 1 on the whole unit ball
         f = quadratic_char_fn(2, F(1, 2), F(1, 14))
         assert minimal_resolution(2, F(1, 2), F(1, 14), 0) == 1
-        assert f.coset_counts(BallSpec(2, 0, 0)) == ([1, 0], 2)
+        assert f.power_coordinates(BallSpec(2, 0, 0)) == ({0: 1}, 2)
 
 
 class TestFresnelOracle:

@@ -224,20 +224,14 @@ def stabilization_threshold(p: int, alpha: Fraction, beta: Fraction) -> int:
     return max(candidates)
 
 
-def _tail(x: Fraction, p: int, e: int) -> tuple[int, int]:
-    """{x p^-e}_p as (r, p^k) with r/p^k its value, unreduced."""
-    n, d = x.numerator, x.denominator
-    if e >= 0:
-        return fractional_residue(n, d * p**e, p)
-    return fractional_residue(n * p**-e, d, p)
-
-
 @dataclass(frozen=True)
 class QuadraticCharacter:
     """The integrand chi_p(alpha x^2 + beta x), summed over a ball's cosets.
 
-    ``power_coordinates`` works on integer coset indices and returns the
-    exact coset sum in Z[zeta_m], which is all the Haar oracle reads.
+    ``power_coordinates`` reads m = p^L and the integer residues of the
+    coset phases off one ``unit_split`` of alpha and one of beta, and
+    returns the exact coset sum in Z[zeta_m], which is all the Haar
+    oracle reads.
     """
 
     p: int
@@ -253,26 +247,32 @@ class QuadraticCharacter:
         """The coset sum over the ball in the power basis of Z[zeta_m]: {j: c_j} and m.
 
         For integer r, {r^2 A + r B}_p = r^2 {A}_p + r {B}_p mod 1, with
-        A = alpha p^(-2N) and B = beta p^(-N).  ``fractional_residue`` on
-        the integers of A and B gives {A}_p = c2/m and {B}_p = c1/m over
-        one denominator m = p^L, L >= 1, and the coset of representative
-        r p^(-N), r = 0 .. n_cosets - 1, has phase k_r/m,
-        k_r = c2 r^2 + c1 r.  Returns the nonzero coordinates c_j of
+        A = alpha p^(-2N) and B = beta p^(-N).  One ``unit_split`` of each
+        coefficient, alpha = p^va an/ad, gives {A}_p = (an/ad mod p^L2)/p^L2
+        at L2 = 2N - va > 0, and {A}_p = 0 at L2 <= 0 or alpha = 0; beta
+        gives {B}_p the same way at L1 = N - v(beta).  Over m = p^L,
+        L = max(1, L2, L1), they are c2/m and c1/m with
+        c2 = an ad^-1 p^(L - L2) mod m and c1 the same from beta, and the
+        coset of representative r p^(-N), r = 0 .. n_cosets - 1, has phase
+        k_r/m, k_r = c2 r^2 + c1 r.  Returns the nonzero coordinates c_j of
         sum_r zeta_m^(k_r) on the basis zeta_m^j, j < m - m/p, in
         ascending j, and m.
 
         Above ``COSET_CAP`` cosets ``OracleCapError`` is raised, decided
-        from N + M alone once that reaches the cap's bit length, so no
-        larger power is formed.  With n = n_cosets,
+        from e = N + M alone once that reaches the cap's bit length, so no
+        larger power is formed.  With n = n_cosets = p^e,
         k_(r+nt) - k_r = (2 c2 r n + c1 n) t + c2 n^2 t^2, so chi is
         constant on every coset exactly when 2 c2 n = 0 and
         (c1 + c2 n) n = 0 mod m.  Otherwise the coset sum is not the Haar
-        integral, and ``InputError`` is raised; when it holds,
-        m <= max(p, 2 n).
+        integral, and ``InputError`` is raised.  At L > 1 one of c2 and c1
+        is a unit, so constancy needs m | 2 n, or m | n: m <= max(p, 2 n),
+        that is L <= max(1, e + [p = 2]).  A larger L is refused from the
+        valuations alone, before p^L or a residue is formed.
 
-        The k_r are taken a residue class at a time.  Let B be the least
-        power of p with c2 B^2 = 0 mod m, or n if that is less (at p = 2,
-        n = 1 only).  For r = s + B t, s < B, k_r = k_s + t B u_s mod m
+        The k_r are taken a residue class at a time.  As p^(L - L2) is
+        the power of p in c2, B = min(n, p^ceil(L2/2)), or 1 at L2 <= 0,
+        is the least power of p with c2 B^2 = 0 mod m, or n if that is
+        less.  For r = s + B t, s < B, k_r = k_s + t B u_s mod m
         with u_s = 2 c2 s + c1, and n u_s = 0 mod m, so the T = n/B terms
         of each s hit every residue = k_s mod G_s = gcd(B u_s, m) equally
         often.  As sum_t zeta_m^(j + t m/p) = 0, a class with G_s < m,
@@ -300,26 +300,29 @@ class QuadraticCharacter:
         e = N + ball.resolution_exponent
         if e >= COSET_CAP.bit_length() or ball.n_cosets > COSET_CAP:
             raise OracleCapError(f"{p}^{e} cosets exceed the cap of {COSET_CAP}")
-        c2, m2 = _tail(self.alpha, p, 2 * N)
-        c1, m1 = _tail(self.beta, p, N)
-        m = max(m2, m1)
-        c2 *= m // m2
-        c1 *= m // m1
-        # the least common denominator keeps the running sums and the counts short
-        g = math.gcd(c2, c1, m)
-        c2, c1, m = c2 // g, c1 // g, m // g
-        if m == 1:
-            # c2 = c1 = 0: the power basis of Z[zeta_m] needs p | m
-            m = p
+        # {A}_p is (an/ad mod p^L2)/p^L2 where L2 > 0, and 0 otherwise; {B}_p likewise
+        L2 = L1 = 0
+        if self.alpha:
+            va, an, ad = unit_split(self.alpha, p)
+            L2 = 2 * N - va
+        if self.beta:
+            vb, bn, bd = unit_split(self.beta, p)
+            L1 = N - vb
+        L = max(1, L2, L1)
         n = ball.n_cosets
-        if 2 * c2 * n % m or (c1 + c2 * n) * n % m:
+        # constancy on the cosets bounds m = p^L by max(p, 2 n): no larger power is formed
+        varies = L > max(1, e + (p == 2))
+        if not varies:
+            m = p**L
+            c2 = an * pow(ad, -1, m) * p ** (L - L2) % m if L2 > 0 else 0
+            c1 = bn * pow(bd, -1, m) * p ** (L - L1) % m if L1 > 0 else 0
+            varies = 2 * c2 * n % m or (c1 + c2 * n) * n % m
+        if varies:
             raise InputError(
                 f"chi_{p}({self.alpha} x^2 + {self.beta} x) varies on the cosets of "
                 f"{p}^{ball.resolution_exponent} Z_{p}: its coset sum is no Haar integral"
             )
-        B = 1
-        while B < n and c2 * B * B % m:
-            B *= p
+        B = min(n, p ** max(0, (L2 + 1) // 2))
         T = n // B
         g0 = math.gcd(2 * c2, c1, m // B)
         q = m // p
@@ -348,8 +351,8 @@ class QuadraticCharacter:
 def quadratic_char_fn(p: int, alpha: Fraction, beta: Fraction) -> QuadraticCharacter:
     """chi_p(alpha x^2 + beta x), for feeding the Haar oracle.
 
-    On a ball the oracle sums it over integer coset residues from two
-    ``fractional_residue`` calls (``QuadraticCharacter.power_coordinates``).
+    On a ball the oracle sums it over integer coset residues read off one
+    split of each coefficient (``QuadraticCharacter.power_coordinates``).
     """
     return QuadraticCharacter(p, alpha, beta)
 

@@ -227,7 +227,7 @@ def check_overlap(
 
 
 def check_gauss(
-    places=(Place.prime(2), Place.prime(3), Place.prime(5), Place.prime(7)),
+    places=tuple(Place.prime(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
     trials: int = 12,
     seed: int = 0,
 ) -> list[dict]:

@@ -312,6 +312,20 @@ class TestHaarOracle:
             tracemalloc.stop()
         assert peak < 64 * 1024, peak
 
+    def test_memory_of_a_far_ball_it_refuses(self):
+        # chi_3(x^2) varies on the one coset of |x|_3 <= 3^N, N = 2 * 10^5: its
+        # L = 2N is past max(1, N + M) = 1, so the refusal is read off the
+        # valuations, and neither 3^(2N) (about 79 KB) nor a residue is formed
+        f, ball = quadratic_char_fn(3, 1, 0), BallSpec(3, 2 * 10**5, -2 * 10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="varies on the cosets"):
+                f.power_coordinates(ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024, peak
+
     @pytest.mark.parametrize("p, n, refused", [(2, 3, False), (2, 4, True), (3, 2, True),
                                                (7, 1, False)])
     def test_cap_edges(self, monkeypatch, p, n, refused):

@@ -12,6 +12,7 @@ from padicqm import (
     PartitionSpec,
     Phase,
     Place,
+    characters,
     finite_n_propagator,
     lambda_v,
     overlap_ball_integral,
@@ -213,9 +214,10 @@ def test_gauss_leaves_the_coset_cap_to_the_haar_oracle(monkeypatch):
 
 
 def test_gauss_catches_a_conjugated_closed_form(monkeypatch):
+    # at the default places, the primes up to 31
     full = verify.gauss_full
     monkeypatch.setattr(verify, "gauss_full", lambda place, a, b: full(place, a, b).conjugate())
-    assert len(CHECKS["gauss"](trials=3, seed=0)) == 30
+    assert len(CHECKS["gauss"](trials=3, seed=0)) == 48
 
 
 def test_lambda_catches_lambda_3_without_its_legendre_symbol(monkeypatch):
@@ -227,6 +229,33 @@ def test_lambda_catches_lambda_3_without_its_legendre_symbol(monkeypatch):
 
     monkeypatch.setattr(verify, "lambda_v", mutated)
     assert len(CHECKS["lambda"](trials=50, seed=0)) == 4
+
+
+def _lambda_of_split_mutant(monkeypatch, mutate):
+    """The one lambda implementation, behind gauss_full's Gauss factor, with its phase mutated."""
+    lambda_of_split = characters.lambda_of_split
+    monkeypatch.setattr(characters, "lambda_of_split",
+                        lambda place, v, u: mutate(place, v, lambda_of_split(place, v, u)))
+
+
+@pytest.mark.parametrize("seed, count", [(0, 6), (1, 3), (2, 12)])
+def test_gauss_catches_lambda_13_without_its_legendre_symbol(monkeypatch, seed, count):
+    # at odd valuation lambda_13(a) is the Legendre symbol of a's unit; the
+    # lambda check's identities cannot see (u/13), the closed form at 13 can
+    _lambda_of_split_mutant(monkeypatch,
+                            lambda place, v, phase: Phase(0) if place.p == 13 and v % 2 else phase)
+    failures = CHECKS["gauss"](seed=seed)
+    assert len(failures) == count and {row["p"] for row in failures} == {13}
+
+
+@pytest.mark.parametrize("seed, count", [(0, 47), (1, 60), (2, 53)])
+def test_gauss_catches_lambda_conjugated_at_3_mod_4_above_7(monkeypatch, seed, count):
+    # no other check reads lambda at 11, 19, 23 or 31 by default
+    _lambda_of_split_mutant(
+        monkeypatch, lambda place, v, phase: -phase if place.p > 7 and place.p % 4 == 3 else phase
+    )
+    failures = CHECKS["gauss"](seed=seed)
+    assert len(failures) == count and {row["p"] for row in failures} <= {11, 19, 23, 31}
 
 
 def test_lambda_reports_a_phase_that_is_not_an_eighth_root(monkeypatch, capsys):

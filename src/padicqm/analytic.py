@@ -4,7 +4,8 @@ Values are :class:`PadicTruncation` objects: an element of Q_p known
 modulo p^P.  :func:`digits` gives the leading canonical digits of a
 nonzero rational as one.  The oscillator's kernel reads the sine and
 cosine as integer residues (``_sin_cos_sums``) and its square root
-through :func:`sqrt_p`.
+through :func:`sqrt_p`, whose Newton lift of an inverse square root
+takes no modular inverse per step, in one loop for every p.
 Trigonometric series converge for |x|_p <= 1/p (odd p) and <= 1/4
 (p = 2); they are summed modulo p^(P+S), S guard digits for the powers
 of p in the factorials, and the exact Fraction loop of the tests'
@@ -231,6 +232,11 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
     for p = 2.  Of the two roots the canonical one comes first in the
     digit order (smaller leading digit for odd p; second digit 0 for
     p = 2, where both roots lead with 1).
+
+    With x = p^v un/ud the root is p^(v/2) un z, z = (un ud)^(-1/2),
+    lifted from its canonical seed modulo p (modulo 8 at p = 2) by
+    z <- z (1 - e/2), e = un ud z^2 - 1: no modular inverse per step,
+    one inverse of the Tonelli-Shanks seed at odd p and none at p = 2.
     """
     P = integer(P)
     require_prime(p)
@@ -243,27 +249,27 @@ def sqrt_p(x: Fraction | int, p: int, P: int) -> PadicTruncation:
         raise NonSquareError(f"odd valuation {v}: no square root in Q_{p}")
     half_v = v // 2
     k = max(1, P - half_v)
-    target = un * pow(ud, -1, p ** (k + 2)) % p ** (k + 2)
+    t = un * ud  # reduced modulo p^j in the lift, after the existence tests
     if p != 2:
-        u0 = target % p
-        if legendre(u0, p) != 1:
+        if legendre(t % p, p) != 1:
+            u0 = un * pow(ud, -1, p) % p
             raise NonSquareError(f"leading digit {u0} is not a residue mod {p}")
-        y, j = _sqrt_unit_odd(u0, p), 1
-        while j < k:
-            j = min(2 * j, k)
-            # Newton step: y <- (y + u/y) / 2 modulo the lifted modulus p^j
-            y = (y + (target - y * y) * pow(2 * y, -1, p**j)) % p**j
-        if (p - y) % p < y % p:
-            y = -y
+        z, j, loss = pow(_sqrt_unit_odd(t % p, p), -1, p), 1, 0
+        if 2 * (un * z % p) > p:  # canonical: the smaller leading digit
+            z = -z
     else:
-        if target % 8 != 1:
+        if t % 8 != 1:
             raise NonSquareError("unit part is not 1 mod 8: no square root in Q_2")
-        # y = 1 mod 4 throughout, the canonical branch: once y^2 = t mod 8,
-        # (t - y^2)/2 = 0 mod 4
-        y, j = 1, 3
-        while j < k + 2:
-            # y^2 = t mod 2^j lifts to y + ((t - y^2)/2) / y modulo 2^(2j - 2)
-            j = min(2 * j - 2, k + 2)
-            y = (y + (target - y * y) // 2 * pow(y, -1, 2**j)) % 2**j
-    # _make reduces y modulo p^k
-    return PadicTruncation._make(p, half_v, y, half_v + k)
+        # z = un mod 4 throughout, so un z = 1 mod 4: the canonical branch
+        z, j, loss = un % 4, 3, 2
+    # Newton on z = t^(-1/2), no division: once t z^2 = 1 + e with e = 0
+    # mod p^j, z (1 - e/2) is right mod p^(2j), or 2^(2j - 2) at p = 2,
+    # where t z^2 = 1 mod 2^j pins z only mod 2^(j - 1): so the lift runs
+    # to p^k, or 2^(k + 2)
+    while j < k + loss:
+        j = min(2 * j - loss, k + loss)
+        q = p**j
+        e = (t % q * z * z - 1) % q
+        z = z * (1 - ((e + (e & 1) * q) >> 1)) % q  # e/2 mod q; e is even at p = 2
+    # _make reduces un z modulo p^k
+    return PadicTruncation._make(p, half_v, un * z, half_v + k)

@@ -2,13 +2,15 @@
 
 The library sums each parity of the series by Horner in Z/p^M and
 returns residues modulo p^P (``analytic._sin_cos_sums``).  This route
-adds the terms x^k/k! one at a time as exact fractions, k = 0..K+1,
-with the same term count K and the same domain check, so the library's
-residues must be those of these sums modulo p^P.
+adds the terms x^k/k! one at a time as exact fractions and stops at the
+first k >= 1 past which, by Legendre's bound on v_p(n!), every term has
+valuation at least P.  It checks the domain and counts the terms itself,
+so the library's residues must be those of these sums modulo p^P.
 
 ``oscillator_truncations`` rebuilds the oscillator's two truncations
 from these sums with ``from_rational`` and ``truncation_oracle.divide``,
-the route the library took before it summed modulo p^M, and
+the route the library took before it summed modulo p^M, with the square
+root of ``root_oracle``, and
 ``oscillator_form`` builds the form from them behind the guard that
 once decided when the form pins its kernel: the oracle of
 ``oscillator_precision``.
@@ -17,28 +19,34 @@ once decided when the form pins its kernel: the oracle of
 from fractions import Fraction
 
 from padicqm import (
-    DegenerateIntervalError, PadicTruncation, PrecisionError, QuadraticActionForm,
-    oscillator_precision, sqrt_p, valuation,
+    DegenerateIntervalError, DomainError, PadicTruncation, PrecisionError,
+    QuadraticActionForm, oscillator_precision, valuation,
 )
-from padicqm.analytic import _trig_domain_valuation, _trig_term_count
 
+import root_oracle
 from truncation_oracle import divide
 
 
 def sin_cos_sums(x: Fraction, p: int, P: int) -> tuple[Fraction, Fraction]:
     """Exact partial sums of sin and cos whose tails have norm <= p^-P."""
-    d = _trig_domain_valuation(x, p)
-    K = _trig_term_count(d, p, P)
+    d = valuation(x, p)  # +inf at x = 0
+    minimum = 2 if p == 2 else 1
+    if d < minimum:
+        raise DomainError(f"|x|_{p} must be <= {p}^-{minimum} for trigonometric series")
     sin_total, cos_total = Fraction(0), Fraction(0)
-    term = Fraction(1)  # x^k / k!
-    for k in range(K + 2):
-        if k:
-            term = term * x / k
+    term, k = Fraction(1), 0  # term = x^k / k!
+    while True:
         if k % 2 == 0:
             cos_total += -term if k % 4 else term
         else:
             sin_total += -term if (k - 1) % 4 else term
-    return sin_total, cos_total
+        # v_p(n!) <= (n - 1)/(p - 1), so each term past k has valuation at
+        # least (k + 1) d - k/(p - 1), which grows with k since d > 1/(p - 1);
+        # k >= 1 keeps x, the sine's leading term, even where sin x is O(p^P)
+        if k and (k + 1) * d * (p - 1) - k >= P * (p - 1):
+            return sin_total, cos_total
+        k += 1
+        term = term * x / k
 
 
 def oscillator_truncations(data, p: int, P: int):
@@ -49,7 +57,7 @@ def oscillator_truncations(data, p: int, P: int):
     s, c = sin_cos_sums(delta, p, P)
     sin_t = PadicTruncation.from_rational(s, p, P)
     tan_t = PadicTruncation.from_rational(s / c, p, P)
-    root_t = sqrt_p(data.dgamma1 * data.dgamma0, p, P)
+    root_t = root_oracle.sqrt(data.dgamma1 * data.dgamma0, p, P)
     inv_tan = divide(PadicTruncation.from_rational(1, p, P), tan_t)
     return inv_tan, divide(root_t, sin_t)
 

@@ -1,4 +1,6 @@
+import builtins
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,11 +15,13 @@ from padicqm import (
     sqrt_p,
     valuation,
 )
+from padicqm import analytic
 from padicqm.analytic import _sin_cos_sums
 from padicqm.characters import Phase
 from padicqm.errors import InputError, PrecisionError
 from padicqm.places import unit_residue
 
+import root_oracle
 import series_oracle
 from truncation_oracle import (
     add, agrees_with, chi_of_truncation, divide, mul, neg, scale, sub, tan_p,
@@ -241,6 +245,51 @@ class TestSqrt:
         coarse = sqrt_p(7, 3, 4)
         fine = sqrt_p(7, 3, 12)
         assert agrees_with(fine, coarse, 4)
+
+    @pytest.mark.parametrize("x, p", [(2, 7), (2, 17), (17, 2)])
+    @pytest.mark.parametrize("P", [40, 4000])
+    def test_lift_takes_no_inverse_per_step(self, monkeypatch, x, p, P):
+        # the module global shadows the builtin, so every pow of analytic is seen
+        exponents = []
+
+        def counting_pow(base, exp, *mod):
+            exponents.append(exp)
+            return builtins.pow(base, exp, *mod)
+
+        monkeypatch.setattr(analytic, "pow", counting_pow, raising=False)
+        r = sqrt_p(x, p, P)
+        assert r.mantissa**2 % p**P == x
+        assert exponents.count(-1) <= 2
+
+
+def refusal_or_root(x, p, P, sqrt):
+    try:
+        return sqrt(x, p, P)
+    except (InputError, NonSquareError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSqrtAgainstOracle:
+    """``sqrt_p`` against the two Hensel lifts of ``root_oracle``."""
+
+    #: 17, 41 and 97 are 1 mod 8, where Tonelli-Shanks searches past z = 2
+    PRIMES = [2, 3, 5, 7, 13, 17, 41, 97]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_seeded_grid(self, p):
+        rng = random.Random(p)
+        roots, precisions = 0, range(-3, 301, 4)
+        for P in precisions:
+            x = F(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+            x *= F(p) ** rng.randint(-6, 6)
+            if rng.random() < 0.6:
+                x *= x
+            got = refusal_or_root(x, p, P, sqrt_p)
+            assert got == refusal_or_root(x, p, P, root_oracle.sqrt), (x, P)
+            roots += isinstance(got, PadicTruncation)
+        assert 0 < roots < len(precisions)  # both roots and refusals are compared
+        for x in (0, p, F(1, p)):
+            assert refusal_or_root(x, p, 5, sqrt_p) == refusal_or_root(x, p, 5, root_oracle.sqrt)
 
 
 class TestTruncationArithmetic:

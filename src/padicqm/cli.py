@@ -17,10 +17,10 @@ byte-identical output.  Every row of ``kernel``, ``gauss`` and
 ``ball-integral`` is written by one flat writer, text shared by many rows
 encoded once, and :func:`_write` puts the rows under their header.
 
-:func:`build_parser` is the one definition of the grammar.  An argv of
-plain ``--opt=value`` and ``--opt value`` tokens is read from a table of
-its store actions; argparse parses every other argv, so it alone writes
-help and usage errors.
+:data:`COMMANDS` is the one definition of the grammar: :func:`build_parser`
+hands it to argparse, and an argv of plain ``--opt=value`` and ``--opt value``
+tokens is read from it directly, without building the parser; argparse
+parses every other argv, so it alone writes help and usage errors.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -339,7 +338,7 @@ def _check_kernel_options(system: str, argv: list[str]) -> None:
 
     Tokens are read as argparse reads them: ``--opt`` or ``--opt=value``, opt abbreviated or not.
     """
-    options, reads, unread = _options()["kernel"][0], KERNEL_OPTIONS[system], []
+    options, reads, unread = COMMANDS["kernel"][1], KERNEL_OPTIONS[system], []
     for token in argv[1:]:
         opt = token.partition("=")[0]
         if opt not in reads and opt.startswith("--") and opt != "--":
@@ -375,6 +374,49 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY_FAIL
 
 
+#: the grammar, in the order --help lists it: subcommand -> (its help, option
+#: -> the keywords argparse's add_argument takes); each option --name stores
+#: one value under name, read by :func:`build_parser` and :func:`_parse_plain`
+COMMANDS = {
+    "kernel": ("evaluate a propagator on a parameter grid", {
+        "--system": dict(required=True, choices=list(KERNEL_OPTIONS)),
+        "--place": dict(type=_place_list, required=True,
+                        help="comma-separated places: inf or primes"),
+        "--T": dict(type=_rational_list, default=[Fraction(1)]),
+        "--q0": dict(type=_rational_list, default=[Fraction(0)]),
+        "--q1": dict(type=_rational_list, default=[Fraction(0)]),
+        "--a": dict(type=_rational, default=Fraction(0),
+                    help="constant acceleration (const-field)"),
+        "--lam": dict(type=_rational, default=Fraction(0),
+                      help="cosmological constant (desitter)"),
+        **{f"--{field.name}": dict(type=_rational, help="oscillator boundary value")
+           for field in dataclasses.fields(OscillatorBoundaryData)},
+        "--precision": dict(type=int, default=20,
+                            help="most p-adic digits the oscillator kernel may use"),
+        "--format": dict(choices=["json", "csv"], default="json"),
+    }),
+    "gauss": ("full-line Gauss integral", {
+        "--place": dict(type=_place, required=True),
+        "--a": dict(type=_rational, required=True),
+        "--b": dict(type=_rational, default=Fraction(0)),
+        "--format": dict(choices=["json", "csv"], default="json"),
+    }),
+    "ball-integral": ("character integral over a p-adic ball", {
+        "--p": dict(type=int, required=True),
+        "--alpha": dict(type=_rational, required=True),
+        "--beta": dict(type=_rational, required=True),
+        "--N": dict(type=int, required=True),
+        "--format": dict(choices=["json", "csv"], default="json"),
+    }),
+    "verify": ("run a seeded exact-identity suite", {
+        "--check": dict(required=True, choices=sorted(CHECKS)),
+        "--seed": dict(type=int, default=0),
+        "--trials": dict(type=int),
+        "--place": dict(type=_place_list, help="restrict to these places"),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicqm",
@@ -382,115 +424,55 @@ def build_parser() -> argparse.ArgumentParser:
         "and p-adic completions of the rationals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    kernel = sub.add_parser("kernel", help="evaluate a propagator on a parameter grid")
-    kernel.add_argument("--system", required=True, choices=list(KERNEL_OPTIONS))
-    kernel.add_argument("--place", type=_place_list, required=True,
-                        help="comma-separated places: inf or primes")
-    kernel.add_argument("--T", type=_rational_list, default=[Fraction(1)])
-    kernel.add_argument("--q0", type=_rational_list, default=[Fraction(0)])
-    kernel.add_argument("--q1", type=_rational_list, default=[Fraction(0)])
-    kernel.add_argument("--a", type=_rational, default=Fraction(0),
-                        help="constant acceleration (const-field)")
-    kernel.add_argument("--lam", type=_rational, default=Fraction(0),
-                        help="cosmological constant (desitter)")
-    for field in dataclasses.fields(OscillatorBoundaryData):
-        kernel.add_argument(f"--{field.name}", type=_rational, help="oscillator boundary value")
-    kernel.add_argument("--precision", type=int, default=20,
-                        help="most p-adic digits the oscillator kernel may use")
-    kernel.add_argument("--format", choices=["json", "csv"], default="json")
-
-    gauss_cmd = sub.add_parser("gauss", help="full-line Gauss integral")
-    gauss_cmd.add_argument("--place", type=_place, required=True)
-    gauss_cmd.add_argument("--a", type=_rational, required=True)
-    gauss_cmd.add_argument("--b", type=_rational, default=Fraction(0))
-    gauss_cmd.add_argument("--format", choices=["json", "csv"], default="json")
-
-    ball = sub.add_parser("ball-integral", help="character integral over a p-adic ball")
-    ball.add_argument("--p", type=int, required=True)
-    ball.add_argument("--alpha", type=_rational, required=True)
-    ball.add_argument("--beta", type=_rational, required=True)
-    ball.add_argument("--N", type=int, required=True)
-    ball.add_argument("--format", choices=["json", "csv"], default="json")
-
-    verify = sub.add_parser("verify", help="run a seeded exact-identity suite")
-    verify.add_argument("--check", required=True, choices=sorted(CHECKS))
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--trials", type=int, default=None)
-    verify.add_argument("--place", type=_place_list, default=None,
-                        help="restrict to these places")
-
+    for name, (help_text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for opt, keywords in options.items():
+            command.add_argument(opt, **keywords)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call to :func:`main`; parsing leaves it unchanged."""
-    return build_parser()
-
-
-@functools.cache
-def _options() -> dict[str, tuple[dict, list, str]]:
-    """Subcommand -> (option string -> action, its actions, the subcommand's dest).
-
-    Read from :func:`_parser`: a subcommand whose actions are help and
-    single-value stores only, as every one of :func:`build_parser` is.
-    """
-    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sub in commands.choices.items():
-        stores = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-        if all(type(a) is argparse._StoreAction and a.nargs is None for a in stores):
-            options = {s: a for a in stores for s in a.option_strings}
-            table[name] = (options, stores, commands.dest)
-    return table
 
 
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     """argparse's namespace for a plain argv, None for any other.
 
-    Plain: a subcommand of :func:`_options`, then only ``--opt=value`` and
-    ``--opt value`` tokens, opt an exact option string of it and a separate
-    value not starting with ``-``, where each value converts through the
-    action's type into its choices and every required option is given.
-    As in argparse, the last value of an option wins and a string default
-    converts through the type.  argparse parses the rest: help, abbreviations,
-    ``--``, values such as ``-2``, and every usage error.
+    Plain: a subcommand of :data:`COMMANDS`, then only ``--opt=value`` and
+    ``--opt value`` tokens, opt an exact option of it and a separate value
+    not starting with ``-``, where each value converts through the option's
+    type into its choices and every required option is given.  As in
+    argparse, the last value of an option wins.  argparse parses the rest:
+    help, abbreviations, ``--``, values such as ``-2``, and every usage error.
     """
-    table = _options().get(argv[0]) if argv else None
-    if table is None:
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    options, actions, dest = table
+    options = command[1]
     given = {}
     tokens = iter(argv[1:])
     try:
         for token in tokens:
             opt, eq, value = token.partition("=")
-            action = options.get(opt)
+            keywords = options.get(opt)
             if not eq:
                 value = next(tokens, "-")
-            if action is None or not eq and value[:1] == "-":
+            if keywords is None or not eq and value[:1] == "-":
                 return None
-            value = action.type(value) if action.type else value
-            if action.choices is not None and value not in action.choices:
+            convert, choices = keywords.get("type"), keywords.get("choices")
+            value = convert(value) if convert else value
+            if choices is not None and value not in choices:
                 return None
-            given[action] = value
-        for action in actions:
-            if action not in given:
-                if action.required:
+            given[opt] = value
+        for opt, keywords in options.items():
+            if opt not in given:
+                if keywords.get("required"):
                     return None
-                value = action.default
-                if isinstance(value, str) and action.type:
-                    value = action.type(value)
-                given[action] = value
+                given[opt] = keywords.get("default")
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None
-    return argparse.Namespace(**{dest: argv[0]}, **{a.dest: v for a, v in given.items()})
+    return argparse.Namespace(command=argv[0], **{opt[2:]: value for opt, value in given.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_plain(argv) or _parser().parse_args(argv)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     # the handler of subcommand "x-y" is _cmd_x_y, looked up at call time
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:

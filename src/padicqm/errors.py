@@ -37,7 +37,7 @@ class PartitionError(PadicqmError):
 
 
 class OracleCapError(PadicqmError):
-    """A coset enumeration would exceed the configured point cap."""
+    """A coset enumeration would exceed the cap ``gauss.COSET_CAP``."""
 
 
 class OutputLimitError(PadicqmError):

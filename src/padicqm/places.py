@@ -114,10 +114,10 @@ class Place:
 
     @classmethod
     def parse(cls, text: str) -> Place:
-        """Parse ``"inf"`` (or ``"real"``, ``"oo"``) or a prime integer string."""
+        """Parse ``"inf"`` or a prime integer string."""
         require_instance(text, str)
         text = text.strip()
-        if text in ("inf", "real", "oo"):
+        if text == "inf":
             return cls.real()
         try:
             p = int(text)

@@ -76,7 +76,7 @@ class TestKernelCommand:
             main(["kernel", "--system", "free", "--place", "3", "--T", "1/0"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("text", ["3.0", "x"])
+    @pytest.mark.parametrize("text", ["3.0", "x", "real", "oo"])
     def test_place_that_is_not_a_place_exits_2(self, capsys, text):
         with pytest.raises(SystemExit) as exc:
             main(["kernel", "--system", "free", "--place", text])
@@ -608,6 +608,18 @@ class TestOutputLimit:
         assert code == cli.EXIT_RESOURCE == 3
         assert out == ""
         assert err.startswith("resource limit: ")
+
+    def test_real_modulus_too_long_to_write_exits_3(self, capsys):
+        # a = 5 * 10^(limit - 1) is writable, but the real-place modulus
+        # 1/(2a) = 10^-limit is not, and no place p writes it as p^k
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter writes integers of any length")
+        code, out, err = run_cli(capsys, ["gauss", "--place", "inf", "--a=5" + "0" * (limit - 1)])
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: an exact field is too long to write: "
+                              f"Exceeds the limit ({limit} digits) for integer string conversion")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, work", [
         # at alpha = 10^-1000000 the Gauss sum modulus would be 5^1000000

@@ -1,12 +1,11 @@
-"""The CLI's table parse against argparse, the one definition of the grammar.
+"""The CLI's table parse against argparse, both read from one grammar table.
 
-``cli._parse_plain`` reads a well-formed argv from the store actions of
-``build_parser()`` and leaves every other argv to argparse.  For each argv
-here it must give either nothing or argparse's namespace, and nothing
-wherever argparse exits.
+``cli._parse_plain`` reads a well-formed argv straight from ``cli.COMMANDS``,
+the table that ``build_parser()`` hands to argparse, and leaves every other
+argv to argparse.  For each argv here it must give either nothing or
+argparse's namespace, and nothing wherever argparse exits.
 """
 
-import argparse
 import contextlib
 import io
 import itertools
@@ -15,6 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicqm import cli
@@ -143,22 +143,37 @@ def test_separate_dash_values_go_to_argparse():
     assert plain_vars(argv[:-2] + ["--b=-1"]) == argparse_vars(argv)
 
 
-def test_grammar_is_read_from_build_parser(monkeypatch):
-    """A string default converts through its type; a subcommand with a flag goes to argparse."""
-    def grammar():
-        parser = argparse.ArgumentParser(prog="padicqm")
-        sub = parser.add_subparsers(dest="command", required=True)
-        sub.add_parser("a").add_argument("--k", type=Fraction, default="1/2")
-        sub.add_parser("b").add_argument("--flag", action="store_true")
-        return parser
+def test_one_table_drives_both_parsers(monkeypatch):
+    """A toy grammar in COMMANDS: build_parser and _parse_plain read it at call time."""
+    monkeypatch.setattr(cli, "COMMANDS", {
+        "a": ("toy a", {"--k": dict(type=Fraction, default=Fraction(1, 2)),
+                        "--n": dict(type=int, required=True, choices=[1, 2])}),
+        "b": ("toy b", {"--s": dict()}),
+    })
+    parser = cli.build_parser()
+    assert "toy a" in parser.format_help()
+    for argv in (["a", "--n", "1"], ["a", "--n=2", "--k=3/4", "--n", "1"], ["b"], ["b", "--s=x"]):
+        assert vars(cli._parse_plain(argv)) == vars(parser.parse_args(argv)), argv
+    assert vars(cli._parse_plain(["a", "--n=2", "--k=3/4"])) == {
+        "command": "a", "k": Fraction(3, 4), "n": 2}
+    for argv in (["a"], ["a", "--n", "3"], ["a", "--n", "1", "--s", "x"],
+                 ["kernel", "--system", "free", "--place", "3"]):
+        assert cli._parse_plain(argv) is None, argv
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
-    monkeypatch.setattr(cli, "build_parser", grammar)
-    cli._parser.cache_clear()
-    cli._options.cache_clear()
-    try:
-        assert vars(cli._parse_plain(["a"])) == vars(grammar().parse_args(["a"]))
-        assert vars(cli._parse_plain(["a"])) == {"command": "a", "k": Fraction(1, 2)}
-        assert cli._parse_plain(["b"]) is None
-    finally:
-        cli._parser.cache_clear()
-        cli._options.cache_clear()
+
+def test_plain_argvs_never_build_the_parser(monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    for argv in (["kernel", "--system", "free", "--place", "inf,3", "--T=1/2"],
+                 ["kernel", "--system", "osc", "--place", "3", "--x0", "1", "--x1", "2",
+                  "--gamma0", "0", "--gamma1", "105", "--dgamma0", "1", "--dgamma1", "1",
+                  "--s0", "1", "--s1", "1", "--ds0", "0", "--ds1", "0"],
+                 ["gauss", "--place", "5", "--a=-3/4"],
+                 ["ball-integral", "--p", "3", "--alpha", "1", "--beta", "0", "--N", "2"],
+                 ["verify", "--check", "gauss", "--trials", "1", "--place", "3"]):
+        assert cli.main(argv) == 0 and calls == [], argv
+    # a separate negative value is argparse's: the fallback builds the parser once
+    assert cli.main(["gauss", "--place", "5", "--a", "1", "--b", "-1"]) == 0 and calls == [1]

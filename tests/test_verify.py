@@ -15,6 +15,7 @@ from padicqm import (
     characters,
     finite_n_propagator,
     lambda_v,
+    norm,
     overlap_ball_integral,
     propagators,
     valuation,
@@ -181,6 +182,56 @@ def test_overlap_catches_a_threshold_one_too_high(monkeypatch):
     assert row["check"] == "overlap-below-threshold"
     args = [F(row[k]) for k in ("a", "t", "t1", "x0", "x1")]
     assert overlap_ball_integral(row["p"], *args, row["N"]).is_zero
+
+
+def test_overlap_catches_a_threshold_one_too_low(monkeypatch):
+    # every trial with x1 != x0 now asks the ball one below the true threshold
+    # to vanish, and the ball two below it never does
+    threshold = verify.overlap_vanishing_threshold
+    monkeypatch.setattr(verify, "overlap_vanishing_threshold",
+                        lambda p, x_diff, tau: threshold(p, x_diff, tau) - 1)
+    failures = CHECKS["overlap"](trials=5, seed=0)
+    assert len(failures) == 9
+    for row in failures:
+        assert list(row) == ["check", "p", "N", "a", "t", "t1", "x0", "x1", "value"]
+        assert row["check"] == "overlap-vanishing"
+        a, t, t1, x0, x1 = (F(row[k]) for k in ("a", "t", "t1", "x0", "x1"))
+        assert row["N"] == threshold(row["p"], x1 - x0, t1 - t) - 1
+        value = overlap_ball_integral(row["p"], a, t, t1, x0, x1, row["N"])
+        assert not value.is_zero and str(value) == row["value"]
+
+
+def test_overlap_catches_a_wrong_norm(monkeypatch):
+    # a norm twice too large halves the diagonal mass the check expects
+    monkeypatch.setattr(verify, "norm", lambda x, place: 2 * norm(x, place))
+    failures = CHECKS["overlap"](trials=5, seed=0)
+    assert len(failures) == 2 * 5 * 3
+    for row in failures:
+        assert row["check"] == "overlap-diagonal" and row["x0"] == row["x1"]
+        a, t, t1, x0 = (F(row[k]) for k in ("a", "t", "t1", "x0"))
+        diag = overlap_ball_integral(row["p"], a, t, t1, x0, x0, row["N"])
+        mass = F(row["p"]) ** row["N"] / norm(t1 - t, Place.prime(row["p"]))
+        assert diag.modulus_sq == mass * mass and diag.phase.value == 0
+
+
+def test_lambda_catches_a_real_lambda_that_reads_the_square_part(monkeypatch):
+    # at the real place the square part of x is |x|: a lambda_inf that reads
+    # it past 48 breaks square absorption alone, as |a|, |b|, |a + b| and
+    # |1/a + 1/b| stay within 48 for the drawn a, b, and only a^2 b goes past
+    def mutated(place, a):
+        phase = lambda_v(place, a)
+        return phase + Phase(F(1, 2)) if place.is_real and abs(a) > 48 else phase
+
+    monkeypatch.setattr(verify, "lambda_v", mutated)
+    failures = CHECKS["lambda"](seed=0)
+    assert len(failures) == 85
+    real = Place.real()
+    for row in failures:
+        assert list(row) == ["check", "place", "a", "b"]
+        assert row["check"] == "square-absorption" and row["place"] == "inf"
+        a, b = F(row["a"]), F(row["b"])
+        assert mutated(real, a * a * b) != mutated(real, b)
+        assert lambda_v(real, a * a * b) == lambda_v(real, b)
 
 
 def test_gauss_runs_the_haar_oracle_on_every_ball_up_to_the_coset_cap(monkeypatch):

@@ -186,15 +186,18 @@ def lambda_of_split(place: Place, v: int, u: int) -> Phase:
 
     Real place: (1 - i*sign a)/sqrt(2), i.e. phase 7/8 for a > 0 and 1/8
     for a < 0.  Odd p: dispatch on the parity of v and p mod 4 via the
-    Legendre symbol of u.  p = 2: dispatch on the parity of v via bits 1
-    and 2 of u mod 8 (the digits a_1, a_2).
+    Legendre symbol of the p-unit u, read by Euler's criterion on the
+    place's checked prime, not through :func:`legendre`.  p = 2: dispatch
+    on the parity of v via bits 1 and 2 of u mod 8 (the digits a_1, a_2).
     """
     p = place.p
     if p is None:
         k = 7 if u > 0 else 1
     elif p != 2:
-        # 1 for even v, else (u/p) for p = 1 (mod 4) and i*(u/p) for p = 3 (mod 4)
-        k = 0 if v % 2 == 0 else (0 if p % 4 == 1 else 2) + (0 if legendre(u, p) == 1 else 4)
+        # 1 for even v, else (u/p) for p = 1 (mod 4) and i*(u/p) for p = 3 (mod 4),
+        # with (u/p) = u^((p - 1)/2) mod p
+        k = 0 if v % 2 == 0 else ((0 if p % 4 == 1 else 2)
+                                  + (0 if pow(u, (p - 1) // 2, p) == 1 else 4))
     else:
         a1, a2 = (u >> 1) & 1, (u >> 2) & 1
         # (1 + (-1)**a1 * i)/sqrt(2) is the eighth root of unity +-1/8.

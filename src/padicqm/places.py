@@ -160,17 +160,21 @@ def _unchecked(cls: type, **fields) -> object:
     public constructors keep every check.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    # the keyword dict becomes the instance dict: nothing is copied
+    object.__setattr__(obj, "__dict__", fields)
     return obj
 
 
 def p_split(n: int, p: int) -> tuple[int, int]:
     """(v, m) with n = p**v * m and p not dividing m, for a nonzero integer n.
 
-    At p = 2, v is the index of n's lowest set bit.  At odd p,
-    :func:`_split_by_squares` takes O(log v) divisions, by p, p^2, p^4,
-    ...; dividing by p once per unit of v would take time quadratic in v.
+    A p-unit returns on its first division.  At p = 2, v is the index of
+    n's lowest set bit.  At odd p, :func:`_split_by_squares` takes
+    O(log v) divisions, by p, p^2, p^4, ...; dividing by p once per unit
+    of v would take time quadratic in v.
     """
+    if n % p:
+        return 0, n
     if not n:
         raise InputError("zero has infinite valuation")
     if p == 2:

@@ -16,10 +16,9 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .analytic import _sin_cos_sums, _trig_domain_valuation, sqrt_p
-from .characters import Amplitude, Phase, chi, gauss_factor, lambda_v, phase_sum
+from .characters import ZERO_PHASE, Amplitude, Phase, chi, gauss_factor, lambda_v, phase_sum
 from .dynamics import QuadraticActionForm, _constant_field_form, action_form_constant_field
 from .errors import (
     DegenerateFormError,
@@ -106,7 +105,10 @@ class SymbolicKernel:
     def evaluate(self, q0: Fraction | int, q1: Fraction | int) -> Amplitude:
         """Amplitude for propagation from q0 to q1: the 1 x 1 :meth:`phase_grid`."""
         [(n, d)] = self.phase_grid((q0,), (q1,))
-        return Amplitude(self.prefactor.modulus_sq, Phase(Fraction(n, d)))
+        ms = self.prefactor.modulus_sq
+        # phase_grid reduces n/d into [0, 1); the zero amplitude's phase is 0
+        phase = _unchecked(Phase, value=Fraction(n, d)) if ms else ZERO_PHASE
+        return _unchecked(Amplitude, modulus_sq=ms, phase=phase)
 
     def phase_grid(
         self, q0s: Sequence[Fraction | int], q1s: Sequence[Fraction | int]
@@ -202,17 +204,20 @@ def compose_kernels(k2: SymbolicKernel, k1: SymbolicKernel) -> SymbolicKernel:
     m = e2 * D1 + d1 * D2
     # New form: S'(q1, q0) = B^2/(4A) - C with C the x-free chi part, over 4n D, D = D1 D2.
     n4, D = 4 * n, D1 * D2
-    form = QuadraticActionForm.from_integers(
-        n4 * D,
-        (
-            (n4 * a2 - g2 * g2 * D1) * D1,
-            (n4 * b1 - g1 * g1 * D2) * D2,
-            -2 * g2 * g1 * D,
-            2 * (2 * n * d2 - g2 * m) * D1,
-            2 * (2 * n * e1 - g1 * m) * D2,
-            -m * m + n4 * (z2 * D1 + z1 * D2),
-        ),
-    )
+    den = n4 * D
+    na = (n4 * a2 - g2 * g2 * D1) * D1
+    nb = (n4 * b1 - g1 * g1 * D2) * D2
+    ng = -2 * g2 * g1 * D
+    nd = 2 * (2 * n * d2 - g2 * m) * D1
+    ne = 2 * (2 * n * e1 - g1 * m) * D2
+    nz = -m * m + n4 * (z2 * D1 + z1 * D2)
+    # lowest terms with den > 0, as from_integers gives: den has the sign of n,
+    # as D1, D2 > 0, and every value is an int
+    g = math.gcd(den, na, nb, ng, nd, ne, nz)
+    if n < 0:
+        g = -g
+    form = _unchecked(QuadraticActionForm, den=den // g,
+                      nums=(na // g, nb // g, ng // g, nd // g, ne // g, nz // g))
     # the squared moduli of the steps and |2A|^{-1} multiply into one Fraction
     (mn, md), lam = gauss_factor(place, -n, D)
     p2, p1 = k2.prefactor, k1.prefactor
@@ -259,15 +264,19 @@ def finite_n_propagator(
     into each step kernel.  The result is independent of the partition
     and equals the one-shot kernel over the total time.
     """
-    require_instance(partition, PartitionSpec)
-    a, q0, q1 = rational(a), rational(q0), rational(q1)  # before the fold, not after it
+    # checked before the fold, not after it; a Fraction takes no call
+    if type(partition) is not PartitionSpec:
+        require_instance(partition, PartitionSpec)
+    a, q0, q1 = (x if type(x) is Fraction else rational(x) for x in (a, q0, q1))
     an, ad, place = a.numerator, a.denominator, partition.place
     ends = [(t.numerator, t.denominator) for t in partition.points]
-    # each step's form from its length (n1 d0 - n0 d1)/(d0 d1), unreduced
-    forms = (_constant_field_form(an, ad, n1 * d0 - n0 * d1, d0 * d1)
-             for (n0, d0), (n1, d1) in zip(ends, ends[1:]))
-    kernels = (SymbolicKernel.from_form(place, form) for form in forms)
-    return reduce(lambda kernel, step: compose_kernels(step, kernel), kernels).evaluate(q0, q1)
+    kernel = None
+    for (n0, d0), (n1, d1) in zip(ends, ends[1:]):
+        # each step's form from its length (n1 d0 - n0 d1)/(d0 d1), unreduced
+        step = SymbolicKernel.from_form(place, _constant_field_form(an, ad, n1 * d0 - n0 * d1,
+                                                                    d0 * d1))
+        kernel = step if kernel is None else compose_kernels(step, kernel)
+    return kernel.evaluate(q0, q1)
 
 
 def overlap_ball_integral(

@@ -68,12 +68,13 @@ def random_nonzero_rational(rng: random.Random, place: Place) -> Fraction:
         pass
     num = num + 1 if sign else -1 - num
     den += 1
-    if place.is_real:
+    p = place.p
+    if p is None:
         return Fraction(num, den)
     while (k := bits(_K_BITS)) >= _K_WIDTH:
         pass
     k -= SPAN
-    return Fraction(num * place.p**k, den) if k >= 0 else Fraction(num, den * place.p**-k)
+    return Fraction(num * p**k, den) if k >= 0 else Fraction(num, den * p**-k)
 
 
 def _random_partition(rng: random.Random, place: Place, count: int) -> PartitionSpec:

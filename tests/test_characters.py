@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicqm import Amplitude, InputError, Phase, Place, chi, lambda_v, legendre
+from padicqm import Amplitude, InputError, Phase, Place, characters, chi, lambda_v, legendre
 from padicqm.characters import gauss_factor
 from padicqm.places import is_prime
 
@@ -114,6 +114,19 @@ class TestLambda:
         want = lambda_oracle.lambda_v(place, F(n, d))
         assert gauss_factor(place, n * k, d * k)[1] == want
         assert lambda_v(place, F(n, d)) == want
+
+    def test_independent_of_the_public_legendre(self, monkeypatch):
+        # lambda reads (u/p) itself, so a wrong characters.legendre cannot move
+        # it; the oracle's legendre is padicqm's own binding, not the patched one
+        right = characters.legendre
+        monkeypatch.setattr(characters, "legendre",
+                            lambda a, p: -right(a, p) if p == 13 else right(a, p))
+        assert characters.legendre(1, 13) == -1
+        P13 = Place.prime(13)
+        for u in range(1, 13):
+            for v in (-3, -1, 1, 3):
+                for a in (F(u) * F(13) ** v, F(u, 2) * F(13) ** v):
+                    assert lambda_v(P13, a) == lambda_oracle.lambda_v(P13, a), (u, v, a)
 
     def test_every_two_adic_residue_matches_oracle(self):
         # each unit residue mod 8 at either valuation parity, over unreduced pairs

@@ -93,8 +93,10 @@ class TestPSplit:
         assert p_split(3**40000 * 7, 3) == (40000, 7)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            p_split(0, 3)
+        # zero passes the unit exit (0 % p == 0) at the 2-adic and odd branches alike
+        for p in (2, 3, 5):
+            with pytest.raises(InputError):
+                p_split(0, p)
 
 
 class TestNorm:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -326,22 +327,53 @@ class TestComposeAgainstOracle:
         assert got.prefactor.is_zero == (0 in moduli)
 
     @pytest.mark.parametrize("place", ALL_PLACES, ids=str)
-    def test_library_built_objects_equal_public_ones(self, place):
-        # from_integers, from_form and compose_kernels build their forms,
-        # prefactors and kernels past the constructors' checks: each equals,
-        # and hashes as, the object the public constructors make of its values
-        def public(kernel):
-            f, pre = kernel.form, kernel.prefactor
-            form = QuadraticActionForm(f.alpha, f.beta, f.gamma, f.delta, f.epsilon, f.zeta)
-            return SymbolicKernel(place, Amplitude(pre.modulus_sq, Phase(pre.phase.value)), form)
+    @settings(max_examples=40, deadline=None)
+    @given(forms=st.tuples(FORM, FORM), q0=small_rationals(), q1=small_rationals())
+    @example(forms=(action_form_constant_field(F(3, 2), F(5, 7)),
+                    desitter_action_form(F(-1, 4), F(9, 2))), q0=F(1, 3), q1=F(-2))
+    def test_library_built_objects_equal_public_ones(self, place, forms, q0, q1):
+        # from_integers, from_form, compose_kernels and evaluate build their
+        # forms, prefactors, kernels and amplitudes past the constructors'
+        # checks, with the keyword dict as the instance dict: each object, and
+        # each object in its fields, holds exactly its dataclass fields, and
+        # equals, and hashes as, the object the public constructors make of its values
+        def public(obj):
+            if type(obj) is Phase:
+                return Phase(obj.value)
+            if type(obj) is Amplitude:
+                return Amplitude(obj.modulus_sq, public(obj.phase))
+            if type(obj) is QuadraticActionForm:
+                return QuadraticActionForm(obj.alpha, obj.beta, obj.gamma,
+                                           obj.delta, obj.epsilon, obj.zeta)
+            if type(obj) is SymbolicKernel:
+                return SymbolicKernel(place, public(obj.prefactor), public(obj.form))
+            return obj
 
-        k1 = SymbolicKernel.from_form(place, action_form_constant_field(F(3, 2), F(5, 7)))
-        k2 = SymbolicKernel.from_form(place, desitter_action_form(F(-1, 4), F(9, 2)))
-        for kernel in (k1, k2, compose_kernels(k2, k1)):
-            twin = public(kernel)
-            for got, want in ((kernel, twin), (kernel.prefactor, twin.prefactor),
-                              (kernel.form, twin.form)):
-                assert got == want and hash(got) == hash(want)
+        def check(obj):
+            assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
+            twin = public(obj)
+            assert obj == twin and hash(obj) == hash(twin)
+            for value in vars(obj).values():
+                if dataclasses.is_dataclass(value):
+                    check(value)
+
+        k2, k1 = (SymbolicKernel.from_form(place, form) for form in forms)
+        built = [k2, k1, k2.evaluate(q0, q1)]
+        try:
+            kernel = compose_kernels(k2, k1)
+        except DegenerateIntervalError:
+            pass
+        else:
+            built += [kernel, kernel.evaluate(q0, q1)]
+        for obj in built:
+            check(obj)
+
+    def test_a_zero_prefactor_evaluates_to_the_zero_amplitude(self):
+        # the zero amplitude's phase is 0, whatever chi of the form adds
+        form = action_form_constant_field(F(3, 2), F(5, 7))
+        for place in ALL_PLACES:
+            kernel = SymbolicKernel(place, Amplitude.zero(), form)
+            assert kernel.evaluate(F(1, 3), F(-2)) == Amplitude.zero()
 
     def test_places_compare_by_value(self):
         # equal places held by distinct objects compose; distinct places raise

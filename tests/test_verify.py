@@ -12,8 +12,10 @@ from padicqm import (
     PartitionSpec,
     Phase,
     Place,
+    analytic,
     characters,
     finite_n_propagator,
+    gauss,
     lambda_v,
     norm,
     overlap_ball_integral,
@@ -297,6 +299,22 @@ def test_gauss_catches_lambda_13_without_its_legendre_symbol(monkeypatch, seed, 
                             lambda place, v, phase: Phase(0) if place.p == 13 and v % 2 else phase)
     failures = CHECKS["gauss"](seed=seed)
     assert len(failures) == count and {row["p"] for row in failures} == {13}
+
+
+@pytest.mark.parametrize("seed, count", [(0, 8), (1, 8), (2, 10)])
+def test_gauss_catches_legendre_13_negated(monkeypatch, seed, count):
+    # lambda reads (u/13) itself, so the closed form keeps the right lambda
+    # while the ball integral's complete Gauss sum takes the wrong symbol
+    right = characters.legendre
+
+    def wrong(a, p):
+        return -right(a, p) if p == 13 else right(a, p)
+
+    for module in (characters, gauss, analytic):
+        monkeypatch.setattr(module, "legendre", wrong)
+    failures = CHECKS["gauss"](seed=seed)
+    assert len(failures) == count
+    assert {(row["check"], row["p"]) for row in failures} == {("gauss-stabilization", 13)}
 
 
 @pytest.mark.parametrize("seed, count", [(0, 47), (1, 60), (2, 53)])
